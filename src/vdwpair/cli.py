@@ -25,6 +25,7 @@ import copy
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -312,7 +313,7 @@ def _half_space_row(args) -> dict:
 def _compute_rows(cfg: dict, worker) -> list[dict]:
     values = _sweep_values(cfg)
     tasks = [(cfg, float(v)) for v in values]
-    workers = min(cfg["workers"], len(tasks))
+    workers = min(cfg["workers"], len(tasks), os.cpu_count() or 1)
     if workers == 1:
         return [worker(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

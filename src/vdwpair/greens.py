@@ -11,13 +11,14 @@ in the vacuum region z > 0, both atoms lie in the xz plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
 
 from .materials import LorentzMedium, permeability_iu, permittivity_iu
 from .quadrature import QuadSpec, integrate_semiinf
+from .specfun import bessel_j0_j2
 
 __all__ = [
     "PlanarGeometry",
@@ -303,8 +304,7 @@ def _scattering_spec(spec: QuadSpec | None, n_breaks: int) -> QuadSpec:
     spec = spec or QuadSpec()
     min_subdiv = max(spec.max_subdivisions, n_breaks // 2 + 50, 800)
     if min_subdiv != spec.max_subdivisions:
-        spec = QuadSpec(spec.rel_tol, spec.abs_tol, min_subdiv, spec.transform,
-                        spec.nest_factor)
+        spec = replace(spec, max_subdivisions=min_subdiv)
     return spec
 
 
@@ -362,8 +362,7 @@ def halfspace_scattering_quadrature(geom: PlanarGeometry, u: float,
         rs, rp = reflection(q, u, medium)
         b = np.sqrt(u**2 + q**2)
         damp = q * np.exp(-b * zp)
-        j0 = special.j0(q * x)
-        j2 = special.jn(2, q * x)
+        j0, j2 = bessel_j0_j2(q * x)
         return damp * ((j0 + sign * j2) / b * rs
                        - b * (j0 - sign * j2) / k2 * rp) / (8.0 * np.pi)
 

@@ -36,7 +36,7 @@ from .greens import (
 from .materials import LorentzMedium, ResonanceAtom, permeability_iu, \
     permittivity_iu, response_iu
 from .quadrature import QuadSpec, integrate_semiinf
-from .specfun import WeightedIntegralKey, m_nu, weighted_AB
+from .specfun import WeightedIntegralKey, bessel_j0_j2, m_nu, weighted_AB
 
 __all__ = [
     "PotentialBreakdown",
@@ -186,8 +186,7 @@ def u1_cross_integrand(q, u: float, geom: PlanarGeometry,
     rs, rp = reflection(q, u, medium)
     b = np.sqrt(u**2 + q**2)
     k2 = u**2
-    j0 = special.j0(q * geom.X)
-    j2 = special.jn(2, q * geom.X)
+    j0, j2 = bessel_j0_j2(q * geom.X)
     term0 = ((2.0 * a_xi - b_xi * x2_l2) * (rs / b - b * rp / k2)
              - 2.0 * (a_xi - b_xi * z2_l2) * q**2 * rp / (b * k2)) * j0
     term2 = -b_xi * x2_l2 * (rs / b + b * rp / k2) * j2

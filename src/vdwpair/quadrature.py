@@ -1,12 +1,14 @@
-"""Adaptive panel quadrature over semi-infinite intervals, with nesting.
+"""Adaptive panel quadrature over finite and semi-infinite intervals.
 
 All integrands must accept a 1-D numpy array of abscissas and return an
 array of the same shape.  Semi-infinite integrals are mapped onto the unit
-interval (x = t/(1-t) for exponentially decaying integrands) and integrated
-with adaptive Gauss panels: every panel carries an embedded low/high order
-pair whose difference serves as the local error estimate, and the panels
-with the largest errors are bisected until the global estimate meets the
-tolerance.  Panels are evaluated in vectorized batches.
+interval (x = t/(1-t), suited to exponentially decaying integrands) and
+integrated with adaptive 7/15-point Gauss-Kronrod panels (QUADPACK's qk15
+pair): the 7 Gauss nodes are nested in the 15 Kronrod nodes, the Kronrod
+sum is the panel value and the raw |K15 - G7| difference is its error
+estimate.  The panels with the largest errors are bisected until the
+global estimate meets the tolerance.  Panels are evaluated in vectorized
+batches.
 """
 
 from __future__ import annotations
@@ -22,19 +24,37 @@ __all__ = [
     "integrate_interval",
     "integrate_semiinf",
     "integrate_2d",
-    "integrate_3d",
 ]
 
-_N_LOW = 15
-_N_HIGH = 31
+# Kronrod nodes on [-1, 1] and their weights (Piessens et al., QUADPACK,
+# qk15); every second node, starting at the second, is a 7-point Gauss node.
+_XK_HALF = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+])
+_WK_HALF = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+])
+_WK_MID = 0.209482141084727828012999174891714
+_WG_HALF = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+])
+_WG_MID = 0.417959183673469387755102040816327
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS_CACHE[n]
+KRONROD_NODES = np.concatenate([-_XK_HALF, [0.0], _XK_HALF[::-1]])
+KRONROD_WEIGHTS = np.concatenate([_WK_HALF, [_WK_MID], _WK_HALF[::-1]])
+# The 7-point Gauss weights on the same 15 nodes (zero at Kronrod-only ones).
+GAUSS_WEIGHTS = np.zeros(15)
+GAUSS_WEIGHTS[1::2] = np.concatenate([_WG_HALF, [_WG_MID], _WG_HALF[::-1]])
+_N_NODES = KRONROD_NODES.size
+# Columns: Kronrod sum, Kronrod minus Gauss.
+_RULES = np.stack([KRONROD_WEIGHTS, KRONROD_WEIGHTS - GAUSS_WEIGHTS], axis=1)
 
 
 @dataclass(frozen=True)
@@ -65,7 +85,6 @@ class QuadSpec:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-14
     max_subdivisions: int = 200
-    transform: str = "exp-decay"
     nest_factor: float = 10.0
 
     def __post_init__(self):
@@ -73,8 +92,6 @@ class QuadSpec:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.transform not in ("exp-decay", "algebraic"):
-            raise ValueError(f"unknown transform {self.transform!r}")
 
     def tightened(self) -> "QuadSpec":
         return replace(
@@ -98,31 +115,26 @@ class ConvergenceError(RuntimeError):
 
 
 def _eval_panels(f, a: np.ndarray, b: np.ndarray):
-    """Evaluate the embedded rule pair on a batch of panels [a_i, b_i]."""
-    xl, wl = _gauss(_N_LOW)
-    xh, wh = _gauss(_N_HIGH)
+    """Evaluate the Gauss-Kronrod pair on a batch of panels [a_i, b_i]."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    pts = np.concatenate(
-        [mid[:, None] + half[:, None] * xl, mid[:, None] + half[:, None] * xh],
-        axis=1,
-    )
+    pts = mid[:, None] + half[:, None] * KRONROD_NODES
     y = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    i_low = (y[:, :_N_LOW] @ wl) * half
-    i_high = (y[:, _N_LOW:] @ wh) * half
-    return i_high, np.abs(i_high - i_low)
+    sums = (y @ _RULES) * half[:, None]
+    return sums[:, 0], np.abs(sums[:, 1])
 
 
 def integrate_interval(f, a, b, spec=None, breakpoints=None, axis="x"):
     """Adaptively integrate a vectorized integrand over [a, b]."""
     spec = spec or QuadSpec()
-    edges = [float(a), float(b)]
+    edges = np.array([a, b], dtype=float)
     if breakpoints is not None:
-        edges.extend(float(p) for p in breakpoints if a < p < b)
-    edges = np.unique(np.asarray(edges, dtype=float))
+        p = np.asarray(breakpoints, dtype=float)
+        edges = np.concatenate([edges, p[(p > a) & (p < b)]])
+    edges = np.unique(edges)
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _eval_panels(f, lo, hi)
-    evals = (_N_LOW + _N_HIGH) * lo.size
+    evals = _N_NODES * lo.size
     max_panels = lo.size + spec.max_subdivisions
 
     eps = float(np.finfo(float).eps)
@@ -174,24 +186,15 @@ def integrate_interval(f, a, b, spec=None, breakpoints=None, axis="x"):
         new_hi = np.concatenate([hi[~mask], sm, sb])
         new_vals, new_errs = _eval_panels(f, np.concatenate([sa, sm]),
                                           np.concatenate([sm, sb]))
-        evals += (_N_LOW + _N_HIGH) * 2 * sa.size
+        evals += _N_NODES * 2 * sa.size
         vals = np.concatenate([vals[~mask], new_vals])
         errs = np.concatenate([errs[~mask], new_errs])
         lo, hi = new_lo, new_hi
 
 
-def _forward_map(t, transform):
-    if transform == "exp-decay":
-        return t / (1.0 - t), 1.0 / (1.0 - t) ** 2
-    # algebraic: x = t / (1 - t)^2
-    return t / (1.0 - t) ** 2, (1.0 + t) / (1.0 - t) ** 3
-
-
-def _inverse_map(x, transform):
-    if transform == "exp-decay":
-        return x / (1.0 + x)
-    # invert x = t/(1-t)^2 for t in [0, 1)
-    return 1.0 + (1.0 - np.sqrt(1.0 + 4.0 * x)) / (2.0 * x) if x > 0 else 0.0
+def _forward_map(t):
+    """x = t/(1-t) and its Jacobian, mapping [0, 1) onto [0, inf)."""
+    return t / (1.0 - t), 1.0 / (1.0 - t) ** 2
 
 
 def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
@@ -209,22 +212,22 @@ def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
     mapped onto the unit interval.
     """
     spec = spec or QuadSpec()
-    transform = spec.transform
-    breaks = sorted(float(p) for p in (breakpoints or []) if p > 0)
+    breaks = np.asarray([] if breakpoints is None else breakpoints, dtype=float)
+    breaks = np.sort(breaks[breaks > 0])
 
-    if not breaks:
+    if not breaks.size:
         def g(t):
-            x, jac = _forward_map(t, transform)
+            x, jac = _forward_map(t)
             return np.asarray(f(x), dtype=float) * jac
 
         return integrate_interval(g, 0.0, 1.0, spec=spec, axis=axis)
 
-    cut = breaks[-1]
+    cut = float(breaks[-1])
     head = integrate_interval(f, 0.0, cut, spec=spec, breakpoints=breaks[:-1],
                               axis=axis)
 
     def g_tail(t):
-        x, jac = _forward_map(t, transform)
+        x, jac = _forward_map(t)
         return np.asarray(f(cut + x), dtype=float) * jac
 
     # The tail only needs to be resolved relative to the full integral.
@@ -252,33 +255,6 @@ def integrate_2d(f, spec=None, breakpoints_x=None, breakpoints_y=None):
         for i, x in enumerate(xs):
             r = integrate_semiinf(
                 lambda y: f(x, y), inner_spec, breakpoints=breakpoints_y, axis="y"
-            )
-            inner_evals[0] += r.evaluations
-            out[i] = r.value
-        return out
-
-    res = integrate_semiinf(outer, spec, breakpoints=breakpoints_x, axis="x")
-    return QuadResult(res.value, res.abs_error_estimate, inner_evals[0])
-
-
-def integrate_3d(f, spec=None, breakpoints_x=None, breakpoints_y=None,
-                 breakpoints_z=None):
-    """Iterated integral of f(x, y, z) over [0, inf)^3.
-
-    f is called with scalar x, scalar y, and an array of z values.
-    """
-    spec = spec or QuadSpec()
-    inner_spec = spec.tightened()
-    inner_evals = [0]
-
-    def outer(xs):
-        out = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            r = integrate_2d(
-                lambda y, z: f(x, y, z),
-                inner_spec,
-                breakpoints_x=breakpoints_y,
-                breakpoints_y=breakpoints_z,
             )
             inner_evals[0] += r.evaluations
             out[i] = r.value

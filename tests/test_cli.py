@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from vdwpair import cli
 from vdwpair.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -182,6 +183,30 @@ class TestFreeSpace:
         p_lines = [l for l in pooled.read_text().splitlines()
                    if not l.startswith("#")]
         assert s_lines == p_lines
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        cfg = load_config(None, {"workers": 1000})
+        cfg["sweep"]["points"] = 1000
+        rows = cli._compute_rows(cfg, lambda task: task[1])
+        assert started == [2]
+        assert len(rows) == 1000
 
     def test_tightened_tolerance_consistent(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -290,6 +290,24 @@ class TestHalfspaceScattering:
                 assert getattr(quad, name) == pytest.approx(
                     getattr(img, name), rel=1e-8, abs=1e-14)
 
+    @pytest.mark.parametrize("medium", [HalfSpaceMedium.dielectric(EPS_MEDIUM),
+                                        HalfSpaceMedium.magnetic(MU_MEDIUM)])
+    def test_converges_to_tight_reference(self, medium):
+        # X = 5 Z+: the Bessel factors oscillate many times before the
+        # e^{-q Z+} damping cuts the q-integrals off
+        geom = PlanarGeometry.parallel(0.1, 0.01)
+
+        def components(rel_tol):
+            g = halfspace_scattering(geom, 1.0, medium,
+                                     spec=QuadSpec(rel_tol=rel_tol))
+            return np.array([g.gxx, g.gyy, g.gxz, g.gzz])
+
+        ref = components(1e-11)
+        scale = np.max(np.abs(ref))
+        for rel_tol in (1e-6, 1e-8):
+            err = np.max(np.abs(components(rel_tol) - ref))
+            assert err <= 10.0 * rel_tol * scale, (rel_tol, err / scale)
+
     def test_dispatch_uses_image_for_perfect(self):
         med = HalfSpaceMedium.perfect_permeable()
         geom = PlanarGeometry.parallel(0.7, 0.4)
