@@ -63,8 +63,8 @@ DEFAULT_CONFIG: dict = {
     # Default: the single-resonance dielectric of the reference scenarios.
     "medium": {"kind": "dielectric", "omegaP": 3.0, "omegaT": 1.0,
                "gamma": 0.001},
-    # geometry families: parallel (z) | vertical (z_a) | general
-    # (x_a, z_a, x_b, z_b; single point only).
+    # geometry families: parallel (z; l, default 1.0, in a z sweep) |
+    # vertical (z_a) | general (x_a, z_a, x_b, z_b; single point only).
     "geometry": {"family": "parallel", "z": 0.01},
     "sweep": {"variable": "l", "start": 0.001, "stop": 1.0, "points": 20,
               "scale": "log"},
@@ -197,7 +197,19 @@ def _validate_config(cfg: dict) -> None:
                           "or 'general'")
     if family != "parallel" and sweep["variable"] == "z":
         raise ConfigError("sweep.variable 'z' requires the parallel family")
+    if sweep["variable"] == "z" and "l" in geom:
+        _require_number(geom, "l", "geometry", positive=True)
     _build_medium(cfg["medium"])  # raises on bad medium blocks
+
+
+def _check_atom_pair(cfg: dict, command: str) -> None:
+    pair = tuple(a.get("kind", "electric") for a in cfg["atoms"])
+    if pair != ("electric", "electric") and (
+            command == "half-space" or pair != ("electric", "magnetic")):
+        raise ConfigError(
+            f"{command} cannot compute atom kinds (A, B) = {pair}: "
+            "half-space supports (electric, electric) only, free-space "
+            "also (electric, magnetic)")
 
 
 def _build_atoms(cfg: dict) -> tuple[ResonanceAtom, ResonanceAtom]:
@@ -368,11 +380,13 @@ def _sweep_exit(rows) -> int:
 
 def run_free_space(cfg: dict) -> list[dict]:
     """Compute the free-space sweep rows for an effective config."""
+    _check_atom_pair(cfg, "free-space")
     return _compute_rows(cfg, _free_space_row)
 
 
 def run_half_space(cfg: dict) -> list[dict]:
     """Compute the half-space sweep rows for an effective config."""
+    _check_atom_pair(cfg, "half-space")
     return _compute_rows(cfg, _half_space_row)
 
 

@@ -274,7 +274,10 @@ def static_reflection(v, eps0: float, mu0: float):
     return rs, rp
 
 
-def q_breakpoints(geom: PlanarGeometry, u: float, max_oscillations: int = 20000):
+MAX_OSCILLATION_PANELS = 20000
+
+
+def q_breakpoints(geom: PlanarGeometry, u: float):
     """Initial q-grid resolving the e^{-b Z+} decay and J_nu(qX) oscillations."""
     zp = geom.Z_plus
     q_cut = 45.0 / zp
@@ -293,8 +296,8 @@ def q_breakpoints(geom: PlanarGeometry, u: float, max_oscillations: int = 20000)
     if x > 0:
         step = np.pi / x
         n = int(q_cut / step)
-        if n > max_oscillations:
-            step = q_cut / max_oscillations
+        if n > MAX_OSCILLATION_PANELS:
+            step = q_cut / MAX_OSCILLATION_PANELS
         if step < q_cut:
             breaks += list(np.arange(step, q_cut, step))
     return breaks

@@ -53,32 +53,10 @@ SIGN_TABLE: dict[tuple[str, str], int] = {
     ("permeable", "vertical"): +1,
 }
 
-_EXPLANATIONS = {
-    ("conducting", "parallel"):
-        "side-by-side dipoles image with reversed horizontal components; "
-        "each dipole and the other's image repel",
-    ("conducting", "vertical"):
-        "stacked dipoles image with reversed horizontal components; each "
-        "dipole and the other's image attract",
-    ("permeable", "parallel"):
-        "side-by-side dipoles image with reversed vertical component; each "
-        "dipole and the other's image attract",
-    ("permeable", "vertical"):
-        "stacked dipoles image with reversed vertical component; each "
-        "dipole and the other's image repel",
-}
-
 
 def predict_u1_sign(case: ImageCase) -> int:
     """Sign of the nonretarded cross term U1 from the image-dipole rule."""
     return SIGN_TABLE[(case.plate, case.alignment)]
-
-
-def explain(case: ImageCase) -> str:
-    """Human-readable account of the image construction behind the sign."""
-    sign = "+" if predict_u1_sign(case) > 0 else "-"
-    return (f"{case.plate}/{case.alignment}: U1 sign {sign} "
-            f"({_EXPLANATIONS[(case.plate, case.alignment)]})")
 
 
 def verify_against_closed_forms(n_geometries: int = 10,
@@ -93,7 +71,6 @@ def verify_against_closed_forms(n_geometries: int = 10,
     atom = ResonanceAtom()
     report = []
     for (plate, alignment), sign in SIGN_TABLE.items():
-        case = ImageCase(plate, alignment)
         got = []
         for _ in range(n_geometries):
             z = float(rng.uniform(0.5, 3.0))
@@ -110,6 +87,5 @@ def verify_against_closed_forms(n_geometries: int = 10,
             "predicted": sign,
             "evaluated": got,
             "ok": all(g == sign for g in got),
-            "explanation": explain(case),
         })
     return report

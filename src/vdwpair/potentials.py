@@ -159,16 +159,10 @@ def asymptotic_coefficients(atom_a: ResonanceAtom, atom_b: ResonanceAtom,
     b0 = atom_b.alpha0
     c7_ee = 23.0 * a0 * b0 / PI3_64
     c7_em = 7.0 * a0 * b0 / PI3_64
-    breaks = [0.25 * atom_a.omega10, atom_a.omega10, atom_b.omega10,
-              4.0 * max(atom_a.omega10, atom_b.omega10),
-              20.0 * max(atom_a.omega10, atom_b.omega10)]
-
-    def prod(u):
-        return response_iu(atom_a, u) * response_iu(atom_b, u)
-
-    c6 = 3.0 / PI3_16 * integrate_semiinf(prod, spec, breakpoints=breaks).value
-    c4 = 1.0 / PI3_16 * integrate_semiinf(
-        lambda u: u**2 * prod(u), spec, breakpoints=breaks).value
+    c6 = 3.0 / PI3_16 * _response_product_integral(
+        atom_a, atom_b, lambda u: np.ones_like(u), spec)
+    c4 = 1.0 / PI3_16 * _response_product_integral(
+        atom_a, atom_b, lambda u: u**2, spec)
     return AsymptoticCoefficients(c6=c6, c7_ee=c7_ee, c7_em=c7_em, c4=c4)
 
 
@@ -420,15 +414,14 @@ def _v_quadrature(f, spec: QuadSpec, breakpoints=None, axis="v"):
 
 def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
                               atom_b: ResonanceAtom, eps0: float, mu0: float,
-                              spec: QuadSpec | None = None,
-                              x_over_zp_closed: float = 0.05):
+                              spec: QuadSpec | None = None):
     """Retarded-limit (U1, U2) for a magneto-electric half space with static
     response (eps0, mu0).
 
     U1 is a single v-quadrature over closed-form Bessel moments with
     lambda = l + v Z+ and zeta = X sqrt(v^2 - 1); U2 is a double
-    (v, v')-quadrature over the M_nu moments, using the analytic
-    720/(v+v')^7/Z+^7 form of M_0 when X/Z+ < ``x_over_zp_closed``.
+    (v, v')-quadrature over the M_nu moments, which at X = 0 reduce to
+    M_0 = 720/(v+v')^7/Z+^7, M_1 = M_2 = 0.
     """
     spec = spec or QuadSpec()
     a0b0 = atom_a.alpha0 * atom_b.alpha0
@@ -468,22 +461,21 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
     u1_res = _v_quadrature(u1_vec, spec, breakpoints=v_breaks)
     u1 = -a0b0 / (PI3_32 * l) * u1_res.value
 
-    use_closed_m0 = (abs(x) < x_over_zp_closed * zp)
-    m_spec = spec.tightened()
+    inner_spec = spec.tightened()
 
     def u2_inner(v: float, vp: float) -> float:
         rs, rp = static_reflection(v, eps0, mu0)
         rs_p, rp_p = static_reflection(vp, eps0, mu0)
         s = (v + vp) * zp
-        if use_closed_m0:
+        if x == 0.0:
             m0 = 720.0 / s**7
             m1 = m2 = 0.0
         else:
             zeta = x * math.sqrt(v**2 - 1.0)
             zeta_p = x * math.sqrt(vp**2 - 1.0)
-            m0 = m_nu(0, zeta, zeta_p, s, spec=m_spec)
-            m1 = m_nu(1, zeta, zeta_p, s, spec=m_spec)
-            m2 = m_nu(2, zeta, zeta_p, s, spec=m_spec)
+            m0 = m_nu(0, zeta, zeta_p, s, spec=inner_spec)
+            m1 = m_nu(1, zeta, zeta_p, s, spec=inner_spec)
+            m2 = m_nu(2, zeta, zeta_p, s, spec=inner_spec)
         c0 = (rp * rp_p * (3.0 * v**2 * vp**2 - 2.0 * (v**2 + vp**2) + 2.0)
               + rs * rs_p - rs * rp_p * vp**2 - rp * rs_p * v**2)
         c1 = (4.0 * v * vp * math.sqrt(v**2 - 1.0) * math.sqrt(vp**2 - 1.0)
@@ -492,7 +484,6 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
             + rp * rs_p * v**2
         return c0 * m0 + c1 * m1 + c2 * m2
 
-    inner_spec = spec.tightened()
     v2_breaks = [1.0 + w for w in (0.1, 0.3, 1.0, 3.0, 10.0)]
 
     def outer(vs):

@@ -1,9 +1,9 @@
 """Special functions and Bessel-weighted auxiliary integrals.
 
-Provides low-order Bessel functions, the polynomial factors of the
-free-space interaction kernels, the closed forms of the exponentially
-damped Bessel moments A_{k+-}(lambda, zeta) and B_k(lambda, zeta), and the
-sixth-order two-Bessel moment M_nu computed by quadrature.
+Provides J0 and J2 together by recurrence, the closed forms of the
+exponentially damped Bessel moments A_{k+-}(lambda, zeta) and
+B_k(lambda, zeta), and the sixth-order two-Bessel moment M_nu computed by
+quadrature.
 """
 
 from __future__ import annotations
@@ -17,28 +17,10 @@ from .quadrature import QuadSpec, integrate_semiinf
 
 __all__ = [
     "WeightedIntegralKey",
-    "bessel_j",
     "bessel_j0_j2",
-    "free_space_polys",
     "weighted_AB",
     "m_nu",
 ]
-
-
-def bessel_j(nu: int, x):
-    """Bessel function J_nu for nu in {0, 1, 2}, x >= 0."""
-    if nu not in (0, 1, 2):
-        raise ValueError("bessel_j supports only orders 0, 1, 2")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be >= 0")
-    if nu == 0:
-        out = special.j0(x)
-    elif nu == 1:
-        out = special.j1(x)
-    else:
-        out = special.jn(2, x)
-    return float(out) if out.ndim == 0 else out
 
 
 def bessel_j0_j2(t):
@@ -53,27 +35,6 @@ def bessel_j0_j2(t):
     pos = t > 0
     j2 = np.where(pos, 2.0 * special.j1(t) / np.where(pos, t, 1.0) - j0, 0.0)
     return j0, j2
-
-
-def free_space_polys(x):
-    """Polynomial kernels (a, b, g, h) of the free-space interaction.
-
-    a(x) = 1 + x + x^2 and b(x) = 1 + 3x + 3x^2 enter the free-space Green
-    tensor; g and h carry the exponential damping:
-    g(x) = 2 e^{-2x} (3 + 6x + 5x^2 + 2x^3 + x^4),
-    h(x) = 2 e^{-2x} (1 + 2x + x^2).
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be >= 0")
-    a = 1.0 + x + x**2
-    b = 1.0 + 3.0 * x + 3.0 * x**2
-    damp = 2.0 * np.exp(-2.0 * x)
-    g = damp * (3.0 + 6.0 * x + 5.0 * x**2 + 2.0 * x**3 + x**4)
-    h = damp * (1.0 + 2.0 * x + x**2)
-    if x.ndim == 0:
-        return float(a), float(b), float(g), float(h)
-    return a, b, g, h
 
 
 @dataclass(frozen=True)
@@ -170,8 +131,7 @@ def m_nu(nu: int, zeta: float, zeta_p: float, s: float,
         return 720.0 / s**7 if nu == 0 else 0.0
     spec = spec or QuadSpec(rel_tol=1e-10, abs_tol=1e-18, max_subdivisions=4000)
 
-    def j_nu(t):
-        return bessel_j0_j2(t)[1] if nu == 2 else bessel_j(nu, t)
+    j_nu = (special.j0, special.j1, lambda t: bessel_j0_j2(t)[1])[nu]
 
     def f(x):
         return x**6 * np.exp(-s * x) * j_nu(zeta * x) * j_nu(zeta_p * x)

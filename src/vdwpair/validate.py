@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greens import HalfSpaceMedium, PlanarGeometry, free_space_green, \
-    halfspace_scattering_quadrature, q_breakpoints
+from .greens import HalfSpaceMedium, PlanarGeometry, q_breakpoints
 from .imaging import verify_against_closed_forms
 from .materials import LorentzMedium, ResonanceAtom, response_iu
 from .potentials import (
@@ -25,6 +24,7 @@ from .potentials import (
     u0_ee,
     u0_em,
     u1_frequency_integrand,
+    u1_trace_integrand,
     u2_frequency_integrand,
     u2_scattering_integrand,
     u_total,
@@ -164,14 +164,6 @@ def check_weighted_integrals(rel_tol: float = 1e-11) -> CheckResult:
                        [f"worst relative deviation {worst:.2e} (tol 1e-8)"])
 
 
-def _trace_u1(u, geom, medium, spec):
-    g0 = free_space_green(np.array([geom.X, 0.0, geom.Z]), u)
-    g1 = halfspace_scattering_quadrature(geom.swapped(), u, medium,
-                                         spec=spec).as_matrix()
-    alpha = response_iu(_ATOM, u) ** 2
-    return -u**4 * alpha * float(np.trace(g0 @ g1)) / np.pi
-
-
 def check_trace_oracles(rel_tol: float = 1e-10) -> CheckResult:
     """Explicit cross/scattering integrands match the Green-tensor trace
     forms to 1e-8 relative on a 5x5 (geometry, frequency) grid."""
@@ -189,7 +181,8 @@ def check_trace_oracles(rel_tol: float = 1e-10) -> CheckResult:
         for u in us:
             explicit = u1_frequency_integrand(u, geom, _ATOM, _ATOM, medium,
                                               spec=spec)
-            trace = _trace_u1(u, geom, medium, spec)
+            trace = u1_trace_integrand(u, geom, _ATOM, _ATOM, medium,
+                                       spec=spec)
             worst1 = max(worst1, abs(explicit / trace - 1.0))
     # Scattering part: the (q, q') double quadrature is costly, so the
     # grid diagonal (5 points) carries the explicit cross-check.

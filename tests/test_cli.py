@@ -5,13 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from vdwpair import cli
+from vdwpair import ResonanceAtom, cli, u0_ee
 from vdwpair.cli import (
     ConfigError,
     DEFAULT_CONFIG,
     load_config,
     main,
 )
+from vdwpair.quadrature import ConvergenceError, QuadResult
 from vdwpair.validate import CheckResult
 
 
@@ -74,6 +75,46 @@ class TestConfig:
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"workers": 0})
         assert run(["free-space", "--config", path]) == 1
+
+    @pytest.mark.parametrize("command,kinds", [
+        ("free-space", ("magnetic", "magnetic")),
+        ("free-space", ("magnetic", "electric")),
+        ("half-space", ("electric", "magnetic")),
+        ("half-space", ("magnetic", "electric")),
+    ])
+    def test_unsupported_atom_pair_rejected(self, tmp_path, capsys, command,
+                                            kinds):
+        path = write_config(tmp_path, {
+            "atoms": [{"omega10": 1.0, "alpha0": 1.0, "kind": k}
+                      for k in kinds],
+            "sweep": {"variable": "l", "start": 0.5, "stop": 0.5,
+                      "points": 1, "scale": "log"}})
+        assert run([command, "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "atom kinds" in captured.err
+
+    @pytest.mark.parametrize("l", [-0.5, "abc"])
+    def test_z_sweep_separation_validated(self, tmp_path, capsys, l):
+        path = write_config(tmp_path, {
+            "geometry": {"family": "parallel", "z": 0.01, "l": l},
+            "sweep": {"variable": "z", "start": 0.1, "stop": 0.2,
+                      "points": 2, "scale": "log"}})
+        assert run(["half-space", "--config", path]) == 1
+        assert "geometry.l" in capsys.readouterr().err
+
+    def test_z_sweep_uses_separation(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "medium": {"kind": "perfect", "perfect": "conducting"},
+            "geometry": {"family": "parallel", "z": 0.01, "l": 0.5},
+            "sweep": {"variable": "z", "start": 0.1, "stop": 0.2,
+                      "points": 2, "scale": "log"}})
+        assert run(["half-space", "--config", path]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        atom = ResonanceAtom()
+        for r in rows:
+            assert float(r["U0"]) == pytest.approx(u0_ee(0.5, atom, atom),
+                                                   rel=1e-11)
 
 
 class TestLimitsAndThresholds:
@@ -141,17 +182,21 @@ class TestFreeSpace:
         assert len(rows) == 1
         assert float(rows[0]["l"]) == 0.5
 
-    def test_error_marker_and_exit_code(self, tmp_path, capsys):
-        # magnetic-magnetic pairs are unsupported: rows carry a marker
+    def test_error_marker_and_exit_code(self, tmp_path, capsys,
+                                        monkeypatch):
+        # a numerical failure inside a row leaves a marker in that row
+        def unconverged(*args, **kwargs):
+            raise ConvergenceError("quadrature did not converge",
+                                   best=QuadResult(0.0, 1.0, 15))
+
+        monkeypatch.setattr(cli, "u0_ee", unconverged)
         cfg = write_config(tmp_path, {
-            "atoms": [{"omega10": 1.0, "alpha0": 1.0, "kind": "magnetic"},
-                      {"omega10": 1.0, "alpha0": 1.0, "kind": "magnetic"}],
             "medium": {"kind": "free-space"},
             "sweep": {"variable": "l", "start": 1.0, "stop": 2.0,
                       "points": 2, "scale": "linear"}})
         assert run(["free-space", "--config", cfg]) == 2
         _, rows = parse_csv(capsys.readouterr().out)
-        assert all("ValueError" in r["error"] for r in rows)
+        assert all("ConvergenceError" in r["error"] for r in rows)
 
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path, {

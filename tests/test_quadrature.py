@@ -46,7 +46,7 @@ class TestTypes:
             QuadSpec(max_subdivisions=0)
 
     def test_tightened(self):
-        spec = QuadSpec(rel_tol=1e-6, abs_tol=1e-12, nest_factor=10.0)
+        spec = QuadSpec(rel_tol=1e-6, abs_tol=1e-12)
         tight = spec.tightened()
         assert tight.rel_tol == pytest.approx(1e-7)
         assert tight.abs_tol == pytest.approx(1e-13)
@@ -119,6 +119,38 @@ class TestInterval:
                                  QuadSpec(rel_tol=1e-10),
                                  breakpoints=list(np.arange(1.0, 20.0)))
         assert res.value == pytest.approx(1.0 - np.cos(20.0), rel=1e-9)
+
+
+class TestAcceptanceRule:
+    """A result is returned only when its estimate meets
+    max(rel_tol |I|, abs_tol, roundoff floor); otherwise the engine raises."""
+
+    def test_repeated_breakpoints_meet_rel_tol(self):
+        spec = QuadSpec(rel_tol=1e-8)
+        res = integrate_semiinf(lambda u: (1.0 + u**2) ** -2, spec,
+                                breakpoints=[0.25, 1, 1, 4, 20, 1, 4, 100001])
+        assert res.value == pytest.approx(np.pi / 4.0, rel=1e-8)
+        assert res.abs_error_estimate <= spec.rel_tol * abs(res.value)
+
+    def test_budget_exhausted_above_tol_raises(self):
+        # tol is a third of the two-panel estimate, and one bisection of
+        # the initial panel is all the budget allows
+        two = integrate_interval(np.sqrt, 0.0, 1.0, QuadSpec(rel_tol=1.0),
+                                 breakpoints=[0.5])
+        rel_tol = two.abs_error_estimate / 3.0 / abs(two.value)
+        with pytest.raises(ConvergenceError):
+            integrate_interval(np.sqrt, 0.0, 1.0,
+                               QuadSpec(rel_tol=rel_tol, abs_tol=1e-300,
+                                        max_subdivisions=1))
+
+    def test_zero_integral_accepted_at_roundoff_floor(self):
+        # neither rel_tol |I| nor abs_tol can be met by an integral that
+        # cancels to zero; only the roundoff floor of the panel sum can
+        spec = QuadSpec(abs_tol=1e-300)
+        res = integrate_interval(np.sin, 0.0, 2.0 * np.pi, spec)
+        assert abs(res.value) < 1e-14
+        assert res.abs_error_estimate > spec.rel_tol * abs(res.value)
+        assert res.abs_error_estimate > spec.abs_tol
 
 
 class TestNested:

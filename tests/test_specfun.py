@@ -8,9 +8,7 @@ from scipy import special
 from vdwpair.quadrature import QuadSpec
 from vdwpair.specfun import (
     WeightedIntegralKey,
-    bessel_j,
     bessel_j0_j2,
-    free_space_polys,
     m_nu,
     weighted_AB,
     weighted_AB_quadrature,
@@ -20,43 +18,9 @@ from vdwpair.specfun import (
 # frozen from an independent adaptive quadrature (scipy.integrate.quad on
 # [0, 60], reported error 5e-11).
 M0_GOLDEN = 3.623185664803147
-
-
-class TestBesselJ:
-    def test_values_at_origin(self):
-        assert bessel_j(0, 0.0) == 1.0
-        assert bessel_j(1, 0.0) == 0.0
-        assert bessel_j(2, 0.0) == 0.0
-
-    def test_j1_reference_value(self):
-        # power-series value of J1(1)
-        assert bessel_j(1, 1.0) == pytest.approx(0.4400505857449335, rel=1e-12)
-
-    def test_bounded(self):
-        x = np.linspace(0.0, 200.0, 4001)
-        for nu in (0, 1, 2):
-            assert np.all(np.abs(bessel_j(nu, x)) <= 1.0)
-
-    def test_recurrence(self):
-        # three-term recurrence J0(x) + J2(x) = 2 J1(x)/x on (0, 50]
-        x = np.linspace(1e-3, 50.0, 2000)
-        lhs = bessel_j(0, x) + bessel_j(2, x)
-        rhs = 2.0 * bessel_j(1, x) / x
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_derivative_identity(self):
-        # J1'(x) = (J0(x) - J2(x))/2, checked by central differences
-        x = np.linspace(0.5, 40.0, 500)
-        h = 1e-6
-        deriv = (bessel_j(1, x + h) - bessel_j(1, x - h)) / (2.0 * h)
-        assert np.max(np.abs(deriv - 0.5 * (bessel_j(0, x)
-                                            - bessel_j(2, x)))) < 1e-9
-
-    def test_invalid_order_and_argument(self):
-        with pytest.raises(ValueError):
-            bessel_j(3, 1.0)
-        with pytest.raises(ValueError):
-            bessel_j(0, -1.0)
+# nu = 1 and nu = 2 at the same point, from mpmath at 20 significant digits.
+M1_GOLDEN = 0.82935914771411612208
+M2_GOLDEN = 0.070486936292197388902
 
 
 class TestBesselJ0J2:
@@ -70,26 +34,6 @@ class TestBesselJ0J2:
         j0, j2 = bessel_j0_j2(np.array([0.0, -2.5, 2.5]))
         assert j0[0] == 1.0 and j2[0] == 0.0
         assert j0[1] == j0[2] and j2[1] == j2[2]
-
-
-class TestFreeSpacePolys:
-    def test_values_at_zero(self):
-        assert free_space_polys(0.0) == (1.0, 1.0, 6.0, 2.0)
-
-    def test_values_at_one(self):
-        a, b, g, h = free_space_polys(1.0)
-        assert (a, b) == (3.0, 7.0)
-        assert g == pytest.approx(34.0 * np.exp(-2.0), rel=1e-14)
-        assert h == pytest.approx(8.0 * np.exp(-2.0), rel=1e-14)
-
-    def test_positive(self):
-        x = np.linspace(0.0, 30.0, 500)
-        for arr in free_space_polys(x):
-            assert np.all(arr > 0.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            free_space_polys(-0.5)
 
 
 class TestWeightedIntegralKey:
@@ -152,6 +96,10 @@ class TestMnu:
 
     def test_golden_value(self):
         assert m_nu(0, 0.3, 0.2, 2.0) == pytest.approx(M0_GOLDEN, rel=1e-9)
+
+    def test_golden_values_nu1_nu2(self):
+        assert m_nu(1, 0.3, 0.2, 2.0) == pytest.approx(M1_GOLDEN, rel=1e-9)
+        assert m_nu(2, 0.3, 0.2, 2.0) == pytest.approx(M2_GOLDEN, rel=1e-9)
 
     def test_monotone_in_s(self):
         vals = [m_nu(0, 0.4, 0.3, s) for s in (1.0, 1.5, 2.0, 3.0, 5.0)]
