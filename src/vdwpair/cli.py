@@ -181,7 +181,8 @@ def _validate_config(cfg: dict) -> None:
     geom = cfg["geometry"]
     family = geom.get("family")
     if family == "parallel":
-        _require_number(geom, "z", "geometry", positive=True)
+        if sweep["variable"] == "l":
+            _require_number(geom, "z", "geometry", positive=True)
     elif family == "vertical":
         _require_number(geom, "z_a", "geometry", positive=True)
     elif family == "general":
@@ -308,9 +309,6 @@ def _half_space_row(args) -> dict:
     row["l"] = value
     try:
         geom = _geometry_at(cfg, value)
-        if medium is None:
-            raise ConfigError("half-space command requires a non-vacuum "
-                              "medium")
         bd = u_total(geom, atom_a, atom_b, medium, spec=spec)
         row.update(U0=bd.u0, U1=bd.u1, U2=bd.u2, U=bd.total, ratio=bd.ratio)
         if cfg["forces"]:
@@ -387,6 +385,8 @@ def run_free_space(cfg: dict) -> list[dict]:
 def run_half_space(cfg: dict) -> list[dict]:
     """Compute the half-space sweep rows for an effective config."""
     _check_atom_pair(cfg, "half-space")
+    if cfg["medium"].get("kind") == "free-space":
+        raise ConfigError("half-space command requires a non-vacuum medium")
     return _compute_rows(cfg, _half_space_row)
 
 

@@ -1,9 +1,9 @@
 """Electromagnetic Green tensors on the imaginary frequency axis.
 
-Covers the free-space (bulk) tensor and its curls, Fresnel reflection
-coefficients of a magneto-electric half space, the half-space scattering
-tensor obtained by Sommerfeld-type q-quadrature, and its closed-form
-nonretarded approximations.
+Covers the free-space (bulk) tensor, Fresnel reflection coefficients of a
+magneto-electric half space, the half-space scattering tensor obtained by
+Sommerfeld-type q-quadrature, and its closed-form nonretarded
+approximations.
 
 Geometry convention: the half-space surface is the z = 0 plane, atoms sit
 in the vacuum region z > 0, both atoms lie in the xz plane.
@@ -25,7 +25,6 @@ __all__ = [
     "GreenComponents",
     "HalfSpaceMedium",
     "free_space_green",
-    "free_space_curls",
     "reflection",
     "reflection_expansion",
     "static_reflection",
@@ -182,37 +181,6 @@ def free_space_green(rho_vec, u: float) -> np.ndarray:
     b = 1.0 + 3.0 * xi + 3.0 * xi**2
     pref = np.exp(-u * rho) / (FOUR_PI * rho)
     return pref * (a * np.eye(3) - b * np.outer(e, e))
-
-
-def _cross_matrix(e: np.ndarray) -> np.ndarray:
-    return np.array([
-        [0.0, -e[2], e[1]],
-        [e[2], 0.0, -e[0]],
-        [-e[1], e[0], 0.0],
-    ])
-
-
-def free_space_curls(rho_vec, u: float):
-    """Left and right curls of the bulk Green tensor.
-
-    Returns (curl G, G x nabla') for G depending on rho = r - r'.  Both are
-    proportional to e^{-u rho} (1 + u rho) / (4 pi rho^2) times the
-    cross-product matrix of the unit separation vector; the right curl
-    differentiates the primed argument, which flips the gradient sign, and
-    its index placement transposes the cross matrix.
-    """
-    rho_vec = np.asarray(rho_vec, dtype=float)
-    rho = float(np.linalg.norm(rho_vec))
-    if rho == 0.0:
-        raise ValueError("curl of the Green tensor is singular at zero separation")
-    if u <= 0:
-        raise ValueError("u must be positive")
-    e = rho_vec / rho
-    pref = np.exp(-u * rho) * (1.0 + u * rho) / (FOUR_PI * rho**2)
-    ex = _cross_matrix(e)
-    left = -pref * ex      # nabla x G
-    right = pref * ex.T    # G x nabla'
-    return left, right
 
 
 def reflection(q, u: float, medium: HalfSpaceMedium):

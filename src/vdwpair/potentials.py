@@ -36,7 +36,7 @@ from .greens import (
 from .materials import LorentzMedium, ResonanceAtom, permeability_iu, \
     permittivity_iu, response_iu
 from .quadrature import QuadSpec, integrate_semiinf
-from .specfun import WeightedIntegralKey, bessel_j0_j2, m_nu, weighted_AB
+from .specfun import WeightedIntegralKey, bessel_j0_j2, weighted_AB
 
 __all__ = [
     "PotentialBreakdown",
@@ -418,10 +418,20 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
     """Retarded-limit (U1, U2) for a magneto-electric half space with static
     response (eps0, mu0).
 
-    U1 is a single v-quadrature over closed-form Bessel moments with
-    lambda = l + v Z+ and zeta = X sqrt(v^2 - 1); U2 is a double
-    (v, v')-quadrature over the M_nu moments, which at X = 0 reduce to
-    M_0 = 720/(v+v')^7/Z+^7, M_1 = M_2 = 0.
+    Both parts are computed at unit length and scaled back, so only the
+    ratios of (l, X, Z, Z+) enter the quadratures.  With s = sqrt(v^2 - 1):
+
+    U1 = l^-7 times a v-quadrature over closed-form Bessel moments with
+    lambda = 1 + v Z+/l and zeta = (X/l) s.
+
+    U2 = Z+^-7 times int_0^inf dy y^6 [F^T C F + 4 G^2 + H^2] with
+    y = Z+ x, rho = X/Z+, C = [[3, -2, -1], [-2, 2, 0], [-1, 0, 1]] and the
+    single v-integrals
+    F = int dv (r_p v^2, r_p, r_s) e^{-vy} J0(y rho s),
+    G = int dv v s r_p e^{-vy} J1(y rho s),
+    H = int dv (r_s + r_p v^2) e^{-vy} J2(y rho s);
+    each coefficient of the (v, v') double integral is a sum of products of
+    one function of v and one of v', so the double integral factorises.
     """
     spec = spec or QuadSpec()
     a0b0 = atom_a.alpha0 * atom_b.alpha0
@@ -435,19 +445,19 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
     def u1_integrand(v: float) -> float:
         # v-form of the cross-term integrand: the frequency integral of the
         # explicit (u, q) expression collapses onto Bessel moments with
-        # lambda = l + v Z+, zeta = X sqrt(v^2 - 1) once the static
+        # lambda = 1 + v Z+/l, zeta = (X/l) sqrt(v^2 - 1) once the static
         # responses are pulled out.  J0 moments are (A+ + A-)/2, J2 moments
         # (A+ - A-)/2.
-        lam = l + v * zp
-        zeta = x * math.sqrt(v**2 - 1.0)
+        lam = 1.0 + v * zp / l
+        zeta = x / l * math.sqrt(v**2 - 1.0)
         ap = {k: weighted_AB(k_plus[k], lam, zeta) for k in (3, 4, 5)}
         am = {k: weighted_AB(k_minus[k], lam, zeta) for k in (3, 4, 5)}
         b0 = {k: 0.5 * (ap[k] + am[k]) for k in (3, 4, 5)}
         c2 = {k: 0.5 * (ap[k] - am[k]) for k in (3, 4, 5)}
         rs, rp = static_reflection(v, eps0, mu0)
-        mom_a = b0[5] + b0[4] / l + b0[3] / l**2
-        mom_b = b0[5] + 3.0 * b0[4] / l + 3.0 * b0[3] / l**2
-        mom_b2 = c2[5] + 3.0 * c2[4] / l + 3.0 * c2[3] / l**2
+        mom_a = b0[5] + b0[4] + b0[3]
+        mom_b = b0[5] + 3.0 * b0[4] + 3.0 * b0[3]
+        mom_b2 = c2[5] + 3.0 * c2[4] + 3.0 * c2[3]
         term_j0 = ((rs - v**2 * rp) * (2.0 * mom_a - x**2 / l**2 * mom_b)
                    - 2.0 * (v**2 - 1.0) * rp
                    * (mom_a - z**2 / l**2 * mom_b))
@@ -459,45 +469,46 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
 
     v_breaks = [1.0 + w for w in (0.1, 0.3, 1.0, 3.0, 10.0, 5.0 * l / zp + 10.0)]
     u1_res = _v_quadrature(u1_vec, spec, breakpoints=v_breaks)
-    u1 = -a0b0 / (PI3_32 * l) * u1_res.value
+    u1 = -a0b0 / (PI3_32 * l**7) * u1_res.value
 
+    rho = x / zp
     inner_spec = spec.tightened()
+    c_mat = np.array([[3.0, -2.0, -1.0], [-2.0, 2.0, 0.0], [-1.0, 0.0, 1.0]])
 
-    def u2_inner(v: float, vp: float) -> float:
-        rs, rp = static_reflection(v, eps0, mu0)
-        rs_p, rp_p = static_reflection(vp, eps0, mu0)
-        s = (v + vp) * zp
-        if x == 0.0:
-            m0 = 720.0 / s**7
-            m1 = m2 = 0.0
-        else:
-            zeta = x * math.sqrt(v**2 - 1.0)
-            zeta_p = x * math.sqrt(vp**2 - 1.0)
-            m0 = m_nu(0, zeta, zeta_p, s, spec=inner_spec)
-            m1 = m_nu(1, zeta, zeta_p, s, spec=inner_spec)
-            m2 = m_nu(2, zeta, zeta_p, s, spec=inner_spec)
-        c0 = (rp * rp_p * (3.0 * v**2 * vp**2 - 2.0 * (v**2 + vp**2) + 2.0)
-              + rs * rs_p - rs * rp_p * vp**2 - rp * rs_p * v**2)
-        c1 = (4.0 * v * vp * math.sqrt(v**2 - 1.0) * math.sqrt(vp**2 - 1.0)
-              * rp * rp_p)
-        c2 = rs * rs_p + rp * rp_p * v**2 * vp**2 + rs * rp_p * vp**2 \
-            + rp * rs_p * v**2
-        return c0 * m0 + c1 * m1 + c2 * m2
+    # (weight(v, s, r_s, r_p), Bessel function) of the v-integrals F, G, H.
+    v_terms = (
+        (lambda v, s, rs, rp: rp * v**2, special.j0),
+        (lambda v, s, rs, rp: rp, special.j0),
+        (lambda v, s, rs, rp: rs, special.j0),
+        (lambda v, s, rs, rp: v * s * rp, special.j1),
+        (lambda v, s, rs, rp: rs + rp * v**2, lambda t: bessel_j0_j2(t)[1]),
+    )
+
+    def v_integral(weight, bessel, y: float, breaks) -> float:
+        def f(v):
+            rs, rp = static_reflection(v, eps0, mu0)
+            s = np.sqrt(v**2 - 1.0)
+            return weight(v, s, rs, rp) * np.exp(-v * y) * bessel(y * rho * s)
+
+        return _v_quadrature(f, inner_spec, breakpoints=breaks).value
 
     v2_breaks = [1.0 + w for w in (0.1, 0.3, 1.0, 3.0, 10.0)]
 
-    def outer(vs):
-        out = np.empty_like(vs)
-        for i, v in enumerate(vs):
-            r = _v_quadrature(
-                lambda vps: np.array([u2_inner(v, vp)
-                                      for vp in np.atleast_1d(vps)]),
-                inner_spec, breakpoints=v2_breaks, axis="v'")
-            out[i] = r.value
+    def y_integrand(ys):
+        out = np.empty_like(ys)
+        for i, y in enumerate(ys):
+            breaks = v2_breaks + [c / y for c in (1.0, 4.0, 16.0) if c / y > 1.0]
+            f0, f1, f2, g, h = (v_integral(w, j, y, breaks)
+                                for w, j in v_terms)
+            f = np.array([f0, f1, f2])
+            out[i] = y**6 * (f @ c_mat @ f + 4.0 * g**2 + h**2)
         return out
 
-    u2_res = _v_quadrature(outer, spec, breakpoints=v2_breaks)
-    u2 = -a0b0 / PI3_64 * u2_res.value
+    # Graded towards y = 0, where the large-v tails of r_s and r_p leave
+    # y^k log y terms, and spanning the y^6 e^{-2y}-like peak and decay.
+    y_breaks = [0.01, 0.1, 0.875, 1.75, 3.5, 7.0, 14.0, 28.0]
+    u2_res = integrate_semiinf(y_integrand, spec, breakpoints=y_breaks, axis="y")
+    u2 = -a0b0 / (PI3_64 * zp**7) * u2_res.value
     return u1, u2
 
 

@@ -1,9 +1,9 @@
 """Special functions and Bessel-weighted auxiliary integrals.
 
-Provides J0 and J2 together by recurrence, the closed forms of the
+Provides J0 and J2 together by recurrence, and the closed forms of the
 exponentially damped Bessel moments A_{k+-}(lambda, zeta) and
-B_k(lambda, zeta), and the sixth-order two-Bessel moment M_nu computed by
-quadrature.
+B_k(lambda, zeta) with a direct quadrature of the same integrals for
+cross-validation.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "WeightedIntegralKey",
     "bessel_j0_j2",
     "weighted_AB",
-    "m_nu",
 ]
 
 
@@ -39,20 +38,16 @@ def bessel_j0_j2(t):
 
 @dataclass(frozen=True)
 class WeightedIntegralKey:
-    """Selects one member of the A+-/B/M families of weighted integrals."""
+    """Selects one member of the A+-/B families of weighted integrals."""
 
-    family: str  # "A+", "A-", "B", or "M"
+    family: str  # "A+", "A-", or "B"
     order: int
 
     def __post_init__(self):
-        if self.family in ("A+", "A-", "B"):
-            if self.order not in (3, 4, 5):
-                raise ValueError(f"{self.family} admits orders 3, 4, 5")
-        elif self.family == "M":
-            if self.order not in (0, 1, 2):
-                raise ValueError("M admits orders 0, 1, 2")
-        else:
-            raise ValueError("family must be 'A+', 'A-', 'B', or 'M'")
+        if self.family not in ("A+", "A-", "B"):
+            raise ValueError("family must be 'A+', 'A-', or 'B'")
+        if self.order not in (3, 4, 5):
+            raise ValueError(f"{self.family} admits orders 3, 4, 5")
 
 
 def _closed_form(family: str, k: int, lam: float, zeta: float) -> float:
@@ -84,8 +79,6 @@ def _closed_form(family: str, k: int, lam: float, zeta: float) -> float:
 def weighted_AB(key: WeightedIntegralKey, lam: float, zeta: float = 0.0) -> float:
     """Closed form of int_0^inf x^k e^{-lam x} [J0(zeta x) +- J2(zeta x)] dx
     (A families) or of the same integral with J0 alone (B family)."""
-    if key.family == "M":
-        raise ValueError("use m_nu for the M family")
     if lam <= 0:
         raise ValueError("lam must be positive (integral diverges otherwise)")
     return _closed_form(key.family, key.order, float(lam), float(zeta))
@@ -112,34 +105,3 @@ def weighted_AB_quadrature(key: WeightedIntegralKey, lam: float,
         step = np.pi / zeta
         breaks += list(np.arange(step, 60.0 / lam, step)[:4000])
     return integrate_semiinf(f, spec, breakpoints=breaks)
-
-
-def m_nu(nu: int, zeta: float, zeta_p: float, s: float,
-         spec: QuadSpec | None = None) -> float:
-    """Moment M_nu = int_0^inf x^6 e^{-s x} J_nu(zeta x) J_nu(zeta' x) dx.
-
-    Evaluated by adaptive quadrature; for zeta = zeta' = 0 it reduces to
-    720 delta_{nu 0} / s^7.
-    """
-    if nu not in (0, 1, 2):
-        raise ValueError("nu must be 0, 1, or 2")
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if zeta < 0 or zeta_p < 0:
-        raise ValueError("zeta arguments must be >= 0")
-    if zeta == 0.0 and zeta_p == 0.0:
-        return 720.0 / s**7 if nu == 0 else 0.0
-    spec = spec or QuadSpec(rel_tol=1e-10, abs_tol=1e-18, max_subdivisions=4000)
-
-    j_nu = (special.j0, special.j1, lambda t: bessel_j0_j2(t)[1])[nu]
-
-    def f(x):
-        return x**6 * np.exp(-s * x) * j_nu(zeta * x) * j_nu(zeta_p * x)
-
-    breaks = list(7.0 / s * np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0]))
-    zmax = max(zeta, zeta_p)
-    if zmax > 0:
-        step = np.pi / zmax
-        breaks += list(np.arange(step, 50.0 / s, step)[:8000])
-    res = integrate_semiinf(f, spec, breakpoints=breaks)
-    return res.value

@@ -103,6 +103,17 @@ class TestConfig:
         assert run(["half-space", "--config", path]) == 1
         assert "geometry.l" in capsys.readouterr().err
 
+    def test_z_sweep_needs_no_height(self, tmp_path, capsys):
+        # the sweep value is the height, so geometry.z is not required
+        path = write_config(tmp_path, {
+            "medium": {"kind": "perfect", "perfect": "conducting"},
+            "geometry": {"family": "parallel", "l": 0.5},
+            "sweep": {"variable": "z", "start": 0.1, "stop": 0.2,
+                      "points": 2, "scale": "log"}})
+        assert run(["half-space", "--config", path]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 2 and not any(r["error"] for r in rows)
+
     def test_z_sweep_uses_separation(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "medium": {"kind": "perfect", "perfect": "conducting"},
@@ -302,9 +313,10 @@ class TestHalfSpace:
             "medium": {"kind": "free-space"},
             "sweep": {"variable": "l", "start": 0.5, "stop": 0.5,
                       "points": 1, "scale": "log"}})
-        assert run(["half-space", "--config", cfg]) == 2
-        _, rows = parse_csv(capsys.readouterr().out)
-        assert "non-vacuum" in rows[0]["error"]
+        assert run(["half-space", "--config", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert "non-vacuum" in err
+        assert out == ""
 
     def test_json_output_and_config_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path, {

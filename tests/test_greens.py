@@ -10,7 +10,6 @@ from vdwpair import (
     PlanarGeometry,
 )
 from vdwpair.greens import (
-    free_space_curls,
     free_space_green,
     halfspace_scattering,
     halfspace_scattering_quadrature,
@@ -103,78 +102,6 @@ class TestFreeSpaceGreen:
     def test_singularity(self):
         with pytest.raises(ValueError):
             free_space_green(np.zeros(3), 1.0)
-
-
-class TestFreeSpaceCurls:
-    def test_structure_and_prefactor(self):
-        rho_vec = np.array([0.0, 0.0, 0.8])
-        u = 1.0e-9  # u*rho -> 0: prefactor -> 1/(4 pi rho^2)
-        left, right = free_space_curls(rho_vec, u)
-        pref = 1.0 / (4.0 * np.pi * 0.8**2)
-        # left curl is -pref times the cross matrix of e_z
-        assert left[0, 1] == pytest.approx(pref, rel=1e-8)
-        # the two curls differ by overall sign and transposition
-        assert np.allclose(right, -left.T)
-
-    def test_trace_identity(self):
-        # Tr[left . right] = -2 pref^2, the -2 of the cross-matrix identity
-        rho_vec = np.array([0.4, 0.0, 0.3])
-        u = 1.7
-        left, right = free_space_curls(rho_vec, u)
-        rho = 0.5
-        pref = np.exp(-u * rho) * (1.0 + u * rho) / (4.0 * np.pi * rho**2)
-        assert np.trace(left @ right) == pytest.approx(-2.0 * pref**2,
-                                                       rel=1e-12)
-
-    def test_finite_difference_oracle(self):
-        # curls match componentwise central differences of the bulk tensor
-        rho_vec = np.array([0.5, 0.0, 0.9])
-        u = 1.3
-        h = 1e-6
-        left, right = free_space_curls(rho_vec, u)
-        eye = np.eye(3)
-
-        def g(r):
-            return free_space_green(r, u)
-
-        curl_fd = np.zeros((3, 3))
-        for j in range(3):
-            # (curl G)_{ij} = eps_{ikl} d_k G_{lj}, derivative in r
-            for i in range(3):
-                total = 0.0
-                for k in range(3):
-                    for l in range(3):
-                        sign = _levi_civita(i, k, l)
-                        if sign:
-                            d = (g(rho_vec + h * eye[k])[l, j]
-                                 - g(rho_vec - h * eye[k])[l, j]) / (2.0 * h)
-                            total += sign * d
-                curl_fd[i, j] = total
-        assert np.allclose(curl_fd, left, rtol=1e-6, atol=1e-9)
-
-        # (G x nabla')_{ij} = eps_{jkl} d'_k G_{il}; with G = G(r - r'),
-        # d'_k = -d_k acting on the separation argument
-        curl_fd = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                total = 0.0
-                for k in range(3):
-                    for l in range(3):
-                        sign = _levi_civita(j, k, l)
-                        if sign:
-                            d = -(g(rho_vec + h * eye[k])[i, l]
-                                  - g(rho_vec - h * eye[k])[i, l]) / (2.0 * h)
-                            total += sign * d
-                curl_fd[i, j] = total
-        assert np.allclose(curl_fd, right, rtol=1e-6, atol=1e-9)
-
-
-def _levi_civita(i, j, k):
-    if (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        return 1.0
-    if (i, j, k) in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
-        return -1.0
-    return 0.0
 
 
 class TestReflection:

@@ -217,6 +217,72 @@ class TestRetardedHalfSpaceClosed:
         assert u1 == pytest.approx(ref.u1, rel=0.01)
         assert u2 == pytest.approx(ref.u2, rel=0.01)
 
+    @pytest.mark.parametrize("eps0,mu0", [(10.0, 1.0), (10.0, 10.0)])
+    def test_vertical_scaling_is_exact(self, eps0, mu0):
+        # along vertical(d, d) only d changes, so U1 and U2 are exactly
+        # proportional to d^-7; the requested rel_tol must not be lost to
+        # the absolute tolerance as |U| falls
+        spec = QuadSpec(rel_tol=1e-8)
+        scaled = []
+        for d in (1.0, 20.0, 60.0):
+            u1, u2 = retarded_halfspace_closed(PlanarGeometry.vertical(d, d),
+                                               ATOM, ATOM, eps0, mu0, spec=spec)
+            scaled.append((u1 * d**7, u2 * d**7))
+        for u1_d7, u2_d7 in scaled[1:]:
+            assert u1_d7 == pytest.approx(scaled[0][0], rel=1e-9, abs=0.0)
+            assert u2_d7 == pytest.approx(scaled[0][1], rel=1e-9, abs=0.0)
+
+    def test_off_axis_golden(self):
+        # X = 0.5: frozen from the (v, v') double quadrature over the
+        # two-Bessel moments M_nu that the factorised form replaced
+        geom = PlanarGeometry(0.0, 1.0, 0.5, 2.0)
+        u1, u2 = retarded_halfspace_closed(geom, ATOM, ATOM, 10.0, 10.0,
+                                           spec=QuadSpec(rel_tol=1e-8))
+        assert u1 == pytest.approx(-1.5117305679113194e-05, rel=1e-8, abs=0.0)
+        assert u2 == pytest.approx(-1.0667080880073215e-06, rel=1e-8, abs=0.0)
+
+
+class TestRetardedLimitOfFullQuadrature:
+    """``u_total`` at separations far beyond every resonance wavelength
+    against the static-response closed form (eps0 = mu0 = 1 + 3^2/1^2 = 10
+    for the default Lorentz media)."""
+
+    SPEC = QuadSpec(rel_tol=1e-7)
+    MEDIA = {
+        "dielectric": (HalfSpaceMedium(eps=EPS_MEDIUM), 10.0, 1.0),
+        "magnetic": (HalfSpaceMedium(mu=MU_MEDIUM), 1.0, 10.0),
+        "magneto-electric": (HalfSpaceMedium(eps=EPS_MEDIUM, mu=MU_MEDIUM),
+                             10.0, 10.0),
+    }
+
+    def _pair(self, geom, name):
+        medium, eps0, mu0 = self.MEDIA[name]
+        full = u_total(geom, ATOM, ATOM, medium, spec=self.SPEC)
+        closed = retarded_halfspace_closed(geom, ATOM, ATOM, eps0, mu0,
+                                           spec=self.SPEC)
+        return (full.u1, full.u2), closed
+
+    @pytest.mark.parametrize("family", ["vertical", "parallel"])
+    @pytest.mark.parametrize("name", ["dielectric", "magnetic",
+                                      "magneto-electric"])
+    def test_u2(self, family, name):
+        geom = getattr(PlanarGeometry, family)(60.0, 60.0)
+        (_, u2), (_, u2_closed) = self._pair(geom, name)
+        assert u2 == pytest.approx(u2_closed, rel=2e-3, abs=0.0)
+
+    @pytest.mark.parametrize("family,name", [
+        ("vertical", "magnetic"), ("vertical", "magneto-electric"),
+        ("parallel", "dielectric"), ("parallel", "magnetic"),
+        ("parallel", "magneto-electric"),
+    ])
+    def test_u1(self, family, name):
+        # the dielectric vertical U1 is left out: its near-cancellation
+        # leaves a 2e-2 deviation at this separation.  |U| ~ 1e-18 here,
+        # so pytest.approx's default absolute tolerance is switched off.
+        geom = getattr(PlanarGeometry, family)(60.0, 60.0)
+        (u1, _), (u1_closed, _) = self._pair(geom, name)
+        assert u1 == pytest.approx(u1_closed, rel=1e-2, abs=0.0)
+
 
 class TestNonretardedClosed:
     def test_electric_vacuum_reduces_to_free_space(self):

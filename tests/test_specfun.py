@@ -5,22 +5,12 @@ import pytest
 
 from scipy import special
 
-from vdwpair.quadrature import QuadSpec
 from vdwpair.specfun import (
     WeightedIntegralKey,
     bessel_j0_j2,
-    m_nu,
     weighted_AB,
     weighted_AB_quadrature,
 )
-
-# Golden value of the two-Bessel moment at (nu=0, zeta=0.3, zeta'=0.2, s=2),
-# frozen from an independent adaptive quadrature (scipy.integrate.quad on
-# [0, 60], reported error 5e-11).
-M0_GOLDEN = 3.623185664803147
-# nu = 1 and nu = 2 at the same point, from mpmath at 20 significant digits.
-M1_GOLDEN = 0.82935914771411612208
-M2_GOLDEN = 0.070486936292197388902
 
 
 class TestBesselJ0J2:
@@ -40,7 +30,6 @@ class TestWeightedIntegralKey:
     def test_valid_orders(self):
         WeightedIntegralKey("A+", 3)
         WeightedIntegralKey("B", 5)
-        WeightedIntegralKey("M", 0)
 
     @pytest.mark.parametrize("family,order", [
         ("A+", 2), ("A-", 6), ("B", 0), ("M", 3), ("C", 3),
@@ -83,39 +72,3 @@ class TestWeightedAB:
         with pytest.raises(ValueError):
             weighted_AB(WeightedIntegralKey("A+", 3), 0.0, 0.0)
 
-    def test_m_family_redirected(self):
-        with pytest.raises(ValueError):
-            weighted_AB(WeightedIntegralKey("M", 0), 1.0)
-
-
-class TestMnu:
-    def test_zero_zeta_closed_form(self):
-        assert m_nu(0, 0.0, 0.0, 2.0) == 720.0 / 2.0**7
-        assert m_nu(1, 0.0, 0.0, 2.0) == 0.0
-        assert m_nu(2, 0.0, 0.0, 2.0) == 0.0
-
-    def test_golden_value(self):
-        assert m_nu(0, 0.3, 0.2, 2.0) == pytest.approx(M0_GOLDEN, rel=1e-9)
-
-    def test_golden_values_nu1_nu2(self):
-        assert m_nu(1, 0.3, 0.2, 2.0) == pytest.approx(M1_GOLDEN, rel=1e-9)
-        assert m_nu(2, 0.3, 0.2, 2.0) == pytest.approx(M2_GOLDEN, rel=1e-9)
-
-    def test_monotone_in_s(self):
-        vals = [m_nu(0, 0.4, 0.3, s) for s in (1.0, 1.5, 2.0, 3.0, 5.0)]
-        assert all(a > b > 0.0 for a, b in zip(vals, vals[1:]))
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            m_nu(0, 0.1, 0.1, 0.0)
-        with pytest.raises(ValueError):
-            m_nu(3, 0.1, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            m_nu(0, -0.1, 0.1, 1.0)
-
-    def test_tight_spec_consistency(self):
-        loose = m_nu(0, 0.3, 0.2, 2.0)
-        tight = m_nu(0, 0.3, 0.2, 2.0,
-                     spec=QuadSpec(rel_tol=1e-12, abs_tol=1e-20,
-                                   max_subdivisions=8000))
-        assert tight == pytest.approx(loose, rel=1e-9)
