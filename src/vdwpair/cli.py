@@ -142,13 +142,14 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 
 
 def _require_number(block: dict, field: str, where: str, positive=False):
+    name = f"{where}.{field}" if where else field
     if field not in block:
-        raise ConfigError(f"missing field {where}.{field}")
+        raise ConfigError(f"missing field {name}")
     val = block[field]
     if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"field {where}.{field} must be a number")
+        raise ConfigError(f"field {name} must be a number")
     if positive and val <= 0:
-        raise ConfigError(f"field {where}.{field} must be positive")
+        raise ConfigError(f"field {name} must be positive")
     return float(val)
 
 

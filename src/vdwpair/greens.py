@@ -93,20 +93,20 @@ class PlanarGeometry:
 
 @dataclass(frozen=True)
 class GreenComponents:
-    """Nonzero scattering Green tensor elements for in-plane geometry."""
+    """Nonzero Green tensor elements for in-plane geometry; each is a float
+    or an array over frequency nodes."""
 
-    gxx: float
-    gyy: float
-    gxz: float
-    gzx: float
-    gzz: float
+    gxx: float | np.ndarray
+    gyy: float | np.ndarray
+    gxz: float | np.ndarray
+    gzx: float | np.ndarray
+    gzz: float | np.ndarray
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([
-            [self.gxx, 0.0, self.gxz],
-            [0.0, self.gyy, 0.0],
-            [self.gzx, 0.0, self.gzz],
-        ])
+    def trace(self, other: "GreenComponents"):
+        """Tr[self . other], summed row by row over the product's diagonal."""
+        return (self.gxx * other.gxx + self.gxz * other.gzx
+                + self.gyy * other.gyy
+                + (self.gzx * other.gxz + self.gzz * other.gzz))
 
 
 @dataclass(frozen=True)
@@ -167,20 +167,22 @@ class HalfSpaceMedium:
         return permeability_iu(self.mu, u)
 
 
-def free_space_green(rho_vec, u: float) -> np.ndarray:
-    """Bulk Green tensor at imaginary frequency iu for separation rho_vec."""
-    rho_vec = np.asarray(rho_vec, dtype=float)
-    rho = float(np.linalg.norm(rho_vec))
+def free_space_green(x: float, z: float, u) -> GreenComponents:
+    """Bulk Green tensor at imaginary frequency iu for the in-plane
+    separation (x, 0, z); vectorized in u."""
+    rho = np.sqrt(x * x + z * z)
     if rho == 0.0:
         raise ValueError("free-space Green tensor is singular at zero separation")
-    if u <= 0:
+    if np.any(np.asarray(u) <= 0):
         raise ValueError("u must be positive")
-    e = rho_vec / rho
+    ex, ez = x / rho, z / rho
     xi = 1.0 / (u * rho)
     a = 1.0 + xi + xi**2
     b = 1.0 + 3.0 * xi + 3.0 * xi**2
     pref = np.exp(-u * rho) / (FOUR_PI * rho)
-    return pref * (a * np.eye(3) - b * np.outer(e, e))
+    gxz = -pref * (b * (ex * ez))
+    return GreenComponents(gxx=pref * (a - b * (ex * ex)), gyy=pref * a,
+                           gxz=gxz, gzx=gxz, gzz=pref * (a - b * (ez * ez)))
 
 
 def reflection(q, u: float, medium: HalfSpaceMedium):
@@ -279,9 +281,10 @@ def _scattering_spec(spec: QuadSpec | None, n_breaks: int) -> QuadSpec:
     return spec
 
 
-def perfect_image_scattering(geom: PlanarGeometry, u: float,
+def perfect_image_scattering(geom: PlanarGeometry, u,
                              medium: HalfSpaceMedium) -> GreenComponents:
-    """Exact scattering tensor of a perfect reflector by image construction.
+    """Exact scattering tensor of a perfect reflector by image construction,
+    vectorized in u.
 
     G1(rA, rB) = -+ G0(rho_image) . diag(1, 1, -1) with
     rho_image = (X, 0, Z+), upper sign for the conducting plate; this is
@@ -291,13 +294,13 @@ def perfect_image_scattering(geom: PlanarGeometry, u: float,
     if not medium.is_perfect:
         raise ValueError("image closed form exists only for perfect reflectors")
     sign = -1.0 if medium.perfect == "conducting" else 1.0
-    g = sign * free_space_green(
-        np.array([geom.X, 0.0, geom.Z_plus]), u) @ np.diag([1.0, 1.0, -1.0])
-    return GreenComponents(gxx=g[0, 0], gyy=g[1, 1], gxz=g[0, 2],
-                           gzx=g[2, 0], gzz=g[2, 2])
+    g = free_space_green(geom.X, geom.Z_plus, u)
+    return GreenComponents(gxx=sign * g.gxx, gyy=sign * g.gyy,
+                           gxz=-sign * g.gxz, gzx=sign * g.gzx,
+                           gzz=-sign * g.gzz)
 
 
-def halfspace_scattering(geom: PlanarGeometry, u: float,
+def halfspace_scattering(geom: PlanarGeometry, u,
                          medium: HalfSpaceMedium,
                          spec: QuadSpec | None = None) -> GreenComponents:
     """Scattering Green tensor elements between the two atoms at iu.
@@ -305,12 +308,11 @@ def halfspace_scattering(geom: PlanarGeometry, u: float,
     Each element is a Bessel-weighted semi-infinite q-integral damped by
     e^{-b Z+}; the gxz element carries the upper (minus) sign of the
     xz/zx pair, gzx the lower.  Perfect reflectors short-circuit to the
-    exact image closed form; ``halfspace_scattering_quadrature`` keeps the
+    exact image closed form, which takes an array of u; finite media take
+    a single u.  ``halfspace_scattering_quadrature`` keeps the
     integral route available for cross-validation.
     """
     if medium.is_perfect:
-        if u <= 0:
-            raise ValueError("u must be positive")
         return perfect_image_scattering(geom, u, medium)
     return halfspace_scattering_quadrature(geom, u, medium, spec=spec)
 

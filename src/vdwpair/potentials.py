@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy import special
-from scipy.optimize import brentq
 
 from .greens import (
     FOUR_PI,
@@ -28,6 +28,7 @@ from .greens import (
     HalfSpaceMedium,
     PlanarGeometry,
     _scattering_spec,
+    free_space_green,
     halfspace_scattering,
     q_breakpoints,
     reflection,
@@ -204,17 +205,41 @@ def u1_frequency_integrand(u: float, geom: PlanarGeometry,
     return -u**4 * alpha * np.exp(-u * l) * q_res.value / (PI3_32 * l)
 
 
-def u1_trace_integrand(u: float, geom: PlanarGeometry,
+def u1_trace_integrand(u, geom: PlanarGeometry,
                        atom_a: ResonanceAtom, atom_b: ResonanceAtom,
                        medium: HalfSpaceMedium,
-                       spec: QuadSpec | None = None) -> float:
+                       spec: QuadSpec | None = None):
     """u-integrand of the cross term in Green-tensor trace form:
-    -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)]."""
-    from .greens import free_space_green, halfspace_scattering
-    g0 = free_space_green(np.array([geom.X, 0.0, geom.Z]), u)
-    g1 = halfspace_scattering(geom.swapped(), u, medium, spec=spec).as_matrix()
+    -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)].
+    Vectorized in u for perfect reflectors."""
+    g0 = free_space_green(geom.X, geom.Z, u)
+    g1 = halfspace_scattering(geom.swapped(), u, medium, spec=spec)
     alpha = response_iu(atom_a, u) * response_iu(atom_b, u)
-    return -u**4 * alpha * float(np.trace(g0 @ g1)) / np.pi
+    return -u**4 * alpha * g0.trace(g1) / np.pi
+
+
+def _frequency_integral(integrand, length: float, geom: PlanarGeometry,
+                        atom_a: ResonanceAtom, atom_b: ResonanceAtom,
+                        medium: HalfSpaceMedium, spec: QuadSpec | None) -> float:
+    """u-integral of a plate-correction integrand.  Perfect reflectors take
+    each batch of u-nodes at once; finite media need one q-quadrature per
+    node, at the tightened inner tolerance."""
+    _check_ee(atom_a, atom_b)
+    if medium.is_vacuum:
+        return 0.0
+    spec = spec or QuadSpec()
+    inner = spec.tightened()
+
+    def outer(us):
+        if medium.is_perfect:
+            return integrand(us, geom, atom_a, atom_b, medium)
+        return np.array([integrand(u, geom, atom_a, atom_b, medium, spec=inner)
+                         for u in us])
+
+    res = integrate_semiinf(outer, spec,
+                            breakpoints=_u_breakpoints(atom_a, atom_b, length),
+                            axis="u")
+    return res.value
 
 
 def u1_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
@@ -227,31 +252,10 @@ def u1_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
     Green-tensor trace with the exact image closed form (no q-integrals),
     the equivalence being guarded by the dual-route oracle tests.
     """
-    _check_ee(atom_a, atom_b)
-    if medium.is_vacuum:
-        return 0.0
-    spec = spec or QuadSpec()
-    inner = spec.tightened()
-
-    if medium.is_perfect:
-        def outer(us):
-            out = np.empty_like(us)
-            for i, u in enumerate(us):
-                out[i] = u1_trace_integrand(u, geom, atom_a, atom_b, medium)
-            return out
-    else:
-        def outer(us):
-            out = np.empty_like(us)
-            for i, u in enumerate(us):
-                out[i] = u1_frequency_integrand(u, geom, atom_a, atom_b,
-                                                medium, spec=inner)
-            return out
-
-    length = geom.l + geom.Z_plus
-    res = integrate_semiinf(outer, spec,
-                            breakpoints=_u_breakpoints(atom_a, atom_b, length),
-                            axis="u")
-    return res.value
+    integrand = (u1_trace_integrand if medium.is_perfect
+                 else u1_frequency_integrand)
+    return _frequency_integral(integrand, geom.l + geom.Z_plus, geom,
+                               atom_a, atom_b, medium, spec)
 
 
 def scattering_trace(g_ab: GreenComponents) -> float:
@@ -264,12 +268,13 @@ def scattering_trace(g_ab: GreenComponents) -> float:
             - 2.0 * g_ab.gxz * g_ab.gzx)
 
 
-def u2_frequency_integrand(u: float, geom: PlanarGeometry,
+def u2_frequency_integrand(u, geom: PlanarGeometry,
                            atom_a: ResonanceAtom, atom_b: ResonanceAtom,
                            medium: HalfSpaceMedium,
-                           spec: QuadSpec | None = None) -> float:
+                           spec: QuadSpec | None = None):
     """u-integrand of the scattering part:
-    -(1/2pi) u^4 alpha_A alpha_B Tr[G1 . G1]."""
+    -(1/2pi) u^4 alpha_A alpha_B Tr[G1 . G1].  Vectorized in u for
+    perfect reflectors."""
     g = halfspace_scattering(geom, u, medium, spec=spec)
     alpha = response_iu(atom_a, u) * response_iu(atom_b, u)
     return -u**4 * alpha * scattering_trace(g) / (2.0 * np.pi)
@@ -312,24 +317,8 @@ def u2_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
                  spec: QuadSpec | None = None) -> float:
     """Scattering-part contribution, by u-quadrature of the Green-tensor
     trace (whose q-quadratures carry the (q, q') structure)."""
-    _check_ee(atom_a, atom_b)
-    if medium.is_vacuum:
-        return 0.0
-    spec = spec or QuadSpec()
-    inner = spec.tightened()
-
-    def outer(us):
-        out = np.empty_like(us)
-        for i, u in enumerate(us):
-            out[i] = u2_frequency_integrand(u, geom, atom_a, atom_b, medium,
-                                            spec=inner)
-        return out
-
-    res = integrate_semiinf(outer, spec,
-                            breakpoints=_u_breakpoints(atom_a, atom_b,
-                                                       geom.Z_plus),
-                            axis="u")
-    return res.value
+    return _frequency_integral(u2_frequency_integrand, geom.Z_plus, geom,
+                               atom_a, atom_b, medium, spec)
 
 
 def u_total(geom: PlanarGeometry, atom_a: ResonanceAtom,
@@ -595,20 +584,16 @@ def threshold(case: str) -> float:
 
     With z_A = 1 and z_B = r: in the retarded conducting case the closed
     forms give U1 + U2 proportional to
-    (192/23)/((r-1)(r+1)(2r)^5) - 1/(r+1)^7; in the nonretarded permeable
-    case to 2/(3 (r+1)^3 (r-1)^3) - 1/(r+1)^6.
+    (192/23)/((r-1)(r+1)(2r)^5) - 1/(r+1)^7, which vanishes at the real
+    root above 1 of r^5 (r-1) - (6/23)(r+1)^6; in the nonretarded permeable
+    case to 2/(3 (r+1)^3 (r-1)^3) - 1/(r+1)^6, which vanishes at
+    (r+1)/(r-1) = 1.5^(1/3).
     """
     if case == "retarded-conducting-vertical":
-        def f(r):
-            return (192.0 / 23.0) / ((r - 1.0) * (r + 1.0) * (2.0 * r) ** 5) \
-                - 1.0 / (r + 1.0) ** 7
-    elif case == "nonretarded-permeable-vertical":
-        def f(r):
-            return 2.0 / (3.0 * (r + 1.0) ** 3 * (r - 1.0) ** 3) \
-                - 1.0 / (r + 1.0) ** 6
-    else:
-        raise ValueError(f"case must be one of {_THRESHOLD_CASES}")
-    lo, hi = 1.5, 100.0
-    if f(lo) * f(hi) > 0:
-        raise RuntimeError("threshold root not bracketed: formula regression")
-    return float(brentq(f, lo, hi, xtol=1e-6))
+        poly = (Polynomial([0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0])
+                - (6.0 / 23.0) * Polynomial([1.0, 1.0]) ** 6)
+        # The other five roots lie in the left half plane.
+        return float(max(poly.roots().real))
+    if case == "nonretarded-permeable-vertical":
+        return 1.0 + 2.0 / (1.5 ** (1.0 / 3.0) - 1.0)
+    raise ValueError(f"case must be one of {_THRESHOLD_CASES}")

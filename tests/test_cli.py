@@ -1,6 +1,9 @@
 """Command-line front end: config handling, sweeps, output formats."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +78,12 @@ class TestConfig:
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"workers": 0})
         assert run(["free-space", "--config", path]) == 1
+
+    def test_top_level_field_named_without_dot(self, capsys):
+        assert run(["half-space", "--rel-tol", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: field rel_tol must be positive\n"
 
     @pytest.mark.parametrize("command,kinds", [
         ("free-space", ("magnetic", "magnetic")),
@@ -151,6 +160,23 @@ class TestLimitsAndThresholds:
         out = capsys.readouterr().out
         assert "4.895489" in out
         assert "14.820340" in out
+
+    def test_limits_print_exact_roots(self, capsys):
+        assert run(["limits"]) == 0
+        out = capsys.readouterr().out
+        assert "4.8954893275" in out
+        assert "14.8203397586" in out
+
+    def test_import_leaves_out_scipy_optimize(self):
+        code = ("import sys, vdwpair.cli; "
+                "print('scipy.optimize' in sys.modules)")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       os.path.dirname(os.path.dirname(cli.__file__)),
+                       os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestFreeSpace:

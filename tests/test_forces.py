@@ -41,7 +41,7 @@ class TestFreeSpaceForce:
         l = 100.0
         c7 = asymptotic_coefficients(ATOM, ATOM).c7_ee
         f = free_space_force(l, ATOM, ATOM)
-        assert abs(f) == pytest.approx(7.0 * c7 / l**8, rel=0.01)
+        assert abs(f) == pytest.approx(7.0 * c7 / l**8, rel=0.01, abs=0.0)
 
     def test_em_repulsive(self):
         for l in (1e-3, 1.0, 100.0):

@@ -70,38 +70,52 @@ class TestHalfSpaceMedium:
 class TestFreeSpaceGreen:
     def test_trace(self):
         # Tr G0 = e^{-u rho}/(4 pi rho) (3a - b)
-        rho_vec = np.array([0.3, 0.0, 0.4])
         u = 2.0
-        g = free_space_green(rho_vec, u)
+        g = free_space_green(0.3, 0.4, u)
         rho = 0.5
         xi = 1.0 / (u * rho)
         a = 1.0 + xi + xi**2
         b = 1.0 + 3.0 * xi + 3.0 * xi**2
         expected = np.exp(-u * rho) / (4.0 * np.pi * rho) * (3.0 * a - b)
-        assert np.trace(g) == pytest.approx(expected, rel=1e-13)
+        assert g.gxx + g.gyy + g.gzz == pytest.approx(expected, rel=1e-13)
 
     def test_unit_argument_coefficients(self):
         # u*rho = 1: a = 3, b = 7
-        g = free_space_green(np.array([1.0, 0.0, 0.0]), 1.0)
+        g = free_space_green(1.0, 0.0, 1.0)
         pref = np.exp(-1.0) / (4.0 * np.pi)
-        assert g[1, 1] == pytest.approx(pref * 3.0, rel=1e-13)
-        assert g[0, 0] == pytest.approx(pref * (3.0 - 7.0), rel=1e-13)
+        assert g.gyy == pytest.approx(pref * 3.0, rel=1e-13)
+        assert g.gxx == pytest.approx(pref * (3.0 - 7.0), rel=1e-13)
 
     def test_transverse_retarded_limit(self):
-        # yy -> e^{-u rho}/(4 pi rho) for u*rho >> 1
-        g = free_space_green(np.array([30.0, 0.0, 0.0]), 1.0)
-        assert g[1, 1] == pytest.approx(np.exp(-30.0) / (4.0 * np.pi * 30.0),
-                                        rel=1e-2)
+        # yy -> e^{-u rho}/(4 pi rho) (1 + xi) to first order in
+        # xi = 1/(u rho) << 1
+        g = free_space_green(30.0, 0.0, 1.0)
+        assert g.gyy == pytest.approx(
+            np.exp(-30.0) / (4.0 * np.pi * 30.0) * (1.0 + 1.0 / 30.0),
+            rel=1e-2, abs=0.0)
 
     def test_symmetric_and_offdiagonal(self):
-        g = free_space_green(np.array([0.3, 0.0, 0.7]), 1.4)
-        assert np.allclose(g, g.T)
-        g_axis = free_space_green(np.array([0.0, 0.0, 0.7]), 1.4)
-        assert g_axis[0, 2] == 0.0 and g_axis[2, 0] == 0.0
+        g = free_space_green(0.3, 0.7, 1.4)
+        assert g.gxz == g.gzx
+        g_axis = free_space_green(0.0, 0.7, 1.4)
+        assert g_axis.gxz == 0.0 and g_axis.gzx == 0.0
 
     def test_singularity(self):
         with pytest.raises(ValueError):
-            free_space_green(np.zeros(3), 1.0)
+            free_space_green(0.0, 0.0, 1.0)
+
+    def test_nonpositive_u_in_array(self):
+        with pytest.raises(ValueError):
+            free_space_green(0.3, 0.7, np.array([0.5, 0.0, 2.0]))
+
+    def test_vectorized_in_u(self):
+        us = np.geomspace(1e-3, 30.0, 17)
+        g = free_space_green(0.3, 0.7, us)
+        for i, u in enumerate(us):
+            gi = free_space_green(0.3, 0.7, float(u))
+            for name in ("gxx", "gyy", "gxz", "gzx", "gzz"):
+                assert getattr(g, name)[i] == pytest.approx(
+                    getattr(gi, name), rel=1e-15, abs=0.0)
 
 
 class TestReflection:
@@ -241,14 +255,26 @@ class TestHalfspaceScattering:
         assert halfspace_scattering(geom, 1.0, med) == \
             perfect_image_scattering(geom, 1.0, med)
 
+    @pytest.mark.parametrize("kind", ["conducting", "permeable"])
+    def test_perfect_image_vectorized_in_u(self, kind):
+        med = HalfSpaceMedium(perfect=kind)
+        geom = PlanarGeometry(0.1, 0.5, 0.9, 0.8)
+        us = np.geomspace(1e-3, 30.0, 17)
+        g = halfspace_scattering(geom, us, med)
+        for i, u in enumerate(us):
+            gi = perfect_image_scattering(geom, float(u), med)
+            for name in ("gxx", "gyy", "gxz", "gzx", "gzz"):
+                assert getattr(g, name)[i] == pytest.approx(
+                    getattr(gi, name), rel=1e-15, abs=0.0)
+
     def test_retarded_vertical_conductor(self):
         # X = 0, u Z+ = 20: quadrature matches the image closed form to 1%
         geom = PlanarGeometry.vertical(5.0, 10.0)  # Z+ = 20
         med = HalfSpaceMedium.perfect_conductor()
         g = halfspace_scattering_quadrature(geom, 1.0, med)
         ref = perfect_image_scattering(geom, 1.0, med)
-        assert g.gxx == pytest.approx(ref.gxx, rel=0.01)
-        assert g.gzz == pytest.approx(ref.gzz, rel=0.01)
+        assert g.gxx == pytest.approx(ref.gxx, rel=0.01, abs=0.0)
+        assert g.gzz == pytest.approx(ref.gzz, rel=0.01, abs=0.0)
 
     def test_large_eps_approaches_perfect_nonretarded(self):
         # eps = 1e6 behaves as a perfect conductor in the nonretarded regime

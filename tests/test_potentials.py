@@ -152,7 +152,53 @@ class TestHalfSpaceQuadrature:
         spec = QuadSpec(rel_tol=1e-7)
         u2 = u2_halfspace(geom, ATOM, ATOM,
                           HalfSpaceMedium.perfect_conductor(), spec=spec)
-        assert u2 == pytest.approx(-c7 / geom.Z_plus**7, rel=0.02)
+        assert u2 == pytest.approx(-c7 / geom.Z_plus**7, rel=0.02, abs=0.0)
+
+
+# u1_halfspace / u2_halfspace at the default QuadSpec, from the per-node
+# implementation that preceded the u-vectorized perfect-plate integrands.
+PERFECT_GOLDENS = [
+    ("conducting", (0.0, 0.3, 0.4, 0.3),
+     0.11313476445197755, -0.030946308139671534),
+    ("conducting", (0.0, 0.2, 0.0, 0.8),
+     -0.008195868844362868, -0.004124192823202661),
+    ("conducting", (0.1, 0.5, 0.9, 0.8),
+     0.0008452016947440638, -0.00029259027366230627),
+    ("conducting", (0.0, 0.5, 10.0, 0.5),
+     9.613109600704468e-10, -1.0646521749854533e-09),
+    ("permeable", (0.0, 0.3, 0.4, 0.3),
+     -0.11313476445197755, -0.030946308139671534),
+    ("permeable", (0.0, 0.2, 0.0, 0.8),
+     0.008195868844362868, -0.004124192823202661),
+    ("permeable", (0.1, 0.5, 0.9, 0.8),
+     -0.0008452016947440638, -0.00029259027366230627),
+    ("permeable", (0.0, 0.5, 10.0, 0.5),
+     -9.613109600704468e-10, -1.0646521749854533e-09),
+]
+
+
+class TestPerfectPlateVectorized:
+    @pytest.mark.parametrize("kind,pos,u1,u2", PERFECT_GOLDENS)
+    def test_goldens(self, kind, pos, u1, u2):
+        geom = PlanarGeometry(*pos)
+        med = HalfSpaceMedium(perfect=kind)
+        assert u1_halfspace(geom, ATOM, ATOM, med) == \
+            pytest.approx(u1, rel=1e-13, abs=0.0)
+        assert u2_halfspace(geom, ATOM, ATOM, med) == \
+            pytest.approx(u2, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["conducting", "permeable"])
+    @pytest.mark.parametrize("integrand", [u1_trace_integrand,
+                                           u2_frequency_integrand])
+    def test_integrand_on_u_array(self, kind, integrand):
+        geom = PlanarGeometry(0.1, 0.5, 0.9, 0.8)
+        med = HalfSpaceMedium(perfect=kind)
+        us = np.geomspace(1e-3, 30.0, 17)
+        batch = integrand(us, geom, ATOM, ATOM, med)
+        for i, u in enumerate(us):
+            assert batch[i] == pytest.approx(
+                integrand(float(u), geom, ATOM, ATOM, med), rel=1e-15,
+                abs=0.0)
 
 
 class TestPerfectClosedForms:
@@ -325,6 +371,19 @@ class TestNonretardedClosed:
 
 
 class TestThreshold:
+    def test_exact_roots(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            retarded = mpmath.findroot(
+                lambda r: r**5 * (r - 1) - mpmath.mpf(6) / 23 * (r + 1)**6,
+                4.9)
+            c = mpmath.cbrt(mpmath.mpf(3) / 2)
+            permeable = 1 + 2 / (c - 1)
+        assert abs(threshold("retarded-conducting-vertical")
+                   - float(retarded)) < 1e-12
+        assert abs(threshold("nonretarded-permeable-vertical")
+                   - float(permeable)) < 1e-12
+
     def test_values(self):
         assert threshold("retarded-conducting-vertical") == \
             pytest.approx(4.90, abs=0.01)
