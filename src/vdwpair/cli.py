@@ -153,6 +153,11 @@ def _require_number(block: dict, field: str, where: str, positive=False):
     return float(val)
 
 
+def _require_count(val, name: str) -> None:
+    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+        raise ConfigError(f"{name} must be a positive integer")
+
+
 def _validate_config(cfg: dict) -> None:
     atoms = cfg["atoms"]
     if not isinstance(atoms, list) or len(atoms) != 2:
@@ -170,15 +175,19 @@ def _validate_config(cfg: dict) -> None:
     _require_number(sweep, "stop", "sweep", positive=True)
     if sweep["stop"] < sweep["start"]:
         raise ConfigError("sweep.stop must be >= sweep.start")
-    if not isinstance(sweep["points"], int) or sweep["points"] < 1:
-        raise ConfigError("sweep.points must be a positive integer")
+    _require_count(sweep["points"], "sweep.points")
     if sweep["scale"] not in ("log", "linear"):
         raise ConfigError("sweep.scale must be 'log' or 'linear'")
     if cfg["output"]["format"] not in ("csv", "json"):
         raise ConfigError("output.format must be 'csv' or 'json'")
-    if not isinstance(cfg["workers"], int) or cfg["workers"] < 1:
-        raise ConfigError("field 'workers' must be a positive integer")
-    _require_number(cfg, "rel_tol", "", positive=True)
+    path = cfg["output"]["path"]
+    if path is not None and not (isinstance(path, str) and os.path.isdir(
+            os.path.dirname(path) or ".")):
+        raise ConfigError(f"output.path {path!r} is not in an existing "
+                          "directory")
+    _require_count(cfg["workers"], "field 'workers'")
+    if _require_number(cfg, "rel_tol", "", positive=True) >= 1.0:
+        raise ConfigError("field rel_tol must be below 1")
     geom = cfg["geometry"]
     family = geom.get("family")
     if family == "parallel":
@@ -258,12 +267,8 @@ def _build_medium(block: dict) -> HalfSpaceMedium | None:
 
 def _sweep_values(cfg: dict) -> np.ndarray:
     sweep = cfg["sweep"]
-    n = sweep["points"]
-    if n == 1:
-        return np.array([float(sweep["start"])])
-    if sweep["scale"] == "log":
-        return np.geomspace(sweep["start"], sweep["stop"], n)
-    return np.linspace(sweep["start"], sweep["stop"], n)
+    space = np.geomspace if sweep["scale"] == "log" else np.linspace
+    return space(float(sweep["start"]), float(sweep["stop"]), sweep["points"])
 
 
 def _geometry_at(cfg: dict, value: float) -> PlanarGeometry:

@@ -15,7 +15,7 @@ import numpy as np
 from .greens import HalfSpaceMedium, PlanarGeometry
 from .materials import ResonanceAtom, response_iu
 from .quadrature import QuadSpec, integrate_semiinf
-from .potentials import _u_breakpoints, u_total
+from .potentials import _u_scale, u_total
 
 __all__ = ["ForcePair", "free_space_force", "halfspace_forces"]
 
@@ -52,24 +52,20 @@ def free_space_force(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
                                     + 8.0 * x**3 + 3.0 * x**4 + x**5)
             return response_iu(atom_a, u) * response_iu(atom_b, u) * p
 
-        res = integrate_semiinf(f, spec,
-                                breakpoints=_u_breakpoints(atom_a, atom_b, l))
-        return -res.value / (_PI3_8 * l**7)
-    if kinds == ("electric", "magnetic"):
+        prefactor = -1.0 / (_PI3_8 * l**7)
+    elif kinds == ("electric", "magnetic"):
         def f(u):
             x = u * l
             p = np.exp(-2.0 * x) * (2.0 + 4.0 * x + 3.0 * x**2 + x**3)
             return (u**2 * response_iu(atom_a, u) * response_iu(atom_b, u) * p)
 
-        res = integrate_semiinf(f, spec,
-                                breakpoints=_u_breakpoints(atom_a, atom_b, l))
-        return res.value / (_PI3_8 * l**5)
-    raise ValueError("supported pairs: (electric, electric) and "
-                     "(electric, magnetic)")
-
-
-def _potential(geom: PlanarGeometry, atom_a, atom_b, medium, spec) -> float:
-    return u_total(geom, atom_a, atom_b, medium, spec=spec).total
+        prefactor = 1.0 / (_PI3_8 * l**5)
+    else:
+        raise ValueError("supported pairs: (electric, electric) and "
+                         "(electric, magnetic)")
+    s = _u_scale(atom_a, atom_b, l)
+    res = integrate_semiinf(lambda v: f(s * v), spec)
+    return prefactor * s * res.value
 
 
 def _richardson_derivative(f, h: float) -> float:
@@ -98,7 +94,8 @@ def halfspace_forces(geom: PlanarGeometry, atom_a: ResonanceAtom,
     pspec = spec.tightened()
 
     def u_of(**kw):
-        return _potential(geom.shifted(**kw), atom_a, atom_b, medium, pspec)
+        return u_total(geom.shifted(**kw), atom_a, atom_b, medium,
+                       spec=pspec).total
 
     fax = -_richardson_derivative(lambda d: u_of(dx_a=d), h)
     faz = -_richardson_derivative(lambda d: u_of(dz_a=d), h)

@@ -93,18 +93,17 @@ class AsymptoticCoefficients:
             raise ValueError("asymptotic coefficients must be positive")
 
 
-def _u_breakpoints(atom_a: ResonanceAtom, atom_b: ResonanceAtom,
-                   length: float) -> list[float]:
-    """Frequency-axis grid: atomic resonances plus the 1/length decay scale."""
-    w = min(atom_a.omega10, atom_b.omega10)
-    wmax = max(atom_a.omega10, atom_b.omega10)
-    pts = [0.25 * w, 0.5 * w, w, 2.0 * wmax, 5.0 * wmax, 15.0 * wmax]
-    cut = 50.0 / length
-    if cut > 20.0 * wmax:
-        pts += list(np.geomspace(20.0 * wmax, cut, 6))
-    else:
-        pts += [0.25 * cut, cut]
-    return pts
+def _u_scale(atom_a: ResonanceAtom, atom_b: ResonanceAtom,
+             length: float) -> float:
+    """Smallest frequency scale of the integrand: a resonance or 1/length."""
+    return min(atom_a.omega10, atom_b.omega10, 1.0 / length)
+
+
+def _scaled_integral(f, scale: float, spec: QuadSpec, axis: str = "x") -> float:
+    """int_0^inf f(u) du as scale * int_0^inf f(scale v) dv, so that the
+    engine's default panels sit on the integrand's own scale."""
+    res = integrate_semiinf(lambda v: f(scale * v), spec, axis=axis)
+    return scale * res.value
 
 
 def _check_ee(atom_a, atom_b):
@@ -126,8 +125,8 @@ def u0_ee(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
                                       + 2.0 * x**3 + x**4)
         return response_iu(atom_a, u) * response_iu(atom_b, u) * g
 
-    res = integrate_semiinf(f, spec, breakpoints=_u_breakpoints(atom_a, atom_b, l))
-    return -res.value / (PI3_32 * l**6)
+    return -_scaled_integral(f, _u_scale(atom_a, atom_b, l), spec) \
+        / (PI3_32 * l**6)
 
 
 def u0_em(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
@@ -144,8 +143,8 @@ def u0_em(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
         h = 2.0 * np.exp(-2.0 * x) * (1.0 + 2.0 * x + x**2)
         return u**2 * response_iu(atom_a, u) * response_iu(atom_b, u) * h
 
-    res = integrate_semiinf(f, spec, breakpoints=_u_breakpoints(atom_a, atom_b, l))
-    return res.value / (PI3_32 * l**4)
+    return _scaled_integral(f, _u_scale(atom_a, atom_b, l), spec) \
+        / (PI3_32 * l**4)
 
 
 def asymptotic_coefficients(atom_a: ResonanceAtom, atom_b: ResonanceAtom,
@@ -236,10 +235,8 @@ def _frequency_integral(integrand, length: float, geom: PlanarGeometry,
         return np.array([integrand(u, geom, atom_a, atom_b, medium, spec=inner)
                          for u in us])
 
-    res = integrate_semiinf(outer, spec,
-                            breakpoints=_u_breakpoints(atom_a, atom_b, length),
+    return _scaled_integral(outer, _u_scale(atom_a, atom_b, length), spec,
                             axis="u")
-    return res.value
 
 
 def u1_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
@@ -501,16 +498,14 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
     return u1, u2
 
 
-def _response_product_integral(atom_a, atom_b, weight, spec, extra_breaks=()):
-    breaks = [0.25 * atom_a.omega10, atom_a.omega10, atom_b.omega10,
-              4.0 * max(atom_a.omega10, atom_b.omega10),
-              20.0 * max(atom_a.omega10, atom_b.omega10)]
-    breaks += list(extra_breaks)
-
+def _response_product_integral(atom_a, atom_b, weight, spec, scale=math.inf):
+    """int_0^inf alpha_A alpha_B weight du at the lower of the atomic
+    resonances and ``scale`` (a medium resonance the weight carries)."""
     def f(u):
         return response_iu(atom_a, u) * response_iu(atom_b, u) * weight(u)
 
-    return integrate_semiinf(f, spec, breakpoints=breaks).value
+    return _scaled_integral(f, min(atom_a.omega10, atom_b.omega10, scale),
+                            spec)
 
 
 def nonretarded_electric_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
@@ -525,14 +520,12 @@ def nonretarded_electric_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
         e = permittivity_iu(eps_medium, u)
         return (e - 1.0) / (e + 1.0)
 
-    extra = [eps_medium.omegaT, 4.0 * eps_medium.omegaT,
-             eps_medium.omegaT + eps_medium.omegaP]
     c6 = 3.0 / PI3_16 * _response_product_integral(
-        atom_a, atom_b, lambda u: np.ones_like(u), spec, extra)
-    d = 1.0 / PI3_16 * _response_product_integral(atom_a, atom_b, frac, spec,
-                                                  extra)
+        atom_a, atom_b, lambda u: np.ones_like(u), spec)
+    d = 1.0 / PI3_16 * _response_product_integral(
+        atom_a, atom_b, frac, spec, eps_medium.omegaT)
     e_coef = 3.0 / PI3_16 * _response_product_integral(
-        atom_a, atom_b, lambda u: frac(u) ** 2, spec, extra)
+        atom_a, atom_b, lambda u: frac(u) ** 2, spec, eps_medium.omegaT)
     l, lp = geom.l, geom.l_plus
     x, z, zp = geom.X, geom.Z, geom.Z_plus
     return (-c6 / l**6
@@ -563,12 +556,10 @@ def nonretarded_magnetic_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
         m = permeability_iu(mu_medium, u)
         return u**2 * (m - 1.0) * (m - 3.0) / (m + 1.0)
 
-    extra = [mu_medium.omegaT, 4.0 * mu_medium.omegaT,
-             mu_medium.omegaT + mu_medium.omegaP]
     c6 = 3.0 / PI3_16 * _response_product_integral(
-        atom_a, atom_b, lambda u: np.ones_like(u), spec, extra)
+        atom_a, atom_b, lambda u: np.ones_like(u), spec)
     f_coef = 1.0 / PI3_64 * _response_product_integral(atom_a, atom_b, weight,
-                                                       spec, extra)
+                                                       spec, mu_medium.omegaT)
     l, lp = geom.l, geom.l_plus
     x, z, zp = geom.X, geom.Z, geom.Z_plus
     return (-c6 / l**6

@@ -183,10 +183,14 @@ def _forward_map(t):
 def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
     """Integrate a vectorized integrand over [0, inf).
 
+    Without breakpoints the mapped unit interval starts from 8 equal
+    panels (edges at x = 1/7, 1/3, 3/5, 1, 5/3, 3, 7), which suit an
+    integrand on the scale x ~ 1; callers rescale their variable to it.
+
     ``breakpoints`` are abscissas (in the original variable) at which the
-    initial panelization is split; supplying the integrand's decay and
-    oscillation scales here makes the adaptive refinement start from a grid
-    that already resolves them.
+    initial panelization is split; supplying the integrand's oscillation
+    scales here makes the adaptive refinement start from a grid that
+    already resolves them.
 
     When breakpoints are given, the head [0, max(breakpoints)] is
     integrated in the original variable (the compactifying map loses
@@ -203,7 +207,8 @@ def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
             x, jac = _forward_map(t)
             return np.asarray(f(x), dtype=float) * jac
 
-        return integrate_interval(g, 0.0, 1.0, spec=spec, axis=axis)
+        return integrate_interval(g, 0.0, 1.0, spec=spec,
+                                  breakpoints=np.arange(1, 8) / 8.0, axis=axis)
 
     cut = float(breaks[-1])
     head = integrate_interval(f, 0.0, cut, spec=spec, breakpoints=breaks[:-1],

@@ -85,6 +85,53 @@ class TestConfig:
         assert captured.out == ""
         assert captured.err == "config error: field rel_tol must be positive\n"
 
+    @pytest.mark.parametrize("bad,message", [
+        ({"sweep": {"variable": "l", "start": 1.0, "stop": 2.0,
+                    "points": True, "scale": "log"}},
+         "sweep.points must be a positive integer"),
+        ({"workers": True}, "field 'workers' must be a positive integer"),
+        ({"rel_tol": 2}, "field rel_tol must be below 1"),
+        ({"rel_tol": 1.0}, "field rel_tol must be below 1"),
+        ({"output": {"path": 7, "format": "csv"}},
+         "output.path 7 is not in an existing directory"),
+    ])
+    def test_meaningless_values_rejected(self, tmp_path, capsys, bad,
+                                         message):
+        path = write_config(tmp_path, bad)
+        assert run(["free-space", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    def test_rel_tol_flag_below_one(self, capsys):
+        assert run(["half-space", "--rel-tol", "2"]) == 1
+        assert capsys.readouterr().err == \
+            "config error: field rel_tol must be below 1\n"
+
+    @pytest.mark.parametrize("command,worker", [
+        ("half-space", "_half_space_row"),
+        ("free-space", "_free_space_row"),
+    ])
+    def test_missing_output_directory_rejected_before_rows(
+            self, tmp_path, capsys, monkeypatch, command, worker):
+        def no_rows(_args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli, worker, no_rows)
+        out = tmp_path / "missing" / "out.csv"
+        assert run([command, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: output.path {str(out)!r} "
+                                "is not in an existing directory\n")
+        assert not out.parent.exists()
+
+    def test_output_in_current_directory_accepted(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = load_config(None, {"output.path": "out.csv"})
+        assert cfg["output"]["path"] == "out.csv"
+
     @pytest.mark.parametrize("command,kinds", [
         ("free-space", ("magnetic", "magnetic")),
         ("free-space", ("magnetic", "electric")),

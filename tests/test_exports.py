@@ -1,7 +1,10 @@
-"""Every name a vdwpair module exports in ``__all__`` resolves."""
+"""Every name a vdwpair module exports in ``__all__`` resolves, and so does
+every package name the benchmark's tracer rebinds."""
 
 import importlib
 import pkgutil
+import types
+from pathlib import Path
 
 import pytest
 
@@ -15,4 +18,25 @@ MODULES = ["vdwpair"] + [f"vdwpair.{m.name}"
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+
+
+def _load_tracing():
+    """perfbench/tracing.py, executed from its source: nothing is installed
+    and no bytecode is written next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    module = types.ModuleType("_perfbench_tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
+
+
+def test_tracer_bindings_resolve():
+    """Every package name the benchmark's tracer rebinds exists."""
+    tracing = _load_tracing()
+    names = [(mod, attr) for mod, attr, _ in tracing._LAYER_BINDINGS]
+    names += [(mod, "integrate_semiinf") for mod in tracing._QUAD_MODULES]
+    names += [("vdwpair.cli", attr) for attr in tracing._ROW_BINDINGS]
+    missing = [f"{mod}.{attr}" for mod, attr in names
+               if not hasattr(importlib.import_module(mod), attr)]
     assert missing == []

@@ -155,8 +155,11 @@ class TestHalfSpaceQuadrature:
         assert u2 == pytest.approx(-c7 / geom.Z_plus**7, rel=0.02, abs=0.0)
 
 
-# u1_halfspace / u2_halfspace at the default QuadSpec, from the per-node
-# implementation that preceded the u-vectorized perfect-plate integrands.
+# u1_halfspace / u2_halfspace from the per-node implementation that
+# preceded the u-vectorized perfect-plate integrands.  They are the converged
+# values: a run at rel_tol 1e-13 matches all of them within 5e-15, whatever
+# panels the frequency integral starts from.
+TIGHT = QuadSpec(rel_tol=1e-13, abs_tol=1e-300)
 PERFECT_GOLDENS = [
     ("conducting", (0.0, 0.3, 0.4, 0.3),
      0.11313476445197755, -0.030946308139671534),
@@ -182,10 +185,15 @@ class TestPerfectPlateVectorized:
     def test_goldens(self, kind, pos, u1, u2):
         geom = PlanarGeometry(*pos)
         med = HalfSpaceMedium(perfect=kind)
-        assert u1_halfspace(geom, ATOM, ATOM, med) == \
+        assert u1_halfspace(geom, ATOM, ATOM, med, spec=TIGHT) == \
             pytest.approx(u1, rel=1e-13, abs=0.0)
-        assert u2_halfspace(geom, ATOM, ATOM, med) == \
+        assert u2_halfspace(geom, ATOM, ATOM, med, spec=TIGHT) == \
             pytest.approx(u2, rel=1e-13, abs=0.0)
+        # The default spec (rel_tol 1e-8) meets its own tolerance.
+        assert u1_halfspace(geom, ATOM, ATOM, med) == \
+            pytest.approx(u1, rel=1e-8, abs=0.0)
+        assert u2_halfspace(geom, ATOM, ATOM, med) == \
+            pytest.approx(u2, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("kind", ["conducting", "permeable"])
     @pytest.mark.parametrize("integrand", [u1_trace_integrand,
