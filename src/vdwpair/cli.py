@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import io
 import json
 import os
@@ -480,7 +481,10 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
                    help="worker processes for sweep points")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each build costs
+    about a millisecond and leaves reference cycles for the collector."""
     parser = argparse.ArgumentParser(
         prog="vdwpair",
         description="Two-atom van der Waals potentials and forces in free "
@@ -498,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep the potential breakdown near a half space")
     _add_sweep_flags(p)
     p.add_argument("--forces", action="store_true",
-                   help="also compute per-atom forces (slow)")
+                   help="also compute per-atom forces")
     p.set_defaults(func=cmd_half_space)
 
     p = sub.add_parser("limits",

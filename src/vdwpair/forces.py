@@ -2,8 +2,12 @@
 
 Free space: the signed radial force from the analytic derivative of the
 potential's frequency integrand.  Near a half space: per-atom force vectors
-by Richardson-extrapolated central differences of the total potential,
-checked against the analytic free-space radial part.
+from their own frequency integrals.  The potential depends on the atoms only
+through X = x_B - x_A, Z = z_B - z_A and Z+ = z_A + z_B, so the radial
+free-space force and three u-integrals of Green-tensor derivatives (dG0 in
+closed form, dG1 by image signs or derivative q-kernels) give all four
+components.  Richardson-extrapolated differences of the total potential
+are kept as the independent oracle ``richardson_forces``.
 """
 
 from __future__ import annotations
@@ -12,12 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import HalfSpaceMedium, PlanarGeometry
+from .greens import (
+    HalfSpaceMedium,
+    PlanarGeometry,
+    free_space_green,
+    free_space_green_gradient,
+    halfspace_scattering,
+    halfspace_scattering_derivative,
+)
 from .materials import ResonanceAtom, response_iu
 from .quadrature import QuadSpec, integrate_semiinf
-from .potentials import _u_scale, u_total
+from .potentials import _frequency_integral, _u_scale, u_total
 
-__all__ = ["ForcePair", "free_space_force", "halfspace_forces"]
+__all__ = ["ForcePair", "free_space_force", "halfspace_forces",
+           "richardson_forces"]
 
 _PI3_8 = 8.0 * np.pi**3
 
@@ -68,6 +80,67 @@ def free_space_force(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
     return prefactor * s * res.value
 
 
+def _plate_derivative_integrand(wrt: str):
+    """u-integrand of d(U1 + U2)/d``wrt`` for wrt in X, Z, Z_plus.
+
+    With w1 = -u^4 alpha_A alpha_B/pi, U1 + U2 integrates
+    w1 (Tr[G0 . G1^T] + Tr[G1 . G1^T]/2), where G1^T = G1(r_B, r_A).  G0
+    depends on (X, Z) and G1 on (X, Z+), so
+    d/dX:  w1 (Tr[dG0 . G1^T] + Tr[G0 . dG1^T] + Tr[dG1 . G1^T]),
+    d/dZ:  w1 Tr[dG0 . G1^T],
+    d/dZ+: w1 (Tr[G0 . dG1^T] + Tr[dG1 . G1^T]).
+    One G1 per node serves every term.
+    """
+    def integrand(u, geom: PlanarGeometry, atom_a: ResonanceAtom,
+                  atom_b: ResonanceAtom, medium: HalfSpaceMedium,
+                  spec: QuadSpec | None = None):
+        w1 = -u**4 * response_iu(atom_a, u) * response_iu(atom_b, u) / np.pi
+        g1_t = halfspace_scattering(geom, u, medium, spec=spec).transpose()
+        out = 0.0
+        if wrt != "Z_plus":
+            dg0 = free_space_green_gradient(geom.X, geom.Z, u)
+            out = dg0[0 if wrt == "X" else 1].trace(g1_t)
+        if wrt != "Z":
+            dg1 = halfspace_scattering_derivative(geom, u, medium, wrt,
+                                                  spec=spec)
+            out = out + (free_space_green(geom.X, geom.Z, u)
+                         .trace(dg1.transpose()) + dg1.trace(g1_t))
+        return w1 * out
+
+    return integrand
+
+
+def halfspace_forces(geom: PlanarGeometry, atom_a: ResonanceAtom,
+                     atom_b: ResonanceAtom, medium: HalfSpaceMedium,
+                     spec: QuadSpec | None = None) -> ForcePair:
+    """Force vectors on both atoms near the half space.
+
+    U_X = dU/dX = -f0 X/l + Phi_X and U_Z = -f0 Z/l + Phi_Z, with f0 the
+    free-space radial force and Phi the plate parts; U_Z+ = Phi_Z+.  Then
+    F_A = (U_X, U_Z - U_Z+) and F_B = (-U_X, -U_Z - U_Z+), so
+    F_A,x = -F_B,x holds exactly.  The plate parts are u-integrals at the
+    scale min(omega10, 1/(l + Z+)).  U is even in X (mirror symmetry) and
+    in Z (atom exchange), so Phi_X on the axis X = 0 and Phi_Z at Z = 0
+    are zero and not integrated.
+    """
+    spec = spec or QuadSpec()
+    l = geom.l
+    f0 = free_space_force(l, atom_a, atom_b, spec=spec)
+
+    def phi(wrt: str, zero: bool) -> float:
+        if zero:
+            return 0.0
+        return _frequency_integral(_plate_derivative_integrand(wrt),
+                                   l + geom.Z_plus, geom, atom_a, atom_b,
+                                   medium, spec)
+
+    u_x = -f0 * geom.X / l + phi("X", geom.X == 0.0)
+    u_z = -f0 * geom.Z / l + phi("Z", geom.Z == 0.0)
+    u_zp = phi("Z_plus", False)
+    # 0.0 - u_x negates exactly, but gives 0.0 rather than -0.0 on the axis.
+    return ForcePair(f_a=(u_x, u_z - u_zp), f_b=(0.0 - u_x, -u_z - u_zp))
+
+
 def _richardson_derivative(f, h: float) -> float:
     """Five-point Richardson-extrapolated central difference."""
     d1 = (f(h) - f(-h)) / (2.0 * h)
@@ -75,15 +148,16 @@ def _richardson_derivative(f, h: float) -> float:
     return (4.0 * d2 - d1) / 3.0
 
 
-def halfspace_forces(geom: PlanarGeometry, atom_a: ResonanceAtom,
-                     atom_b: ResonanceAtom, medium: HalfSpaceMedium,
-                     spec: QuadSpec | None = None,
-                     step: float = 1e-3) -> ForcePair:
-    """Force vectors on both atoms near the half space.
+def richardson_forces(geom: PlanarGeometry, atom_a: ResonanceAtom,
+                      atom_b: ResonanceAtom, medium: HalfSpaceMedium,
+                      spec: QuadSpec | None = None,
+                      step: float = 1e-3) -> ForcePair:
+    """Oracle for ``halfspace_forces`` that shares no derivative code with
+    it: each component is -dU/dcoordinate by Richardson-extrapolated
+    central differences of ``u_total`` (16 potentials).
 
-    Each component is -dU/dcoordinate by Richardson-extrapolated central
-    differences of the total potential; ``step`` is relative to the smallest
-    geometric scale.  The displaced atom must stay above the surface.
+    ``step`` is relative to the smallest geometric scale.  The displaced
+    atom must stay above the surface.
     """
     spec = spec or QuadSpec()
     h = step * min(geom.l, geom.z_a, geom.z_b)

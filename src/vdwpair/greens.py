@@ -25,12 +25,14 @@ __all__ = [
     "GreenComponents",
     "HalfSpaceMedium",
     "free_space_green",
+    "free_space_green_gradient",
     "reflection",
     "reflection_expansion",
     "static_reflection",
     "perfect_image_scattering",
     "halfspace_scattering",
     "halfspace_scattering_quadrature",
+    "halfspace_scattering_derivative",
     "nonretarded_scattering",
 ]
 
@@ -108,6 +110,11 @@ class GreenComponents:
                 + self.gyy * other.gyy
                 + (self.gzx * other.gxz + self.gzz * other.gzz))
 
+    def transpose(self) -> "GreenComponents":
+        """The transposed tensor: gxz and gzx exchanged."""
+        return GreenComponents(gxx=self.gxx, gyy=self.gyy, gxz=self.gzx,
+                               gzx=self.gxz, gzz=self.gzz)
+
 
 @dataclass(frozen=True)
 class HalfSpaceMedium:
@@ -167,22 +174,60 @@ class HalfSpaceMedium:
         return permeability_iu(self.mu, u)
 
 
-def free_space_green(x: float, z: float, u) -> GreenComponents:
-    """Bulk Green tensor at imaginary frequency iu for the in-plane
-    separation (x, 0, z); vectorized in u."""
+def _free_space_factors(x: float, z: float, u):
+    """rho, the unit vector (ex, ez), a(xi), b(xi) and the prefactor
+    p = e^{-u rho}/(4 pi rho) of G0_ij = p (a delta_ij - b e_i e_j), with
+    xi = 1/(u rho)."""
     rho = np.sqrt(x * x + z * z)
     if rho == 0.0:
         raise ValueError("free-space Green tensor is singular at zero separation")
     if np.any(np.asarray(u) <= 0):
         raise ValueError("u must be positive")
-    ex, ez = x / rho, z / rho
     xi = 1.0 / (u * rho)
     a = 1.0 + xi + xi**2
     b = 1.0 + 3.0 * xi + 3.0 * xi**2
     pref = np.exp(-u * rho) / (FOUR_PI * rho)
+    return rho, x / rho, z / rho, xi, a, b, pref
+
+
+def free_space_green(x: float, z: float, u) -> GreenComponents:
+    """Bulk Green tensor at imaginary frequency iu for the in-plane
+    separation (x, 0, z); vectorized in u."""
+    _, ex, ez, _, a, b, pref = _free_space_factors(x, z, u)
     gxz = -pref * (b * (ex * ez))
     return GreenComponents(gxx=pref * (a - b * (ex * ex)), gyy=pref * a,
                            gxz=gxz, gzx=gxz, gzz=pref * (a - b * (ez * ez)))
+
+
+def free_space_green_gradient(x: float, z: float, u):
+    """(dG0/dx, dG0/dz) at the in-plane separation (x, 0, z), in closed
+    form and vectorized in u.
+
+    With G0_ij = p (a delta_ij - b e_i e_j), d_k rho = e_k and
+    d_k e_i = (delta_ik - e_i e_k)/rho:
+    d_k G0_ij = e_k (A delta_ij - B e_i e_j)
+                - (p b/rho)(delta_ik e_j + delta_jk e_i - 2 e_i e_j e_k),
+    where A = d(p a)/d rho and B = d(p b)/d rho follow from
+    dp/d rho = -p (u + 1/rho), da/d rho = -(xi + 2 xi^2)/rho and
+    db/d rho = -(3 xi + 6 xi^2)/rho.
+    """
+    rho, ex, ez, xi, a, b, p = _free_space_factors(x, z, u)
+    dp = -p * (u + 1.0 / rho)
+    big_a = dp * a - p * (xi + 2.0 * xi**2) / rho
+    big_b = dp * b - p * (3.0 * xi + 6.0 * xi**2) / rho
+    c = p * b / rho
+
+    def along(ek, dxk, dzk):
+        # dxk, dzk: the Kronecker deltas delta_xk, delta_zk.
+        gxz = -ek * big_b * (ex * ez) - c * (dxk * ez + dzk * ex
+                                             - 2.0 * ex * ez * ek)
+        return GreenComponents(
+            gxx=ek * (big_a - big_b * ex * ex) - 2.0 * c * ex * (dxk - ex * ek),
+            gyy=ek * big_a,
+            gxz=gxz, gzx=gxz,
+            gzz=ek * (big_a - big_b * ez * ez) - 2.0 * c * ez * (dzk - ez * ek))
+
+    return along(ex, 1.0, 0.0), along(ez, 0.0, 1.0)
 
 
 def reflection(q, u: float, medium: HalfSpaceMedium):
@@ -281,6 +326,17 @@ def _scattering_spec(spec: QuadSpec | None, n_breaks: int) -> QuadSpec:
     return spec
 
 
+def _image(g: GreenComponents, medium: HalfSpaceMedium) -> GreenComponents:
+    """-+ g . diag(1, 1, -1): the image signs of a perfect reflector, upper
+    sign for the conducting plate."""
+    if not medium.is_perfect:
+        raise ValueError("image closed form exists only for perfect reflectors")
+    sign = -1.0 if medium.perfect == "conducting" else 1.0
+    return GreenComponents(gxx=sign * g.gxx, gyy=sign * g.gyy,
+                           gxz=-sign * g.gxz, gzx=sign * g.gzx,
+                           gzz=-sign * g.gzz)
+
+
 def perfect_image_scattering(geom: PlanarGeometry, u,
                              medium: HalfSpaceMedium) -> GreenComponents:
     """Exact scattering tensor of a perfect reflector by image construction,
@@ -291,13 +347,7 @@ def perfect_image_scattering(geom: PlanarGeometry, u,
     the closed form of the q-integrals when the reflection coefficients
     are constant.
     """
-    if not medium.is_perfect:
-        raise ValueError("image closed form exists only for perfect reflectors")
-    sign = -1.0 if medium.perfect == "conducting" else 1.0
-    g = free_space_green(geom.X, geom.Z_plus, u)
-    return GreenComponents(gxx=sign * g.gxx, gyy=sign * g.gyy,
-                           gxz=-sign * g.gxz, gzx=sign * g.gzx,
-                           gzz=-sign * g.gzz)
+    return _image(free_space_green(geom.X, geom.Z_plus, u), medium)
 
 
 def halfspace_scattering(geom: PlanarGeometry, u,
@@ -310,51 +360,111 @@ def halfspace_scattering(geom: PlanarGeometry, u,
     xz/zx pair, gzx the lower.  Perfect reflectors short-circuit to the
     exact image closed form, which takes an array of u; finite media take
     a single u.  ``halfspace_scattering_quadrature`` keeps the
-    integral route available for cross-validation.
+    integral route available for cross-validation.  Swapping the atoms
+    transposes the tensor.
     """
     if medium.is_perfect:
         return perfect_image_scattering(geom, u, medium)
     return halfspace_scattering_quadrature(geom, u, medium, spec=spec)
 
 
+def halfspace_scattering_derivative(geom: PlanarGeometry, u,
+                                    medium: HalfSpaceMedium, wrt: str,
+                                    spec: QuadSpec | None = None) -> GreenComponents:
+    """Derivative of ``halfspace_scattering`` with respect to X
+    (``wrt="X"``) or Z+ (``wrt="Z_plus"``).
+
+    Perfect reflectors take the image signs of dG0/dx or dG0/dz at
+    (X, Z+), vectorized in u.  Finite media take a single u and integrate
+    derivative q-kernels on the same grid: d/dZ+ multiplies a kernel by -b,
+    d/dX replaces J_nu(qX) by q J_nu'(qX).
+    """
+    if wrt not in ("X", "Z_plus"):
+        raise ValueError("wrt must be 'X' or 'Z_plus'")
+    if medium.is_perfect:
+        grad = free_space_green_gradient(geom.X, geom.Z_plus, u)
+        return _image(grad[0 if wrt == "X" else 1], medium)
+    x, zp = geom.X, geom.Z_plus
+    if wrt == "Z_plus":
+        return _sommerfeld(geom, u, medium, spec,
+                           decay=lambda b: -b * np.exp(-b * zp))
+    return _sommerfeld(geom, u, medium, spec,
+                       j0=lambda q: -q * special.j1(q * x),
+                       j1=lambda q: _bessel_x_derivatives(q, x)[1],
+                       j0_j2=lambda q: _bessel_x_derivatives(q, x)[::2])
+
+
+def _bessel_x_derivatives(q, x: float):
+    """d/dX of J0(qX), J1(qX), J2(qX): q J_nu'(t) at t = qX, with
+    J0' = -J1, J1' = J0 - J1/t, J2' = J1 - 2 J2/t (J1'(0) = 1/2,
+    J2'(0) = 0) and J2 = 2 J1/t - J0 by recurrence."""
+    t = q * x
+    j0, j1 = special.j0(t), special.j1(t)
+    nonzero = t != 0.0
+    safe_t = np.where(nonzero, t, 1.0)
+    j1_t = np.where(nonzero, j1 / safe_t, 0.5)
+    j2_t = np.where(nonzero, (2.0 * j1_t - j0) / safe_t, 0.0)
+    return -q * j1, q * (j0 - j1_t), q * (j1 - 2.0 * j2_t)
+
+
 def halfspace_scattering_quadrature(geom: PlanarGeometry, u: float,
                                     medium: HalfSpaceMedium,
                                     spec: QuadSpec | None = None) -> GreenComponents:
     """Scattering tensor elements by direct Sommerfeld q-quadrature."""
+    return _sommerfeld(geom, u, medium, spec)
+
+
+def _sommerfeld(geom: PlanarGeometry, u: float, medium: HalfSpaceMedium,
+                spec: QuadSpec | None, decay=None, j0=None, j1=None,
+                j0_j2=None) -> GreenComponents:
+    """Sommerfeld q-integrals of the scattering tensor elements.
+
+    ``decay(b)`` stands for e^{-b Z+} and ``j0(q)``, ``j1(q)``,
+    ``j0_j2(q)`` for J0(qX), J1(qX) and (J0(qX), J2(qX)); a derivative of
+    the tensor replaces them by their derivatives.  Every element is one
+    scalar q-integral.
+    """
     if u <= 0:
         raise ValueError("u must be positive")
     if medium.is_vacuum:
         return GreenComponents(0.0, 0.0, 0.0, 0.0, 0.0)
     x = geom.X
+    # i1 (gxz = -i1, gzx = +i1) carries J1(qX), odd in X, so it vanishes on
+    # the axis X = 0; its X-derivative does not.
+    axis_i1_zero = x == 0.0 and j1 is None
     zp = geom.Z_plus
     k2 = u**2
+    decay = decay or (lambda b: np.exp(-b * zp))
+    j0 = j0 or (lambda q: special.j0(q * x))
+    j1 = j1 or (lambda q: special.j1(q * x))
+    j0_j2 = j0_j2 or (lambda q: bessel_j0_j2(q * x))
     breaks = q_breakpoints(geom, u)
     spec = _scattering_spec(spec, len(breaks))
 
     def xx_yy(q, sign):
         rs, rp = reflection(q, u, medium)
         b = np.sqrt(u**2 + q**2)
-        damp = q * np.exp(-b * zp)
-        j0, j2 = bessel_j0_j2(q * x)
-        return damp * ((j0 + sign * j2) / b * rs
-                       - b * (j0 - sign * j2) / k2 * rp) / (8.0 * np.pi)
+        damp = q * decay(b)
+        c0, c2 = j0_j2(q)
+        return damp * ((c0 + sign * c2) / b * rs
+                       - b * (c0 - sign * c2) / k2 * rp) / (8.0 * np.pi)
 
     def xz(q):
         _, rp = reflection(q, u, medium)
         b = np.sqrt(u**2 + q**2)
-        return q**2 * np.exp(-b * zp) * special.j1(q * x) * rp / k2 / FOUR_PI
+        return q**2 * decay(b) * j1(q) * rp / k2 / FOUR_PI
 
     def zz(q):
         _, rp = reflection(q, u, medium)
         b = np.sqrt(u**2 + q**2)
-        return q**3 * np.exp(-b * zp) * special.j0(q * x) * rp / (b * k2) / FOUR_PI
+        return q**3 * decay(b) * j0(q) * rp / (b * k2) / FOUR_PI
 
     gxx = integrate_semiinf(lambda q: xx_yy(q, +1.0), spec, breakpoints=breaks,
                             axis="q").value
     gyy = integrate_semiinf(lambda q: xx_yy(q, -1.0), spec, breakpoints=breaks,
                             axis="q").value
     gzz = -integrate_semiinf(zz, spec, breakpoints=breaks, axis="q").value
-    if x == 0.0:
+    if axis_i1_zero:
         i1 = 0.0
     else:
         i1 = integrate_semiinf(xz, spec, breakpoints=breaks, axis="q").value

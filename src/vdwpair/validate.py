@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .forces import halfspace_forces, richardson_forces
 from .greens import HalfSpaceMedium, PlanarGeometry, q_breakpoints
 from .imaging import verify_against_closed_forms
 from .materials import LorentzMedium, ResonanceAtom, response_iu
@@ -32,7 +33,7 @@ from .potentials import (
 from .quadrature import QuadSpec, integrate_2d
 from .specfun import WeightedIntegralKey, weighted_AB, weighted_AB_quadrature
 
-__all__ = ["CheckResult", "run_all", "CHECKS"]
+__all__ = ["CheckResult", "run_all", "CHECKS", "ORACLE_CHECKS"]
 
 _ATOM = ResonanceAtom()
 _EPS_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
@@ -303,6 +304,28 @@ def check_sign_table(rel_tol: float = 1e-8) -> CheckResult:
     return CheckResult(12, "image-dipole sign table", ok, details)
 
 
+def check_force_oracle() -> CheckResult:
+    """Analytic half-space forces match the Richardson finite-difference
+    oracle within 10 rel_tol max|F|, on a perfect plate (rel_tol 1e-8) and
+    the default dielectric (rel_tol 1e-6), off both symmetry axes."""
+    geom = PlanarGeometry(0.0, 0.5, 0.3, 0.8)
+    details, ok = [], True
+    for label, medium, rel_tol in (
+            ("conducting plate", HalfSpaceMedium.perfect_conductor(), 1e-8),
+            ("dielectric", HalfSpaceMedium.dielectric(_EPS_MEDIUM), 1e-6)):
+        spec = _spec(rel_tol)
+        analytic = halfspace_forces(geom, _ATOM, _ATOM, medium, spec=spec)
+        oracle = richardson_forces(geom, _ATOM, _ATOM, medium, spec=spec)
+        a = np.array(analytic.f_a + analytic.f_b)
+        r = np.array(oracle.f_a + oracle.f_b)
+        dev = float(np.max(np.abs(a - r)) / np.max(np.abs(r)))
+        ok &= dev <= 10.0 * rel_tol
+        details.append(f"{label}: max|F - F_oracle|/max|F| = {dev:.2e} "
+                       f"(tol {10.0 * rel_tol:.0e})")
+    return CheckResult(13, "analytic forces vs finite differences", ok,
+                       details)
+
+
 CHECKS = (
     check_retarded_free_space,
     check_nonretarded_free_space,
@@ -318,11 +341,14 @@ CHECKS = (
     check_sign_table,
 )
 
+# Checks of the implementation beyond the paper's twelve criteria.
+ORACLE_CHECKS = (check_force_oracle,)
+
 
 def run_all(verbose: bool = True) -> list[CheckResult]:
     """Run every acceptance check, printing one pass/fail line each."""
     results = []
-    for check in CHECKS:
+    for check in CHECKS + ORACLE_CHECKS:
         res = check()
         results.append(res)
         if verbose:

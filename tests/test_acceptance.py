@@ -8,7 +8,7 @@ test log.
 
 import pytest
 
-from vdwpair.validate import CHECKS
+from vdwpair.validate import CHECKS, ORACLE_CHECKS
 
 
 def _ids():
@@ -28,3 +28,15 @@ def test_acceptance_criterion(check, capsys):
 
 def test_gate_has_twelve_criteria():
     assert len(CHECKS) == 12
+
+
+def test_force_oracle_check(capsys):
+    """Check 13, which ``vdwpair validate`` runs after the twelve criteria."""
+    (check,) = ORACLE_CHECKS
+    result = check()
+    with capsys.disabled():
+        print()
+        print(result.line())
+        print(f"    {result.details}")
+    assert result.number == 13
+    assert result.passed, result.line()

@@ -1,5 +1,6 @@
 """Command-line front end: config handling, sweeps, output formats."""
 
+import gc
 import json
 import os
 import subprocess
@@ -381,6 +382,25 @@ class TestHalfSpace:
             -float(row["F_on_B_x"]), rel=0.2)
         assert float(row["F_on_A_z"]) != 0.0
 
+    @pytest.mark.parametrize("plate", ["conducting", "permeable"])
+    def test_force_rows_keep_symmetries_exactly(self, tmp_path, plate):
+        # Parallel rows: F_A,x = -F_B,x; vertical rows: no x force.
+        for family, key in (("parallel", "z"), ("vertical", "z_a")):
+            cfg = write_config(tmp_path, {
+                "medium": {"kind": "perfect", "perfect": plate},
+                "geometry": {"family": family, key: 0.01},
+                "sweep": {"variable": "l", "start": 1e-3, "stop": 0.1,
+                          "points": 3, "scale": "log"},
+                "output": {"path": None, "format": "json"}})
+            out = tmp_path / f"{family}.json"
+            assert run(["half-space", "--config", cfg, "--forces",
+                        "--output", str(out)]) == 0
+            for row in json.loads(out.read_text())["rows"]:
+                if family == "parallel":
+                    assert row["F_on_A_x"] == -row["F_on_B_x"] != 0.0
+                else:
+                    assert row["F_on_A_x"] == 0.0 == row["F_on_B_x"]
+
     def test_free_space_medium_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "medium": {"kind": "free-space"},
@@ -430,3 +450,20 @@ class TestValidateCommand:
                                  CheckResult(2, "b", False)])
         assert run(["validate"]) == 3
         assert "1/2 checks passed" in capsys.readouterr().out
+
+
+def test_repeated_calls_leave_no_cyclic_garbage(capsys):
+    """Each call reuses one parser, so with the collector off repeated
+    calls leave no objects behind (a parser per call leaves its cycles)."""
+    main(["thresholds"])
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for _ in range(20):
+            main(["thresholds"])
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert grown < 20

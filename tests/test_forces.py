@@ -1,5 +1,5 @@
 """Forces on the two atoms: analytic free-space radial force and
-finite-difference half-space force vectors."""
+half-space force vectors, checked against the finite-difference oracle."""
 
 import numpy as np
 import pytest
@@ -16,11 +16,13 @@ from vdwpair import (
     u0_ee,
     u_total,
 )
+from vdwpair.forces import richardson_forces
 from vdwpair.quadrature import QuadSpec
 
 ATOM = ResonanceAtom()
 MAG_ATOM = ResonanceAtom(kind="magnetic")
 EPS_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
+MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3, kind="magnetic")
 
 
 class TestForcePair:
@@ -96,17 +98,52 @@ class TestHalfSpaceForces:
         pot_ratio = u_total(geom, ATOM, ATOM, med, spec=spec).ratio
         assert force_ratio == pytest.approx(pot_ratio, rel=0.05)
 
+    @pytest.mark.parametrize("medium,rel_tol,geom", [
+        *(pytest.param(HalfSpaceMedium(perfect=kind), 1e-10, geom,
+                       id=f"{kind}-{name}")
+          for kind in ("conducting", "permeable")
+          for name, geom in (("parallel", PlanarGeometry.parallel(0.005, 0.01)),
+                             ("vertical", PlanarGeometry.vertical(0.01, 0.005)),
+                             ("general", PlanarGeometry(0.0, 0.3, 0.4, 0.5)),
+                             ("l>>Z+", PlanarGeometry.parallel(10.0, 0.01)))),
+        pytest.param(HalfSpaceMedium.dielectric(EPS_MEDIUM), 1e-6,
+                     PlanarGeometry.vertical(0.02, 0.03), id="dielectric"),
+        pytest.param(HalfSpaceMedium.magnetic(MU_MEDIUM), 1e-6,
+                     PlanarGeometry(0.0, 0.02, 0.03, 0.05), id="magnetic"),
+    ])
+    def test_matches_richardson_oracle(self, medium, rel_tol, geom):
+        # abs_tol off: at l >> Z+ the z forces sit near the 1e-14 floor.
+        spec = QuadSpec(rel_tol=rel_tol, abs_tol=1e-300)
+        analytic = halfspace_forces(geom, ATOM, ATOM, medium, spec=spec)
+        oracle = richardson_forces(geom, ATOM, ATOM, medium, spec=spec)
+        a = np.array(analytic.f_a + analytic.f_b)
+        r = np.array(oracle.f_a + oracle.f_b)
+        assert a == pytest.approx(r, rel=0.0, abs=10.0 * rel_tol
+                                  * np.max(np.abs(r)))
+
+    def test_symmetry_axes_exact(self):
+        # X = 0: no x force at all; Z = 0: equal z forces on both atoms.
+        med = HalfSpaceMedium.dielectric(EPS_MEDIUM)
+        spec = QuadSpec(rel_tol=1e-6)
+        vert = halfspace_forces(PlanarGeometry.vertical(0.02, 0.03), ATOM,
+                                ATOM, med, spec=spec)
+        assert vert.f_a[0] == 0.0 and vert.f_b[0] == 0.0
+        par = halfspace_forces(PlanarGeometry.parallel(0.03, 0.02), ATOM,
+                               ATOM, med, spec=spec)
+        assert par.f_a[0] == -par.f_b[0]
+        assert par.f_a[1] == par.f_b[1]
+
     def test_richardson_step_halving(self):
         geom = PlanarGeometry.parallel(0.5, 0.3)
         med = HalfSpaceMedium.perfect_conductor()
         spec = QuadSpec(rel_tol=1e-8)
-        a = halfspace_forces(geom, ATOM, ATOM, med, spec=spec, step=1e-3)
-        b = halfspace_forces(geom, ATOM, ATOM, med, spec=spec, step=5e-4)
+        a = richardson_forces(geom, ATOM, ATOM, med, spec=spec, step=1e-3)
+        b = richardson_forces(geom, ATOM, ATOM, med, spec=spec, step=5e-4)
         assert a.f_b[0] == pytest.approx(b.f_b[0], rel=1e-6)
         assert a.f_b[1] == pytest.approx(b.f_b[1], rel=1e-6)
 
     def test_surface_collision_rejected(self):
         geom = PlanarGeometry.parallel(1.0, 0.5)
         with pytest.raises(ValueError, match="surface"):
-            halfspace_forces(geom, ATOM, ATOM,
-                             HalfSpaceMedium.perfect_conductor(), step=2.0)
+            richardson_forces(geom, ATOM, ATOM,
+                              HalfSpaceMedium.perfect_conductor(), step=2.0)

@@ -11,7 +11,9 @@ from vdwpair import (
 )
 from vdwpair.greens import (
     free_space_green,
+    free_space_green_gradient,
     halfspace_scattering,
+    halfspace_scattering_derivative,
     halfspace_scattering_quadrature,
     nonretarded_scattering,
     perfect_image_scattering,
@@ -24,6 +26,7 @@ from vdwpair.quadrature import QuadSpec, integrate_semiinf
 
 EPS_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3, kind="magnetic")
+COMPONENTS = ("gxx", "gyy", "gxz", "gzx", "gzz")
 
 
 class TestPlanarGeometry:
@@ -116,6 +119,28 @@ class TestFreeSpaceGreen:
             for name in ("gxx", "gyy", "gxz", "gzx", "gzz"):
                 assert getattr(g, name)[i] == pytest.approx(
                     getattr(gi, name), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("x,z", [(0.3, 0.7), (-0.4, 0.2), (0.0, 0.5),
+                                     (0.6, 0.0)])
+    def test_gradient_matches_complex_step(self, x, z):
+        # Im G0(x + ih)/h is dG0/dx to O(h^2) with no difference quotient
+        # (Squire and Trapp, SIAM Review 40, 1998).  Compared per u against
+        # the largest component: at |x| = 2|z| the static parts of d/dx gzz
+        # and d/dz gxz cancel, and both routes lose digits there.
+        us = np.geomspace(1e-2, 30.0, 9)
+        h = 1e-30
+        grad_x, grad_z = free_space_green_gradient(x, z, us)
+        for grad, shifted in ((grad_x, free_space_green(x + 1j * h, z, us)),
+                              (grad_z, free_space_green(x, z + 1j * h, us))):
+            closed = np.array([getattr(grad, n) for n in COMPONENTS])
+            step = np.array([np.imag(getattr(shifted, n)) / h
+                             for n in COMPONENTS])
+            scale = np.max(np.abs(step), axis=0)
+            assert np.all(np.abs(closed - step) <= 1e-13 * scale)
+
+    def test_transpose_swaps_offdiagonals(self):
+        g = GreenComponents(1.0, 2.0, 3.0, 4.0, 5.0)
+        assert g.transpose() == GreenComponents(1.0, 2.0, 4.0, 3.0, 5.0)
 
 
 class TestReflection:
@@ -248,6 +273,41 @@ class TestHalfspaceScattering:
         for rel_tol in (1e-6, 1e-8):
             err = np.max(np.abs(components(rel_tol) - ref))
             assert err <= 10.0 * rel_tol * scale, (rel_tol, err / scale)
+
+    @pytest.mark.parametrize("medium", [HalfSpaceMedium.dielectric(EPS_MEDIUM),
+                                        HalfSpaceMedium.magnetic(MU_MEDIUM)])
+    @pytest.mark.parametrize("geom", [PlanarGeometry(0.1, 0.3, 0.5, 0.4),
+                                      PlanarGeometry.vertical(0.3, 0.4)])
+    def test_derivative_kernels_match_central_differences(self, medium, geom):
+        # Fourth-order central differences of the undifferentiated
+        # q-quadrature; on the axis X = 0 only the xz/zx pair has an
+        # X-derivative (J1'(0) = 1/2).
+        spec = QuadSpec(rel_tol=1e-12)
+        u = 1.3
+        h = 1e-3 * geom.Z_plus
+
+        def components(**shift):
+            g = halfspace_scattering_quadrature(geom.shifted(**shift), u,
+                                                medium, spec=spec)
+            return np.array([getattr(g, n) for n in COMPONENTS])
+
+        for wrt, shift in (("X", lambda d: {"dx_b": d}),
+                           ("Z_plus", lambda d: {"dz_a": d / 2.0,
+                                                 "dz_b": d / 2.0})):
+            fd = (8.0 * (components(**shift(h)) - components(**shift(-h)))
+                  - (components(**shift(2.0 * h))
+                     - components(**shift(-2.0 * h)))) / (12.0 * h)
+            dg = halfspace_scattering_derivative(geom, u, medium, wrt,
+                                                 spec=spec)
+            exact = np.array([getattr(dg, n) for n in COMPONENTS])
+            assert exact == pytest.approx(
+                fd, rel=0.0, abs=1e-7 * np.max(np.abs(fd))), wrt
+
+    def test_derivative_rejects_unknown_coordinate(self):
+        with pytest.raises(ValueError, match="wrt"):
+            halfspace_scattering_derivative(
+                PlanarGeometry.parallel(0.5, 0.3), 1.0,
+                HalfSpaceMedium.perfect_conductor(), "Z")
 
     def test_dispatch_uses_image_for_perfect(self):
         med = HalfSpaceMedium.perfect_permeable()
