@@ -94,6 +94,31 @@ _THRESHOLD_CASES = {
 }
 
 
+# Valid fields of the blocks that ``_merge`` copies whole, by family/kind.
+_LORENTZ_FIELDS = {"omegaP", "omegaT", "gamma"}
+_GEOMETRY_FIELDS = {
+    "parallel": {"family", "z", "l"},
+    "vertical": {"family", "z_a"},
+    "general": {"family", "x_a", "z_a", "x_b", "z_b"},
+}
+_MEDIUM_FIELDS = {
+    "free-space": {"kind"},
+    "perfect": {"kind", "perfect"},
+    "dielectric": {"kind"} | _LORENTZ_FIELDS,
+    "magnetic": {"kind"} | _LORENTZ_FIELDS,
+    "magneto-electric": {"kind", "eps", "mu"},
+}
+_ATOM_FIELDS = {"omega10", "alpha0", "kind"}
+
+
+def _reject_unknown(block, valid: set, where: str) -> None:
+    """Name the first field of ``block`` outside ``valid``; a block that is
+    not an object is left to the field checks."""
+    unknown = sorted(set(block) - valid) if isinstance(block, dict) else []
+    if unknown:
+        raise ConfigError(f"unknown config field '{where}.{unknown[0]}'")
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, val in override.items():
@@ -164,6 +189,9 @@ def _validate_config(cfg: dict) -> None:
     if not isinstance(atoms, list) or len(atoms) != 2:
         raise ConfigError("field 'atoms' must list exactly two atoms")
     for i, atom in enumerate(atoms):
+        if not isinstance(atom, dict):
+            raise ConfigError(f"atoms[{i}] must be an object")
+        _reject_unknown(atom, _ATOM_FIELDS, f"atoms[{i}]")
         _require_number(atom, "omega10", f"atoms[{i}]", positive=True)
         _require_number(atom, "alpha0", f"atoms[{i}]", positive=True)
         if atom.get("kind", "electric") not in ("electric", "magnetic"):
@@ -191,6 +219,8 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("field rel_tol must be below 1")
     geom = cfg["geometry"]
     family = geom.get("family")
+    if family in _GEOMETRY_FIELDS:
+        _reject_unknown(geom, _GEOMETRY_FIELDS[family], "geometry")
     if family == "parallel":
         if sweep["variable"] == "l":
             _require_number(geom, "z", "geometry", positive=True)
@@ -241,6 +271,8 @@ def _build_lorentz(block: dict, where: str, kind: str) -> LorentzMedium:
 def _build_medium(block: dict) -> HalfSpaceMedium | None:
     kind = block.get("kind")
     try:
+        if kind in _MEDIUM_FIELDS:
+            _reject_unknown(block, _MEDIUM_FIELDS[kind], "medium")
         if kind == "free-space":
             return None
         if kind == "perfect":
@@ -252,12 +284,13 @@ def _build_medium(block: dict) -> HalfSpaceMedium | None:
             return HalfSpaceMedium.magnetic(
                 _build_lorentz(block, "medium", "magnetic"))
         if kind == "magneto-electric":
-            eps = mu = None
-            if "eps" in block:
-                eps = _build_lorentz(block["eps"], "medium.eps", "electric")
-            if "mu" in block:
-                mu = _build_lorentz(block["mu"], "medium.mu", "magnetic")
-            return HalfSpaceMedium(eps=eps, mu=mu)
+            lorentz = {}
+            for key, response in (("eps", "electric"), ("mu", "magnetic")):
+                if key in block:
+                    where = f"medium.{key}"
+                    _reject_unknown(block[key], _LORENTZ_FIELDS, where)
+                    lorentz[key] = _build_lorentz(block[key], where, response)
+            return HalfSpaceMedium(**lorentz)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -282,8 +282,11 @@ def static_reflection(v, eps0: float, mu0: float):
     if np.any(radicand < 0):
         raise ValueError("negative radicand: eps0*mu0 - 1 + v^2 must be >= 0")
     root = np.sqrt(radicand)
-    rs = (mu0 * v - root) / (mu0 * v + root)
-    rp = (eps0 * v - root) / (eps0 * v + root)
+    # Rationalized as in ``reflection``: x v - root = ((x^2 - 1) v^2 -
+    # (eps0 mu0 - 1))/(x v + root) keeps the digits that the direct
+    # difference loses at v >> 1.
+    rs = ((mu0**2 - 1.0) * v**2 - (eps0 * mu0 - 1.0)) / (mu0 * v + root) ** 2
+    rp = ((eps0**2 - 1.0) * v**2 - (eps0 * mu0 - 1.0)) / (eps0 * v + root) ** 2
     if v.ndim == 0:
         return float(rs), float(rp)
     return rs, rp

@@ -1,9 +1,11 @@
 """Adaptive panel quadrature over finite and semi-infinite intervals.
 
 All integrands must accept a 1-D numpy array of abscissas and return an
-array of the same shape.  Semi-infinite integrals are mapped onto the unit
-interval (x = t/(1-t), suited to exponentially decaying integrands) and
-integrated with adaptive 7/15-point Gauss-Kronrod panels (QUADPACK's qk15
+array of the same shape.  A semi-infinite integral is one adaptive pass:
+its range is mapped onto a finite one (x = t/(1-t), suited to
+exponentially decaying integrands, or a head [0, c] kept in x followed by
+the mapped tail x = c + s/(1-s)), and that one panel set is integrated
+with adaptive 7/15-point Gauss-Kronrod panels (QUADPACK's qk15
 pair): the 7 Gauss nodes are nested in the 15 Kronrod nodes, the Kronrod
 sum is the panel value and the raw |K15 - G7| difference is its error
 estimate.  The panels with the largest errors are bisected until the
@@ -181,7 +183,7 @@ def _forward_map(t):
 
 
 def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
-    """Integrate a vectorized integrand over [0, inf).
+    """Integrate a vectorized integrand over [0, inf) in one adaptive pass.
 
     Without breakpoints the mapped unit interval starts from 8 equal
     panels (edges at x = 1/7, 1/3, 3/5, 1, 5/3, 3, 7), which suit an
@@ -190,18 +192,16 @@ def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
     ``breakpoints`` are abscissas (in the original variable) at which the
     initial panelization is split; supplying the integrand's oscillation
     scales here makes the adaptive refinement start from a grid that
-    already resolves them.
-
-    When breakpoints are given, the head [0, max(breakpoints)] is
-    integrated in the original variable (the compactifying map loses
-    floating-point phase resolution at large abscissas, which matters for
-    oscillatory integrands) and only the tail beyond the last breakpoint is
-    mapped onto the unit interval.
+    already resolves them.  With breakpoints, the head [0, c], c =
+    max(breakpoints), stays in the original variable (the compactifying
+    map loses floating-point phase resolution at large abscissas, which
+    matters for oscillatory integrands) and the tail is mapped by
+    x = c + s/(1-s), s = t - c in [0, 1).  Head and tail panels form one
+    panel set on t in [0, c + 1) with one acceptance test, one panel
+    budget and one error estimate.
     """
-    spec = spec or QuadSpec()
     breaks = np.asarray([] if breakpoints is None else breakpoints, dtype=float)
     breaks = np.sort(breaks[breaks > 0])
-
     if not breaks.size:
         def g(t):
             x, jac = _forward_map(t)
@@ -211,20 +211,14 @@ def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
                                   breakpoints=np.arange(1, 8) / 8.0, axis=axis)
 
     cut = float(breaks[-1])
-    head = integrate_interval(f, 0.0, cut, spec=spec, breakpoints=breaks[:-1],
-                              axis=axis)
 
-    def g_tail(t):
-        x, jac = _forward_map(t)
-        return np.asarray(f(cut + x), dtype=float) * jac
+    def g(t):
+        # s = 0 on the head, where x = t and the Jacobian is 1
+        x, jac = _forward_map(np.maximum(t - cut, 0.0))
+        return np.asarray(f(np.minimum(t, cut) + x), dtype=float) * jac
 
-    # The tail only needs to be resolved relative to the full integral.
-    tail_spec = replace(spec, abs_tol=max(
-        spec.abs_tol, 0.1 * spec.rel_tol * abs(head.value)))
-    tail = integrate_interval(g_tail, 0.0, 1.0, spec=tail_spec, axis=axis)
-    return QuadResult(head.value + tail.value,
-                      head.abs_error_estimate + tail.abs_error_estimate,
-                      head.evaluations + tail.evaluations)
+    return integrate_interval(g, 0.0, cut + 1.0, spec=spec,
+                              breakpoints=breaks, axis=axis)
 
 
 def integrate_2d(f, spec=None, breakpoints_x=None, breakpoints_y=None):

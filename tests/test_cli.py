@@ -127,6 +127,54 @@ class TestConfig:
                                 "is not in an existing directory\n")
         assert not out.parent.exists()
 
+    _LORENTZ = {"omegaP": 3.0, "omegaT": 1.0, "gamma": 0.001}
+
+    @pytest.mark.parametrize("bad,field", [
+        ({"geometry": {"family": "parallel", "z": 0.5, "z_a": 0.5}},
+         "geometry.z_a"),
+        ({"geometry": {"family": "vertical", "z_a": 0.5, "zb": 0.5}},
+         "geometry.zb"),
+        ({"geometry": {"family": "general", "x_a": 0.0, "z_a": 1.0,
+                       "x_b": 1.0, "z_b": 1.0, "l": 1.0}}, "geometry.l"),
+        ({"medium": {"kind": "free-space", "perfect": "conducting"}},
+         "medium.perfect"),
+        ({"medium": {"kind": "perfect", "perfect": "conducting",
+                     "omegaP": 3.0}}, "medium.omegaP"),
+        ({"medium": {"kind": "dielectric", **_LORENTZ, "omegap": 9.0}},
+         "medium.omegap"),
+        ({"medium": {"kind": "magnetic", **_LORENTZ, "eps": _LORENTZ}},
+         "medium.eps"),
+        ({"medium": {"kind": "magneto-electric", **_LORENTZ}},
+         "medium.gamma"),
+        ({"medium": {"kind": "magneto-electric",
+                     "eps": {**_LORENTZ, "kind": "electric"}}},
+         "medium.eps.kind"),
+        ({"medium": {"kind": "magneto-electric", "eps": _LORENTZ,
+                     "mu": {**_LORENTZ, "gama": 0.01}}}, "medium.mu.gama"),
+        ({"atoms": [{"omega10": 1.0, "alpha0": 1.0},
+                    {"omega10": 1.0, "alpha0": 1.0, "alpha": 2.0}]},
+         "atoms[1].alpha"),
+    ])
+    def test_unknown_block_field_rejected_before_rows(
+            self, tmp_path, capsys, monkeypatch, bad, field):
+        def no_rows(_args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli, "_free_space_row", no_rows)
+        path = write_config(tmp_path, bad)
+        assert run(["free-space", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"config error: unknown config field {field!r}\n"
+
+    def test_atom_that_is_not_an_object_is_a_config_error(self, tmp_path,
+                                                           capsys):
+        path = write_config(tmp_path, {"atoms": [1.0, 1.0]})
+        assert run(["free-space", "--config", path]) == 1
+        assert capsys.readouterr().err == \
+            "config error: atoms[0] must be an object\n"
+
     def test_output_in_current_directory_accepted(self, tmp_path,
                                                   monkeypatch):
         monkeypatch.chdir(tmp_path)

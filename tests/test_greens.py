@@ -218,6 +218,22 @@ class TestStaticReflection:
         with pytest.raises(ValueError):
             static_reflection(0.5, 2.0, 1.0)
 
+    @pytest.mark.parametrize("eps0,mu0", [(1.0, 10.0), (10.0, 1.0),
+                                          (1.0, 3.0), (10.0, 10.0)])
+    def test_against_mpmath_at_large_v(self, eps0, mu0):
+        # x v - root cancels as v grows; the 40-digit direct difference is
+        # the oracle
+        mpmath = pytest.importorskip("mpmath")
+        v = np.geomspace(1.0, 1e6, 61)
+        rs, rp = static_reflection(v, eps0, mu0)
+        with mpmath.workdps(40):
+            for vi, got_s, got_p in zip(v, rs, rp):
+                vm = mpmath.mpf(vi)
+                root = mpmath.sqrt(eps0 * mu0 - 1 + vm**2)
+                for x, got in ((mu0, got_s), (eps0, got_p)):
+                    exact = (x * vm - root) / (x * vm + root)
+                    assert abs(got - exact) <= 1e-12 * abs(exact), (vi, x)
+
 
 class TestHalfspaceScattering:
     def test_vacuum_zero(self):

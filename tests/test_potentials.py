@@ -295,6 +295,16 @@ class TestRetardedHalfSpaceClosed:
         assert u1 == pytest.approx(-1.5117305679113194e-05, rel=1e-8, abs=0.0)
         assert u2 == pytest.approx(-1.0667080880073215e-06, rel=1e-8, abs=0.0)
 
+    def test_magnetic_off_axis_converges_at_tight_tolerance(self):
+        # eps0 = 1: the large-v digits of r_p = (v - root)/(v + root) must
+        # survive for the v-integrals to meet rel_tol 1e-8
+        geom = PlanarGeometry(0.0, 1.0, 0.5, 2.0)
+        loose = retarded_halfspace_closed(geom, ATOM, ATOM, 1.0, 10.0,
+                                          spec=QuadSpec(rel_tol=1e-6))
+        tight = retarded_halfspace_closed(geom, ATOM, ATOM, 1.0, 10.0,
+                                          spec=QuadSpec(rel_tol=1e-8))
+        assert tight == pytest.approx(loose, rel=1e-5, abs=0.0)
+
 
 class TestRetardedLimitOfFullQuadrature:
     """``u_total`` at separations far beyond every resonance wavelength

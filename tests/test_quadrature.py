@@ -108,6 +108,42 @@ class TestSemiInfinite:
         assert info.value.axis == "q"
         assert isinstance(info.value.best, QuadResult)
 
+    def test_convergence_error_best_is_the_whole_integral(self):
+        # the budget runs out with head and tail on one panel set, so the
+        # best estimate covers [0, inf), not the head [0, 8] alone
+        with pytest.raises(ConvergenceError) as info:
+            integrate_semiinf(lambda x: (1.0 + x) ** -1.5,
+                              QuadSpec(rel_tol=1e-14, max_subdivisions=1),
+                              breakpoints=[1.0, 2.0, 4.0, 8.0])
+        best = info.value.best
+        assert abs(best.value - 2.0) <= best.abs_error_estimate
+
+    def test_breakpointed_integral_is_one_pass(self):
+        # head panels and the mapped tail are evaluated in one batch, and
+        # this first grid already meets the tolerance
+        calls = []
+
+        def f(q):
+            calls.append(q.size)
+            return q * np.exp(-q)
+
+        res = integrate_semiinf(f, QuadSpec(rel_tol=1e-8),
+                                breakpoints=[0.5, 1, 2, 5, 10, 20, 45])
+        assert res.value == pytest.approx(1.0, rel=1e-8)
+        assert len(calls) == 1
+        assert res.evaluations == calls[0] == 15 * 8
+
+    def test_no_breakpoints_keep_the_unit_interval_map(self):
+        # x = t/(1-t) on 8 equal panels of [0, 1), bitwise
+        f = SUITE[2][0]
+
+        def g(t):
+            return f(t / (1.0 - t)) * (1.0 / (1.0 - t) ** 2)
+
+        spec = QuadSpec(rel_tol=1e-10)
+        assert integrate_semiinf(f, spec) == integrate_interval(
+            g, 0.0, 1.0, spec, breakpoints=np.arange(1, 8) / 8.0)
+
 
 class TestInterval:
     def test_polynomial_exact(self):
