@@ -215,6 +215,8 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(f"output.path {path!r} is not in an existing "
                           "directory")
     _require_count(cfg["workers"], "field 'workers'")
+    if not isinstance(cfg["forces"], bool):
+        raise ConfigError("field 'forces' must be true or false")
     if _require_number(cfg, "rel_tol", "", positive=True) >= 1.0:
         raise ConfigError("field rel_tol must be below 1")
     geom = cfg["geometry"]

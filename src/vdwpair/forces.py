@@ -21,7 +21,6 @@ from .greens import (
     PlanarGeometry,
     free_space_green,
     free_space_green_gradient,
-    halfspace_scattering,
     halfspace_scattering_derivative,
 )
 from .materials import ResonanceAtom, response_iu
@@ -80,8 +79,10 @@ def free_space_force(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
     return prefactor * s * res.value
 
 
-def _plate_derivative_integrand(wrt: str):
-    """u-integrand of d(U1 + U2)/d``wrt`` for wrt in X, Z, Z_plus.
+def _plate_derivative_trace(wrt: str, geom: PlanarGeometry,
+                            medium: HalfSpaceMedium):
+    """Trace part of the u-integrand of d(U1 + U2)/d``wrt`` for wrt in X,
+    Z, Z_plus.
 
     With w1 = -u^4 alpha_A alpha_B/pi, U1 + U2 integrates
     w1 (Tr[G0 . G1^T] + Tr[G1 . G1^T]/2), where G1^T = G1(r_B, r_A).  G0
@@ -89,13 +90,10 @@ def _plate_derivative_integrand(wrt: str):
     d/dX:  w1 (Tr[dG0 . G1^T] + Tr[G0 . dG1^T] + Tr[dG1 . G1^T]),
     d/dZ:  w1 Tr[dG0 . G1^T],
     d/dZ+: w1 (Tr[G0 . dG1^T] + Tr[dG1 . G1^T]).
-    One G1 per node serves every term.
+    The weight w1 is applied by ``_frequency_integral``.
     """
-    def integrand(u, geom: PlanarGeometry, atom_a: ResonanceAtom,
-                  atom_b: ResonanceAtom, medium: HalfSpaceMedium,
-                  spec: QuadSpec | None = None):
-        w1 = -u**4 * response_iu(atom_a, u) * response_iu(atom_b, u) / np.pi
-        g1_t = halfspace_scattering(geom, u, medium, spec=spec).transpose()
+    def trace(u, g1, spec):
+        g1_t = g1.transpose()
         out = 0.0
         if wrt != "Z_plus":
             dg0 = free_space_green_gradient(geom.X, geom.Z, u)
@@ -105,9 +103,9 @@ def _plate_derivative_integrand(wrt: str):
                                                   spec=spec)
             out = out + (free_space_green(geom.X, geom.Z, u)
                          .trace(dg1.transpose()) + dg1.trace(g1_t))
-        return w1 * out
+        return out
 
-    return integrand
+    return trace
 
 
 def halfspace_forces(geom: PlanarGeometry, atom_a: ResonanceAtom,
@@ -119,20 +117,22 @@ def halfspace_forces(geom: PlanarGeometry, atom_a: ResonanceAtom,
     free-space radial force and Phi the plate parts; U_Z+ = Phi_Z+.  Then
     F_A = (U_X, U_Z - U_Z+) and F_B = (-U_X, -U_Z - U_Z+), so
     F_A,x = -F_B,x holds exactly.  The plate parts are u-integrals at the
-    scale min(omega10, 1/(l + Z+)).  U is even in X (mirror symmetry) and
-    in Z (atom exchange), so Phi_X on the axis X = 0 and Phi_Z at Z = 0
-    are zero and not integrated.
+    scale min(omega10, 1/(l + Z+)), so on finite media they share one G1
+    per u-node through a memo that lives for this call only.  U is even in
+    X (mirror symmetry) and in Z (atom exchange), so Phi_X on the axis
+    X = 0 and Phi_Z at Z = 0 are zero and not integrated.
     """
     spec = spec or QuadSpec()
     l = geom.l
     f0 = free_space_force(l, atom_a, atom_b, spec=spec)
+    g1_memo = {}
 
     def phi(wrt: str, zero: bool) -> float:
         if zero:
             return 0.0
-        return _frequency_integral(_plate_derivative_integrand(wrt),
-                                   l + geom.Z_plus, geom, atom_a, atom_b,
-                                   medium, spec)
+        return _frequency_integral(_plate_derivative_trace(wrt, geom, medium),
+                                   geom, atom_a, atom_b, medium, spec,
+                                   g1_memo)
 
     u_x = -f0 * geom.X / l + phi("X", geom.X == 0.0)
     u_z = -f0 * geom.Z / l + phi("Z", geom.Z == 0.0)

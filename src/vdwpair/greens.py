@@ -18,7 +18,6 @@ from scipy import special
 
 from .materials import LorentzMedium, permeability_iu, permittivity_iu
 from .quadrature import QuadSpec, integrate_semiinf
-from .specfun import bessel_j0_j2
 
 __all__ = [
     "PlanarGeometry",
@@ -296,10 +295,17 @@ MAX_OSCILLATION_PANELS = 20000
 
 
 def q_breakpoints(geom: PlanarGeometry, u: float):
-    """Initial q-grid resolving the e^{-b Z+} decay and J_nu(qX) oscillations."""
+    """Initial q-grid resolving the e^{-b Z+} decay and J_nu(qX) oscillations.
+
+    The grid ends at q_cut = sqrt(c (2u + c)), c = 45/Z+, where b - u = c:
+    relative to its peak e^{-u Z+}, every kernel's envelope e^{-b Z+} has
+    fallen to e^{-45} there, at any u (q_cut -> 45/Z+ as u -> 0).
+    """
     zp = geom.Z_plus
-    q_cut = 45.0 / zp
-    breaks = list(np.array([0.05, 0.15, 0.4, 1.0, 2.5, 6.0, 15.0, 30.0, 45.0]) / zp)
+    c = 45.0 / zp
+    q_cut = float(np.sqrt(c * (2.0 * u + c)))
+    breaks = list(np.array([0.05, 0.15, 0.4, 1.0, 2.5, 6.0, 15.0, 30.0]) / zp)
+    breaks.append(q_cut)
     # The integrand changes character at q ~ u (b crosses over from u to q)
     # and can carry slow algebraic tails between u and the decay scale;
     # resolve that whole range geometrically when it lies below the grid.
@@ -387,14 +393,26 @@ def halfspace_scattering_derivative(geom: PlanarGeometry, u,
     if medium.is_perfect:
         grad = free_space_green_gradient(geom.X, geom.Z_plus, u)
         return _image(grad[0 if wrt == "X" else 1], medium)
-    x, zp = geom.X, geom.Z_plus
     if wrt == "Z_plus":
+        zp = geom.Z_plus
         return _sommerfeld(geom, u, medium, spec,
                            decay=lambda b: -b * np.exp(-b * zp))
+    x = geom.X
     return _sommerfeld(geom, u, medium, spec,
-                       j0=lambda q: -q * special.j1(q * x),
-                       j1=lambda q: _bessel_x_derivatives(q, x)[1],
-                       j0_j2=lambda q: _bessel_x_derivatives(q, x)[::2])
+                       bessel=lambda q: _bessel_x_derivatives(q, x))
+
+
+def _bessel_factors(t):
+    """J0(t), J1(t), J2(t), with J2 = 2 J1/t - J0 by recurrence (J2(0) = 0).
+
+    J0 is even and J1 odd to the bit, so these equal ``special.j0(t)``,
+    ``special.j1(t)`` and ``bessel_j0_j2(t)[1]`` exactly, at one J0 and
+    one J1 evaluation.
+    """
+    j0, j1 = special.j0(t), special.j1(t)
+    nonzero = t != 0.0
+    j2 = np.where(nonzero, 2.0 * j1 / np.where(nonzero, t, 1.0) - j0, 0.0)
+    return j0, j1, j2
 
 
 def _bessel_x_derivatives(q, x: float):
@@ -402,11 +420,11 @@ def _bessel_x_derivatives(q, x: float):
     J0' = -J1, J1' = J0 - J1/t, J2' = J1 - 2 J2/t (J1'(0) = 1/2,
     J2'(0) = 0) and J2 = 2 J1/t - J0 by recurrence."""
     t = q * x
-    j0, j1 = special.j0(t), special.j1(t)
+    j0, j1, j2 = _bessel_factors(t)
     nonzero = t != 0.0
     safe_t = np.where(nonzero, t, 1.0)
     j1_t = np.where(nonzero, j1 / safe_t, 0.5)
-    j2_t = np.where(nonzero, (2.0 * j1_t - j0) / safe_t, 0.0)
+    j2_t = np.where(nonzero, j2 / safe_t, 0.0)
     return -q * j1, q * (j0 - j1_t), q * (j1 - 2.0 * j2_t)
 
 
@@ -418,14 +436,16 @@ def halfspace_scattering_quadrature(geom: PlanarGeometry, u: float,
 
 
 def _sommerfeld(geom: PlanarGeometry, u: float, medium: HalfSpaceMedium,
-                spec: QuadSpec | None, decay=None, j0=None, j1=None,
-                j0_j2=None) -> GreenComponents:
+                spec: QuadSpec | None, decay=None,
+                bessel=None) -> GreenComponents:
     """Sommerfeld q-integrals of the scattering tensor elements.
 
-    ``decay(b)`` stands for e^{-b Z+} and ``j0(q)``, ``j1(q)``,
-    ``j0_j2(q)`` for J0(qX), J1(qX) and (J0(qX), J2(qX)); a derivative of
-    the tensor replaces them by their derivatives.  Every element is one
-    scalar q-integral.
+    ``decay(b)`` stands for e^{-b Z+} and ``bessel(q)`` for (J0(qX),
+    J1(qX), J2(qX)); a derivative of the tensor replaces them by their
+    derivatives.  Every element is one scalar q-integral on the same
+    breakpoints, so all of them start from the same first grid of
+    q-nodes; r_s, r_p, b, decay(b) and the Bessel factors on it are
+    computed once and kept for the length of this call only.
     """
     if u <= 0:
         raise ValueError("u must be positive")
@@ -434,33 +454,43 @@ def _sommerfeld(geom: PlanarGeometry, u: float, medium: HalfSpaceMedium,
     x = geom.X
     # i1 (gxz = -i1, gzx = +i1) carries J1(qX), odd in X, so it vanishes on
     # the axis X = 0; its X-derivative does not.
-    axis_i1_zero = x == 0.0 and j1 is None
+    axis_i1_zero = x == 0.0 and bessel is None
     zp = geom.Z_plus
     k2 = u**2
     decay = decay or (lambda b: np.exp(-b * zp))
-    j0 = j0 or (lambda q: special.j0(q * x))
-    j1 = j1 or (lambda q: special.j1(q * x))
-    j0_j2 = j0_j2 or (lambda q: bessel_j0_j2(q * x))
+    bessel = bessel or (lambda q: _bessel_factors(q * x))
     breaks = q_breakpoints(geom, u)
     spec = _scattering_spec(spec, len(breaks))
+    # The first grid, keyed by its nodes' bytes: every element integral
+    # starts from it.  Refinements rarely coincide between elements (0.3 %
+    # of the kernel nodes of a u_total at parallel(0.6, 0.01), rel_tol
+    # 1e-8), so they are not kept and the memo holds one grid at most.
+    first_grid = {}
+
+    def kernel(q):
+        key = q.tobytes()
+        k = first_grid.get(key)
+        if k is None:
+            rs, rp = reflection(q, u, medium)
+            b = np.sqrt(u**2 + q**2)
+            k = (rs, rp, b, decay(b), *bessel(q))
+            if not first_grid:
+                first_grid[key] = k
+        return k
 
     def xx_yy(q, sign):
-        rs, rp = reflection(q, u, medium)
-        b = np.sqrt(u**2 + q**2)
-        damp = q * decay(b)
-        c0, c2 = j0_j2(q)
+        rs, rp, b, d, c0, _, c2 = kernel(q)
+        damp = q * d
         return damp * ((c0 + sign * c2) / b * rs
                        - b * (c0 - sign * c2) / k2 * rp) / (8.0 * np.pi)
 
     def xz(q):
-        _, rp = reflection(q, u, medium)
-        b = np.sqrt(u**2 + q**2)
-        return q**2 * decay(b) * j1(q) * rp / k2 / FOUR_PI
+        _, rp, _, d, _, j1, _ = kernel(q)
+        return q**2 * d * j1 * rp / k2 / FOUR_PI
 
     def zz(q):
-        _, rp = reflection(q, u, medium)
-        b = np.sqrt(u**2 + q**2)
-        return q**3 * decay(b) * j0(q) * rp / (b * k2) / FOUR_PI
+        _, rp, b, d, j0, _, _ = kernel(q)
+        return q**3 * d * j0 * rp / (b * k2) / FOUR_PI
 
     gxx = integrate_semiinf(lambda q: xx_yy(q, +1.0), spec, breakpoints=breaks,
                             axis="q").value

@@ -27,10 +27,8 @@ from .greens import (
     GreenComponents,
     HalfSpaceMedium,
     PlanarGeometry,
-    _scattering_spec,
     free_space_green,
     halfspace_scattering,
-    q_breakpoints,
     reflection,
     static_reflection,
 )
@@ -166,93 +164,14 @@ def asymptotic_coefficients(atom_a: ResonanceAtom, atom_b: ResonanceAtom,
     return AsymptoticCoefficients(c6=c6, c7_ee=c7_ee, c7_em=c7_em, c4=c4)
 
 
-def u1_cross_integrand(q, u: float, geom: PlanarGeometry,
-                       medium: HalfSpaceMedium):
-    """q-integrand of the bulk/scattering cross term at fixed u (the factor
-    under int dq, excluding the frequency-dependent prefactor)."""
-    q = np.asarray(q, dtype=float)
-    l = geom.l
-    x2_l2 = geom.X**2 / l**2
-    z2_l2 = geom.Z**2 / l**2
-    xi = 1.0 / (l * u)
-    a_xi = 1.0 + xi + xi**2
-    b_xi = 1.0 + 3.0 * xi + 3.0 * xi**2
-    rs, rp = reflection(q, u, medium)
-    b = np.sqrt(u**2 + q**2)
-    k2 = u**2
-    j0, j2 = bessel_j0_j2(q * geom.X)
-    term0 = ((2.0 * a_xi - b_xi * x2_l2) * (rs / b - b * rp / k2)
-             - 2.0 * (a_xi - b_xi * z2_l2) * q**2 * rp / (b * k2)) * j0
-    term2 = -b_xi * x2_l2 * (rs / b + b * rp / k2) * j2
-    return q * np.exp(-b * geom.Z_plus) * (term0 + term2)
+def _plate_weight(u, atom_a: ResonanceAtom, atom_b: ResonanceAtom):
+    """-u^4 alpha_A alpha_B/pi, the frequency weight of every plate part."""
+    return -u**4 * response_iu(atom_a, u) * response_iu(atom_b, u) / np.pi
 
 
-def u1_frequency_integrand(u: float, geom: PlanarGeometry,
-                           atom_a: ResonanceAtom, atom_b: ResonanceAtom,
-                           medium: HalfSpaceMedium,
-                           spec: QuadSpec | None = None) -> float:
-    """u-integrand of the cross term: the quantity whose semi-infinite
-    u-integral is U1.  Equals the trace form
-    -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)]."""
-    spec = spec or QuadSpec()
-    breaks = q_breakpoints(geom, u)
-    q_res = integrate_semiinf(
-        lambda q: u1_cross_integrand(q, u, geom, medium),
-        _scattering_spec(spec, len(breaks)), breakpoints=breaks, axis="q")
-    l = geom.l
-    alpha = response_iu(atom_a, u) * response_iu(atom_b, u)
-    return -u**4 * alpha * np.exp(-u * l) * q_res.value / (PI3_32 * l)
-
-
-def u1_trace_integrand(u, geom: PlanarGeometry,
-                       atom_a: ResonanceAtom, atom_b: ResonanceAtom,
-                       medium: HalfSpaceMedium,
-                       spec: QuadSpec | None = None):
-    """u-integrand of the cross term in Green-tensor trace form:
-    -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)].
-    Vectorized in u for perfect reflectors."""
-    g0 = free_space_green(geom.X, geom.Z, u)
-    g1 = halfspace_scattering(geom.swapped(), u, medium, spec=spec)
-    alpha = response_iu(atom_a, u) * response_iu(atom_b, u)
-    return -u**4 * alpha * g0.trace(g1) / np.pi
-
-
-def _frequency_integral(integrand, length: float, geom: PlanarGeometry,
-                        atom_a: ResonanceAtom, atom_b: ResonanceAtom,
-                        medium: HalfSpaceMedium, spec: QuadSpec | None) -> float:
-    """u-integral of a plate-correction integrand.  Perfect reflectors take
-    each batch of u-nodes at once; finite media need one q-quadrature per
-    node, at the tightened inner tolerance."""
-    _check_ee(atom_a, atom_b)
-    if medium.is_vacuum:
-        return 0.0
-    spec = spec or QuadSpec()
-    inner = spec.tightened()
-
-    def outer(us):
-        if medium.is_perfect:
-            return integrand(us, geom, atom_a, atom_b, medium)
-        return np.array([integrand(u, geom, atom_a, atom_b, medium, spec=inner)
-                         for u in us])
-
-    return _scaled_integral(outer, _u_scale(atom_a, atom_b, length), spec,
-                            axis="u")
-
-
-def u1_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
-                 atom_b: ResonanceAtom, medium: HalfSpaceMedium,
-                 spec: QuadSpec | None = None) -> float:
-    """Cross term of bulk and scattering Green tensor parts.
-
-    Finite media go through (u, q) quadrature of the explicit
-    Bessel-weighted integrand; perfect reflectors use the equivalent
-    Green-tensor trace with the exact image closed form (no q-integrals),
-    the equivalence being guarded by the dual-route oracle tests.
-    """
-    integrand = (u1_trace_integrand if medium.is_perfect
-                 else u1_frequency_integrand)
-    return _frequency_integral(integrand, geom.l + geom.Z_plus, geom,
-                               atom_a, atom_b, medium, spec)
+def _cross_trace(u, geom: PlanarGeometry, g1: GreenComponents):
+    """Tr[G0(r_A,r_B) . G1(r_B,r_A)], with G1(r_B,r_A) = G1(r_A,r_B)^T."""
+    return free_space_green(geom.X, geom.Z, u).trace(g1.transpose())
 
 
 def scattering_trace(g_ab: GreenComponents) -> float:
@@ -265,6 +184,17 @@ def scattering_trace(g_ab: GreenComponents) -> float:
             - 2.0 * g_ab.gxz * g_ab.gzx)
 
 
+def u1_trace_integrand(u, geom: PlanarGeometry,
+                       atom_a: ResonanceAtom, atom_b: ResonanceAtom,
+                       medium: HalfSpaceMedium,
+                       spec: QuadSpec | None = None):
+    """u-integrand of the cross term in Green-tensor trace form:
+    -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)].
+    Vectorized in u for perfect reflectors."""
+    g1 = halfspace_scattering(geom, u, medium, spec=spec)
+    return _plate_weight(u, atom_a, atom_b) * _cross_trace(u, geom, g1)
+
+
 def u2_frequency_integrand(u, geom: PlanarGeometry,
                            atom_a: ResonanceAtom, atom_b: ResonanceAtom,
                            medium: HalfSpaceMedium,
@@ -272,9 +202,62 @@ def u2_frequency_integrand(u, geom: PlanarGeometry,
     """u-integrand of the scattering part:
     -(1/2pi) u^4 alpha_A alpha_B Tr[G1 . G1].  Vectorized in u for
     perfect reflectors."""
-    g = halfspace_scattering(geom, u, medium, spec=spec)
-    alpha = response_iu(atom_a, u) * response_iu(atom_b, u)
-    return -u**4 * alpha * scattering_trace(g) / (2.0 * np.pi)
+    g1 = halfspace_scattering(geom, u, medium, spec=spec)
+    return _plate_weight(u, atom_a, atom_b) * scattering_trace(g1) / 2.0
+
+
+def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
+                        atom_b: ResonanceAtom, medium: HalfSpaceMedium,
+                        spec: QuadSpec | None,
+                        g1_memo: dict | None = None) -> float:
+    """u-integral of a plate part: -u^4 alpha_A alpha_B/pi times
+    ``trace(u, G1(u), inner_spec)``.
+
+    Every plate part takes the scale min(omega10_A, omega10_B,
+    1/(l + Z+)), so all of them meet G1 at the same u-nodes.  Perfect
+    reflectors take each batch of u-nodes at once.  Finite media need one
+    q-quadrature per node, at the tightened inner tolerance; ``g1_memo``,
+    a dict keyed by float u that the caller holds for one call at one
+    geometry, medium and spec, lets the integrals of that call evaluate
+    G1 once per node.
+    """
+    _check_ee(atom_a, atom_b)
+    if medium.is_vacuum:
+        return 0.0
+    spec = spec or QuadSpec()
+    inner = spec.tightened()
+    memo = {} if g1_memo is None else g1_memo
+
+    def g1_at(u: float) -> GreenComponents:
+        g1 = memo.get(u)
+        if g1 is None:
+            g1 = memo[u] = halfspace_scattering(geom, u, medium, spec=inner)
+        return g1
+
+    def outer(us):
+        if medium.is_perfect:
+            traces = trace(us, halfspace_scattering(geom, us, medium), inner)
+        else:
+            traces = np.array([trace(u, g1_at(u), inner)
+                               for u in us.tolist()])
+        return _plate_weight(us, atom_a, atom_b) * traces
+
+    scale = _u_scale(atom_a, atom_b, geom.l + geom.Z_plus)
+    return _scaled_integral(outer, scale, spec, axis="u")
+
+
+def u1_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
+                 atom_b: ResonanceAtom, medium: HalfSpaceMedium,
+                 spec: QuadSpec | None = None, *,
+                 g1_memo: dict | None = None) -> float:
+    """Cross term of bulk and scattering Green tensor parts: the
+    u-integral of -(1/pi) u^4 alpha_A alpha_B Tr[G0 . G1^T], with the
+    exact image closed form of G1 on perfect reflectors and its
+    q-quadratures on finite media.  ``g1_memo`` shares G1 with the other
+    plate parts of one call (see ``u_total``)."""
+    return _frequency_integral(
+        lambda u, g1, _: _cross_trace(u, geom, g1), geom, atom_a, atom_b,
+        medium, spec, g1_memo)
 
 
 def u2_scattering_integrand(q, qp, u: float, geom: PlanarGeometry,
@@ -311,23 +294,33 @@ def u2_scattering_integrand(q, qp, u: float, geom: PlanarGeometry,
 
 def u2_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
                  atom_b: ResonanceAtom, medium: HalfSpaceMedium,
-                 spec: QuadSpec | None = None) -> float:
+                 spec: QuadSpec | None = None, *,
+                 g1_memo: dict | None = None) -> float:
     """Scattering-part contribution, by u-quadrature of the Green-tensor
-    trace (whose q-quadratures carry the (q, q') structure)."""
-    return _frequency_integral(u2_frequency_integrand, geom.Z_plus, geom,
-                               atom_a, atom_b, medium, spec)
+    trace (whose q-quadratures carry the (q, q') structure).  ``g1_memo``
+    shares G1 with the other plate parts of one call (see ``u_total``)."""
+    return _frequency_integral(
+        lambda u, g1, _: scattering_trace(g1) / 2.0, geom, atom_a, atom_b,
+        medium, spec, g1_memo)
 
 
 def u_total(geom: PlanarGeometry, atom_a: ResonanceAtom,
             atom_b: ResonanceAtom, medium: HalfSpaceMedium,
             spec: QuadSpec | None = None) -> PotentialBreakdown:
-    """Full potential breakdown U0 + U1 + U2 at the given geometry."""
+    """Full potential breakdown U0 + U1 + U2 at the given geometry.
+
+    U1 and U2 are u-integrals at one scale; on finite media they share one
+    G1 per u-node through a memo that lives for this call only.
+    """
     spec = spec or QuadSpec()
     u0 = u0_ee(geom.l, atom_a, atom_b, spec=spec)
     if medium.is_vacuum:
         return PotentialBreakdown.assemble(u0, 0.0, 0.0)
-    u1 = u1_halfspace(geom, atom_a, atom_b, medium, spec=spec)
-    u2 = u2_halfspace(geom, atom_a, atom_b, medium, spec=spec)
+    g1_memo = {}
+    u1 = u1_halfspace(geom, atom_a, atom_b, medium, spec=spec,
+                      g1_memo=g1_memo)
+    u2 = u2_halfspace(geom, atom_a, atom_b, medium, spec=spec,
+                      g1_memo=g1_memo)
     return PotentialBreakdown.assemble(u0, u1, u2)
 
 

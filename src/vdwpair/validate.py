@@ -13,10 +13,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forces import halfspace_forces, richardson_forces
-from .greens import HalfSpaceMedium, PlanarGeometry, q_breakpoints
+from .greens import (
+    HalfSpaceMedium,
+    PlanarGeometry,
+    _scattering_spec,
+    q_breakpoints,
+    reflection,
+)
 from .imaging import verify_against_closed_forms
 from .materials import LorentzMedium, ResonanceAtom, response_iu
 from .potentials import (
+    PI3_32,
     asymptotic_coefficients,
     nonretarded_electric_closed,
     nonretarded_magnetic_closed,
@@ -24,14 +31,18 @@ from .potentials import (
     threshold,
     u0_ee,
     u0_em,
-    u1_frequency_integrand,
     u1_trace_integrand,
     u2_frequency_integrand,
     u2_scattering_integrand,
     u_total,
 )
-from .quadrature import QuadSpec, integrate_2d
-from .specfun import WeightedIntegralKey, weighted_AB, weighted_AB_quadrature
+from .quadrature import QuadSpec, integrate_2d, integrate_semiinf
+from .specfun import (
+    WeightedIntegralKey,
+    bessel_j0_j2,
+    weighted_AB,
+    weighted_AB_quadrature,
+)
 
 __all__ = ["CheckResult", "run_all", "CHECKS", "ORACLE_CHECKS"]
 
@@ -57,6 +68,46 @@ class CheckResult:
 
 def _spec(rel_tol: float = 1e-8) -> QuadSpec:
     return QuadSpec(rel_tol=rel_tol)
+
+
+# The explicit cross-term route, the oracle of check 8: a Bessel-weighted
+# q-integrand whose integral equals the trace form that production uses.
+def u1_cross_integrand(q, u: float, geom: PlanarGeometry,
+                       medium: HalfSpaceMedium):
+    """q-integrand of the bulk/scattering cross term at fixed u (the factor
+    under int dq, excluding the frequency-dependent prefactor)."""
+    q = np.asarray(q, dtype=float)
+    l = geom.l
+    x2_l2 = geom.X**2 / l**2
+    z2_l2 = geom.Z**2 / l**2
+    xi = 1.0 / (l * u)
+    a_xi = 1.0 + xi + xi**2
+    b_xi = 1.0 + 3.0 * xi + 3.0 * xi**2
+    rs, rp = reflection(q, u, medium)
+    b = np.sqrt(u**2 + q**2)
+    k2 = u**2
+    j0, j2 = bessel_j0_j2(q * geom.X)
+    term0 = ((2.0 * a_xi - b_xi * x2_l2) * (rs / b - b * rp / k2)
+             - 2.0 * (a_xi - b_xi * z2_l2) * q**2 * rp / (b * k2)) * j0
+    term2 = -b_xi * x2_l2 * (rs / b + b * rp / k2) * j2
+    return q * np.exp(-b * geom.Z_plus) * (term0 + term2)
+
+
+def u1_frequency_integrand(u: float, geom: PlanarGeometry,
+                           atom_a: ResonanceAtom, atom_b: ResonanceAtom,
+                           medium: HalfSpaceMedium,
+                           spec: QuadSpec | None = None) -> float:
+    """u-integrand of the cross term: the quantity whose semi-infinite
+    u-integral is U1.  Equals the trace form
+    -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)]."""
+    spec = spec or QuadSpec()
+    breaks = q_breakpoints(geom, u)
+    q_res = integrate_semiinf(
+        lambda q: u1_cross_integrand(q, u, geom, medium),
+        _scattering_spec(spec, len(breaks)), breakpoints=breaks, axis="q")
+    l = geom.l
+    alpha = response_iu(atom_a, u) * response_iu(atom_b, u)
+    return -u**4 * alpha * np.exp(-u * l) * q_res.value / (PI3_32 * l)
 
 
 def check_retarded_free_space(rel_tol: float = 1e-8) -> CheckResult:

@@ -199,6 +199,20 @@ class TestConfig:
         assert captured.out == ""
         assert "atom kinds" in captured.err
 
+    @pytest.mark.parametrize("forces", ["no", 0, 1, None])
+    def test_forces_must_be_boolean(self, tmp_path, capsys, monkeypatch,
+                                    forces):
+        def no_rows(_args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli, "_half_space_row", no_rows)
+        path = write_config(tmp_path, {"forces": forces})
+        assert run(["half-space", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "config error: field 'forces' must be true or false\n"
+
     @pytest.mark.parametrize("l", [-0.5, "abc"])
     def test_z_sweep_separation_validated(self, tmp_path, capsys, l):
         path = write_config(tmp_path, {

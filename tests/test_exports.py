@@ -40,3 +40,26 @@ def test_tracer_bindings_resolve():
     missing = [f"{mod}.{attr}" for mod, attr in names
                if not hasattr(importlib.import_module(mod), attr)]
     assert missing == []
+
+
+def test_tracer_runs_around_a_finite_medium_potential():
+    """The benchmark's tracer wraps every binding of a finite-medium
+    ``u_total`` and still records its q-integrals."""
+    from vdwpair import HalfSpaceMedium, LorentzMedium, PlanarGeometry, \
+        ResonanceAtom, u_total
+    from vdwpair.quadrature import QuadSpec
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        u_total(PlanarGeometry.parallel(0.1, 0.01), ResonanceAtom(),
+                ResonanceAtom(), HalfSpaceMedium.dielectric(LorentzMedium(omegaP=3.0)),
+                spec=QuadSpec(rel_tol=1e-4))
+    finally:
+        tracer.uninstall()
+    counts = tracing.quadrature_counts(tracer.spans, "t")
+    assert counts["t.evals.q"] > 0
+    names = {s.name for s in tracer.spans}
+    assert {"potentials:u1_halfspace", "potentials:u2_halfspace",
+            "greens:halfspace_scattering"} <= names

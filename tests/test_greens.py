@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 from vdwpair import (
     GreenComponents,
@@ -10,6 +11,7 @@ from vdwpair import (
     PlanarGeometry,
 )
 from vdwpair.greens import (
+    _scattering_spec,
     free_space_green,
     free_space_green_gradient,
     halfspace_scattering,
@@ -23,6 +25,7 @@ from vdwpair.greens import (
     static_reflection,
 )
 from vdwpair.quadrature import QuadSpec, integrate_semiinf
+from vdwpair.specfun import bessel_j0_j2
 
 EPS_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3, kind="magnetic")
@@ -319,6 +322,18 @@ class TestHalfspaceScattering:
             assert exact == pytest.approx(
                 fd, rel=0.0, abs=1e-7 * np.max(np.abs(fd))), wrt
 
+    def test_envelope_cut_converges_at_large_u(self):
+        # At u = 7489 and Z+ = 0.02 the envelope e^{-b Z+} still holds
+        # 1.3e-3 of its peak at b = u + 45/Z+ only if the head ends at
+        # q = 45/Z+; the mapped tail then exhausts the panel budget at the
+        # inner spec of a rel_tol 1e-13, abs_tol 1e-300 frequency integral.
+        geom = PlanarGeometry.parallel(0.1, 0.01)
+        spec = QuadSpec(rel_tol=1e-14, abs_tol=1e-301)
+        for medium in (HalfSpaceMedium.dielectric(EPS_MEDIUM),
+                       HalfSpaceMedium.magnetic(MU_MEDIUM)):
+            g = halfspace_scattering(geom, 7489.0, medium, spec=spec)
+            assert np.all(np.isfinite([getattr(g, n) for n in COMPONENTS]))
+
     def test_derivative_rejects_unknown_coordinate(self):
         with pytest.raises(ValueError, match="wrt"):
             halfspace_scattering_derivative(
@@ -421,6 +436,90 @@ class TestHalfspaceScattering:
         assert component(0, 2) == pytest.approx(g.gxz, rel=1e-6)
         assert component(2, 0) == pytest.approx(g.gzx, rel=1e-6)
         assert component(2, 2) == pytest.approx(g.gzz, rel=1e-6)
+
+
+def _old_bessel_x_derivatives(q, x):
+    t = q * x
+    j0, j1 = special.j0(t), special.j1(t)
+    nonzero = t != 0.0
+    safe_t = np.where(nonzero, t, 1.0)
+    j1_t = np.where(nonzero, j1 / safe_t, 0.5)
+    j2_t = np.where(nonzero, (2.0 * j1_t - j0) / safe_t, 0.0)
+    return -q * j1, q * (j0 - j1_t), q * (j1 - 2.0 * j2_t)
+
+
+def _per_element_kernels(geom, u, medium, spec, wrt=None):
+    """The scattering elements with every element integrand evaluating its
+    own reflection coefficients, decay and Bessel factors, as the q-kernels
+    did before they shared one evaluation per node array."""
+    x, zp, k2 = geom.X, geom.Z_plus, u**2
+    decay = lambda b: np.exp(-b * zp)
+    j0 = lambda q: special.j0(q * x)
+    j1 = lambda q: special.j1(q * x)
+    j0_j2 = lambda q: bessel_j0_j2(q * x)
+    if wrt == "Z_plus":
+        decay = lambda b: -b * np.exp(-b * zp)
+    elif wrt == "X":
+        j0 = lambda q: -q * special.j1(q * x)
+        j1 = lambda q: _old_bessel_x_derivatives(q, x)[1]
+        j0_j2 = lambda q: _old_bessel_x_derivatives(q, x)[::2]
+
+    def xx_yy(q, sign):
+        rs, rp = reflection(q, u, medium)
+        b = np.sqrt(u**2 + q**2)
+        damp = q * decay(b)
+        c0, c2 = j0_j2(q)
+        return damp * ((c0 + sign * c2) / b * rs
+                       - b * (c0 - sign * c2) / k2 * rp) / (8.0 * np.pi)
+
+    def xz(q):
+        _, rp = reflection(q, u, medium)
+        b = np.sqrt(u**2 + q**2)
+        return q**2 * decay(b) * j1(q) * rp / k2 / (4.0 * np.pi)
+
+    def zz(q):
+        _, rp = reflection(q, u, medium)
+        b = np.sqrt(u**2 + q**2)
+        return q**3 * decay(b) * j0(q) * rp / (b * k2) / (4.0 * np.pi)
+
+    breaks = q_breakpoints(geom, u)
+    spec = _scattering_spec(spec, len(breaks))
+
+    def integral(f):
+        return integrate_semiinf(f, spec, breakpoints=breaks, axis="q").value
+
+    i1 = 0.0 if x == 0.0 and wrt != "X" else integral(xz)
+    return GreenComponents(gxx=integral(lambda q: xx_yy(q, +1.0)),
+                           gyy=integral(lambda q: xx_yy(q, -1.0)),
+                           gxz=-i1, gzx=+i1, gzz=-integral(zz))
+
+
+class TestSharedKernel:
+    """One kernel evaluation on the first q-grid, shared by the element
+    integrals, leaves every element of G1 and its derivatives bitwise
+    unchanged on the same grid; rel_tol 1e-13 also exercises the
+    refinements."""
+
+    @pytest.mark.parametrize("medium", [HalfSpaceMedium.dielectric(EPS_MEDIUM),
+                                        HalfSpaceMedium.magnetic(MU_MEDIUM)],
+                             ids=["dielectric", "magnetic"])
+    @pytest.mark.parametrize("geom", [PlanarGeometry(0.9, 0.3, 0.2, 0.4),
+                                      PlanarGeometry.parallel(0.1, 0.01),
+                                      PlanarGeometry.vertical(0.3, 0.4)],
+                             ids=["negative-X", "X=5Z+", "axis"])
+    @pytest.mark.parametrize("wrt", [None, "X", "Z_plus"])
+    @pytest.mark.parametrize("rel_tol", [1e-7, 1e-13])
+    def test_bitwise_equal_to_per_element_kernels(self, medium, geom, wrt,
+                                                  rel_tol):
+        spec = QuadSpec(rel_tol=rel_tol, abs_tol=1e-300)
+        for u in (0.3, 4.0):
+            if wrt is None:
+                got = halfspace_scattering_quadrature(geom, u, medium,
+                                                      spec=spec)
+            else:
+                got = halfspace_scattering_derivative(geom, u, medium, wrt,
+                                                      spec=spec)
+            assert got == _per_element_kernels(geom, u, medium, spec, wrt)
 
 
 class TestNonretardedScattering:

@@ -23,12 +23,9 @@ from vdwpair import (
     u2_halfspace,
     u_total,
 )
-from vdwpair.potentials import (
-    u1_frequency_integrand,
-    u1_trace_integrand,
-    u2_frequency_integrand,
-)
+from vdwpair.potentials import u1_trace_integrand, u2_frequency_integrand
 from vdwpair.quadrature import QuadSpec
+from vdwpair.validate import u1_frequency_integrand
 
 ATOM = ResonanceAtom()
 MAG_ATOM = ResonanceAtom(kind="magnetic")
@@ -440,3 +437,60 @@ class TestU2Integrand:
         med = HalfSpaceMedium.dielectric(EPS_MEDIUM)
         for u in (0.3, 1.0, 3.0):
             assert u2_frequency_integrand(u, geom, ATOM, ATOM, med) < 0.0
+
+
+class TestSharedScattering:
+    """U1 and U2 of one ``u_total`` call share one G1 per u-node, and the
+    q-integrals of one G1 share one kernel evaluation on their first grid."""
+
+    GEOM = PlanarGeometry.parallel(0.1, 0.01)  # the benchmark's anchor row
+    MEDIUM = HalfSpaceMedium.dielectric(EPS_MEDIUM)
+
+    def _counts(self, monkeypatch):
+        """Count q-integrals and ``reflection`` calls made through either
+        module that integrates over q."""
+        import vdwpair.greens
+        import vdwpair.potentials
+
+        counts = {"q": 0, "reflection": 0}
+        for module in (vdwpair.greens, vdwpair.potentials):
+            def counting_integrate(f, spec=None, breakpoints=None, axis="x",
+                                   integrate=module.integrate_semiinf):
+                counts["q"] += axis == "q"
+                return integrate(f, spec, breakpoints=breakpoints, axis=axis)
+
+            def counting_reflection(*args, reflection=module.reflection):
+                counts["reflection"] += 1
+                return reflection(*args)
+
+            monkeypatch.setattr(module, "integrate_semiinf",
+                                counting_integrate)
+            monkeypatch.setattr(module, "reflection", counting_reflection)
+        return counts
+
+    def test_anchor_counts(self, monkeypatch):
+        # 120 u-nodes, one G1 each: 4 q-integrals and, since every element
+        # integral is accepted on the common first grid, one reflection
+        # call.  A U1 of its own q-integrals and a separate U2 u-grid made
+        # 600 q-integrals and 600 reflection calls.
+        counts = self._counts(monkeypatch)
+        u_total(self.GEOM, ATOM, ATOM, self.MEDIUM)
+        assert counts == {"q": 480, "reflection": 120}
+
+    def test_no_state_outlives_a_call(self, monkeypatch):
+        counts = self._counts(monkeypatch)
+        first = u_total(self.GEOM, ATOM, ATOM, self.MEDIUM)
+        after_first = dict(counts)
+        second = u_total(self.GEOM, ATOM, ATOM, self.MEDIUM)
+        assert second == first
+        assert {k: v - after_first[k] for k, v in counts.items()} \
+            == after_first
+
+    def test_memo_matches_separate_integrals(self):
+        # the memo changes which call computes G1, not its value
+        spec = QuadSpec(rel_tol=1e-6)
+        bd = u_total(self.GEOM, ATOM, ATOM, self.MEDIUM, spec=spec)
+        assert bd.u1 == u1_halfspace(self.GEOM, ATOM, ATOM, self.MEDIUM,
+                                     spec=spec)
+        assert bd.u2 == u2_halfspace(self.GEOM, ATOM, ATOM, self.MEDIUM,
+                                     spec=spec)
