@@ -8,11 +8,12 @@ limits       print the closed-form limit ratios and sign thresholds
 thresholds   print only the sign-change thresholds
 validate     run the acceptance validation suite
 
-Configuration is a JSON file (see ``DEFAULT_CONFIG`` for the schema and
-defaults); command-line flags override file values.  Sweep points are
-dispatched to a process pool and rows are emitted in input order, so the
-output is deterministic for a fixed config and tolerance.  Exit codes:
-0 success, 1 config error, 2 numerical failure, 3 validation failure.
+Configuration is a JSON file merged over ``DEFAULT_CONFIG`` and checked
+against ``_SCHEMA``; command-line flags override file values.  Sweep
+points are dispatched to a process pool and rows are emitted in input
+order, so the output is deterministic for a fixed config and tolerance.
+Exit codes: 0 success, 1 config error, 2 numerical failure, 3 validation
+failure.
 
 All quantities are in reduced units hbar = c = eps0 = mu0 = 1; lengths in
 units of c/omega10 of atom A, energies in units of hbar*omega10.
@@ -28,6 +29,7 @@ import io
 import json
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -59,13 +61,9 @@ DEFAULT_CONFIG: dict = {
         {"omega10": 1.0, "alpha0": 1.0, "kind": "electric"},
         {"omega10": 1.0, "alpha0": 1.0, "kind": "electric"},
     ],
-    # medium kinds: free-space | perfect (perfect: conducting|permeable)
-    # | dielectric | magnetic | magneto-electric (eps and/or mu blocks).
-    # Default: the single-resonance dielectric of the reference scenarios.
+    # the single-resonance dielectric of the reference scenarios
     "medium": {"kind": "dielectric", "omegaP": 3.0, "omegaT": 1.0,
                "gamma": 0.001},
-    # geometry families: parallel (z; l, default 1.0, in a z sweep) |
-    # vertical (z_a) | general (x_a, z_a, x_b, z_b; single point only).
     "geometry": {"family": "parallel", "z": 0.01},
     "sweep": {"variable": "l", "start": 0.001, "stop": 1.0, "points": 20,
               "scale": "log"},
@@ -94,49 +92,106 @@ _THRESHOLD_CASES = {
 }
 
 
-# Valid fields of the blocks that ``_merge`` copies whole, by family/kind.
-_LORENTZ_FIELDS = {"omegaP", "omegaT", "gamma"}
-_GEOMETRY_FIELDS = {
-    "parallel": {"family", "z", "l"},
-    "vertical": {"family", "z_a"},
-    "general": {"family", "x_a", "z_a", "x_b", "z_b"},
+def _number(val, path: str) -> None:
+    # abs(val) <= max float also turns away NaN, +-inf and ints too large
+    # for a float.
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not abs(val) <= sys.float_info.max:
+        raise ConfigError(f"field {path} must be a finite number")
+
+
+def _positive(val, path: str) -> None:
+    _number(val, path)
+    if val <= 0:
+        raise ConfigError(f"field {path} must be positive")
+
+
+def _count(val, path: str) -> None:
+    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+        name = path if "." in path else f"field {path!r}"
+        raise ConfigError(f"{name} must be a positive integer")
+
+
+def _flag(val, path: str) -> None:
+    if not isinstance(val, bool):
+        raise ConfigError(f"field {path!r} must be true or false")
+
+
+def _output_path(val, path: str) -> None:
+    if val is not None and not (isinstance(val, str) and os.path.isdir(
+            os.path.dirname(val) or ".")):
+        raise ConfigError(f"{path} {val!r} is not in an existing directory")
+
+
+# A table field that may be absent, and a table chosen by the string in its
+# field ``key``.
+_Optional = namedtuple("_Optional", "rule")
+_Select = namedtuple("_Select", "key tables")
+
+# The config schema.  A rule is a check function, a tuple of allowed
+# strings, a dict (a table: exactly these fields), a list (exactly these
+# entries) or a _Select; ``_walk`` applies it.
+_LORENTZ = {"omegaP": _number, "omegaT": _positive, "gamma": _number}
+_ATOM = {"omega10": _positive, "alpha0": _positive,
+         "kind": _Optional(("electric", "magnetic"))}
+_SCHEMA = {
+    "atoms": [_ATOM, _ATOM],
+    "medium": _Select("kind", {
+        "free-space": {},
+        "perfect": {"perfect": ("conducting", "permeable")},
+        "dielectric": _LORENTZ,
+        "magnetic": _LORENTZ,
+        "magneto-electric": {"eps": _Optional(_LORENTZ),
+                             "mu": _Optional(_LORENTZ)},
+    }),
+    "geometry": _Select("family", {
+        # z is required in an l sweep (see _validate_config); l, default
+        # 1.0, is the separation a z sweep holds.
+        "parallel": {"z": _Optional(_positive), "l": _Optional(_positive)},
+        "vertical": {"z_a": _positive},
+        "general": {"x_a": _number, "z_a": _positive, "x_b": _number,
+                    "z_b": _positive},
+    }),
+    "sweep": {"variable": ("l", "z"), "start": _positive, "stop": _positive,
+              "points": _count, "scale": ("log", "linear")},
+    "output": {"path": _output_path, "format": ("csv", "json")},
+    "rel_tol": _positive,
+    "forces": _flag,
+    "workers": _count,
 }
-_MEDIUM_FIELDS = {
-    "free-space": {"kind"},
-    "perfect": {"kind", "perfect"},
-    "dielectric": {"kind"} | _LORENTZ_FIELDS,
-    "magnetic": {"kind"} | _LORENTZ_FIELDS,
-    "magneto-electric": {"kind", "eps", "mu"},
-}
-_ATOM_FIELDS = {"omega10", "alpha0", "kind"}
 
 
-def _reject_unknown(block, valid: set, where: str) -> None:
-    """Name the first field of ``block`` outside ``valid``; a block that is
-    not an object is left to the field checks."""
-    unknown = sorted(set(block) - valid) if isinstance(block, dict) else []
-    if unknown:
-        raise ConfigError(f"unknown config field '{where}.{unknown[0]}'")
-
-
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config field {where!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"field {where!r} must be an object")
-            # geometry/medium blocks replace rather than merge: their valid
-            # field sets depend on the chosen family/kind.
-            if key in ("geometry", "medium"):
-                out[key] = copy.deepcopy(val)
-            else:
-                out[key] = _merge(base[key], val, where)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
+def _walk(rule, val, path: str) -> None:
+    """Check ``val`` at ``path`` against a schema rule, raising ConfigError
+    at the first field that breaks it."""
+    if isinstance(rule, (dict, _Select)):  # before tuple: _Select is one
+        if not isinstance(val, dict):
+            raise ConfigError(f"{path} must be an object")
+        prefix = f"{path}." if path else ""
+        if isinstance(rule, _Select):
+            choices = tuple(rule.tables)
+            _walk(choices, val.get(rule.key), prefix + rule.key)
+            rule = {rule.key: choices, **rule.tables[val[rule.key]]}
+        unknown = sorted(set(val) - set(rule))
+        if unknown:
+            raise ConfigError(f"unknown config field '{prefix}{unknown[0]}'")
+        for name, entry in rule.items():
+            if name in val:
+                _walk(getattr(entry, "rule", entry), val[name], prefix + name)
+            elif not isinstance(entry, _Optional):
+                raise ConfigError(f"missing field {prefix}{name}")
+    elif isinstance(rule, list):
+        if not isinstance(val, list) or len(val) != len(rule):
+            raise ConfigError(f"{path} must list {len(rule)} entries")
+        for i, (entry, item) in enumerate(zip(rule, val)):
+            _walk(entry, item, f"{path}[{i}]")
+    elif isinstance(rule, tuple):
+        if not isinstance(val, str) or val not in rule:
+            *head, last = map(repr, rule)
+            sep = ", or " if len(head) > 1 else " or "
+            raise ConfigError(f"{path} must be {', '.join(head)}{sep}{last}")
+    else:
+        rule(val, path)
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
@@ -154,96 +209,40 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
                 f"column {exc.colno}: {exc.msg}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path!r} must be a JSON object")
-        cfg = _merge(cfg, data)
+        # sweep and output merge field by field; every other block replaces
+        # its default, as the fields it may hold depend on its kind.
+        for key, val in data.items():
+            merge = key in ("sweep", "output") and isinstance(val, dict)
+            cfg[key] = {**cfg[key], **val} if merge else val
     for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        node = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node[part]
-        node[parts[-1]] = val
+        block, _, field = key.rpartition(".")
+        node = cfg[block] if block else cfg
+        if val is not None and isinstance(node, dict):
+            node[field] = val
     _validate_config(cfg)
     return cfg
 
 
-def _require_number(block: dict, field: str, where: str, positive=False):
-    name = f"{where}.{field}" if where else field
-    if field not in block:
-        raise ConfigError(f"missing field {name}")
-    val = block[field]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"field {name} must be a number")
-    if positive and val <= 0:
-        raise ConfigError(f"field {name} must be positive")
-    return float(val)
-
-
-def _require_count(val, name: str) -> None:
-    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-        raise ConfigError(f"{name} must be a positive integer")
-
-
 def _validate_config(cfg: dict) -> None:
-    atoms = cfg["atoms"]
-    if not isinstance(atoms, list) or len(atoms) != 2:
-        raise ConfigError("field 'atoms' must list exactly two atoms")
-    for i, atom in enumerate(atoms):
-        if not isinstance(atom, dict):
-            raise ConfigError(f"atoms[{i}] must be an object")
-        _reject_unknown(atom, _ATOM_FIELDS, f"atoms[{i}]")
-        _require_number(atom, "omega10", f"atoms[{i}]", positive=True)
-        _require_number(atom, "alpha0", f"atoms[{i}]", positive=True)
-        if atom.get("kind", "electric") not in ("electric", "magnetic"):
-            raise ConfigError(f"atoms[{i}].kind must be 'electric' or "
-                              "'magnetic'")
-    sweep = cfg["sweep"]
-    if sweep["variable"] not in ("l", "z"):
-        raise ConfigError("sweep.variable must be 'l' or 'z'")
-    _require_number(sweep, "start", "sweep", positive=True)
-    _require_number(sweep, "stop", "sweep", positive=True)
+    _walk(_SCHEMA, cfg, "")
+    sweep, geom = cfg["sweep"], cfg["geometry"]
     if sweep["stop"] < sweep["start"]:
         raise ConfigError("sweep.stop must be >= sweep.start")
-    _require_count(sweep["points"], "sweep.points")
-    if sweep["scale"] not in ("log", "linear"):
-        raise ConfigError("sweep.scale must be 'log' or 'linear'")
-    if cfg["output"]["format"] not in ("csv", "json"):
-        raise ConfigError("output.format must be 'csv' or 'json'")
-    path = cfg["output"]["path"]
-    if path is not None and not (isinstance(path, str) and os.path.isdir(
-            os.path.dirname(path) or ".")):
-        raise ConfigError(f"output.path {path!r} is not in an existing "
-                          "directory")
-    _require_count(cfg["workers"], "field 'workers'")
-    if not isinstance(cfg["forces"], bool):
-        raise ConfigError("field 'forces' must be true or false")
-    if _require_number(cfg, "rel_tol", "", positive=True) >= 1.0:
+    if cfg["rel_tol"] >= 1.0:
         raise ConfigError("field rel_tol must be below 1")
-    geom = cfg["geometry"]
-    family = geom.get("family")
-    if family in _GEOMETRY_FIELDS:
-        _reject_unknown(geom, _GEOMETRY_FIELDS[family], "geometry")
-    if family == "parallel":
-        if sweep["variable"] == "l":
-            _require_number(geom, "z", "geometry", positive=True)
-    elif family == "vertical":
-        _require_number(geom, "z_a", "geometry", positive=True)
-    elif family == "general":
-        for f in ("x_a", "z_a", "x_b", "z_b"):
-            _require_number(geom, f, "geometry")
-        if geom["z_a"] <= 0 or geom["z_b"] <= 0:
-            raise ConfigError("geometry z-values must be positive")
-        if sweep["points"] != 1:
-            raise ConfigError("a 'general' geometry supports only a "
-                              "single-point sweep")
-    else:
-        raise ConfigError("geometry.family must be 'parallel', 'vertical', "
-                          "or 'general'")
-    if family != "parallel" and sweep["variable"] == "z":
+    if sweep["variable"] == "z" and geom["family"] != "parallel":
         raise ConfigError("sweep.variable 'z' requires the parallel family")
-    if sweep["variable"] == "z" and "l" in geom:
-        _require_number(geom, "l", "geometry", positive=True)
-    _build_medium(cfg["medium"])  # raises on bad medium blocks
+    if sweep["variable"] == "l" and geom["family"] == "parallel" \
+            and "z" not in geom:
+        raise ConfigError("missing field geometry.z")
+    if geom["family"] == "general" and sweep["points"] != 1:
+        raise ConfigError("a 'general' geometry supports only a "
+                          "single-point sweep")
+    try:  # the constructors' own rules, such as omegaP >= 0
+        _build_medium(cfg["medium"])
+        _geometry_at(cfg, sweep["start"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid medium or geometry: {exc}") from exc
 
 
 def _check_atom_pair(cfg: dict, command: str) -> None:
@@ -262,43 +261,24 @@ def _build_atoms(cfg: dict) -> tuple[ResonanceAtom, ResonanceAtom]:
                  for a in cfg["atoms"])
 
 
-def _build_lorentz(block: dict, where: str, kind: str) -> LorentzMedium:
-    return LorentzMedium(omegaP=_require_number(block, "omegaP", where),
-                         omegaT=_require_number(block, "omegaT", where,
-                                                positive=True),
-                         gamma=_require_number(block, "gamma", where),
-                         kind=kind)
-
-
 def _build_medium(block: dict) -> HalfSpaceMedium | None:
-    kind = block.get("kind")
-    try:
-        if kind in _MEDIUM_FIELDS:
-            _reject_unknown(block, _MEDIUM_FIELDS[kind], "medium")
-        if kind == "free-space":
-            return None
-        if kind == "perfect":
-            return HalfSpaceMedium(perfect=block.get("perfect"))
-        if kind == "dielectric":
-            return HalfSpaceMedium.dielectric(
-                _build_lorentz(block, "medium", "electric"))
-        if kind == "magnetic":
-            return HalfSpaceMedium.magnetic(
-                _build_lorentz(block, "medium", "magnetic"))
-        if kind == "magneto-electric":
-            lorentz = {}
-            for key, response in (("eps", "electric"), ("mu", "magnetic")):
-                if key in block:
-                    where = f"medium.{key}"
-                    _reject_unknown(block[key], _LORENTZ_FIELDS, where)
-                    lorentz[key] = _build_lorentz(block[key], where, response)
-            return HalfSpaceMedium(**lorentz)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid medium block: {exc}") from exc
-    raise ConfigError("medium.kind must be 'free-space', 'perfect', "
-                      "'dielectric', 'magnetic', or 'magneto-electric'")
+    def lorentz(fields: dict, kind: str) -> LorentzMedium:
+        return LorentzMedium(**{f: float(fields[f]) for f in _LORENTZ},
+                             kind=kind)
+
+    kind = block["kind"]
+    if kind == "free-space":
+        return None
+    if kind == "perfect":
+        return HalfSpaceMedium(perfect=block["perfect"])
+    if kind == "dielectric":
+        return HalfSpaceMedium.dielectric(lorentz(block, "electric"))
+    if kind == "magnetic":
+        return HalfSpaceMedium.magnetic(lorentz(block, "magnetic"))
+    return HalfSpaceMedium(**{key: lorentz(block[key], response)
+                              for key, response in (("eps", "electric"),
+                                                    ("mu", "magnetic"))
+                              if key in block})
 
 
 def _sweep_values(cfg: dict) -> np.ndarray:
@@ -427,7 +407,7 @@ def run_free_space(cfg: dict) -> list[dict]:
 def run_half_space(cfg: dict) -> list[dict]:
     """Compute the half-space sweep rows for an effective config."""
     _check_atom_pair(cfg, "half-space")
-    if cfg["medium"].get("kind") == "free-space":
+    if cfg["medium"]["kind"] == "free-space":
         raise ConfigError("half-space command requires a non-vacuum medium")
     return _compute_rows(cfg, _half_space_row)
 
@@ -481,18 +461,11 @@ def cmd_validate(_args) -> int:
 
 
 def _flag_overrides(args) -> dict:
-    over = {
-        "rel_tol": args.rel_tol,
-        "sweep.points": args.points,
-        "output.path": args.output,
-        "output.format": args.format,
-        "workers": args.workers,
-    }
-    if args.scale is not None:
-        over["sweep.scale"] = args.scale
-    if getattr(args, "forces", None):
-        over["forces"] = True
-    return over
+    # None leaves the file's value; so does --forces when not given.
+    return {"rel_tol": args.rel_tol, "sweep.points": args.points,
+            "sweep.scale": args.scale, "output.path": args.output,
+            "output.format": args.format, "workers": args.workers,
+            "forces": getattr(args, "forces", False) or None}
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .materials import LorentzMedium, permeability_iu, permittivity_iu
 from .quadrature import QuadSpec, integrate_semiinf
+from .specfun import bessel_j0_j1_j2
 
 __all__ = [
     "PlanarGeometry",
@@ -402,25 +402,12 @@ def halfspace_scattering_derivative(geom: PlanarGeometry, u,
                        bessel=lambda q: _bessel_x_derivatives(q, x))
 
 
-def _bessel_factors(t):
-    """J0(t), J1(t), J2(t), with J2 = 2 J1/t - J0 by recurrence (J2(0) = 0).
-
-    J0 is even and J1 odd to the bit, so these equal ``special.j0(t)``,
-    ``special.j1(t)`` and ``bessel_j0_j2(t)[1]`` exactly, at one J0 and
-    one J1 evaluation.
-    """
-    j0, j1 = special.j0(t), special.j1(t)
-    nonzero = t != 0.0
-    j2 = np.where(nonzero, 2.0 * j1 / np.where(nonzero, t, 1.0) - j0, 0.0)
-    return j0, j1, j2
-
-
 def _bessel_x_derivatives(q, x: float):
     """d/dX of J0(qX), J1(qX), J2(qX): q J_nu'(t) at t = qX, with
     J0' = -J1, J1' = J0 - J1/t, J2' = J1 - 2 J2/t (J1'(0) = 1/2,
     J2'(0) = 0) and J2 = 2 J1/t - J0 by recurrence."""
     t = q * x
-    j0, j1, j2 = _bessel_factors(t)
+    j0, j1, j2 = bessel_j0_j1_j2(t)
     nonzero = t != 0.0
     safe_t = np.where(nonzero, t, 1.0)
     j1_t = np.where(nonzero, j1 / safe_t, 0.5)
@@ -458,7 +445,7 @@ def _sommerfeld(geom: PlanarGeometry, u: float, medium: HalfSpaceMedium,
     zp = geom.Z_plus
     k2 = u**2
     decay = decay or (lambda b: np.exp(-b * zp))
-    bessel = bessel or (lambda q: _bessel_factors(q * x))
+    bessel = bessel or (lambda q: bessel_j0_j1_j2(q * x))
     breaks = q_breakpoints(geom, u)
     spec = _scattering_spec(spec, len(breaks))
     # The first grid, keyed by its nodes' bytes: every element integral

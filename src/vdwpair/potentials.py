@@ -35,7 +35,7 @@ from .greens import (
 from .materials import LorentzMedium, ResonanceAtom, permeability_iu, \
     permittivity_iu, response_iu
 from .quadrature import QuadSpec, integrate_semiinf
-from .specfun import WeightedIntegralKey, bessel_j0_j2, weighted_AB
+from .specfun import WeightedIntegralKey, bessel_j0_j1_j2, weighted_AB
 
 __all__ = [
     "PotentialBreakdown",
@@ -460,7 +460,8 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
         (lambda v, s, rs, rp: rp, special.j0),
         (lambda v, s, rs, rp: rs, special.j0),
         (lambda v, s, rs, rp: v * s * rp, special.j1),
-        (lambda v, s, rs, rp: rs + rp * v**2, lambda t: bessel_j0_j2(t)[1]),
+        (lambda v, s, rs, rp: rs + rp * v**2,
+         lambda t: bessel_j0_j1_j2(t)[2]),
     )
 
     def v_integral(weight, bessel, y: float, breaks) -> float:

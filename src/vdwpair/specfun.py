@@ -1,6 +1,6 @@
 """Special functions and Bessel-weighted auxiliary integrals.
 
-Provides J0 and J2 together by recurrence, and the closed forms of the
+Provides J0, J1 and J2 together by recurrence, and the closed forms of the
 exponentially damped Bessel moments A_{k+-}(lambda, zeta) and
 B_k(lambda, zeta) with a direct quadrature of the same integrals for
 cross-validation.
@@ -17,23 +17,24 @@ from .quadrature import QuadSpec, integrate_semiinf
 
 __all__ = [
     "WeightedIntegralKey",
-    "bessel_j0_j2",
+    "bessel_j0_j1_j2",
     "weighted_AB",
 ]
 
 
-def bessel_j0_j2(t):
-    """(J0(t), J2(t)) at |t|, with J2 from the recurrence 2 J1(t)/t - J0(t).
+def bessel_j0_j1_j2(t):
+    """(J0(t), J1(t), J2(t)) at signed t, with J2 from the recurrence
+    2 J1(t)/t - J0(t) and J2(0) = 0 exactly.
 
-    Both functions are even, so the sign of t is dropped; J2(0) = 0
-    exactly.  The result stays within 1e-14 absolute of
-    ``scipy.special.jn(2, t)`` at a fraction of its cost.
+    J0 is even and J1 odd to the bit, so J2 is even to the bit.  J2 stays
+    within 1e-14 absolute of ``scipy.special.jn(2, t)`` at one J0 and one
+    J1 evaluation.
     """
-    t = np.abs(np.asarray(t, dtype=float))
-    j0 = special.j0(t)
-    pos = t > 0
-    j2 = np.where(pos, 2.0 * special.j1(t) / np.where(pos, t, 1.0) - j0, 0.0)
-    return j0, j2
+    t = np.asarray(t, dtype=float)
+    j0, j1 = special.j0(t), special.j1(t)
+    nonzero = t != 0.0
+    j2 = np.where(nonzero, 2.0 * j1 / np.where(nonzero, t, 1.0) - j0, 0.0)
+    return j0, j1, j2
 
 
 @dataclass(frozen=True)

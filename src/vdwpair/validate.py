@@ -39,7 +39,7 @@ from .potentials import (
 from .quadrature import QuadSpec, integrate_2d, integrate_semiinf
 from .specfun import (
     WeightedIntegralKey,
-    bessel_j0_j2,
+    bessel_j0_j1_j2,
     weighted_AB,
     weighted_AB_quadrature,
 )
@@ -66,10 +66,6 @@ class CheckResult:
         return f"[{status}] criterion {self.number:2d}: {self.name}"
 
 
-def _spec(rel_tol: float = 1e-8) -> QuadSpec:
-    return QuadSpec(rel_tol=rel_tol)
-
-
 # The explicit cross-term route, the oracle of check 8: a Bessel-weighted
 # q-integrand whose integral equals the trace form that production uses.
 def u1_cross_integrand(q, u: float, geom: PlanarGeometry,
@@ -86,7 +82,7 @@ def u1_cross_integrand(q, u: float, geom: PlanarGeometry,
     rs, rp = reflection(q, u, medium)
     b = np.sqrt(u**2 + q**2)
     k2 = u**2
-    j0, j2 = bessel_j0_j2(q * geom.X)
+    j0, _, j2 = bessel_j0_j1_j2(q * geom.X)
     term0 = ((2.0 * a_xi - b_xi * x2_l2) * (rs / b - b * rp / k2)
              - 2.0 * (a_xi - b_xi * z2_l2) * q**2 * rp / (b * k2)) * j0
     term2 = -b_xi * x2_l2 * (rs / b + b * rp / k2) * j2
@@ -110,9 +106,9 @@ def u1_frequency_integrand(u: float, geom: PlanarGeometry,
     return -u**4 * alpha * np.exp(-u * l) * q_res.value / (PI3_32 * l)
 
 
-def check_retarded_free_space(rel_tol: float = 1e-8) -> CheckResult:
+def check_retarded_free_space() -> CheckResult:
     """u0_ee approaches -c7_ee/l^7 at l = 100."""
-    spec = _spec(rel_tol)
+    spec = QuadSpec(rel_tol=1e-8)
     l = 100.0
     c7 = asymptotic_coefficients(_ATOM, _ATOM, spec=spec).c7_ee
     dev = abs(u0_ee(l, _ATOM, _ATOM, spec=spec) * l**7 / c7 + 1.0)
@@ -120,9 +116,9 @@ def check_retarded_free_space(rel_tol: float = 1e-8) -> CheckResult:
                        [f"|u0*l^7/c7 + 1| = {dev:.3e} (tol 0.01)"])
 
 
-def check_nonretarded_free_space(rel_tol: float = 1e-8) -> CheckResult:
+def check_nonretarded_free_space() -> CheckResult:
     """u0_ee approaches -c6/l^6 at l = 1e-3."""
-    spec = _spec(rel_tol)
+    spec = QuadSpec(rel_tol=1e-8)
     l = 1e-3
     c6 = asymptotic_coefficients(_ATOM, _ATOM, spec=spec).c6
     dev = abs(u0_ee(l, _ATOM, _ATOM, spec=spec) * l**6 / c6 + 1.0)
@@ -130,9 +126,9 @@ def check_nonretarded_free_space(rel_tol: float = 1e-8) -> CheckResult:
                        [f"|u0*l^6/c6 + 1| = {dev:.3e} (tol 0.01)"])
 
 
-def check_em_coefficients(rel_tol: float = 1e-8) -> CheckResult:
+def check_em_coefficients() -> CheckResult:
     """c7_em/c7_ee = 7/23 exactly; u0_em > 0 across a 50-point log grid."""
-    spec = _spec(rel_tol)
+    spec = QuadSpec(rel_tol=1e-8)
     mag = ResonanceAtom(kind="magnetic")
     co = asymptotic_coefficients(_ATOM, mag, spec=spec)
     ratio_exact = co.c7_em / co.c7_ee == 7.0 / 23.0
@@ -144,10 +140,10 @@ def check_em_coefficients(rel_tol: float = 1e-8) -> CheckResult:
                         f"u0_em > 0 on 50-point log grid: {positive}"])
 
 
-def check_perfect_retarded_ratios(rel_tol: float = 1e-7) -> CheckResult:
+def check_perfect_retarded_ratios() -> CheckResult:
     """Full quadrature reproduces the 40/23 and 52/23 enhancements for
     z_A/z_B = 1e-3 (vertical, retarded); closed-form limit ratios exact."""
-    spec = _spec(rel_tol)
+    spec = QuadSpec(rel_tol=1e-7)
     geom = PlanarGeometry.vertical(60.0, 59940.0)  # z_B = 60000
     details, ok = [], True
     for kind, case, target in (
@@ -165,10 +161,10 @@ def check_perfect_retarded_ratios(rel_tol: float = 1e-7) -> CheckResult:
                        details)
 
 
-def check_onsurface_parallel(rel_tol: float = 1e-6) -> CheckResult:
+def check_onsurface_parallel() -> CheckResult:
     """On-surface parallel nonretarded ratios 2/3 and 10/3; full
     quadrature at Z+ = 1e-3 l, l = 1e-3 within 5%."""
-    spec = _spec(rel_tol)
+    spec = QuadSpec(rel_tol=1e-6)
     l = 1e-3
     geom = PlanarGeometry.parallel(l, 0.5e-3 * l)
     details, ok = [], True
@@ -186,7 +182,7 @@ def check_onsurface_parallel(rel_tol: float = 1e-6) -> CheckResult:
                        details)
 
 
-def check_thresholds(rel_tol: float = 1e-8) -> CheckResult:
+def check_thresholds() -> CheckResult:
     """Sign-change thresholds 4.90 and 14.82 for the vertical alignments."""
     r1 = threshold("retarded-conducting-vertical")
     r2 = threshold("nonretarded-permeable-vertical")
@@ -199,7 +195,7 @@ def check_thresholds(rel_tol: float = 1e-8) -> CheckResult:
                         f"{exact2:.4f} (14.82 +- 0.01)"])
 
 
-def check_weighted_integrals(rel_tol: float = 1e-11) -> CheckResult:
+def check_weighted_integrals() -> CheckResult:
     """All nine Bessel-moment closed forms match direct quadrature to
     1e-8 relative on a 3x3 (lambda, zeta) grid."""
     worst = 0.0
@@ -216,10 +212,10 @@ def check_weighted_integrals(rel_tol: float = 1e-11) -> CheckResult:
                        [f"worst relative deviation {worst:.2e} (tol 1e-8)"])
 
 
-def check_trace_oracles(rel_tol: float = 1e-10) -> CheckResult:
+def check_trace_oracles() -> CheckResult:
     """Explicit cross/scattering integrands match the Green-tensor trace
     forms to 1e-8 relative on a 5x5 (geometry, frequency) grid."""
-    spec = _spec(rel_tol)
+    spec = QuadSpec(rel_tol=1e-10)
     medium = HalfSpaceMedium.dielectric(
         LorentzMedium(omegaP=1.5, omegaT=1.0, gamma=0.1))
     geoms = [PlanarGeometry.parallel(0.8, 0.6),
@@ -246,7 +242,7 @@ def check_trace_oracles(rel_tol: float = 1e-10) -> CheckResult:
         breaks = q_breakpoints(geom, u)
         res = integrate_2d(
             lambda q, qp: u2_scattering_integrand(q, qp, u, geom, medium),
-            _spec(1e-9), breakpoints_x=breaks, breakpoints_y=breaks)
+            QuadSpec(rel_tol=1e-9), breakpoints_x=breaks, breakpoints_y=breaks)
         explicit = -pref * u**4 * response_iu(_ATOM, u) ** 2 * res.value
         worst2 = max(worst2, abs(explicit / trace - 1.0))
     ok = worst1 < 1e-8 and worst2 < 1e-8
@@ -255,10 +251,10 @@ def check_trace_oracles(rel_tol: float = 1e-10) -> CheckResult:
                         f"scattering term worst dev {worst2:.2e} (tol 1e-8)"])
 
 
-def check_far_plate(rel_tol: float = 1e-7) -> CheckResult:
+def check_far_plate() -> CheckResult:
     """Potential ratio returns to 1 within 1% at z = 100 l for both
     dielectric and magnetic half spaces."""
-    spec = _spec(rel_tol)
+    spec = QuadSpec(rel_tol=1e-7)
     l = 0.01
     geom = PlanarGeometry.parallel(l, 100.0 * l)
     details, ok = [], True
@@ -271,10 +267,10 @@ def check_far_plate(rel_tol: float = 1e-7) -> CheckResult:
     return CheckResult(9, "far-plate ratio returns to unity", ok, details)
 
 
-def check_nonretarded_halfspace(rel_tol: float = 1e-7) -> CheckResult:
+def check_nonretarded_halfspace() -> CheckResult:
     """Full quadrature matches the nonretarded electric/magnetic
     closed forms within 2% deep in the nonretarded regime."""
-    spec = _spec(rel_tol)
+    spec = QuadSpec(rel_tol=1e-7)
     geom = PlanarGeometry(0.0, 4e-4, 8e-4, 1e-3)
     details, ok = [], True
     bd = u_total(geom, _ATOM, _ATOM, HalfSpaceMedium.dielectric(_EPS_MEDIUM),
@@ -302,13 +298,13 @@ def _ratio_sweep(ls, make_geom, medium, spec):
     return np.array(out)
 
 
-def check_figure_shapes(rel_tol: float = 1e-6) -> CheckResult:
+def check_figure_shapes() -> CheckResult:
     """Shape properties of the normalized potential versus separation at
     atom-surface distance 0.01: reduction with an interior minimum
     (electric, parallel), growing enhancement (magnetic, parallel),
     enhancement with an interior maximum (electric, vertical), and a
     small-separation dip below 1 (magnetic, vertical)."""
-    spec = _spec(rel_tol)
+    spec = QuadSpec(rel_tol=1e-6)
     z = 0.01
     die = HalfSpaceMedium.dielectric(_EPS_MEDIUM)
     mag = HalfSpaceMedium.magnetic(_MU_MEDIUM)
@@ -345,7 +341,7 @@ def check_figure_shapes(rel_tol: float = 1e-6) -> CheckResult:
     return CheckResult(11, "figure-shape properties", ok, details)
 
 
-def check_sign_table(rel_tol: float = 1e-8) -> CheckResult:
+def check_sign_table() -> CheckResult:
     """Image-dipole sign predictions match the nonretarded cross-term
     closed form at 10 random geometries per case."""
     report = verify_against_closed_forms(n_geometries=10)
@@ -364,7 +360,7 @@ def check_force_oracle() -> CheckResult:
     for label, medium, rel_tol in (
             ("conducting plate", HalfSpaceMedium.perfect_conductor(), 1e-8),
             ("dielectric", HalfSpaceMedium.dielectric(_EPS_MEDIUM), 1e-6)):
-        spec = _spec(rel_tol)
+        spec = QuadSpec(rel_tol=rel_tol)
         analytic = halfspace_forces(geom, _ATOM, _ATOM, medium, spec=spec)
         oracle = richardson_forces(geom, _ATOM, _ATOM, medium, spec=spec)
         a = np.array(analytic.f_a + analytic.f_b)

@@ -529,3 +529,66 @@ def test_repeated_calls_leave_no_cyclic_garbage(capsys):
         gc.enable()
     capsys.readouterr()
     assert grown < 20
+
+
+class TestSchemaRejectsBeforeRows:
+    """Values that once reached the rows and ran their quadratures to the
+    panel budget, or failed inside a row, are config errors."""
+
+    @pytest.fixture(autouse=True)
+    def no_rows(self, monkeypatch):
+        def no_rows(_args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli, "_half_space_row", no_rows)
+        monkeypatch.setattr(cli, "_free_space_row", no_rows)
+
+    @pytest.mark.parametrize("command,bad,field", [
+        ("half-space", {"rel_tol": float("nan")}, "rel_tol"),
+        ("half-space", {"sweep": {"start": float("nan")}}, "sweep.start"),
+        ("free-space", {"geometry": {"family": "parallel",
+                                     "z": float("inf")}}, "geometry.z"),
+        ("half-space", {"medium": {"kind": "dielectric",
+                                   "omegaP": float("nan"), "omegaT": 1.0,
+                                   "gamma": 0.001}}, "medium.omegaP"),
+        ("free-space", {"atoms": [{"omega10": float("inf"), "alpha0": 1.0},
+                                  {"omega10": 1.0, "alpha0": 1.0}]},
+         "atoms[0].omega10"),
+    ])
+    def test_non_finite_number(self, tmp_path, capsys, command, bad, field):
+        path = write_config(tmp_path, bad)  # json writes NaN and Infinity
+        assert run([command, "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"config error: field {field} must be a finite number\n"
+
+    def test_non_finite_flag(self, capsys):
+        assert run(["half-space", "--rel-tol", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "config error: field rel_tol must be a finite number\n"
+
+    @pytest.mark.parametrize("bad,field", [
+        ({"geometry": {"family": ["parallel"], "z": 0.01}},
+         "geometry.family"),
+        ({"medium": {"kind": ["dielectric"]}}, "medium.kind"),
+    ])
+    def test_selector_must_be_a_string(self, tmp_path, capsys, bad, field):
+        path = write_config(tmp_path, bad)
+        assert run(["half-space", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {field} must be ")
+
+    def test_general_atoms_must_not_coincide(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "geometry": {"family": "general", "x_a": 0.5, "z_a": 1.0,
+                         "x_b": 0.5, "z_b": 1.0},
+            "sweep": {"variable": "l", "start": 1.0, "stop": 1.0,
+                      "points": 1, "scale": "log"}})
+        assert run(["half-space", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "atom positions must not coincide" in captured.err

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import vdwpair
+from vdwpair import cli
 
 MODULES = ["vdwpair"] + [f"vdwpair.{m.name}"
                          for m in pkgutil.iter_modules(vdwpair.__path__)]
@@ -21,14 +22,18 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def _load_tracing():
-    """perfbench/tracing.py, executed from its source: nothing is installed
+def _load_perfbench(stem):
+    """perfbench/<stem>.py, executed from its source: nothing is installed
     and no bytecode is written next to it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    module = types.ModuleType("_perfbench_tracing")
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{stem}.py"
+    module = types.ModuleType(f"_perfbench_{stem}")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
          module.__dict__)
     return module
+
+
+def _load_tracing():
+    return _load_perfbench("tracing")
 
 
 def test_tracer_bindings_resolve():
@@ -63,3 +68,19 @@ def test_tracer_runs_around_a_finite_medium_potential():
     names = {s.name for s in tracer.spans}
     assert {"potentials:u1_halfspace", "potentials:u2_halfspace",
             "greens:halfspace_scattering"} <= names
+
+
+def test_benchmark_configs_load(tmp_path):
+    """Every config the benchmark runs, the anchors and seeds 1-40 of each
+    workload, passes the config schema and its command's atom-pair check:
+    a rejected one would read as failed operations in the benchmark."""
+    workloads = _load_perfbench("workloads")
+    path = tmp_path / "config.json"
+    for name in workloads.WORKLOADS:
+        calls = list(workloads.ANCHORS[name])
+        for seed in range(1, 41):
+            calls += workloads.generate(name, seed)
+        for call in calls:
+            path.write_text(workloads.config_text(call["config"]))
+            cfg = cli.load_config(str(path))
+            cli._check_atom_pair(cfg, call["command"])

@@ -25,7 +25,7 @@ from vdwpair.greens import (
     static_reflection,
 )
 from vdwpair.quadrature import QuadSpec, integrate_semiinf
-from vdwpair.specfun import bessel_j0_j2
+from vdwpair.specfun import bessel_j0_j1_j2
 
 EPS_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3, kind="magnetic")
@@ -456,7 +456,7 @@ def _per_element_kernels(geom, u, medium, spec, wrt=None):
     decay = lambda b: np.exp(-b * zp)
     j0 = lambda q: special.j0(q * x)
     j1 = lambda q: special.j1(q * x)
-    j0_j2 = lambda q: bessel_j0_j2(q * x)
+    j0_j2 = lambda q: bessel_j0_j1_j2(q * x)[::2]
     if wrt == "Z_plus":
         decay = lambda b: -b * np.exp(-b * zp)
     elif wrt == "X":

@@ -7,7 +7,7 @@ from scipy import special
 
 from vdwpair.specfun import (
     WeightedIntegralKey,
-    bessel_j0_j2,
+    bessel_j0_j1_j2,
     weighted_AB,
     weighted_AB_quadrature,
 )
@@ -16,12 +16,12 @@ from vdwpair.specfun import (
 class TestBesselJ0J2:
     def test_matches_scipy(self):
         t = np.concatenate([[0.0], np.geomspace(1e-8, 1e4, 20001)])
-        j0, j2 = bessel_j0_j2(t)
+        j0, _, j2 = bessel_j0_j1_j2(t)
         assert np.max(np.abs(j2 - special.jn(2, t))) < 1e-14
         assert np.array_equal(j0, special.j0(t))
 
     def test_origin_and_parity(self):
-        j0, j2 = bessel_j0_j2(np.array([0.0, -2.5, 2.5]))
+        j0, _, j2 = bessel_j0_j1_j2(np.array([0.0, -2.5, 2.5]))
         assert j0[0] == 1.0 and j2[0] == 0.0
         assert j0[1] == j0[2] and j2[1] == j2[2]
 
