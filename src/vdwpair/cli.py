@@ -112,6 +112,16 @@ def _count(val, path: str) -> None:
         raise ConfigError(f"{name} must be a positive integer")
 
 
+# The sweep grid and its row tasks are built before the first row.
+MAX_POINTS = 100_000
+
+
+def _points(val, path: str) -> None:
+    _count(val, path)
+    if val > MAX_POINTS:
+        raise ConfigError(f"{path} must be at most {MAX_POINTS}")
+
+
 def _flag(val, path: str) -> None:
     if not isinstance(val, bool):
         raise ConfigError(f"field {path!r} must be true or false")
@@ -153,7 +163,7 @@ _SCHEMA = {
                     "z_b": _positive},
     }),
     "sweep": {"variable": ("l", "z"), "start": _positive, "stop": _positive,
-              "points": _count, "scale": ("log", "linear")},
+              "points": _points, "scale": ("log", "linear")},
     "output": {"path": _output_path, "format": ("csv", "json")},
     "rel_tol": _positive,
     "forces": _flag,

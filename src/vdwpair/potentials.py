@@ -34,7 +34,7 @@ from .greens import (
 )
 from .materials import LorentzMedium, ResonanceAtom, permeability_iu, \
     permittivity_iu, response_iu
-from .quadrature import QuadSpec, integrate_semiinf
+from .quadrature import QuadSpec, integrate_mapped, integrate_semiinf
 from .specfun import WeightedIntegralKey, bessel_j0_j1_j2, weighted_AB
 
 __all__ = [
@@ -213,13 +213,16 @@ def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
     """u-integral of a plate part: -u^4 alpha_A alpha_B/pi times
     ``trace(u, G1(u), inner_spec)``.
 
-    Every plate part takes the scale min(omega10_A, omega10_B,
+    Every plate part takes the scale s = min(omega10_A, omega10_B,
     1/(l + Z+)), so all of them meet G1 at the same u-nodes.  Perfect
-    reflectors take each batch of u-nodes at once.  Finite media need one
-    q-quadrature per node, at the tightened inner tolerance; ``g1_memo``,
-    a dict keyed by float u that the caller holds for one call at one
-    geometry, medium and spec, lets the integrals of that call evaluate
-    G1 once per node.
+    reflectors take each batch of u-nodes at once, from the engine's
+    default panels.  Finite media need one q-quadrature per node, at the
+    tightened inner tolerance, so a node costs far more than a refinement
+    round: their integral starts from 4 panels, and is taken in units of
+    ``_plate_magnitude`` so that abs_tol is relative to an O(1) integrand
+    however small the part is.  ``g1_memo``, a dict keyed by float u that
+    the caller holds for one call at one geometry, medium and spec, lets
+    the integrals of that call evaluate G1 once per node.
     """
     _check_ee(atom_a, atom_b)
     if medium.is_vacuum:
@@ -243,7 +246,26 @@ def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
         return _plate_weight(us, atom_a, atom_b) * traces
 
     scale = _u_scale(atom_a, atom_b, geom.l + geom.Z_plus)
-    return _scaled_integral(outer, scale, spec, axis="u")
+    if medium.is_perfect:
+        return _scaled_integral(outer, scale, spec, axis="u")
+    size = _plate_magnitude(scale, geom, atom_a, atom_b)
+    res = integrate_mapped(lambda v: outer(scale * v) / size, spec,
+                           panels=4, axis="u")
+    return size * scale * res.value
+
+
+def _plate_magnitude(u: float, geom: PlanarGeometry, atom_a: ResonanceAtom,
+                     atom_b: ResonanceAtom) -> float:
+    """Size of a plate part's u-integrand at u with its exponentials
+    dropped: u^4 alpha_A alpha_B/pi times g(l) g(l+), where g(rho) =
+    (1 + xi + xi^2)/(4 pi rho), xi = 1/(u rho), is the size of G0 at
+    distance rho."""
+    def g(rho):
+        xi = 1.0 / (u * rho)
+        return (1.0 + xi + xi**2) / (FOUR_PI * rho)
+
+    return float(-_plate_weight(u, atom_a, atom_b)) * g(geom.l) \
+        * g(geom.l_plus)
 
 
 def u1_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
@@ -391,6 +413,30 @@ def _v_quadrature(f, spec: QuadSpec, breakpoints=None, axis="v"):
                              breakpoints=shifted_breaks, axis=axis)
 
 
+def _static_h_weight(v, eps0: float, mu0: float):
+    """r_s + r_p v^2 of the static reflection coefficients, v >= 1.
+
+    Its large-v limit r_s(inf) + lim (r_p - r_p(inf)) v^2 = K is 0 at
+    (eps0, mu0) = (1, 3), where the two terms are O(1/2) and their sum
+    O(1/v^2).  With R = sqrt(a + v^2), a = eps0 mu0 - 1, d = R - v =
+    a/(R + v) and the limits r(inf) = (x - 1)/(x + 1):
+    r_s - r_s(inf) = -2 mu0 d/((mu0 + 1)((mu0 + 1) v + d)), and
+    r_s(inf) + (r_p - r_p(inf)) v^2 is one fraction whose numerator
+    2 (eps0 + 1) K v^2 + r_s(inf)((eps0 + 1) v d + a) carries K =
+    r_s(inf) - eps0 a/(eps0 + 1)^2 as a coefficient, not as a difference.
+    """
+    a = eps0 * mu0 - 1.0
+    r_sum = np.sqrt(a + v**2) + v
+    d = a / r_sum
+    rs_inf = (mu0 - 1.0) / (mu0 + 1.0)
+    k = rs_inf - eps0 * a / (eps0 + 1.0) ** 2
+    return ((eps0 - 1.0) / (eps0 + 1.0) * v**2
+            - 2.0 * mu0 * d / ((mu0 + 1.0) * ((mu0 + 1.0) * v + d))
+            + (2.0 * (eps0 + 1.0) * k * v**2
+               + rs_inf * ((eps0 + 1.0) * v * d + a))
+            / (((eps0 + 1.0) * v + d) * r_sum))
+
+
 def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
                               atom_b: ResonanceAtom, eps0: float, mu0: float,
                               spec: QuadSpec | None = None):
@@ -460,7 +506,7 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
         (lambda v, s, rs, rp: rp, special.j0),
         (lambda v, s, rs, rp: rs, special.j0),
         (lambda v, s, rs, rp: v * s * rp, special.j1),
-        (lambda v, s, rs, rp: rs + rp * v**2,
+        (lambda v, s, rs, rp: _static_h_weight(v, eps0, mu0),
          lambda t: bessel_j0_j1_j2(t)[2]),
     )
 

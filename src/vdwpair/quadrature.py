@@ -4,16 +4,16 @@ All integrands must accept a 1-D numpy array of abscissas and return an
 array of the same shape.  A semi-infinite integral is one adaptive pass:
 its range is mapped onto a finite one (x = t/(1-t), suited to
 exponentially decaying integrands, or a head [0, c] kept in x followed by
-the mapped tail x = c + s/(1-s)), and that one panel set is integrated
-with adaptive 7/15-point Gauss-Kronrod panels (QUADPACK's qk15
-pair): the 7 Gauss nodes are nested in the 15 Kronrod nodes, the Kronrod
-sum is the panel value and the raw |K15 - G7| difference is its error
-estimate.  The panels with the largest errors are bisected until the
-summed estimate meets the one acceptance rule err <= max(rel_tol |I|,
-abs_tol, 250 eps sum|panel values|); its last term, the roundoff floor of
-the panel sum, is how cancelling oscillatory and exactly-zero integrals
-converge.  A panel budget exhausted first raises ``ConvergenceError``.
-Panels are evaluated in vectorized batches.
+the tail mapped on the scale of the cut, x = c/(1-s)), and that one panel
+set is integrated with adaptive 7/15-point Gauss-Kronrod panels
+(QUADPACK's qk15 pair): the 7 Gauss nodes are nested in the 15 Kronrod
+nodes, the Kronrod sum is the panel value and the raw |K15 - G7|
+difference is its error estimate.  The panels with the largest errors
+are bisected until the summed estimate meets the one acceptance rule
+err <= max(rel_tol |I|, abs_tol, 250 eps sum|panel values|); its last
+term, the roundoff floor of the panel sum, is how cancelling oscillatory
+and exactly-zero integrals converge.  A panel budget exhausted first
+raises ``ConvergenceError``.  Panels are evaluated in vectorized batches.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "QuadSpec",
     "ConvergenceError",
     "integrate_interval",
+    "integrate_mapped",
     "integrate_semiinf",
     "integrate_2d",
 ]
@@ -182,12 +183,28 @@ def _forward_map(t):
     return t / (1.0 - t), 1.0 / (1.0 - t) ** 2
 
 
+def integrate_mapped(f, spec=None, panels=8, axis="x"):
+    """Integrate a vectorized integrand over [0, inf) through x = t/(1-t),
+    starting from ``panels`` equal panels of t in [0, 1).
+
+    The panels suit an integrand on the scale x ~ 1; callers rescale their
+    variable to it.  Eight panels (x edges 1/7, 1/3, 3/5, 1, 5/3, 3, 7)
+    are the default of ``integrate_semiinf``; a caller whose integrand
+    costs far more per node than a refinement round may start from fewer.
+    """
+    def g(t):
+        x, jac = _forward_map(t)
+        return np.asarray(f(x), dtype=float) * jac
+
+    return integrate_interval(g, 0.0, 1.0, spec=spec,
+                              breakpoints=np.arange(1, panels) / panels,
+                              axis=axis)
+
+
 def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
     """Integrate a vectorized integrand over [0, inf) in one adaptive pass.
 
-    Without breakpoints the mapped unit interval starts from 8 equal
-    panels (edges at x = 1/7, 1/3, 3/5, 1, 5/3, 3, 7), which suit an
-    integrand on the scale x ~ 1; callers rescale their variable to it.
+    Without breakpoints this is ``integrate_mapped`` from 8 panels.
 
     ``breakpoints`` are abscissas (in the original variable) at which the
     initial panelization is split; supplying the integrand's oscillation
@@ -196,26 +213,26 @@ def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
     max(breakpoints), stays in the original variable (the compactifying
     map loses floating-point phase resolution at large abscissas, which
     matters for oscillatory integrands) and the tail is mapped by
-    x = c + s/(1-s), s = t - c in [0, 1).  Head and tail panels form one
-    panel set on t in [0, c + 1) with one acceptance test, one panel
-    budget and one error estimate.
+    x = c/(1-s), s = t - c in [0, 1), on the scale of the cut: s = t - c
+    is rounded to ulp(c), which a tail on the scale 1 (x = c + s/(1-s))
+    turns into node errors of order ulp(c)/(1-s)^2.  Head and tail panels
+    form one panel set on t in [0, c + 1) with one acceptance test, one
+    panel budget and one error estimate.
     """
     breaks = np.asarray([] if breakpoints is None else breakpoints, dtype=float)
     breaks = np.sort(breaks[breaks > 0])
     if not breaks.size:
-        def g(t):
-            x, jac = _forward_map(t)
-            return np.asarray(f(x), dtype=float) * jac
-
-        return integrate_interval(g, 0.0, 1.0, spec=spec,
-                                  breakpoints=np.arange(1, 8) / 8.0, axis=axis)
+        return integrate_mapped(f, spec, axis=axis)
 
     cut = float(breaks[-1])
 
     def g(t):
-        # s = 0 on the head, where x = t and the Jacobian is 1
+        # s = 0 on the head, where x = t and the Jacobian is 1; on the tail
+        # x = c + c s/(1-s) = c/(1-s)
         x, jac = _forward_map(np.maximum(t - cut, 0.0))
-        return np.asarray(f(np.minimum(t, cut) + x), dtype=float) * jac
+        scale = np.where(t > cut, cut, 1.0)
+        return np.asarray(f(np.minimum(t, cut) + scale * x),
+                          dtype=float) * (scale * jac)
 
     return integrate_interval(g, 0.0, cut + 1.0, spec=spec,
                               breakpoints=breaks, axis=axis)

@@ -127,6 +127,31 @@ class TestConfig:
                                 "is not in an existing directory\n")
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_points_bounded_before_rows(self, tmp_path, capsys, monkeypatch,
+                                        source):
+        # a count numpy cannot allocate fails as a config error, not as a
+        # MemoryError once the sweep grid is built
+        def no_rows(_args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli, "_free_space_row", no_rows)
+        points = 10**15
+        if source == "flag":
+            args = ["free-space", "--points", str(points)]
+        else:
+            args = ["free-space", "--config", write_config(
+                tmp_path, {"sweep": {"points": points}})]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "config error: sweep.points must be at most 100000\n"
+
+    def test_points_at_the_bound_accepted(self):
+        cfg = load_config(None, {"sweep.points": cli.MAX_POINTS})
+        assert cfg["sweep"]["points"] == 100_000
+
     _LORENTZ = {"omegaP": 3.0, "omegaT": 1.0, "gamma": 0.001}
 
     @pytest.mark.parametrize("bad,field", [

@@ -2,6 +2,7 @@
 every package name the benchmark's tracer rebinds."""
 
 import importlib
+import inspect
 import pkgutil
 import types
 from pathlib import Path
@@ -45,6 +46,20 @@ def test_tracer_bindings_resolve():
     missing = [f"{mod}.{attr}" for mod, attr in names
                if not hasattr(importlib.import_module(mod), attr)]
     assert missing == []
+
+
+def test_tracer_forwards_every_integrate_semiinf_parameter():
+    """The tracer's wrapper has a fixed signature and forwards it by name,
+    so a parameter added to ``integrate_semiinf`` would be a TypeError
+    in every traced run."""
+    from vdwpair import quadrature
+
+    tracing = _load_tracing()
+    wrapper = tracing.Tracer()._wrap_quad("q", quadrature.integrate_semiinf)
+    forwarded = inspect.signature(wrapper, follow_wrapped=False).parameters
+    engine = inspect.signature(quadrature.integrate_semiinf).parameters
+    assert [(p.name, p.default) for p in engine.values()] \
+        == [(p.name, p.default) for p in forwarded.values()]
 
 
 def test_tracer_runs_around_a_finite_medium_potential():

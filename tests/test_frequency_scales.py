@@ -13,6 +13,12 @@ the gate check 4 geometry a first grid at frequencies ~1 sees only the
 e^{-60} tail of integrands that decay over u ~ 1/6e4, and that abs_tol
 accepts the tail as the value; the first panels must sit on the
 integrand's own frequency scale.
+
+Plate parts at 60 resonance wavelengths (|U| ~ 1e-18) must meet rel_tol
+at the default abs_tol too, against a rel_tol 1e-12 reference.  Last, the
+evaluation counts of perfect-plate and free-space frequency integrals are
+pinned: their nodes are cheap closed forms, so the 8-panel first grid is
+part of their speed.
 """
 
 import pytest
@@ -92,3 +98,65 @@ def test_meets_rel_tol_against_tight_run(compute, spec):
     got = _components(compute(spec))
     ref = _components(compute(TIGHT))
     assert got == pytest.approx(ref, rel=10.0 * spec.rel_tol, abs=0.0)
+
+
+# Plate parts far beyond every resonance wavelength: |U1|, |U2| ~ 1e-18,
+# far below the default abs_tol, so only an integrand taken in units of
+# its own size lets rel_tol decide acceptance.
+FAR_MEDIA = {
+    "dielectric": DIELECTRIC,
+    "magnetic": HalfSpaceMedium.magnetic(
+        LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3, kind="magnetic")),
+}
+FAR_GEOMETRIES = {"vertical(60,60)": PlanarGeometry.vertical(60.0, 60.0),
+                  "parallel(60,60)": PlanarGeometry.parallel(60.0, 60.0)}
+
+
+@pytest.mark.parametrize("geom_name", FAR_GEOMETRIES)
+@pytest.mark.parametrize("medium_name", FAR_MEDIA)
+def test_far_plate_parts_meet_rel_tol(medium_name, geom_name):
+    geom, medium = FAR_GEOMETRIES[geom_name], FAR_MEDIA[medium_name]
+    ref = u_total(geom, ATOM, ATOM, medium,
+                  spec=QuadSpec(rel_tol=1e-12, abs_tol=1e-300))
+    for rel_tol in (1e-6, 1e-8):
+        got = u_total(geom, ATOM, ATOM, medium, spec=QuadSpec(rel_tol=rel_tol))
+        assert abs(got.u1 - ref.u1) <= rel_tol * abs(ref.u1), rel_tol
+        assert abs(got.u2 - ref.u2) <= rel_tol * abs(ref.u2), rel_tol
+
+
+def _evaluations_by_call(monkeypatch, compute):
+    """(axis, evaluations) of every semi-infinite integral ``compute``
+    makes through ``vdwpair.potentials``."""
+    import vdwpair.potentials
+
+    calls = []
+    integrate = vdwpair.potentials.integrate_semiinf
+
+    def recording(f, spec=None, breakpoints=None, axis="x"):
+        res = integrate(f, spec, breakpoints=breakpoints, axis=axis)
+        calls.append((axis, res.evaluations))
+        return res
+
+    monkeypatch.setattr(vdwpair.potentials, "integrate_semiinf", recording)
+    compute()
+    return calls
+
+
+@pytest.mark.parametrize("geom,expected", [
+    (PlanarGeometry.parallel(1.0, 0.05), [("x", 120), ("u", 120), ("u", 120)]),
+    (PlanarGeometry.vertical(2.0, 1.0), [("x", 120), ("u", 180), ("u", 150)]),
+])
+def test_perfect_plate_frequency_counts(monkeypatch, geom, expected):
+    # Perfect plates evaluate whole u-panel batches in closed form, so a
+    # refinement round costs more than its nodes: a first grid of fewer
+    # than 8 panels adds rounds and slows these rows down.  U0, U1, U2.
+    calls = _evaluations_by_call(monkeypatch, lambda: u_total(
+        geom, ATOM, ATOM, CONDUCTING, spec=QuadSpec(rel_tol=1e-8)))
+    assert calls == expected
+
+
+@pytest.mark.parametrize("l,expected", [(1.0, 120), (100.0, 150)])
+def test_free_space_frequency_counts(monkeypatch, l, expected):
+    calls = _evaluations_by_call(monkeypatch, lambda: u0_ee(
+        l, ATOM, ATOM, spec=QuadSpec(rel_tol=1e-8)))
+    assert calls == [("x", expected)]

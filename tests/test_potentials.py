@@ -23,7 +23,8 @@ from vdwpair import (
     u2_halfspace,
     u_total,
 )
-from vdwpair.potentials import u1_trace_integrand, u2_frequency_integrand
+from vdwpair.potentials import _static_h_weight, u1_trace_integrand, \
+    u2_frequency_integrand
 from vdwpair.quadrature import QuadSpec
 from vdwpair.validate import u1_frequency_integrand
 
@@ -302,6 +303,49 @@ class TestRetardedHalfSpaceClosed:
                                           spec=QuadSpec(rel_tol=1e-8))
         assert tight == pytest.approx(loose, rel=1e-5, abs=0.0)
 
+    # At (eps0, mu0) = (1, 3) the large-v limits of r_s and r_p v^2 are
+    # 1/2 and -1/2, so H's weight r_s + r_p v^2 is O(1/v^2).
+    @pytest.mark.parametrize("geom", [
+        PlanarGeometry(0.0, 1.0, 0.5, 2.0), PlanarGeometry.parallel(1.0, 1.0),
+        PlanarGeometry(0.0, 1.0, 3.0, 2.0), PlanarGeometry.parallel(60.0, 60.0),
+        PlanarGeometry(0.0, 0.1, 2.0, 0.3),
+    ])
+    def test_cancelling_limits_converge(self, geom):
+        got = retarded_halfspace_closed(geom, ATOM, ATOM, 1.0, 3.0,
+                                        spec=QuadSpec(rel_tol=1e-8))
+        ref = retarded_halfspace_closed(geom, ATOM, ATOM, 1.0, 3.0,
+                                        spec=QuadSpec(rel_tol=1e-10))
+        assert got == pytest.approx(ref, rel=1e-7, abs=0.0)
+
+    @pytest.mark.parametrize("eps0,mu0", [(1.0, 3.0), (1.0001, 3.0),
+                                          (10.0, 10.0), (1.0, 1e10),
+                                          (1e6, 1.0), (0.5, 1.5)])
+    def test_h_weight_against_mpmath(self, eps0, mu0):
+        mpmath = pytest.importorskip("mpmath")
+        vs = np.geomspace(1.0, 1e8, 60)
+        got = _static_h_weight(vs, eps0, mu0)
+        with mpmath.workdps(40):
+            for v, h in zip(vs, got):
+                v = mpmath.mpf(float(v))
+                root = mpmath.sqrt(mpmath.mpf(eps0) * mu0 - 1 + v**2)
+                rs = (mu0 * v - root) / (mu0 * v + root)
+                rp = (eps0 * v - root) / (eps0 * v + root)
+                # relative to the size of the terms, as H(1) = 0 exactly
+                scale = abs(rs) + abs(rp * v**2)
+                assert abs(h - (rs + rp * v**2)) <= 1e-14 * scale
+
+    def test_cancelling_limits_are_the_far_limit_of_the_full_quadrature(self):
+        # a Lorentz permeability with mu(0) = 1 + 2/1 = 3, at 60 resonance
+        # wavelengths, where the retardation corrections are below 1e-2
+        medium = HalfSpaceMedium.magnetic(LorentzMedium(
+            omegaP=np.sqrt(2.0), omegaT=1.0, gamma=1e-3, kind="magnetic"))
+        geom = PlanarGeometry.parallel(60.0, 60.0)
+        full = u_total(geom, ATOM, ATOM, medium, spec=QuadSpec(rel_tol=1e-8))
+        u1, u2 = retarded_halfspace_closed(geom, ATOM, ATOM, 1.0, 3.0,
+                                           spec=QuadSpec(rel_tol=1e-8))
+        assert full.u1 == pytest.approx(u1, rel=1e-2, abs=0.0)
+        assert full.u2 == pytest.approx(u2, rel=1e-2, abs=0.0)
+
 
 class TestRetardedLimitOfFullQuadrature:
     """``u_total`` at separations far beyond every resonance wavelength
@@ -469,13 +513,24 @@ class TestSharedScattering:
         return counts
 
     def test_anchor_counts(self, monkeypatch):
-        # 120 u-nodes, one G1 each: 4 q-integrals and, since every element
-        # integral is accepted on the common first grid, one reflection
-        # call.  A U1 of its own q-integrals and a separate U2 u-grid made
-        # 600 q-integrals and 600 reflection calls.
+        # 60 u-nodes (the 4-panel first grid), one G1 each: 4 q-integrals
+        # and, since every element integral is accepted on the common
+        # first grid, one reflection call.  The 8-panel first grid made
+        # 480 q-integrals and 120 reflection calls; a U1 of its own
+        # q-integrals and a separate U2 u-grid made 600 and 600.
         counts = self._counts(monkeypatch)
         u_total(self.GEOM, ATOM, ATOM, self.MEDIUM)
-        assert counts == {"q": 480, "reflection": 120}
+        assert counts == {"q": 240, "reflection": 60}
+
+    def test_magnetic_row_counts(self, monkeypatch):
+        # a magnetic row of the oscillatory benchmark's shape (X/Z+ = 1.5)
+        # at rel_tol 1e-6: the 60-node first grid and one split panel (30
+        # nodes); the 8-panel first grid made 120 nodes
+        counts = self._counts(monkeypatch)
+        u_total(PlanarGeometry.parallel(0.03, 0.01), ATOM, ATOM,
+                HalfSpaceMedium.magnetic(MU_MEDIUM),
+                spec=QuadSpec(rel_tol=1e-6))
+        assert counts == {"q": 360, "reflection": 90}
 
     def test_no_state_outlives_a_call(self, monkeypatch):
         counts = self._counts(monkeypatch)

@@ -12,6 +12,7 @@ from vdwpair.quadrature import (
     KRONROD_WEIGHTS,
     integrate_2d,
     integrate_interval,
+    integrate_mapped,
     integrate_semiinf,
 )
 
@@ -143,6 +144,40 @@ class TestSemiInfinite:
         spec = QuadSpec(rel_tol=1e-10)
         assert integrate_semiinf(f, spec) == integrate_interval(
             g, 0.0, 1.0, spec, breakpoints=np.arange(1, 8) / 8.0)
+
+
+    @pytest.mark.parametrize("cut", [1e4, 1e6, 1e8])
+    def test_tail_mapped_on_the_scale_of_the_cut(self, cut):
+        # the tail beyond a large last breakpoint c lives on the scale c;
+        # mapped on the scale 1 (x = c + s/(1-s)) its nodes lose about
+        # log2(c) bits, which left this integral off by 3.9e-12 at c = 1e6
+        res = integrate_semiinf(lambda x: (1.0 + x) ** -2.0,
+                                QuadSpec(rel_tol=1e-10),
+                                breakpoints=[1.0, cut])
+        assert abs(res.value - 1.0) <= 1e-15
+
+
+class TestMapped:
+    @pytest.mark.parametrize("f,exact", SUITE)
+    def test_four_panels_meet_rel_tol(self, f, exact):
+        res = integrate_mapped(f, QuadSpec(rel_tol=1e-10), panels=4)
+        assert res.value == pytest.approx(exact, rel=1e-9)
+
+    def test_first_grid_is_the_panel_count(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(-x)
+
+        res = integrate_mapped(f, QuadSpec(rel_tol=1e-6), panels=4)
+        assert calls[0] == 15 * 4
+        assert res.evaluations == sum(calls)
+
+    def test_default_is_integrate_semiinf(self):
+        f = SUITE[2][0]
+        spec = QuadSpec(rel_tol=1e-10)
+        assert integrate_mapped(f, spec) == integrate_semiinf(f, spec)
 
 
 class TestInterval:
