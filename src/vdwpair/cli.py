@@ -272,9 +272,8 @@ def _build_atoms(cfg: dict) -> tuple[ResonanceAtom, ResonanceAtom]:
 
 
 def _build_medium(block: dict) -> HalfSpaceMedium | None:
-    def lorentz(fields: dict, kind: str) -> LorentzMedium:
-        return LorentzMedium(**{f: float(fields[f]) for f in _LORENTZ},
-                             kind=kind)
+    def lorentz(fields: dict) -> LorentzMedium:
+        return LorentzMedium(**{f: float(fields[f]) for f in _LORENTZ})
 
     kind = block["kind"]
     if kind == "free-space":
@@ -282,13 +281,11 @@ def _build_medium(block: dict) -> HalfSpaceMedium | None:
     if kind == "perfect":
         return HalfSpaceMedium(perfect=block["perfect"])
     if kind == "dielectric":
-        return HalfSpaceMedium.dielectric(lorentz(block, "electric"))
+        return HalfSpaceMedium.dielectric(lorentz(block))
     if kind == "magnetic":
-        return HalfSpaceMedium.magnetic(lorentz(block, "magnetic"))
-    return HalfSpaceMedium(**{key: lorentz(block[key], response)
-                              for key, response in (("eps", "electric"),
-                                                    ("mu", "magnetic"))
-                              if key in block})
+        return HalfSpaceMedium.magnetic(lorentz(block))
+    return HalfSpaceMedium(**{key: lorentz(block[key])
+                              for key in ("eps", "mu") if key in block})
 
 
 def _sweep_values(cfg: dict) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Covers the free-space (bulk) tensor, Fresnel reflection coefficients of a
 magneto-electric half space, the half-space scattering tensor obtained by
-Sommerfeld-type q-quadrature, and its closed-form nonretarded
-approximations.
+Sommerfeld-type q-quadrature, and the Bessel factors J0, J1, J2 of its
+kernels.
 
 Geometry convention: the half-space surface is the z = 0 plane, atoms sit
 in the vacuum region z > 0, both atoms lie in the xz plane.
@@ -14,25 +14,24 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 
 from .materials import LorentzMedium, permeability_iu, permittivity_iu
 from .quadrature import QuadSpec, integrate_semiinf
-from .specfun import bessel_j0_j1_j2
 
 __all__ = [
     "PlanarGeometry",
     "GreenComponents",
     "HalfSpaceMedium",
+    "bessel_j0_j1_j2",
     "free_space_green",
     "free_space_green_gradient",
     "reflection",
-    "reflection_expansion",
     "static_reflection",
     "perfect_image_scattering",
     "halfspace_scattering",
     "halfspace_scattering_quadrature",
     "halfspace_scattering_derivative",
-    "nonretarded_scattering",
 ]
 
 FOUR_PI = 4.0 * np.pi
@@ -256,22 +255,6 @@ def reflection(q, u: float, medium: HalfSpaceMedium):
     return rs, rp
 
 
-def reflection_expansion(q, u: float, medium: HalfSpaceMedium):
-    """Leading nonretarded expansion of (r_s, r_p) in powers of u/b."""
-    if medium.is_perfect:
-        raise ValueError("expansion is ill-defined for a perfect reflector")
-    q = np.asarray(q, dtype=float)
-    eps = medium.eps_iu(u)
-    mu = medium.mu_iu(u)
-    b2 = u**2 + q**2
-    ratio = u**2 / b2
-    rs = (mu - 1.0) / (mu + 1.0) - mu * (eps * mu - 1.0) / (mu + 1.0) ** 2 * ratio
-    rp = (eps - 1.0) / (eps + 1.0) - eps * (eps * mu - 1.0) / (eps + 1.0) ** 2 * ratio
-    if q.ndim == 0:
-        return float(rs), float(rp)
-    return rs, rp
-
-
 def static_reflection(v, eps0: float, mu0: float):
     """Static-limit reflection coefficients as functions of v = b/k >= 1."""
     v = np.asarray(v, dtype=float)
@@ -402,6 +385,21 @@ def halfspace_scattering_derivative(geom: PlanarGeometry, u,
                        bessel=lambda q: _bessel_x_derivatives(q, x))
 
 
+def bessel_j0_j1_j2(t):
+    """(J0(t), J1(t), J2(t)) at signed t, with J2 from the recurrence
+    2 J1(t)/t - J0(t) and J2(0) = 0 exactly.
+
+    J0 is even and J1 odd to the bit, so J2 is even to the bit.  J2 stays
+    within 1e-14 absolute of ``scipy.special.jn(2, t)`` at one J0 and one
+    J1 evaluation.
+    """
+    t = np.asarray(t, dtype=float)
+    j0, j1 = special.j0(t), special.j1(t)
+    nonzero = t != 0.0
+    j2 = np.where(nonzero, 2.0 * j1 / np.where(nonzero, t, 1.0) - j0, 0.0)
+    return j0, j1, j2
+
+
 def _bessel_x_derivatives(q, x: float):
     """d/dX of J0(qX), J1(qX), J2(qX): q J_nu'(t) at t = qX, with
     J0' = -J1, J1' = J0 - J1/t, J2' = J1 - 2 J2/t (J1'(0) = 1/2,
@@ -488,55 +486,4 @@ def _sommerfeld(geom: PlanarGeometry, u: float, medium: HalfSpaceMedium,
         i1 = 0.0
     else:
         i1 = integrate_semiinf(xz, spec, breakpoints=breaks, axis="q").value
-    return GreenComponents(gxx=gxx, gyy=gyy, gxz=-i1, gzx=+i1, gzz=gzz)
-
-
-def nonretarded_scattering(geom: PlanarGeometry, u: float,
-                           medium: HalfSpaceMedium) -> GreenComponents:
-    """Closed-form nonretarded approximations of the scattering tensor.
-
-    Valid for purely electric media, purely magnetic media, and perfect
-    reflectors; asymptotic references only (recommended guard
-    u * l_plus < 0.1).
-    """
-    if u <= 0:
-        raise ValueError("u must be positive")
-    x = geom.X
-    zp = geom.Z_plus
-    lp = geom.l_plus
-
-    if medium.is_perfect or medium.mu is None or medium.mu.omegaP == 0.0:
-        # Perfect reflector or purely electric half space: same tensor
-        # structure, with r_p replaced by (eps-1)/(eps+1) in the finite case.
-        if medium.is_perfect:
-            rp = 1.0 if medium.perfect == "conducting" else -1.0
-        else:
-            eps = medium.eps_iu(u)
-            rp = (eps - 1.0) / (eps + 1.0)
-        c = rp / (u**2 * FOUR_PI)
-        gxx = (2.0 * x**2 - zp**2) / lp**5 * c
-        gyy = -1.0 / lp**3 * c
-        i1 = 3.0 * x * zp / lp**5 * c
-        gzz = (x**2 - 2.0 * zp**2) / lp**5 * c
-        return GreenComponents(gxx=gxx, gyy=gyy, gxz=-i1, gzx=+i1, gzz=gzz)
-
-    if medium.eps is not None and medium.eps.omegaP != 0.0:
-        raise ValueError("nonretarded closed forms exist only for purely "
-                         "electric or purely magnetic half spaces")
-    mu = medium.mu_iu(u)
-    frac = (mu - 1.0) / (mu + 1.0)
-    if x == 0.0:
-        # l_plus - Z_plus ~ X^2/(2 Z_plus): finite X -> 0 limits
-        gxx = frac / (8.0 * np.pi * zp) + (mu - 1.0) / (32.0 * np.pi * zp)
-        gyy = (mu - 1.0) / (32.0 * np.pi * zp) + frac / (8.0 * np.pi * zp)
-        i1 = 0.0
-    else:
-        gxx = ((lp - zp) / (FOUR_PI * x**2) * frac
-               + (zp * lp - zp**2) / (16.0 * np.pi * x**2 * lp) * (mu - 1.0))
-        gyy = ((lp - zp) / (16.0 * np.pi * x**2) * (mu - 1.0)
-               + (zp * lp - zp**2) / (FOUR_PI * x**2 * lp) * frac)
-        i1 = -(lp - zp) / (16.0 * np.pi * x * lp) * (mu - 1.0)
-    gzz = (mu - 1.0) / (16.0 * np.pi * lp)
-    # xz carries the upper (plus) sign here, opposite to the exact tensor's
-    # minus convention; i1 above is defined so that gxz = -i1 stays uniform.
     return GreenComponents(gxx=gxx, gyy=gyy, gxz=-i1, gzx=+i1, gzz=gzz)

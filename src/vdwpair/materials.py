@@ -22,7 +22,6 @@ __all__ = [
 ]
 
 _ATOM_KINDS = ("electric", "magnetic")
-_MEDIUM_KINDS = ("electric", "magnetic", "vacuum")
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ class LorentzMedium:
     omegaP: float = 0.0
     omegaT: float = 1.0
     gamma: float = 0.0
-    kind: str = "electric"
 
     def __post_init__(self):
         if self.omegaT <= 0:
@@ -63,13 +61,9 @@ class LorentzMedium:
             raise ValueError("gamma must be >= 0")
         if self.omegaP < 0:
             raise ValueError("omegaP must be >= 0")
-        if self.kind not in _MEDIUM_KINDS:
-            raise ValueError(f"kind must be one of {_MEDIUM_KINDS}")
-        if self.kind == "vacuum" and self.omegaP != 0.0:
-            raise ValueError("vacuum medium requires omegaP = 0")
 
 
-VACUUM = LorentzMedium(omegaP=0.0, omegaT=1.0, gamma=0.0, kind="vacuum")
+VACUUM = LorentzMedium()
 
 
 def _check_u(u):

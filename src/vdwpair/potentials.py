@@ -27,15 +27,14 @@ from .greens import (
     GreenComponents,
     HalfSpaceMedium,
     PlanarGeometry,
+    bessel_j0_j1_j2,
     free_space_green,
     halfspace_scattering,
-    reflection,
     static_reflection,
 )
 from .materials import LorentzMedium, ResonanceAtom, permeability_iu, \
     permittivity_iu, response_iu
 from .quadrature import QuadSpec, integrate_mapped, integrate_semiinf
-from .specfun import WeightedIntegralKey, bessel_j0_j1_j2, weighted_AB
 
 __all__ = [
     "PotentialBreakdown",
@@ -50,6 +49,7 @@ __all__ = [
     "perfect_nonretarded_closed",
     "perfect_limit_ratio",
     "retarded_halfspace_closed",
+    "weighted_AB",
     "nonretarded_electric_closed",
     "nonretarded_magnetic_closed",
     "threshold",
@@ -157,8 +157,7 @@ def asymptotic_coefficients(atom_a: ResonanceAtom, atom_b: ResonanceAtom,
     b0 = atom_b.alpha0
     c7_ee = 23.0 * a0 * b0 / PI3_64
     c7_em = 7.0 * a0 * b0 / PI3_64
-    c6 = 3.0 / PI3_16 * _response_product_integral(
-        atom_a, atom_b, lambda u: np.ones_like(u), spec)
+    c6 = _c6(atom_a, atom_b, spec)
     c4 = 1.0 / PI3_16 * _response_product_integral(
         atom_a, atom_b, lambda u: u**2, spec)
     return AsymptoticCoefficients(c6=c6, c7_ee=c7_ee, c7_em=c7_em, c4=c4)
@@ -282,38 +281,6 @@ def u1_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
         medium, spec, g1_memo)
 
 
-def u2_scattering_integrand(q, qp, u: float, geom: PlanarGeometry,
-                            medium: HalfSpaceMedium):
-    """Explicit (q, q')-integrand of the scattering part at fixed u (the
-    factor under int dq dq', excluding the frequency prefactor).
-
-    Kept as the reference form of the double Sommerfeld integral; the
-    production path integrates the equivalent Green-tensor trace.
-    """
-    q = np.asarray(q, dtype=float)
-    qp = np.asarray(qp, dtype=float)
-    x = geom.X
-    k2 = u**2
-    rs, rp = reflection(q, u, medium)
-    rs_p, rp_p = reflection(qp, u, medium)
-    b = np.sqrt(u**2 + q**2)
-    bp = np.sqrt(u**2 + qp**2)
-    j0, j0p = special.j0(q * x), special.j0(qp * x)
-    j1, j1p = special.j1(q * x), special.j1(qp * x)
-    j2, j2p = special.jn(2, q * x), special.jn(2, qp * x)
-    bracket0 = (rs * rs_p / (b * bp)
-                + rp * rp_p / k2**2 * (b * bp + 2.0 * q**2 * qp**2 / (b * bp))
-                - bp * rs * rp_p / (b * k2)
-                - b * rp * rs_p / (bp * k2))
-    bracket1 = 4.0 * q * qp * rp * rp_p / k2**2
-    bracket2 = (rs * rs_p / (b * bp)
-                + b * bp * rp * rp_p / k2**2
-                + bp * rs * rp_p / (b * k2)
-                + b * rp * rs_p / (bp * k2))
-    return (q * qp * np.exp(-(b + bp) * geom.Z_plus)
-            * (bracket0 * j0 * j0p + bracket1 * j1 * j1p + bracket2 * j2 * j2p))
-
-
 def u2_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
                  atom_b: ResonanceAtom, medium: HalfSpaceMedium,
                  spec: QuadSpec | None = None, *,
@@ -374,7 +341,7 @@ def perfect_nonretarded_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
                                spec: QuadSpec | None = None) -> PotentialBreakdown:
     """Closed-form nonretarded potential near a perfect reflector."""
     sign = _plate_sign(plate_kind)
-    c6 = asymptotic_coefficients(atom_a, atom_b, spec=spec).c6
+    c6 = _c6(atom_a, atom_b, spec or QuadSpec())
     l = geom.l
     lp = geom.l_plus
     x, z, zp = geom.X, geom.Z, geom.Z_plus
@@ -437,6 +404,47 @@ def _static_h_weight(v, eps0: float, mu0: float):
             / (((eps0 + 1.0) * v + d) * r_sum))
 
 
+def _closed_form(family: str, k: int, lam, zeta):
+    d = lam**2 + zeta**2
+    if family == "A+":
+        if k == 3:
+            return 6.0 * lam / d**2.5
+        if k == 4:
+            return 6.0 * (4.0 * lam**2 - zeta**2) / d**3.5
+        return 30.0 * (4.0 * lam**3 - 3.0 * lam * zeta**2) / d**4.5
+    if family == "A-":
+        if k == 3:
+            return 6.0 * (lam**3 - 4.0 * lam * zeta**2) / d**3.5
+        if k == 4:
+            return 6.0 * (4.0 * lam**4 - 27.0 * lam**2 * zeta**2
+                          + 4.0 * zeta**4) / d**4.5
+        return 30.0 * (4.0 * lam**5 - 41.0 * lam**3 * zeta**2
+                       + 18.0 * lam * zeta**4) / d**5.5
+    # family "B"
+    if k == 3:
+        return 3.0 * lam * (2.0 * lam**2 - 3.0 * zeta**2) / d**3.5
+    if k == 4:
+        return 3.0 * (8.0 * lam**4 - 24.0 * lam**2 * zeta**2
+                      + 3.0 * zeta**4) / d**4.5
+    return 15.0 * lam * (8.0 * lam**4 - 40.0 * lam**2 * zeta**2
+                         + 15.0 * zeta**4) / d**5.5
+
+
+_MOMENTS = {(family, k) for family in ("A+", "A-", "B") for k in (3, 4, 5)}
+
+
+def weighted_AB(family: str, order: int, lam, zeta=0.0):
+    """Closed form of int_0^inf x^order e^{-lam x} [J0(zeta x) +- J2(zeta x)]
+    dx (``family`` "A+" or "A-") or of the same integral with J0 alone
+    ("B"), for order 3, 4 or 5; ``lam`` and ``zeta`` may be arrays."""
+    if (family, order) not in _MOMENTS:
+        raise ValueError("family must be 'A+', 'A-' or 'B' and order 3, 4 "
+                         f"or 5, not ({family!r}, {order!r})")
+    if np.any(np.asarray(lam) <= 0):
+        raise ValueError("lam must be positive (integral diverges otherwise)")
+    return _closed_form(family, order, lam, zeta)
+
+
 def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
                               atom_b: ResonanceAtom, eps0: float, mu0: float,
                               spec: QuadSpec | None = None):
@@ -464,36 +472,30 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
     if eps0 == 1.0 and mu0 == 1.0:
         return 0.0, 0.0
 
-    k_plus = {k: WeightedIntegralKey("A+", k) for k in (3, 4, 5)}
-    k_minus = {k: WeightedIntegralKey("A-", k) for k in (3, 4, 5)}
-
-    def u1_integrand(v: float) -> float:
+    def u1_integrand(v):
         # v-form of the cross-term integrand: the frequency integral of the
         # explicit (u, q) expression collapses onto Bessel moments with
         # lambda = 1 + v Z+/l, zeta = (X/l) sqrt(v^2 - 1) once the static
         # responses are pulled out.  J0 moments are (A+ + A-)/2, J2 moments
         # (A+ - A-)/2.
         lam = 1.0 + v * zp / l
-        zeta = x / l * math.sqrt(v**2 - 1.0)
-        ap = {k: weighted_AB(k_plus[k], lam, zeta) for k in (3, 4, 5)}
-        am = {k: weighted_AB(k_minus[k], lam, zeta) for k in (3, 4, 5)}
-        b0 = {k: 0.5 * (ap[k] + am[k]) for k in (3, 4, 5)}
-        c2 = {k: 0.5 * (ap[k] - am[k]) for k in (3, 4, 5)}
+        zeta = x / l * np.sqrt(v**2 - 1.0)
+        ap = [weighted_AB("A+", k, lam, zeta) for k in (3, 4, 5)]
+        am = [weighted_AB("A-", k, lam, zeta) for k in (3, 4, 5)]
+        b3, b4, b5 = (0.5 * (p + m) for p, m in zip(ap, am))
+        c3, c4, c5 = (0.5 * (p - m) for p, m in zip(ap, am))
         rs, rp = static_reflection(v, eps0, mu0)
-        mom_a = b0[5] + b0[4] + b0[3]
-        mom_b = b0[5] + 3.0 * b0[4] + 3.0 * b0[3]
-        mom_b2 = c2[5] + 3.0 * c2[4] + 3.0 * c2[3]
+        mom_a = b5 + b4 + b3
+        mom_b = b5 + 3.0 * b4 + 3.0 * b3
+        mom_b2 = c5 + 3.0 * c4 + 3.0 * c3
         term_j0 = ((rs - v**2 * rp) * (2.0 * mom_a - x**2 / l**2 * mom_b)
                    - 2.0 * (v**2 - 1.0) * rp
                    * (mom_a - z**2 / l**2 * mom_b))
         term_j2 = -(x**2 / l**2) * (rs + v**2 * rp) * mom_b2
         return term_j0 + term_j2
 
-    def u1_vec(vs):
-        return np.array([u1_integrand(v) for v in np.atleast_1d(vs)])
-
     v_breaks = [1.0 + w for w in (0.1, 0.3, 1.0, 3.0, 10.0, 5.0 * l / zp + 10.0)]
-    u1_res = _v_quadrature(u1_vec, spec, breakpoints=v_breaks)
+    u1_res = _v_quadrature(u1_integrand, spec, breakpoints=v_breaks)
     u1 = -a0b0 / (PI3_32 * l**7) * u1_res.value
 
     rho = x / zp
@@ -548,6 +550,12 @@ def _response_product_integral(atom_a, atom_b, weight, spec, scale=math.inf):
                             spec)
 
 
+def _c6(atom_a, atom_b, spec):
+    """Nonretarded coefficient c6 = 3/(16 pi^3) int alpha_A alpha_B du."""
+    return 3.0 / PI3_16 * _response_product_integral(
+        atom_a, atom_b, lambda u: np.ones_like(u), spec)
+
+
 def nonretarded_electric_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
                                 atom_b: ResonanceAtom,
                                 eps_medium: LorentzMedium,
@@ -560,8 +568,7 @@ def nonretarded_electric_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
         e = permittivity_iu(eps_medium, u)
         return (e - 1.0) / (e + 1.0)
 
-    c6 = 3.0 / PI3_16 * _response_product_integral(
-        atom_a, atom_b, lambda u: np.ones_like(u), spec)
+    c6 = _c6(atom_a, atom_b, spec)
     d = 1.0 / PI3_16 * _response_product_integral(
         atom_a, atom_b, frac, spec, eps_medium.omegaT)
     e_coef = 3.0 / PI3_16 * _response_product_integral(
@@ -596,8 +603,7 @@ def nonretarded_magnetic_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
         m = permeability_iu(mu_medium, u)
         return u**2 * (m - 1.0) * (m - 3.0) / (m + 1.0)
 
-    c6 = 3.0 / PI3_16 * _response_product_integral(
-        atom_a, atom_b, lambda u: np.ones_like(u), spec)
+    c6 = _c6(atom_a, atom_b, spec)
     f_coef = 1.0 / PI3_64 * _response_product_integral(atom_a, atom_b, weight,
                                                        spec, mu_medium.omegaT)
     l, lp = geom.l, geom.l_plus

@@ -29,7 +29,6 @@ __all__ = [
     "integrate_interval",
     "integrate_mapped",
     "integrate_semiinf",
-    "integrate_2d",
 ]
 
 # Kronrod nodes on [-1, 1] and their weights (Piessens et al., QUADPACK,
@@ -236,27 +235,3 @@ def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
 
     return integrate_interval(g, 0.0, cut + 1.0, spec=spec,
                               breakpoints=breaks, axis=axis)
-
-
-def integrate_2d(f, spec=None, breakpoints_x=None, breakpoints_y=None):
-    """Iterated integral of f(x, y) over [0, inf)^2.
-
-    The inner (y) integral is run at ``spec.tightened()``.  f is called
-    with a scalar x and an array of y values.
-    """
-    spec = spec or QuadSpec()
-    inner_spec = spec.tightened()
-    inner_evals = [0]
-
-    def outer(xs):
-        out = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            r = integrate_semiinf(
-                lambda y: f(x, y), inner_spec, breakpoints=breakpoints_y, axis="y"
-            )
-            inner_evals[0] += r.evaluations
-            out[i] = r.value
-        return out
-
-    res = integrate_semiinf(outer, spec, breakpoints=breakpoints_x, axis="x")
-    return QuadResult(res.value, res.abs_error_estimate, inner_evals[0])

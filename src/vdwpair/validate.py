@@ -4,6 +4,11 @@ Each check exercises one verifiable claim about the implementation:
 asymptotic power laws, closed-form limit ratios, dual-route integrand
 oracles, thresholds, and figure-shape properties.  The checks are shared
 between the test suite and the command-line ``validate`` subcommand.
+
+The oracles that only the checks and tests use live here too: the
+explicit Bessel-kernel routes of U1 and U2 with the nested 2-D quadrature
+of the latter (check 8) and the direct quadrature of the Bessel moments
+(check 7).
 """
 
 from __future__ import annotations
@@ -11,12 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .forces import halfspace_forces, richardson_forces
 from .greens import (
     HalfSpaceMedium,
     PlanarGeometry,
     _scattering_spec,
+    bessel_j0_j1_j2,
     q_breakpoints,
     reflection,
 )
@@ -33,23 +40,16 @@ from .potentials import (
     u0_em,
     u1_trace_integrand,
     u2_frequency_integrand,
-    u2_scattering_integrand,
     u_total,
-)
-from .quadrature import QuadSpec, integrate_2d, integrate_semiinf
-from .specfun import (
-    WeightedIntegralKey,
-    bessel_j0_j1_j2,
     weighted_AB,
-    weighted_AB_quadrature,
 )
+from .quadrature import QuadResult, QuadSpec, integrate_semiinf
 
 __all__ = ["CheckResult", "run_all", "CHECKS", "ORACLE_CHECKS"]
 
 _ATOM = ResonanceAtom()
 _EPS_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
-_MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3,
-                           kind="magnetic")
+_MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 
 
 @dataclass
@@ -104,6 +104,88 @@ def u1_frequency_integrand(u: float, geom: PlanarGeometry,
     l = geom.l
     alpha = response_iu(atom_a, u) * response_iu(atom_b, u)
     return -u**4 * alpha * np.exp(-u * l) * q_res.value / (PI3_32 * l)
+
+
+# The oracle of check 7: the defining integral of each Bessel moment.
+def weighted_AB_quadrature(family: str, order: int, lam: float,
+                           zeta: float = 0.0, spec: QuadSpec | None = None):
+    """Direct quadrature of the integral that ``weighted_AB`` gives in
+    closed form."""
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    spec = spec or QuadSpec(rel_tol=1e-11, abs_tol=1e-16, max_subdivisions=2000)
+
+    def f(x):
+        w = x**order * np.exp(-lam * x)
+        if family == "B":
+            return w * special.j0(zeta * x)
+        j = special.j0(zeta * x)
+        j2 = special.jn(2, zeta * x)
+        return w * (j + j2) if family == "A+" else w * (j - j2)
+
+    breaks = list((order + 1) / lam * np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0]))
+    if zeta > 0:
+        step = np.pi / zeta
+        breaks += list(np.arange(step, 60.0 / lam, step)[:4000])
+    return integrate_semiinf(f, spec, breakpoints=breaks)
+
+
+# The explicit scattering route, the other oracle of check 8: a double
+# (q, q') Sommerfeld integrand, integrated by nested quadrature.
+def u2_scattering_integrand(q, qp, u: float, geom: PlanarGeometry,
+                            medium: HalfSpaceMedium):
+    """Explicit (q, q')-integrand of the scattering part at fixed u (the
+    factor under int dq dq', excluding the frequency prefactor).
+
+    Kept as the reference form of the double Sommerfeld integral; the
+    production path integrates the equivalent Green-tensor trace.
+    """
+    q = np.asarray(q, dtype=float)
+    qp = np.asarray(qp, dtype=float)
+    x = geom.X
+    k2 = u**2
+    rs, rp = reflection(q, u, medium)
+    rs_p, rp_p = reflection(qp, u, medium)
+    b = np.sqrt(u**2 + q**2)
+    bp = np.sqrt(u**2 + qp**2)
+    j0, j0p = special.j0(q * x), special.j0(qp * x)
+    j1, j1p = special.j1(q * x), special.j1(qp * x)
+    j2, j2p = special.jn(2, q * x), special.jn(2, qp * x)
+    bracket0 = (rs * rs_p / (b * bp)
+                + rp * rp_p / k2**2 * (b * bp + 2.0 * q**2 * qp**2 / (b * bp))
+                - bp * rs * rp_p / (b * k2)
+                - b * rp * rs_p / (bp * k2))
+    bracket1 = 4.0 * q * qp * rp * rp_p / k2**2
+    bracket2 = (rs * rs_p / (b * bp)
+                + b * bp * rp * rp_p / k2**2
+                + bp * rs * rp_p / (b * k2)
+                + b * rp * rs_p / (bp * k2))
+    return (q * qp * np.exp(-(b + bp) * geom.Z_plus)
+            * (bracket0 * j0 * j0p + bracket1 * j1 * j1p + bracket2 * j2 * j2p))
+
+
+def integrate_2d(f, spec=None, breakpoints_x=None, breakpoints_y=None):
+    """Iterated integral of f(x, y) over [0, inf)^2.
+
+    The inner (y) integral is run at ``spec.tightened()``.  f is called
+    with a scalar x and an array of y values.
+    """
+    spec = spec or QuadSpec()
+    inner_spec = spec.tightened()
+    inner_evals = [0]
+
+    def outer(xs):
+        out = np.empty_like(xs)
+        for i, x in enumerate(xs):
+            r = integrate_semiinf(
+                lambda y: f(x, y), inner_spec, breakpoints=breakpoints_y, axis="y"
+            )
+            inner_evals[0] += r.evaluations
+            out[i] = r.value
+        return out
+
+    res = integrate_semiinf(outer, spec, breakpoints=breakpoints_x, axis="x")
+    return QuadResult(res.value, res.abs_error_estimate, inner_evals[0])
 
 
 def check_retarded_free_space() -> CheckResult:
@@ -201,11 +283,10 @@ def check_weighted_integrals() -> CheckResult:
     worst = 0.0
     for family in ("A+", "A-", "B"):
         for order in (3, 4, 5):
-            key = WeightedIntegralKey(family, order)
             for lam in (0.5, 1.0, 3.0):
                 for zeta in (0.0, 0.7, 2.5):
-                    cf = weighted_AB(key, lam, zeta)
-                    qd = weighted_AB_quadrature(key, lam, zeta).value
+                    cf = weighted_AB(family, order, lam, zeta)
+                    qd = weighted_AB_quadrature(family, order, lam, zeta).value
                     worst = max(worst, abs(cf - qd) / max(abs(cf), 1e-300))
     return CheckResult(7, "Bessel-moment closed forms vs quadrature",
                        worst < 1e-8,

@@ -22,7 +22,7 @@ from vdwpair.quadrature import QuadSpec
 ATOM = ResonanceAtom()
 MAG_ATOM = ResonanceAtom(kind="magnetic")
 EPS_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
-MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3, kind="magnetic")
+MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 
 
 class TestForcePair:

@@ -106,7 +106,7 @@ def test_meets_rel_tol_against_tight_run(compute, spec):
 FAR_MEDIA = {
     "dielectric": DIELECTRIC,
     "magnetic": HalfSpaceMedium.magnetic(
-        LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3, kind="magnetic")),
+        LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)),
 }
 FAR_GEOMETRIES = {"vertical(60,60)": PlanarGeometry.vertical(60.0, 60.0),
                   "parallel(60,60)": PlanarGeometry.parallel(60.0, 60.0)}

@@ -11,24 +11,23 @@ from vdwpair import (
     PlanarGeometry,
 )
 from vdwpair.greens import (
+    FOUR_PI,
     _scattering_spec,
+    bessel_j0_j1_j2,
     free_space_green,
     free_space_green_gradient,
     halfspace_scattering,
     halfspace_scattering_derivative,
     halfspace_scattering_quadrature,
-    nonretarded_scattering,
     perfect_image_scattering,
     q_breakpoints,
     reflection,
-    reflection_expansion,
     static_reflection,
 )
-from vdwpair.quadrature import QuadSpec, integrate_semiinf
-from vdwpair.specfun import bessel_j0_j1_j2
+from vdwpair.quadrature import ConvergenceError, QuadSpec, integrate_semiinf
 
 EPS_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
-MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3, kind="magnetic")
+MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 COMPONENTS = ("gxx", "gyy", "gxz", "gzx", "gzz")
 
 
@@ -146,6 +145,16 @@ class TestFreeSpaceGreen:
         assert g.transpose() == GreenComponents(1.0, 2.0, 4.0, 3.0, 5.0)
 
 
+def reflection_expansion(q, u: float, medium: HalfSpaceMedium):
+    """Leading nonretarded expansion of (r_s, r_p) in powers of u/b."""
+    eps = medium.eps_iu(u)
+    mu = medium.mu_iu(u)
+    ratio = u**2 / (u**2 + q**2)
+    rs = (mu - 1.0) / (mu + 1.0) - mu * (eps * mu - 1.0) / (mu + 1.0) ** 2 * ratio
+    rp = (eps - 1.0) / (eps + 1.0) - eps * (eps * mu - 1.0) / (eps + 1.0) ** 2 * ratio
+    return rs, rp
+
+
 class TestReflection:
     def test_vacuum(self):
         med = HalfSpaceMedium(eps=LorentzMedium(omegaP=0.0))
@@ -178,7 +187,7 @@ class TestReflection:
     def test_large_q_stability(self):
         # the rationalized form must not lose digits at q >> u
         med = HalfSpaceMedium.magnetic(
-            LorentzMedium(omegaP=0.1, omegaT=1.0, gamma=0.0, kind="magnetic"))
+            LorentzMedium(omegaP=0.1, omegaT=1.0, gamma=0.0))
         u = 1e-3
         q = 1e6
         rs, rp = reflection(q, u, med)
@@ -438,6 +447,30 @@ class TestHalfspaceScattering:
         assert component(2, 2) == pytest.approx(g.gzz, rel=1e-6)
 
 
+class TestOscillationBudget:
+    """At X >> Z+ the q-grid takes a breakpoint every half-period pi/X of
+    J_nu(qX), up to MAX_OSCILLATION_PANELS, and ``_scattering_spec`` raises
+    the panel budget of the q-integrals with the grid."""
+
+    @pytest.mark.parametrize("geom", [PlanarGeometry.parallel(2.6, 0.001),
+                                      PlanarGeometry.parallel(1.8, 0.0005)],
+                             ids=["X=1300Z+", "X=1800Z+-widened-step"])
+    def test_converges(self, geom):
+        g = halfspace_scattering(geom, 1.0,
+                                 HalfSpaceMedium.dielectric(EPS_MEDIUM),
+                                 spec=QuadSpec(rel_tol=1e-9))
+        assert all(np.isfinite(getattr(g, name)) for name in COMPONENTS)
+
+    def test_beyond_the_grid_fails_with_an_error(self):
+        # X/Z+ = 5000: the widened step no longer resolves the oscillations,
+        # and the budget runs out in a fraction of a second, not a hang
+        with pytest.raises(ConvergenceError) as err:
+            halfspace_scattering(PlanarGeometry.parallel(10.0, 0.001), 1.0,
+                                 HalfSpaceMedium.dielectric(EPS_MEDIUM),
+                                 spec=QuadSpec(rel_tol=1e-9))
+        assert err.value.axis == "q"
+
+
 def _old_bessel_x_derivatives(q, x):
     t = q * x
     j0, j1 = special.j0(t), special.j1(t)
@@ -520,6 +553,51 @@ class TestSharedKernel:
                 got = halfspace_scattering_derivative(geom, u, medium, wrt,
                                                       spec=spec)
             assert got == _per_element_kernels(geom, u, medium, spec, wrt)
+
+
+def nonretarded_scattering(geom: PlanarGeometry, u: float,
+                           medium: HalfSpaceMedium) -> GreenComponents:
+    """Closed-form nonretarded approximations of the scattering tensor.
+
+    Valid for purely electric media, purely magnetic media, and perfect
+    reflectors, at u * l_plus < 0.1.
+    """
+    x = geom.X
+    zp = geom.Z_plus
+    lp = geom.l_plus
+
+    if medium.is_perfect or medium.mu is None or medium.mu.omegaP == 0.0:
+        # Perfect reflector or purely electric half space: same tensor
+        # structure, with r_p replaced by (eps-1)/(eps+1) in the finite case.
+        if medium.is_perfect:
+            rp = 1.0 if medium.perfect == "conducting" else -1.0
+        else:
+            eps = medium.eps_iu(u)
+            rp = (eps - 1.0) / (eps + 1.0)
+        c = rp / (u**2 * FOUR_PI)
+        gxx = (2.0 * x**2 - zp**2) / lp**5 * c
+        gyy = -1.0 / lp**3 * c
+        i1 = 3.0 * x * zp / lp**5 * c
+        gzz = (x**2 - 2.0 * zp**2) / lp**5 * c
+        return GreenComponents(gxx=gxx, gyy=gyy, gxz=-i1, gzx=+i1, gzz=gzz)
+
+    mu = medium.mu_iu(u)
+    frac = (mu - 1.0) / (mu + 1.0)
+    if x == 0.0:
+        # l_plus - Z_plus ~ X^2/(2 Z_plus): finite X -> 0 limits
+        gxx = frac / (8.0 * np.pi * zp) + (mu - 1.0) / (32.0 * np.pi * zp)
+        gyy = (mu - 1.0) / (32.0 * np.pi * zp) + frac / (8.0 * np.pi * zp)
+        i1 = 0.0
+    else:
+        gxx = ((lp - zp) / (FOUR_PI * x**2) * frac
+               + (zp * lp - zp**2) / (16.0 * np.pi * x**2 * lp) * (mu - 1.0))
+        gyy = ((lp - zp) / (16.0 * np.pi * x**2) * (mu - 1.0)
+               + (zp * lp - zp**2) / (FOUR_PI * x**2 * lp) * frac)
+        i1 = -(lp - zp) / (16.0 * np.pi * x * lp) * (mu - 1.0)
+    gzz = (mu - 1.0) / (16.0 * np.pi * lp)
+    # xz carries the upper (plus) sign here, opposite to the exact tensor's
+    # minus convention; i1 above is defined so that gxz = -i1 stays uniform.
+    return GreenComponents(gxx=gxx, gyy=gyy, gxz=-i1, gzx=+i1, gzz=gzz)
 
 
 class TestNonretardedScattering:

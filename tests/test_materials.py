@@ -61,7 +61,7 @@ class TestLorentzMedium:
         assert permittivity_iu(m, 1.0) == pytest.approx(5.5, rel=1e-14)
 
     def test_permeability_same_form(self):
-        m = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=0.0, kind="magnetic")
+        m = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=0.0)
         assert permeability_iu(m, 1.0) == pytest.approx(5.5, rel=1e-14)
 
     def test_monotone_decreasing_to_one(self):

@@ -31,7 +31,7 @@ from vdwpair.validate import u1_frequency_integrand
 ATOM = ResonanceAtom()
 MAG_ATOM = ResonanceAtom(kind="magnetic")
 EPS_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
-MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3, kind="magnetic")
+MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 PI = np.pi
 
 
@@ -338,7 +338,7 @@ class TestRetardedHalfSpaceClosed:
         # a Lorentz permeability with mu(0) = 1 + 2/1 = 3, at 60 resonance
         # wavelengths, where the retardation corrections are below 1e-2
         medium = HalfSpaceMedium.magnetic(LorentzMedium(
-            omegaP=np.sqrt(2.0), omegaT=1.0, gamma=1e-3, kind="magnetic"))
+            omegaP=np.sqrt(2.0), omegaT=1.0, gamma=1e-3))
         geom = PlanarGeometry.parallel(60.0, 60.0)
         full = u_total(geom, ATOM, ATOM, medium, spec=QuadSpec(rel_tol=1e-8))
         u1, u2 = retarded_halfspace_closed(geom, ATOM, ATOM, 1.0, 3.0,
@@ -409,13 +409,12 @@ class TestNonretardedClosed:
         geom = PlanarGeometry.parallel(1e-3, 1e-3)
         c6 = asymptotic_coefficients(ATOM, ATOM).c6
         val = nonretarded_magnetic_closed(
-            geom, ATOM, ATOM, LorentzMedium(omegaP=0.0, kind="magnetic"))
+            geom, ATOM, ATOM, LorentzMedium(omegaP=0.0))
         assert val == pytest.approx(-c6 / geom.l**6, rel=1e-9)
 
     def test_magnetic_rejects_perfect_reflectivity(self):
         geom = PlanarGeometry.parallel(1e-3, 1e-3)
-        huge = LorentzMedium(omegaP=1e3, omegaT=1.0, gamma=0.0,
-                             kind="magnetic")
+        huge = LorentzMedium(omegaP=1e3, omegaT=1.0, gamma=0.0)
         with pytest.raises(ValueError, match="perfect reflectivity"):
             nonretarded_magnetic_closed(geom, ATOM, ATOM, huge)
 
@@ -491,8 +490,8 @@ class TestSharedScattering:
     MEDIUM = HalfSpaceMedium.dielectric(EPS_MEDIUM)
 
     def _counts(self, monkeypatch):
-        """Count q-integrals and ``reflection`` calls made through either
-        module that integrates over q."""
+        """Count q-integrals made through either module that integrates
+        over q, and ``reflection`` calls."""
         import vdwpair.greens
         import vdwpair.potentials
 
@@ -503,13 +502,14 @@ class TestSharedScattering:
                 counts["q"] += axis == "q"
                 return integrate(f, spec, breakpoints=breakpoints, axis=axis)
 
-            def counting_reflection(*args, reflection=module.reflection):
-                counts["reflection"] += 1
-                return reflection(*args)
-
             monkeypatch.setattr(module, "integrate_semiinf",
                                 counting_integrate)
-            monkeypatch.setattr(module, "reflection", counting_reflection)
+
+        def counting_reflection(*args, reflection=vdwpair.greens.reflection):
+            counts["reflection"] += 1
+            return reflection(*args)
+
+        monkeypatch.setattr(vdwpair.greens, "reflection", counting_reflection)
         return counts
 
     def test_anchor_counts(self, monkeypatch):

@@ -10,11 +10,11 @@ from vdwpair.quadrature import (
     GAUSS_WEIGHTS,
     KRONROD_NODES,
     KRONROD_WEIGHTS,
-    integrate_2d,
     integrate_interval,
     integrate_mapped,
     integrate_semiinf,
 )
+from vdwpair.validate import integrate_2d
 
 # (integrand, exact value) reference suite; every integrand decays
 # exponentially, matching the engine's intended workload.
