@@ -314,7 +314,7 @@ def _free_space_row(args) -> dict:
     row = dict.fromkeys(FREE_COLUMNS, "")
     row["l"] = l
     try:
-        co = asymptotic_coefficients(atom_a, atom_b, spec=spec)
+        co = asymptotic_coefficients(atom_a, atom_b)
         if atom_b.kind == "magnetic":
             row["U"] = u0_em(l, atom_a, atom_b, spec=spec)
             row["U_retarded_asymptote"] = co.c7_em / l**7

@@ -23,7 +23,7 @@ from .greens import (
     free_space_green_gradient,
     halfspace_scattering_derivative,
 )
-from .materials import ResonanceAtom, response_iu
+from .materials import ResonanceAtom, response_product
 from .quadrature import QuadSpec, integrate_semiinf
 from .potentials import _frequency_integral, _u_scale, u_total
 
@@ -54,21 +54,20 @@ def free_space_force(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
     """
     if l <= 0:
         raise ValueError("separation l must be positive")
-    spec = spec or QuadSpec()
     kinds = (atom_a.kind, atom_b.kind)
     if kinds == ("electric", "electric"):
         def f(u):
             x = u * l
             p = np.exp(-2.0 * x) * (9.0 + 18.0 * x + 16.0 * x**2
                                     + 8.0 * x**3 + 3.0 * x**4 + x**5)
-            return response_iu(atom_a, u) * response_iu(atom_b, u) * p
+            return response_product(atom_a, atom_b, u) * p
 
         prefactor = -1.0 / (_PI3_8 * l**7)
     elif kinds == ("electric", "magnetic"):
         def f(u):
             x = u * l
             p = np.exp(-2.0 * x) * (2.0 + 4.0 * x + 3.0 * x**2 + x**3)
-            return (u**2 * response_iu(atom_a, u) * response_iu(atom_b, u) * p)
+            return u**2 * response_product(atom_a, atom_b, u) * p
 
         prefactor = 1.0 / (_PI3_8 * l**5)
     else:

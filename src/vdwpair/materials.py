@@ -17,6 +17,7 @@ __all__ = [
     "LorentzMedium",
     "VACUUM",
     "response_iu",
+    "response_product",
     "permittivity_iu",
     "permeability_iu",
 ]
@@ -78,6 +79,13 @@ def response_iu(atom: ResonanceAtom, u):
     u = _check_u(u)
     out = atom.alpha0 * atom.omega10**2 / (atom.omega10**2 + u**2)
     return float(out) if out.ndim == 0 else out
+
+
+def response_product(atom_a: ResonanceAtom, atom_b: ResonanceAtom, u):
+    """alpha_A(iu) alpha_B(iu) for u >= 0, unchecked: the frequency weight
+    of every two-atom integrand, evaluated on quadrature nodes."""
+    wa2, wb2, u2 = atom_a.omega10**2, atom_b.omega10**2, u**2
+    return atom_a.alpha0 * atom_b.alpha0 * wa2 * wb2 / ((wa2 + u2) * (wb2 + u2))
 
 
 def _susceptibility_iu(m: LorentzMedium, u):

@@ -15,7 +15,6 @@ All in reduced units hbar = c = eps0 = mu0 = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from .greens import (
     static_reflection,
 )
 from .materials import LorentzMedium, ResonanceAtom, permeability_iu, \
-    permittivity_iu, response_iu
+    permittivity_iu, response_product
 from .quadrature import QuadSpec, integrate_mapped, integrate_semiinf
 
 __all__ = [
@@ -115,13 +114,12 @@ def u0_ee(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
     if l <= 0:
         raise ValueError("separation l must be positive")
     _check_ee(atom_a, atom_b)
-    spec = spec or QuadSpec()
 
     def f(u):
         x = u * l
         g = 2.0 * np.exp(-2.0 * x) * (3.0 + 6.0 * x + 5.0 * x**2
                                       + 2.0 * x**3 + x**4)
-        return response_iu(atom_a, u) * response_iu(atom_b, u) * g
+        return response_product(atom_a, atom_b, u) * g
 
     return -_scaled_integral(f, _u_scale(atom_a, atom_b, l), spec) \
         / (PI3_32 * l**6)
@@ -134,38 +132,37 @@ def u0_em(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
         raise ValueError("separation l must be positive")
     if atom_a.kind != "electric" or atom_b.kind != "magnetic":
         raise ValueError("atom A must be electric, atom B magnetic")
-    spec = spec or QuadSpec()
 
     def f(u):
         x = u * l
         h = 2.0 * np.exp(-2.0 * x) * (1.0 + 2.0 * x + x**2)
-        return u**2 * response_iu(atom_a, u) * response_iu(atom_b, u) * h
+        return u**2 * response_product(atom_a, atom_b, u) * h
 
     return _scaled_integral(f, _u_scale(atom_a, atom_b, l), spec) \
         / (PI3_32 * l**4)
 
 
-def asymptotic_coefficients(atom_a: ResonanceAtom, atom_b: ResonanceAtom,
-                            spec: QuadSpec | None = None) -> AsymptoticCoefficients:
+def asymptotic_coefficients(atom_a: ResonanceAtom,
+                            atom_b: ResonanceAtom) -> AsymptoticCoefficients:
     """Retarded and nonretarded power-law coefficients for the atom pair.
 
-    c7 variants are closed forms in the static responses; c6 and c4 require
-    one frequency quadrature each.
+    All are closed forms: the c7 in the static responses a0, b0; c6 =
+    3 M/(16 pi^3) and c4 = wA wB M/(16 pi^3) in the London moment
+    M = int alpha_A alpha_B du = pi a0 b0 wA wB/(2 (wA + wB)) of two
+    single-resonance atoms, whose u^2-moment is wA wB M.
     """
-    spec = spec or QuadSpec()
-    a0 = atom_a.alpha0
-    b0 = atom_b.alpha0
-    c7_ee = 23.0 * a0 * b0 / PI3_64
-    c7_em = 7.0 * a0 * b0 / PI3_64
-    c6 = _c6(atom_a, atom_b, spec)
-    c4 = 1.0 / PI3_16 * _response_product_integral(
-        atom_a, atom_b, lambda u: u**2, spec)
-    return AsymptoticCoefficients(c6=c6, c7_ee=c7_ee, c7_em=c7_em, c4=c4)
+    a0, b0 = atom_a.alpha0, atom_b.alpha0
+    wa, wb = atom_a.omega10, atom_b.omega10
+    london = a0 * b0 * np.pi * wa * wb / (2.0 * (wa + wb))
+    return AsymptoticCoefficients(c6=3.0 / PI3_16 * london,
+                                  c7_ee=23.0 * a0 * b0 / PI3_64,
+                                  c7_em=7.0 * a0 * b0 / PI3_64,
+                                  c4=london * wa * wb / PI3_16)
 
 
 def _plate_weight(u, atom_a: ResonanceAtom, atom_b: ResonanceAtom):
     """-u^4 alpha_A alpha_B/pi, the frequency weight of every plate part."""
-    return -u**4 * response_iu(atom_a, u) * response_iu(atom_b, u) / np.pi
+    return -u**4 * response_product(atom_a, atom_b, u) / np.pi
 
 
 def _cross_trace(u, geom: PlanarGeometry, g1: GreenComponents):
@@ -326,7 +323,7 @@ def perfect_retarded_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
                             plate_kind: str) -> PotentialBreakdown:
     """Closed-form retarded potential near a perfect reflector (X << Z+)."""
     sign = _plate_sign(plate_kind)
-    c7 = 23.0 * atom_a.alpha0 * atom_b.alpha0 / PI3_64
+    c7 = asymptotic_coefficients(atom_a, atom_b).c7_ee
     l = geom.l
     zp = geom.Z_plus
     u0 = -c7 / l**7
@@ -337,11 +334,11 @@ def perfect_retarded_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
 
 
 def perfect_nonretarded_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
-                               atom_b: ResonanceAtom, plate_kind: str,
-                               spec: QuadSpec | None = None) -> PotentialBreakdown:
+                               atom_b: ResonanceAtom,
+                               plate_kind: str) -> PotentialBreakdown:
     """Closed-form nonretarded potential near a perfect reflector."""
     sign = _plate_sign(plate_kind)
-    c6 = _c6(atom_a, atom_b, spec or QuadSpec())
+    c6 = asymptotic_coefficients(atom_a, atom_b).c6
     l = geom.l
     lp = geom.l_plus
     x, z, zp = geom.X, geom.Z, geom.Z_plus
@@ -371,13 +368,10 @@ def perfect_limit_ratio(case: str) -> float:
     raise ValueError(f"unknown case {case!r}")
 
 
-def _v_quadrature(f, spec: QuadSpec, breakpoints=None, axis="v"):
+def _v_quadrature(f, spec: QuadSpec, breakpoints):
     """Integral over v in [1, inf) via the shift v = 1 + w."""
-    shifted_breaks = None
-    if breakpoints is not None:
-        shifted_breaks = [p - 1.0 for p in breakpoints if p > 1.0]
-    return integrate_semiinf(lambda w: f(w + 1.0), spec,
-                             breakpoints=shifted_breaks, axis=axis)
+    return integrate_semiinf(lambda w: f(w + 1.0), spec, axis="v",
+                             breakpoints=[p - 1.0 for p in breakpoints])
 
 
 def _static_h_weight(v, eps0: float, mu0: float):
@@ -540,20 +534,14 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
     return u1, u2
 
 
-def _response_product_integral(atom_a, atom_b, weight, spec, scale=math.inf):
+def _response_product_integral(atom_a, atom_b, weight, spec, scale):
     """int_0^inf alpha_A alpha_B weight du at the lower of the atomic
     resonances and ``scale`` (a medium resonance the weight carries)."""
     def f(u):
-        return response_iu(atom_a, u) * response_iu(atom_b, u) * weight(u)
+        return response_product(atom_a, atom_b, u) * weight(u)
 
     return _scaled_integral(f, min(atom_a.omega10, atom_b.omega10, scale),
                             spec)
-
-
-def _c6(atom_a, atom_b, spec):
-    """Nonretarded coefficient c6 = 3/(16 pi^3) int alpha_A alpha_B du."""
-    return 3.0 / PI3_16 * _response_product_integral(
-        atom_a, atom_b, lambda u: np.ones_like(u), spec)
 
 
 def nonretarded_electric_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
@@ -562,13 +550,12 @@ def nonretarded_electric_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
                                 spec: QuadSpec | None = None) -> float:
     """Nonretarded total potential near a purely electric half space."""
     _check_ee(atom_a, atom_b)
-    spec = spec or QuadSpec()
 
     def frac(u):
         e = permittivity_iu(eps_medium, u)
         return (e - 1.0) / (e + 1.0)
 
-    c6 = _c6(atom_a, atom_b, spec)
+    c6 = asymptotic_coefficients(atom_a, atom_b).c6
     d = 1.0 / PI3_16 * _response_product_integral(
         atom_a, atom_b, frac, spec, eps_medium.omegaT)
     e_coef = 3.0 / PI3_16 * _response_product_integral(
@@ -592,7 +579,6 @@ def nonretarded_magnetic_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
     incompatible with perfect reflectivity.
     """
     _check_ee(atom_a, atom_b)
-    spec = spec or QuadSpec()
     mu0 = permeability_iu(mu_medium, 0.0)
     if mu0 > 1e3:
         raise ValueError(
@@ -603,7 +589,7 @@ def nonretarded_magnetic_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
         m = permeability_iu(mu_medium, u)
         return u**2 * (m - 1.0) * (m - 3.0) / (m + 1.0)
 
-    c6 = _c6(atom_a, atom_b, spec)
+    c6 = asymptotic_coefficients(atom_a, atom_b).c6
     f_coef = 1.0 / PI3_64 * _response_product_integral(atom_a, atom_b, weight,
                                                        spec, mu_medium.omegaT)
     l, lp = geom.l, geom.l_plus

@@ -192,7 +192,7 @@ def check_retarded_free_space() -> CheckResult:
     """u0_ee approaches -c7_ee/l^7 at l = 100."""
     spec = QuadSpec(rel_tol=1e-8)
     l = 100.0
-    c7 = asymptotic_coefficients(_ATOM, _ATOM, spec=spec).c7_ee
+    c7 = asymptotic_coefficients(_ATOM, _ATOM).c7_ee
     dev = abs(u0_ee(l, _ATOM, _ATOM, spec=spec) * l**7 / c7 + 1.0)
     return CheckResult(1, "retarded free-space ee power law", dev < 0.01,
                        [f"|u0*l^7/c7 + 1| = {dev:.3e} (tol 0.01)"])
@@ -202,7 +202,7 @@ def check_nonretarded_free_space() -> CheckResult:
     """u0_ee approaches -c6/l^6 at l = 1e-3."""
     spec = QuadSpec(rel_tol=1e-8)
     l = 1e-3
-    c6 = asymptotic_coefficients(_ATOM, _ATOM, spec=spec).c6
+    c6 = asymptotic_coefficients(_ATOM, _ATOM).c6
     dev = abs(u0_ee(l, _ATOM, _ATOM, spec=spec) * l**6 / c6 + 1.0)
     return CheckResult(2, "nonretarded free-space ee power law", dev < 0.01,
                        [f"|u0*l^6/c6 + 1| = {dev:.3e} (tol 0.01)"])
@@ -212,7 +212,7 @@ def check_em_coefficients() -> CheckResult:
     """c7_em/c7_ee = 7/23 exactly; u0_em > 0 across a 50-point log grid."""
     spec = QuadSpec(rel_tol=1e-8)
     mag = ResonanceAtom(kind="magnetic")
-    co = asymptotic_coefficients(_ATOM, mag, spec=spec)
+    co = asymptotic_coefficients(_ATOM, mag)
     ratio_exact = co.c7_em / co.c7_ee == 7.0 / 23.0
     grid = np.geomspace(1e-3, 1e3, 50)
     positive = all(u0_em(float(l), _ATOM, mag, spec=spec) > 0.0 for l in grid)

@@ -121,6 +121,20 @@ class TestHalfSpaceForces:
         assert a == pytest.approx(r, rel=0.0, abs=10.0 * rel_tol
                                   * np.max(np.abs(r)))
 
+    def test_small_offset_converges_at_tight_tolerances(self):
+        # X << Z+ puts qX ~ 1e-6 on the q-grid.  The X-derivative kernels
+        # divide J2(qX) by qX there, so J2 needs relative accuracy, or its
+        # roundoff noise stalls the q-integrals above rel_tol 1e-11.
+        geom = PlanarGeometry.parallel(1e-4, 0.01)
+        med = HalfSpaceMedium.magnetic(MU_MEDIUM)
+        ref = halfspace_forces(geom, ATOM, ATOM, med,
+                               spec=QuadSpec(rel_tol=1e-10))
+        for rel_tol in (1e-11, 1e-12):
+            got = halfspace_forces(geom, ATOM, ATOM, med,
+                                   spec=QuadSpec(rel_tol=rel_tol))
+            assert got.f_a == pytest.approx(ref.f_a, rel=1e-10, abs=0.0)
+            assert got.f_b == pytest.approx(ref.f_b, rel=1e-10, abs=0.0)
+
     def test_symmetry_axes_exact(self):
         # X = 0: no x force at all; Z = 0: equal z forces on both atoms.
         med = HalfSpaceMedium.dielectric(EPS_MEDIUM)

@@ -18,13 +18,13 @@ Plate parts at 60 resonance wavelengths (|U| ~ 1e-18) must meet rel_tol
 at the default abs_tol too, against a rel_tol 1e-12 reference.  Last, the
 evaluation counts of perfect-plate and free-space frequency integrals are
 pinned: their nodes are cheap closed forms, so the 8-panel first grid is
-part of their speed.
+part of their speed.  A free-space row makes two frequency integrals, U and
+the force: its asymptotic coefficients are closed forms.
 """
 
 import pytest
 
 from vdwpair import (
-    AsymptoticCoefficients,
     HalfSpaceMedium,
     LorentzMedium,
     PlanarGeometry,
@@ -63,13 +63,10 @@ for w in (0.05, 20.0):
     slow_or_fast = ResonanceAtom(omega10=w)
     CASES += _free_space_cases(f"omegaB={w}", 1.0, slow_or_fast,
                                ResonanceAtom(omega10=w, kind="magnetic"))
-    CASES += [
-        (f"coefficients-omegaB={w}",
-         lambda s, b=slow_or_fast: asymptotic_coefficients(ATOM, b, spec=s)),
+    CASES.append(
         (f"u_total-omegaB={w}",
          lambda s, b=slow_or_fast: u_total(PlanarGeometry.parallel(1.0, 0.5),
-                                           ATOM, b, CONDUCTING, spec=s)),
-    ]
+                                           ATOM, b, CONDUCTING, spec=s)))
 for l in (1e-3, 1e3):
     CASES += _free_space_cases(f"l={l}", l, ATOM, MAG_ATOM)
 for name, medium in (("conducting", CONDUCTING), ("permeable", PERMEABLE)):
@@ -86,8 +83,6 @@ CASES.append(("u_total-dielectric-z=0.01",
 def _components(value):
     if isinstance(value, PotentialBreakdown):
         return [value.u0, value.u1, value.u2]
-    if isinstance(value, AsymptoticCoefficients):
-        return [value.c6, value.c4]  # the c7 are closed forms
     return [value]
 
 
@@ -126,7 +121,8 @@ def test_far_plate_parts_meet_rel_tol(medium_name, geom_name):
 
 def _evaluations_by_call(monkeypatch, compute):
     """(axis, evaluations) of every semi-infinite integral ``compute``
-    makes through ``vdwpair.potentials``."""
+    makes through ``vdwpair.potentials`` and ``vdwpair.forces``."""
+    import vdwpair.forces
     import vdwpair.potentials
 
     calls = []
@@ -137,7 +133,8 @@ def _evaluations_by_call(monkeypatch, compute):
         calls.append((axis, res.evaluations))
         return res
 
-    monkeypatch.setattr(vdwpair.potentials, "integrate_semiinf", recording)
+    for module in (vdwpair.potentials, vdwpair.forces):
+        monkeypatch.setattr(module, "integrate_semiinf", recording)
     compute()
     return calls
 
@@ -160,3 +157,20 @@ def test_free_space_frequency_counts(monkeypatch, l, expected):
     calls = _evaluations_by_call(monkeypatch, lambda: u0_ee(
         l, ATOM, ATOM, spec=QuadSpec(rel_tol=1e-8)))
     assert calls == [("x", expected)]
+
+
+@pytest.mark.parametrize("kind_b", ["electric", "magnetic"])
+def test_free_space_row_makes_two_frequency_integrals(monkeypatch, kind_b):
+    # U and the force; the c6, c4 and c7 asymptotes are closed forms.
+    from vdwpair.cli import _free_space_row
+
+    atom = {"omega10": 1.0, "alpha0": 1.0}
+    cfg = {"atoms": [dict(atom, kind="electric"), dict(atom, kind=kind_b)],
+           "rel_tol": 1e-8}
+    rows = []
+    calls = _evaluations_by_call(
+        monkeypatch, lambda: rows.append(_free_space_row((cfg, 0.5))))
+    assert rows[0]["error"] == ""
+    assert [axis for axis, _ in calls] == ["x", "x"]
+    assert _evaluations_by_call(monkeypatch, lambda: asymptotic_coefficients(
+        ResonanceAtom(omega10=0.3), MAG_ATOM)) == []

@@ -477,7 +477,7 @@ def _old_bessel_x_derivatives(q, x):
     nonzero = t != 0.0
     safe_t = np.where(nonzero, t, 1.0)
     j1_t = np.where(nonzero, j1 / safe_t, 0.5)
-    j2_t = np.where(nonzero, (2.0 * j1_t - j0) / safe_t, 0.0)
+    j2_t = np.where(nonzero, bessel_j0_j1_j2(t)[2] / safe_t, 0.0)
     return -q * j1, q * (j0 - j1_t), q * (j1 - 2.0 * j2_t)
 
 

@@ -45,8 +45,8 @@ class TestVerification:
         import vdwpair.imaging as imaging
         original = imaging.perfect_nonretarded_closed
 
-        def flipped(geom, atom_a, atom_b, plate, spec=None):
-            bd = original(geom, atom_a, atom_b, plate, spec=spec)
+        def flipped(geom, atom_a, atom_b, plate):
+            bd = original(geom, atom_a, atom_b, plate)
             return type(bd)(u0=bd.u0, u1=-bd.u1, u2=bd.u2,
                             total=bd.total, ratio=bd.ratio)
 

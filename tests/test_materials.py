@@ -11,6 +11,7 @@ from vdwpair import (
     permittivity_iu,
     response_iu,
 )
+from vdwpair.materials import response_product
 
 
 class TestResonanceAtom:
@@ -37,6 +38,14 @@ class TestResonanceAtom:
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):
             response_iu(ResonanceAtom(), -0.1)
+
+    def test_response_product_matches_factors(self):
+        atom_a = ResonanceAtom(omega10=0.7, alpha0=1.3)
+        atom_b = ResonanceAtom(omega10=2.9, alpha0=0.45, kind="magnetic")
+        us = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 2001)])
+        expected = response_iu(atom_a, us) * response_iu(atom_b, us)
+        assert response_product(atom_a, atom_b, us) == pytest.approx(
+            expected, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("kwargs", [
         {"omega10": 0.0}, {"omega10": -1.0}, {"alpha0": 0.0},

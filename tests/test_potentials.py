@@ -1,5 +1,6 @@
 """Free-space and half-space potentials, closed-form limits, thresholds."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -70,6 +71,31 @@ class TestFreeSpace:
         assert co.c7_em == 7.0 / (64.0 * PI**3)
         # int u^2 du/(1+u^2)^2 = pi/4 as well
         assert co.c4 == pytest.approx(1.0 / (64.0 * PI**2), rel=1e-9)
+
+    @pytest.mark.parametrize("atom_a,atom_b", [
+        (ResonanceAtom(), ResonanceAtom(omega10=0.05)),
+        (ResonanceAtom(), ResonanceAtom(omega10=1.0)),
+        (ResonanceAtom(), ResonanceAtom(omega10=20.0)),
+        (ResonanceAtom(omega10=0.3, alpha0=2.5),
+         ResonanceAtom(omega10=0.3, alpha0=0.4, kind="magnetic")),
+    ])
+    def test_london_moments_against_mpmath(self, atom_a, atom_b):
+        # c6 = 3/(16 pi^3) int alpha_A alpha_B du and c4 = 1/(16 pi^3)
+        # int u^2 alpha_A alpha_B du, by mpmath quadrature of the factors
+        def alpha(atom, u):
+            return atom.alpha0 * atom.omega10**2 / (atom.omega10**2 + u**2)
+
+        def moment(power):
+            return float(mpmath.quad(
+                lambda u: u**power * alpha(atom_a, u) * alpha(atom_b, u),
+                sorted({0.0, atom_a.omega10, atom_b.omega10}) + [mpmath.inf]))
+
+        with mpmath.workdps(30):
+            c6 = 3.0 * moment(0) / (16.0 * PI**3)
+            c4 = moment(2) / (16.0 * PI**3)
+        co = asymptotic_coefficients(atom_a, atom_b)
+        assert co.c6 == pytest.approx(c6, rel=1e-13, abs=0.0)
+        assert co.c4 == pytest.approx(c4, rel=1e-13, abs=0.0)
 
     def test_em_nonretarded_coefficient(self):
         co = asymptotic_coefficients(ATOM, MAG_ATOM)

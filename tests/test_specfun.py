@@ -1,5 +1,6 @@
 """Special functions and Bessel-weighted auxiliary integrals."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +22,18 @@ class TestBesselJ0J2:
         j0, _, j2 = bessel_j0_j1_j2(np.array([0.0, -2.5, 2.5]))
         assert j0[0] == 1.0 and j2[0] == 0.0
         assert j0[1] == j0[2] and j2[1] == j2[2]
+
+
+class TestBesselJ2Series:
+    def test_relative_error_against_mpmath(self):
+        # Below |t| ~ 1 the recurrence 2 J1/t - J0 cancels to t^2/8 and
+        # keeps only absolute accuracy; the series keeps relative accuracy.
+        t = np.geomspace(1e-8, 2.0, 401)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselj(2, x)) for x in t])
+        j2 = bessel_j0_j1_j2(np.concatenate([-t, t]))[2]
+        assert np.max(np.abs(j2[t.size:] / ref - 1.0)) < 5e-15
+        assert np.array_equal(j2[:t.size], j2[t.size:])
 
 
 class TestWeightedIntegralKey:
