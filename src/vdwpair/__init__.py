@@ -27,7 +27,6 @@ from .potentials import (
     u_total,
 )
 from .forces import ForcePair, free_space_force, halfspace_forces
-from .imaging import ImageCase, predict_u1_sign, verify_against_closed_forms
 
 __all__ = [
     "LorentzMedium", "ResonanceAtom", "VACUUM",
@@ -41,7 +40,6 @@ __all__ = [
     "retarded_halfspace_closed", "threshold",
     "u0_ee", "u0_em", "u1_halfspace", "u2_halfspace", "u_total",
     "ForcePair", "free_space_force", "halfspace_forces",
-    "ImageCase", "predict_u1_sign", "verify_against_closed_forms",
 ]
 
 __version__ = "0.1.0"

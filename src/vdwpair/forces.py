@@ -40,10 +40,6 @@ class ForcePair:
     f_a: tuple[float, float]
     f_b: tuple[float, float]
 
-    @property
-    def net(self) -> tuple[float, float]:
-        return (self.f_a[0] + self.f_b[0], self.f_a[1] + self.f_b[1])
-
 
 def free_space_force(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
                      spec: QuadSpec | None = None) -> float:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .materials import LorentzMedium, permeability_iu, permittivity_iu
+from .materials import VACUUM, LorentzMedium, permeability_iu, \
+    permittivity_iu
 from .quadrature import QuadSpec, integrate_semiinf
 
 __all__ = [
@@ -72,10 +73,6 @@ class PlanarGeometry:
     @property
     def l_plus(self) -> float:
         return float(np.hypot(self.X, self.Z_plus))
-
-    def swapped(self) -> "PlanarGeometry":
-        """Geometry with the two atoms exchanged."""
-        return PlanarGeometry(self.x_b, self.z_b, self.x_a, self.z_a)
 
     def shifted(self, dx_a=0.0, dz_a=0.0, dx_b=0.0, dz_b=0.0) -> "PlanarGeometry":
         return PlanarGeometry(self.x_a + dx_a, self.z_a + dz_a,
@@ -139,10 +136,6 @@ class HalfSpaceMedium:
         return cls(perfect="conducting")
 
     @classmethod
-    def perfect_permeable(cls) -> "HalfSpaceMedium":
-        return cls(perfect="permeable")
-
-    @classmethod
     def dielectric(cls, eps: LorentzMedium) -> "HalfSpaceMedium":
         return cls(eps=eps)
 
@@ -163,14 +156,10 @@ class HalfSpaceMedium:
         return eps_vac and mu_vac
 
     def eps_iu(self, u):
-        if self.eps is None:
-            return np.ones_like(np.asarray(u, dtype=float)) if np.ndim(u) else 1.0
-        return permittivity_iu(self.eps, u)
+        return permittivity_iu(self.eps or VACUUM, u)
 
     def mu_iu(self, u):
-        if self.mu is None:
-            return np.ones_like(np.asarray(u, dtype=float)) if np.ndim(u) else 1.0
-        return permeability_iu(self.mu, u)
+        return permeability_iu(self.mu or VACUUM, u)
 
 
 def _free_space_factors(x: float, z: float, u):
@@ -313,7 +302,7 @@ def q_breakpoints(geom: PlanarGeometry, u: float):
 
 def _scattering_spec(spec: QuadSpec | None, n_breaks: int) -> QuadSpec:
     spec = spec or QuadSpec()
-    min_subdiv = max(spec.max_subdivisions, n_breaks // 2 + 50, 800)
+    min_subdiv = max(spec.max_subdivisions, n_breaks // 2 + 50)
     if min_subdiv != spec.max_subdivisions:
         spec = replace(spec, max_subdivisions=min_subdiv)
     return spec
@@ -322,8 +311,6 @@ def _scattering_spec(spec: QuadSpec | None, n_breaks: int) -> QuadSpec:
 def _image(g: GreenComponents, medium: HalfSpaceMedium) -> GreenComponents:
     """-+ g . diag(1, 1, -1): the image signs of a perfect reflector, upper
     sign for the conducting plate."""
-    if not medium.is_perfect:
-        raise ValueError("image closed form exists only for perfect reflectors")
     sign = -1.0 if medium.perfect == "conducting" else 1.0
     return GreenComponents(gxx=sign * g.gxx, gyy=sign * g.gyy,
                            gxz=-sign * g.gxz, gzx=sign * g.gzx,

@@ -170,16 +170,6 @@ def _cross_trace(u, geom: PlanarGeometry, g1: GreenComponents):
     return free_space_green(geom.X, geom.Z, u).trace(g1.transpose())
 
 
-def scattering_trace(g_ab: GreenComponents) -> float:
-    """Tr[G1(r_A,r_B) . G1(r_B,r_A)] for in-plane geometry.
-
-    Swapping the atoms flips the off-diagonal elements (gxz <-> gzx with a
-    sign), so the cross contribution enters as -2 gxz gzx.
-    """
-    return (g_ab.gxx**2 + g_ab.gyy**2 + g_ab.gzz**2
-            - 2.0 * g_ab.gxz * g_ab.gzx)
-
-
 def u1_trace_integrand(u, geom: PlanarGeometry,
                        atom_a: ResonanceAtom, atom_b: ResonanceAtom,
                        medium: HalfSpaceMedium,
@@ -196,10 +186,10 @@ def u2_frequency_integrand(u, geom: PlanarGeometry,
                            medium: HalfSpaceMedium,
                            spec: QuadSpec | None = None):
     """u-integrand of the scattering part:
-    -(1/2pi) u^4 alpha_A alpha_B Tr[G1 . G1].  Vectorized in u for
-    perfect reflectors."""
+    -(1/2pi) u^4 alpha_A alpha_B Tr[G1(r_A,r_B) . G1(r_B,r_A)], with
+    G1(r_B,r_A) = G1(r_A,r_B)^T.  Vectorized in u for perfect reflectors."""
     g1 = halfspace_scattering(geom, u, medium, spec=spec)
-    return _plate_weight(u, atom_a, atom_b) * scattering_trace(g1) / 2.0
+    return _plate_weight(u, atom_a, atom_b) * g1.trace(g1.transpose()) / 2.0
 
 
 def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
@@ -210,13 +200,13 @@ def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
     ``trace(u, G1(u), inner_spec)``.
 
     Every plate part takes the scale s = min(omega10_A, omega10_B,
-    1/(l + Z+)), so all of them meet G1 at the same u-nodes.  Perfect
-    reflectors take each batch of u-nodes at once, from the engine's
-    default panels.  Finite media need one q-quadrature per node, at the
-    tightened inner tolerance, so a node costs far more than a refinement
-    round: their integral starts from 4 panels, and is taken in units of
-    ``_plate_magnitude`` so that abs_tol is relative to an O(1) integrand
-    however small the part is.  ``g1_memo``, a dict keyed by float u that
+    1/(l + Z+)), so all of them meet G1 at the same u-nodes, and is taken
+    in units of ``_plate_magnitude`` so that abs_tol is relative to an O(1)
+    integrand however small the part is.  Perfect reflectors take each
+    batch of u-nodes at once, from the engine's default panels.  Finite
+    media need one q-quadrature per node, at the tightened inner
+    tolerance, so a node costs far more than a refinement round: their
+    integral starts from 4 panels.  ``g1_memo``, a dict keyed by float u that
     the caller holds for one call at one geometry, medium and spec, lets
     the integrals of that call evaluate G1 once per node.
     """
@@ -242,9 +232,10 @@ def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
         return _plate_weight(us, atom_a, atom_b) * traces
 
     scale = _u_scale(atom_a, atom_b, geom.l + geom.Z_plus)
-    if medium.is_perfect:
-        return _scaled_integral(outer, scale, spec, axis="u")
     size = _plate_magnitude(scale, geom, atom_a, atom_b)
+    if medium.is_perfect:
+        return size * _scaled_integral(lambda u: outer(u) / size, scale,
+                                       spec, axis="u")
     res = integrate_mapped(lambda v: outer(scale * v) / size, spec,
                            panels=4, axis="u")
     return size * scale * res.value
@@ -286,8 +277,8 @@ def u2_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
     trace (whose q-quadratures carry the (q, q') structure).  ``g1_memo``
     shares G1 with the other plate parts of one call (see ``u_total``)."""
     return _frequency_integral(
-        lambda u, g1, _: scattering_trace(g1) / 2.0, geom, atom_a, atom_b,
-        medium, spec, g1_memo)
+        lambda u, g1, _: g1.trace(g1.transpose()) / 2.0, geom, atom_a,
+        atom_b, medium, spec, g1_memo)
 
 
 def u_total(geom: PlanarGeometry, atom_a: ResonanceAtom,

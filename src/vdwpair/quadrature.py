@@ -127,7 +127,9 @@ def _eval_panels(f, a: np.ndarray, b: np.ndarray):
 
 
 def integrate_interval(f, a, b, spec=None, breakpoints=None, axis="x"):
-    """Adaptively integrate a vectorized integrand over [a, b]."""
+    """Adaptively integrate a vectorized integrand over [a, b], a < b."""
+    if not a < b:
+        raise ValueError(f"limits must satisfy a < b, not {a!r}, {b!r}")
     spec = spec or QuadSpec()
     edges = np.array([a, b], dtype=float)
     if breakpoints is not None:

@@ -7,8 +7,8 @@ between the test suite and the command-line ``validate`` subcommand.
 
 The oracles that only the checks and tests use live here too: the
 explicit Bessel-kernel routes of U1 and U2 with the nested 2-D quadrature
-of the latter (check 8) and the direct quadrature of the Bessel moments
-(check 7).
+of the latter (check 8), the direct quadrature of the Bessel moments
+(check 7) and the image-dipole sign table of the cross term (check 12).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .greens import (
     q_breakpoints,
     reflection,
 )
-from .imaging import verify_against_closed_forms
 from .materials import LorentzMedium, ResonanceAtom, response_iu
 from .potentials import (
     PI3_32,
@@ -35,6 +34,7 @@ from .potentials import (
     nonretarded_electric_closed,
     nonretarded_magnetic_closed,
     perfect_limit_ratio,
+    perfect_nonretarded_closed,
     threshold,
     u0_ee,
     u0_em,
@@ -420,6 +420,42 @@ def check_figure_shapes() -> CheckResult:
     details.append(f"magnetic vertical: dips below 1 only at small "
                    f"separation: {cond}")
     return CheckResult(11, "figure-shape properties", ok, details)
+
+
+# The image-dipole rule of check 12: a conducting plate images a dipole with
+# reversed horizontal components, a permeable plate with a reversed vertical
+# one, which fixes the sign of the nonretarded cross term U1 by alignment.
+SIGN_TABLE: dict[tuple[str, str], int] = {
+    ("conducting", "parallel"): +1,
+    ("conducting", "vertical"): -1,
+    ("permeable", "parallel"): -1,
+    ("permeable", "vertical"): +1,
+}
+
+
+def verify_against_closed_forms(n_geometries: int = 10,
+                                seed: int = 7) -> list[dict]:
+    """Compare the ``SIGN_TABLE`` signs with the nonretarded closed-form
+    cross term at random aligned geometries.
+
+    Returns one record per case with the predicted sign, the evaluated
+    signs, and an ``ok`` flag; any mismatch marks a formula regression.
+    """
+    rng = np.random.default_rng(seed)
+    report = []
+    for (plate, alignment), sign in SIGN_TABLE.items():
+        got = []
+        for _ in range(n_geometries):
+            z = float(rng.uniform(0.5, 3.0))
+            l = float(rng.uniform(0.2, 2.0))
+            geom = (PlanarGeometry.parallel(l, z) if alignment == "parallel"
+                    else PlanarGeometry.vertical(z, l))
+            bd = perfect_nonretarded_closed(geom, _ATOM, _ATOM, plate)
+            got.append(int(np.sign(bd.u1)))
+        report.append({"plate": plate, "alignment": alignment,
+                       "predicted": sign, "evaluated": got,
+                       "ok": all(g == sign for g in got)})
+    return report
 
 
 def check_sign_table() -> CheckResult:

@@ -27,8 +27,14 @@ MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 
 class TestForcePair:
     def test_net(self):
-        fp = ForcePair(f_a=(1.0, -2.0), f_b=(0.5, 2.0))
-        assert fp.net == (1.5, 0.0)
+        # The plate takes up momentum only along z: the net force on the
+        # pair is -2 dU/dZ+ along z, and its x part is exactly 0.
+        fp = halfspace_forces(PlanarGeometry(0.0, 0.3, 0.4, 0.5), ATOM, ATOM,
+                              HalfSpaceMedium(perfect="conducting"),
+                              spec=QuadSpec(rel_tol=1e-8))
+        assert isinstance(fp, ForcePair)
+        assert fp.f_a[0] + fp.f_b[0] == 0.0
+        assert abs(fp.f_a[1] + fp.f_b[1]) > 1e-2 * abs(fp.f_b[1])
 
 
 class TestFreeSpaceForce:
@@ -85,7 +91,7 @@ class TestHalfSpaceForces:
         fp = halfspace_forces(geom, ATOM, ATOM,
                               HalfSpaceMedium.perfect_conductor(),
                               spec=QuadSpec(rel_tol=1e-7))
-        net = np.hypot(*fp.net)
+        net = np.hypot(fp.f_a[0] + fp.f_b[0], fp.f_a[1] + fp.f_b[1])
         assert net > 1e-3 * np.hypot(*fp.f_b)
 
     def test_parallel_force_tracks_potential_ratio(self):

@@ -14,8 +14,10 @@ e^{-60} tail of integrands that decay over u ~ 1/6e4, and that abs_tol
 accepts the tail as the value; the first panels must sit on the
 integrand's own frequency scale.
 
-Plate parts at 60 resonance wavelengths (|U| ~ 1e-18) must meet rel_tol
-at the default abs_tol too, against a rel_tol 1e-12 reference.  Last, the
+Plate parts at 60 resonance wavelengths (|U| ~ 1e-15 to 1e-18) must meet
+rel_tol at the default abs_tol too, on finite media and perfect plates,
+against a rel_tol 1e-12 reference, and rel_tol, not abs_tol, must accept
+each of their frequency integrals.  Last, the
 evaluation counts of perfect-plate and free-space frequency integrals are
 pinned: their nodes are cheap closed forms, so the 8-panel first grid is
 part of their speed.  A free-space row makes two frequency integrals, U and
@@ -95,13 +97,27 @@ def test_meets_rel_tol_against_tight_run(compute, spec):
     assert got == pytest.approx(ref, rel=10.0 * spec.rel_tol, abs=0.0)
 
 
-# Plate parts far beyond every resonance wavelength: |U1|, |U2| ~ 1e-18,
-# far below the default abs_tol, so only an integrand taken in units of
-# its own size lets rel_tol decide acceptance.
+def _recorded(calls, integrate):
+    """``integrate``, appending the (axis, QuadResult) of each call to
+    ``calls``."""
+    def recording(f, spec=None, **kwargs):
+        res = integrate(f, spec, **kwargs)
+        calls.append((kwargs.get("axis", "x"), res))
+        return res
+
+    return recording
+
+
+# Plate parts far beyond every resonance wavelength: |U1|, |U2| ~ 1e-15
+# (perfect plates) to 1e-18 (finite media), below the default abs_tol, so
+# only an integrand taken in units of its own size lets rel_tol decide
+# acceptance.
 FAR_MEDIA = {
     "dielectric": DIELECTRIC,
     "magnetic": HalfSpaceMedium.magnetic(
         LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)),
+    "conducting": CONDUCTING,
+    "permeable": PERMEABLE,
 }
 FAR_GEOMETRIES = {"vertical(60,60)": PlanarGeometry.vertical(60.0, 60.0),
                   "parallel(60,60)": PlanarGeometry.parallel(60.0, 60.0)}
@@ -109,14 +125,25 @@ FAR_GEOMETRIES = {"vertical(60,60)": PlanarGeometry.vertical(60.0, 60.0),
 
 @pytest.mark.parametrize("geom_name", FAR_GEOMETRIES)
 @pytest.mark.parametrize("medium_name", FAR_MEDIA)
-def test_far_plate_parts_meet_rel_tol(medium_name, geom_name):
+def test_far_plate_parts_meet_rel_tol(monkeypatch, medium_name, geom_name):
+    import vdwpair.potentials
+
     geom, medium = FAR_GEOMETRIES[geom_name], FAR_MEDIA[medium_name]
+    calls = []
+    for name in ("integrate_semiinf", "integrate_mapped"):
+        monkeypatch.setattr(vdwpair.potentials, name, _recorded(
+            calls, getattr(vdwpair.potentials, name)))
     ref = u_total(geom, ATOM, ATOM, medium,
                   spec=QuadSpec(rel_tol=1e-12, abs_tol=1e-300))
     for rel_tol in (1e-6, 1e-8):
+        calls.clear()
         got = u_total(geom, ATOM, ATOM, medium, spec=QuadSpec(rel_tol=rel_tol))
         assert abs(got.u1 - ref.u1) <= rel_tol * abs(ref.u1), rel_tol
         assert abs(got.u2 - ref.u2) <= rel_tol * abs(ref.u2), rel_tol
+        u_results = [res for axis, res in calls if axis == "u"]
+        assert len(u_results) == 2  # U1 and U2
+        for res in u_results:
+            assert res.abs_error_estimate <= rel_tol * abs(res.value), rel_tol
 
 
 def _evaluations_by_call(monkeypatch, compute):
@@ -126,17 +153,11 @@ def _evaluations_by_call(monkeypatch, compute):
     import vdwpair.potentials
 
     calls = []
-    integrate = vdwpair.potentials.integrate_semiinf
-
-    def recording(f, spec=None, breakpoints=None, axis="x"):
-        res = integrate(f, spec, breakpoints=breakpoints, axis=axis)
-        calls.append((axis, res.evaluations))
-        return res
-
+    recording = _recorded(calls, vdwpair.potentials.integrate_semiinf)
     for module in (vdwpair.potentials, vdwpair.forces):
         monkeypatch.setattr(module, "integrate_semiinf", recording)
     compute()
-    return calls
+    return [(axis, res.evaluations) for axis, res in calls]
 
 
 @pytest.mark.parametrize("geom,expected", [

@@ -40,10 +40,6 @@ class TestPlanarGeometry:
         assert g.l == pytest.approx(5.0)
         assert g.l_plus == pytest.approx(np.hypot(3.0, 6.0))
 
-    def test_swapped(self):
-        g = PlanarGeometry(0.2, 1.0, 1.0, 2.0).swapped()
-        assert (g.x_a, g.z_a, g.x_b, g.z_b) == (1.0, 2.0, 0.2, 1.0)
-
     def test_families(self):
         par = PlanarGeometry.parallel(2.0, 0.5)
         assert par.Z == 0.0 and par.l == 2.0 and par.Z_plus == 1.0
@@ -163,7 +159,7 @@ class TestReflection:
     def test_perfect(self):
         assert reflection(1.0, 1.0, HalfSpaceMedium.perfect_conductor()) \
             == (-1.0, 1.0)
-        assert reflection(1.0, 1.0, HalfSpaceMedium.perfect_permeable()) \
+        assert reflection(1.0, 1.0, HalfSpaceMedium(perfect="permeable")) \
             == (1.0, -1.0)
 
     def test_dielectric_normal_incidence(self):
@@ -265,7 +261,8 @@ class TestHalfspaceScattering:
         geom = PlanarGeometry(0.1, 0.5, 0.8, 0.9)
         g = halfspace_scattering_quadrature(geom, 1.2, med)
         assert g.gxz == -g.gzx
-        gs = halfspace_scattering_quadrature(geom.swapped(), 1.2, med)
+        swapped = PlanarGeometry(geom.x_b, geom.z_b, geom.x_a, geom.z_a)
+        gs = halfspace_scattering_quadrature(swapped, 1.2, med)
         assert gs.gxx == pytest.approx(g.gxx, rel=1e-8)
         assert gs.gyy == pytest.approx(g.gyy, rel=1e-8)
         assert gs.gzz == pytest.approx(g.gzz, rel=1e-8)
@@ -350,7 +347,7 @@ class TestHalfspaceScattering:
                 HalfSpaceMedium.perfect_conductor(), "Z")
 
     def test_dispatch_uses_image_for_perfect(self):
-        med = HalfSpaceMedium.perfect_permeable()
+        med = HalfSpaceMedium(perfect="permeable")
         geom = PlanarGeometry.parallel(0.7, 0.4)
         assert halfspace_scattering(geom, 1.0, med) == \
             perfect_image_scattering(geom, 1.0, med)
@@ -445,6 +442,84 @@ class TestHalfspaceScattering:
         assert component(0, 2) == pytest.approx(g.gxz, rel=1e-6)
         assert component(2, 0) == pytest.approx(g.gzx, rel=1e-6)
         assert component(2, 2) == pytest.approx(g.gzz, rel=1e-6)
+
+
+def _constant_reflection_parts(x, zp, u):
+    """Closed forms of the s-part S (r_s = 1, r_p = 0) and the p-part P
+    (r_s = 0, r_p = 1) of G1 at (X, Z+) = (x, zp), x != 0.
+
+    Two identities give every q-kernel with R = sqrt(X^2 + Z+^2):
+    int q J0(qX) e^{-b Z}/b dq = f(R) = e^{-uR}/R and
+    int q J2(qX) e^{-b Z}/b dq = 2 (e^{-uZ} - e^{-uR})/(u X^2) - f(R).
+    A factor b is -d/dZ, q^2 = b^2 - u^2, and q J1(qX) = -d/dX J0(qX).
+    With D = (e^{-uZ+} - e^{-uR})/X^2, whose e^{-uZ+} terms cancel in
+    P - S, and W = e^{-uR} (u/R^2 + 1/R^3):
+    S: gxx = D/(4 pi u), gyy = (f - D/u)/(4 pi), the rest 0;
+    P: gxx = -(f_ZZ - u D - W)/(4 pi u^2), gyy = -(u D + W)/(4 pi u^2),
+       gzx = -gxz = f_XZ/(4 pi u^2), gzz = -(f_ZZ - u^2 f)/(4 pi u^2).
+    """
+    r = np.hypot(x, zp)
+    e = np.exp(-u * r)
+    f = e / r
+    df = -f * (u + 1.0 / r)
+    d2f = f * ((u + 1.0 / r) ** 2 + 1.0 / r**2)
+    f_zz = d2f * zp**2 / r**2 + df * x**2 / r**3
+    f_xz = x * zp / r**2 * (d2f - df / r)
+    # e^{-uZ+} - e^{-uR} = -e^{-uZ+} expm1(-u (R - Z+)), R - Z+ = X^2/(R + Z+)
+    d = -np.exp(-u * zp) * np.expm1(-u * x**2 / (r + zp)) / x**2
+    w = e * (u / r**2 + 1.0 / r**3)
+    c = 1.0 / (FOUR_PI * u**2)
+    zero = 0.0 * u
+    s_part = GreenComponents(gxx=d / (FOUR_PI * u), gyy=(f - d / u) / FOUR_PI,
+                             gxz=zero, gzx=zero, gzz=zero)
+    p_part = GreenComponents(gxx=-c * (f_zz - u * d - w), gyy=-c * (u * d + w),
+                             gxz=-c * f_xz, gzx=c * f_xz,
+                             gzz=-c * (f_zz - u**2 * f))
+    return s_part, p_part
+
+
+CONSTANT_REFLECTION_X = pytest.mark.parametrize(
+    "x", [1e-3, 3.0, 50.0], ids=["X=1e-3Z+", "X=3Z+", "X=50Z+"])
+
+
+class TestConstantReflectionOracle:
+    """The s- and p-parts of G1 in closed form: an exact reference for the
+    Sommerfeld q-integrals at any X/Z+, here Z+ = 1."""
+
+    @CONSTANT_REFLECTION_X
+    def test_p_minus_s_is_the_conducting_image(self, x):
+        us = np.geomspace(1e-3, 30.0, 9)
+        s_part, p_part = _constant_reflection_parts(x, 1.0, us)
+        image = perfect_image_scattering(PlanarGeometry(0.0, 0.4, x, 0.6), us,
+                                         HalfSpaceMedium(perfect="conducting"))
+        # The e^{-uZ+} terms of S and P cancel in P - S, so the scale of
+        # the roundoff is that of the larger part, at each u.
+        scale = np.max([np.maximum(abs(getattr(s_part, n)),
+                                   abs(getattr(p_part, n)))
+                        for n in COMPONENTS], axis=0)
+        for name in COMPONENTS:
+            diff = getattr(p_part, name) - getattr(s_part, name)
+            assert np.all(abs(diff - getattr(image, name)) <= 1e-14 * scale)
+
+    @CONSTANT_REFLECTION_X
+    @pytest.mark.parametrize("u", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("rs,rp", [(1.0, 0.0), (0.0, 1.0)],
+                             ids=["s-part", "p-part"])
+    def test_quadrature_matches(self, monkeypatch, x, u, rs, rp):
+        monkeypatch.setattr(
+            "vdwpair.greens.reflection",
+            lambda q, u, medium: (np.full(q.shape, rs), np.full(q.shape, rp)))
+        got = halfspace_scattering_quadrature(
+            PlanarGeometry(0.0, 0.4, x, 0.6), u,
+            HalfSpaceMedium.dielectric(EPS_MEDIUM),
+            spec=QuadSpec(rel_tol=1e-11))
+        ref = _constant_reflection_parts(x, 1.0, u)[0 if rs else 1]
+        # Elements far below the tensor's largest one (gxz at X >> Z+ and
+        # large u) are accepted by the absolute floors of the q-integrals.
+        scale = max(abs(getattr(ref, name)) for name in COMPONENTS)
+        for name in COMPONENTS:
+            assert getattr(got, name) == pytest.approx(
+                getattr(ref, name), rel=0.0, abs=1e-11 * scale)
 
 
 class TestOscillationBudget:

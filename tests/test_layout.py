@@ -1,4 +1,5 @@
-"""Every public name of a vdwpair module is used by the package itself:
+"""Every public name of a vdwpair module, and every public method or
+property of a class that a module defines, is used by the package itself:
 library code that only tests call lives in the tests."""
 
 import ast
@@ -33,3 +34,22 @@ def test_public_names_are_used_by_the_package(name):
     module = importlib.import_module(f"vdwpair.{name}")
     used = _names_used_by_the_package()
     assert [n for n in module.__all__ if n not in used] == []
+
+
+def _public_methods(path):
+    """(class, method) for every public method or property of a class
+    defined at the top level of the module at ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(cls.name, node.name)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_methods_are_used_by_the_package(name):
+    path = Path(vdwpair.__file__).parent / f"{name}.py"
+    used = _names_used_by_the_package()
+    assert [f"{cls}.{meth}" for cls, meth in _public_methods(path)
+            if meth not in used] == []

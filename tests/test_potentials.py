@@ -128,18 +128,18 @@ class TestHalfSpaceQuadrature:
         u1_c = u1_halfspace(geom, ATOM, ATOM,
                             HalfSpaceMedium.perfect_conductor(), spec=spec)
         u1_p = u1_halfspace(geom, ATOM, ATOM,
-                            HalfSpaceMedium.perfect_permeable(), spec=spec)
+                            HalfSpaceMedium(perfect="permeable"), spec=spec)
         assert u1_p == pytest.approx(-u1_c, rel=1e-7)
         u2_c = u2_halfspace(geom, ATOM, ATOM,
                             HalfSpaceMedium.perfect_conductor(), spec=spec)
         u2_p = u2_halfspace(geom, ATOM, ATOM,
-                            HalfSpaceMedium.perfect_permeable(), spec=spec)
+                            HalfSpaceMedium(perfect="permeable"), spec=spec)
         assert u2_p == pytest.approx(u2_c, rel=1e-7)
 
     def test_u2_negative(self):
         spec = QuadSpec(rel_tol=1e-7)
         for med in (HalfSpaceMedium.perfect_conductor(),
-                    HalfSpaceMedium.perfect_permeable(),
+                    HalfSpaceMedium(perfect="permeable"),
                     HalfSpaceMedium.dielectric(EPS_MEDIUM),
                     HalfSpaceMedium.magnetic(MU_MEDIUM)):
             for geom in (PlanarGeometry.parallel(0.5, 0.3),

@@ -191,6 +191,12 @@ class TestInterval:
                                  breakpoints=list(np.arange(1.0, 20.0)))
         assert res.value == pytest.approx(1.0 - np.cos(20.0), rel=1e-9)
 
+    @pytest.mark.parametrize("a,b", [(1.0, 0.0), (1.0, 1.0), (0.0, np.nan)])
+    def test_limits_must_be_ordered(self, a, b):
+        # Reversed limits would integrate over [b, a] with the wrong sign.
+        with pytest.raises(ValueError, match="a < b"):
+            integrate_interval(np.cos, a, b)
+
 
 class TestAcceptanceRule:
     """A result is returned only when its estimate meets
