@@ -48,8 +48,7 @@ from .potentials import (
 )
 from .quadrature import QuadSpec
 
-__all__ = ["main", "ConfigError", "load_config", "DEFAULT_CONFIG",
-           "run_free_space", "run_half_space"]
+__all__ = ["main", "ConfigError", "load_config", "DEFAULT_CONFIG"]
 
 
 class ConfigError(ValueError):
@@ -401,36 +400,19 @@ def _emit(cfg: dict, command: str, columns, rows) -> None:
         sys.stdout.write(text)
 
 
-def _sweep_exit(rows) -> int:
+def cmd_sweep(args) -> int:
+    """Run the free-space or half-space sweep that ``args.command`` names."""
+    cfg = load_config(args.config, _flag_overrides(args))
+    _check_atom_pair(cfg, args.command)
+    if args.command == "free-space":
+        worker, columns = _free_space_row, FREE_COLUMNS
+    else:
+        if cfg["medium"]["kind"] == "free-space":
+            raise ConfigError("half-space command requires a non-vacuum medium")
+        worker, columns = _half_space_row, HALF_COLUMNS
+    rows = _compute_rows(cfg, worker)
+    _emit(cfg, args.command, columns, rows)
     return 2 if any(r["error"] for r in rows) else 0
-
-
-def run_free_space(cfg: dict) -> list[dict]:
-    """Compute the free-space sweep rows for an effective config."""
-    _check_atom_pair(cfg, "free-space")
-    return _compute_rows(cfg, _free_space_row)
-
-
-def run_half_space(cfg: dict) -> list[dict]:
-    """Compute the half-space sweep rows for an effective config."""
-    _check_atom_pair(cfg, "half-space")
-    if cfg["medium"]["kind"] == "free-space":
-        raise ConfigError("half-space command requires a non-vacuum medium")
-    return _compute_rows(cfg, _half_space_row)
-
-
-def cmd_free_space(args) -> int:
-    cfg = load_config(args.config, _flag_overrides(args))
-    rows = run_free_space(cfg)
-    _emit(cfg, "free-space", FREE_COLUMNS, rows)
-    return _sweep_exit(rows)
-
-
-def cmd_half_space(args) -> int:
-    cfg = load_config(args.config, _flag_overrides(args))
-    rows = run_half_space(cfg)
-    _emit(cfg, "half-space", HALF_COLUMNS, rows)
-    return _sweep_exit(rows)
 
 
 def cmd_limits(args) -> int:
@@ -511,14 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("free-space",
                        help="sweep the free-space potential and force")
     _add_sweep_flags(p)
-    p.set_defaults(func=cmd_free_space)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("half-space",
                        help="sweep the potential breakdown near a half space")
     _add_sweep_flags(p)
     p.add_argument("--forces", action="store_true",
                    help="also compute per-atom forces")
-    p.set_defaults(func=cmd_half_space)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("limits",
                        help="closed-form limit ratios and thresholds")

@@ -20,8 +20,7 @@ from .greens import (
     HalfSpaceMedium,
     PlanarGeometry,
     free_space_green,
-    free_space_green_gradient,
-    halfspace_scattering_derivative,
+    halfspace_scattering,
 )
 from .materials import ResonanceAtom, response_product
 from .quadrature import QuadSpec, integrate_semiinf
@@ -91,11 +90,9 @@ def _plate_derivative_trace(wrt: str, geom: PlanarGeometry,
         g1_t = g1.transpose()
         out = 0.0
         if wrt != "Z_plus":
-            dg0 = free_space_green_gradient(geom.X, geom.Z, u)
-            out = dg0[0 if wrt == "X" else 1].trace(g1_t)
+            out = free_space_green(geom.X, geom.Z, u, wrt).trace(g1_t)
         if wrt != "Z":
-            dg1 = halfspace_scattering_derivative(geom, u, medium, wrt,
-                                                  spec=spec)
+            dg1 = halfspace_scattering(geom, u, medium, spec, wrt)
             out = out + (free_space_green(geom.X, geom.Z, u)
                          .trace(dg1.transpose()) + dg1.trace(g1_t))
         return out

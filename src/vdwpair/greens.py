@@ -1,9 +1,12 @@
 """Electromagnetic Green tensors on the imaginary frequency axis.
 
-Covers the free-space (bulk) tensor, Fresnel reflection coefficients of a
-magneto-electric half space, the half-space scattering tensor obtained by
-Sommerfeld-type q-quadrature, and the Bessel factors J0, J1, J2 of its
-kernels.
+Covers the free-space (bulk) tensor G0, Fresnel reflection coefficients of
+a magneto-electric half space, the half-space scattering tensor G1 (the
+image closed form for a perfect reflector, Sommerfeld-type q-quadrature
+for a finite medium), and the Bessel factors J0, J1, J2 of its kernels.
+Each tensor has one function, ``free_space_green`` and
+``halfspace_scattering``, whose ``wrt`` argument selects the tensor or
+one of the derivatives that the forces need.
 
 Geometry convention: the half-space surface is the z = 0 plane, atoms sit
 in the vacuum region z > 0, both atoms lie in the xz plane.
@@ -27,13 +30,9 @@ __all__ = [
     "HalfSpaceMedium",
     "bessel_j0_j1_j2",
     "free_space_green",
-    "free_space_green_gradient",
     "reflection",
     "static_reflection",
-    "perfect_image_scattering",
     "halfspace_scattering",
-    "halfspace_scattering_quadrature",
-    "halfspace_scattering_derivative",
 ]
 
 FOUR_PI = 4.0 * np.pi
@@ -162,60 +161,51 @@ class HalfSpaceMedium:
         return permeability_iu(self.mu or VACUUM, u)
 
 
-def _free_space_factors(x: float, z: float, u):
-    """rho, the unit vector (ex, ez), a(xi), b(xi) and the prefactor
-    p = e^{-u rho}/(4 pi rho) of G0_ij = p (a delta_ij - b e_i e_j), with
-    xi = 1/(u rho)."""
-    rho = np.sqrt(x * x + z * z)
-    if rho == 0.0:
-        raise ValueError("free-space Green tensor is singular at zero separation")
-    if np.any(np.asarray(u) <= 0):
-        raise ValueError("u must be positive")
-    xi = 1.0 / (u * rho)
-    a = 1.0 + xi + xi**2
-    b = 1.0 + 3.0 * xi + 3.0 * xi**2
-    pref = np.exp(-u * rho) / (FOUR_PI * rho)
-    return rho, x / rho, z / rho, xi, a, b, pref
+def free_space_green(x: float, z: float, u,
+                     wrt: str | None = None) -> GreenComponents:
+    """Bulk Green tensor G0 at imaginary frequency iu for the in-plane
+    separation (x, 0, z), or its derivative with respect to x (``wrt="X"``)
+    or z (``wrt="Z"``); closed form, vectorized in u.
 
-
-def free_space_green(x: float, z: float, u) -> GreenComponents:
-    """Bulk Green tensor at imaginary frequency iu for the in-plane
-    separation (x, 0, z); vectorized in u."""
-    _, ex, ez, _, a, b, pref = _free_space_factors(x, z, u)
-    gxz = -pref * (b * (ex * ez))
-    return GreenComponents(gxx=pref * (a - b * (ex * ex)), gyy=pref * a,
-                           gxz=gxz, gzx=gxz, gzz=pref * (a - b * (ez * ez)))
-
-
-def free_space_green_gradient(x: float, z: float, u):
-    """(dG0/dx, dG0/dz) at the in-plane separation (x, 0, z), in closed
-    form and vectorized in u.
-
-    With G0_ij = p (a delta_ij - b e_i e_j), d_k rho = e_k and
-    d_k e_i = (delta_ik - e_i e_k)/rho:
+    G0_ij = p (a delta_ij - b e_i e_j) with p = e^{-u rho}/(4 pi rho),
+    xi = 1/(u rho), a = 1 + xi + xi^2 and b = 1 + 3 xi + 3 xi^2.  With
+    d_k rho = e_k and d_k e_i = (delta_ik - e_i e_k)/rho:
     d_k G0_ij = e_k (A delta_ij - B e_i e_j)
                 - (p b/rho)(delta_ik e_j + delta_jk e_i - 2 e_i e_j e_k),
     where A = d(p a)/d rho and B = d(p b)/d rho follow from
     dp/d rho = -p (u + 1/rho), da/d rho = -(xi + 2 xi^2)/rho and
     db/d rho = -(3 xi + 6 xi^2)/rho.
     """
-    rho, ex, ez, xi, a, b, p = _free_space_factors(x, z, u)
+    if wrt not in (None, "X", "Z"):
+        raise ValueError("wrt must be None, 'X' or 'Z'")
+    rho = np.sqrt(x * x + z * z)
+    if rho == 0.0:
+        raise ValueError("free-space Green tensor is singular at zero separation")
+    if np.any(np.asarray(u) <= 0):
+        raise ValueError("u must be positive")
+    ex, ez = x / rho, z / rho
+    xi = 1.0 / (u * rho)
+    a = 1.0 + xi + xi**2
+    b = 1.0 + 3.0 * xi + 3.0 * xi**2
+    p = np.exp(-u * rho) / (FOUR_PI * rho)
+    if wrt is None:
+        gxz = -p * (b * (ex * ez))
+        return GreenComponents(gxx=p * (a - b * (ex * ex)), gyy=p * a,
+                               gxz=gxz, gzx=gxz, gzz=p * (a - b * (ez * ez)))
     dp = -p * (u + 1.0 / rho)
     big_a = dp * a - p * (xi + 2.0 * xi**2) / rho
     big_b = dp * b - p * (3.0 * xi + 6.0 * xi**2) / rho
     c = p * b / rho
-
-    def along(ek, dxk, dzk):
-        # dxk, dzk: the Kronecker deltas delta_xk, delta_zk.
-        gxz = -ek * big_b * (ex * ez) - c * (dxk * ez + dzk * ex
-                                             - 2.0 * ex * ez * ek)
-        return GreenComponents(
-            gxx=ek * (big_a - big_b * ex * ex) - 2.0 * c * ex * (dxk - ex * ek),
-            gyy=ek * big_a,
-            gxz=gxz, gzx=gxz,
-            gzz=ek * (big_a - big_b * ez * ez) - 2.0 * c * ez * (dzk - ez * ek))
-
-    return along(ex, 1.0, 0.0), along(ez, 0.0, 1.0)
+    # ek = e_k of the direction k; dxk, dzk: the Kronecker deltas delta_xk,
+    # delta_zk.
+    ek, dxk, dzk = (ex, 1.0, 0.0) if wrt == "X" else (ez, 0.0, 1.0)
+    gxz = -ek * big_b * (ex * ez) - c * (dxk * ez + dzk * ex
+                                         - 2.0 * ex * ez * ek)
+    return GreenComponents(
+        gxx=ek * (big_a - big_b * ex * ex) - 2.0 * c * ex * (dxk - ex * ek),
+        gyy=ek * big_a,
+        gxz=gxz, gzx=gxz,
+        gzz=ek * (big_a - big_b * ez * ez) - 2.0 * c * ez * (dzk - ez * ek))
 
 
 def reflection(q, u: float, medium: HalfSpaceMedium):
@@ -317,60 +307,29 @@ def _image(g: GreenComponents, medium: HalfSpaceMedium) -> GreenComponents:
                            gzz=-sign * g.gzz)
 
 
-def perfect_image_scattering(geom: PlanarGeometry, u,
-                             medium: HalfSpaceMedium) -> GreenComponents:
-    """Exact scattering tensor of a perfect reflector by image construction,
-    vectorized in u.
-
-    G1(rA, rB) = -+ G0(rho_image) . diag(1, 1, -1) with
-    rho_image = (X, 0, Z+), upper sign for the conducting plate; this is
-    the closed form of the q-integrals when the reflection coefficients
-    are constant.
-    """
-    return _image(free_space_green(geom.X, geom.Z_plus, u), medium)
-
-
 def halfspace_scattering(geom: PlanarGeometry, u,
                          medium: HalfSpaceMedium,
-                         spec: QuadSpec | None = None) -> GreenComponents:
-    """Scattering Green tensor elements between the two atoms at iu.
+                         spec: QuadSpec | None = None,
+                         wrt: str | None = None) -> GreenComponents:
+    """Scattering Green tensor G1 between the two atoms at iu, or its
+    derivative with respect to X (``wrt="X"``) or Z+ (``wrt="Z_plus"``).
 
-    Each element is a Bessel-weighted semi-infinite q-integral damped by
-    e^{-b Z+}; the gxz element carries the upper (minus) sign of the
-    xz/zx pair, gzx the lower.  Perfect reflectors short-circuit to the
-    exact image closed form, which takes an array of u; finite media take
-    a single u.  ``halfspace_scattering_quadrature`` keeps the
-    integral route available for cross-validation.  Swapping the atoms
-    transposes the tensor.
+    A perfect reflector takes the exact image closed form
+    G1(rA, rB) = -+ G0(rho_image) . diag(1, 1, -1), rho_image = (X, 0, Z+),
+    upper sign for the conducting plate: the value of the q-integrals when
+    the reflection coefficients are constant.  It takes an array of u, and
+    its derivatives are the image signs of dG0/dx or dG0/dz at (X, Z+).
+    A finite medium takes a single u and the Sommerfeld q-quadrature of
+    ``_sommerfeld``.  The gxz element carries the upper (minus) sign of
+    the xz/zx pair, gzx the lower.  Swapping the atoms transposes the
+    tensor.
     """
+    if wrt not in (None, "X", "Z_plus"):
+        raise ValueError("wrt must be None, 'X' or 'Z_plus'")
     if medium.is_perfect:
-        return perfect_image_scattering(geom, u, medium)
-    return halfspace_scattering_quadrature(geom, u, medium, spec=spec)
-
-
-def halfspace_scattering_derivative(geom: PlanarGeometry, u,
-                                    medium: HalfSpaceMedium, wrt: str,
-                                    spec: QuadSpec | None = None) -> GreenComponents:
-    """Derivative of ``halfspace_scattering`` with respect to X
-    (``wrt="X"``) or Z+ (``wrt="Z_plus"``).
-
-    Perfect reflectors take the image signs of dG0/dx or dG0/dz at
-    (X, Z+), vectorized in u.  Finite media take a single u and integrate
-    derivative q-kernels on the same grid: d/dZ+ multiplies a kernel by -b,
-    d/dX replaces J_nu(qX) by q J_nu'(qX).
-    """
-    if wrt not in ("X", "Z_plus"):
-        raise ValueError("wrt must be 'X' or 'Z_plus'")
-    if medium.is_perfect:
-        grad = free_space_green_gradient(geom.X, geom.Z_plus, u)
-        return _image(grad[0 if wrt == "X" else 1], medium)
-    if wrt == "Z_plus":
-        zp = geom.Z_plus
-        return _sommerfeld(geom, u, medium, spec,
-                           decay=lambda b: -b * np.exp(-b * zp))
-    x = geom.X
-    return _sommerfeld(geom, u, medium, spec,
-                       bessel=lambda q: _bessel_x_derivatives(q, x))
+        g0_wrt = "Z" if wrt == "Z_plus" else wrt
+        return _image(free_space_green(geom.X, geom.Z_plus, u, g0_wrt), medium)
+    return _sommerfeld(geom, u, medium, spec, wrt)
 
 
 # J2(t) = t^2/8 sum_k c_k t^(2k), c_k = (-1)^k 2/(4^k k! (k+2)!), highest
@@ -414,24 +373,18 @@ def _bessel_x_derivatives(q, x: float):
     return -q * j1, q * (j0 - j1_t), q * (j1 - 2.0 * j2_t)
 
 
-def halfspace_scattering_quadrature(geom: PlanarGeometry, u: float,
-                                    medium: HalfSpaceMedium,
-                                    spec: QuadSpec | None = None) -> GreenComponents:
-    """Scattering tensor elements by direct Sommerfeld q-quadrature."""
-    return _sommerfeld(geom, u, medium, spec)
-
-
 def _sommerfeld(geom: PlanarGeometry, u: float, medium: HalfSpaceMedium,
-                spec: QuadSpec | None, decay=None,
-                bessel=None) -> GreenComponents:
-    """Sommerfeld q-integrals of the scattering tensor elements.
+                spec: QuadSpec | None, wrt: str | None) -> GreenComponents:
+    """Sommerfeld q-integrals of the scattering tensor elements, or of their
+    derivatives with respect to X or Z+ (``wrt`` as in
+    ``halfspace_scattering``).
 
-    ``decay(b)`` stands for e^{-b Z+} and ``bessel(q)`` for (J0(qX),
-    J1(qX), J2(qX)); a derivative of the tensor replaces them by their
-    derivatives.  Every element is one scalar q-integral on the same
-    breakpoints, so all of them start from the same first grid of
-    q-nodes; r_s, r_p, b, decay(b) and the Bessel factors on it are
-    computed once and kept for the length of this call only.
+    The derivative kernels stay on the same grid: d/dZ+ multiplies the
+    decay e^{-b Z+} by -b, d/dX replaces J_nu(qX) by q J_nu'(qX).  Every
+    element is one scalar q-integral on the same breakpoints, so all of
+    them start from the same first grid of q-nodes; r_s, r_p, b, the decay
+    and the Bessel factors on it are computed once and kept for the length
+    of this call only.
     """
     if u <= 0:
         raise ValueError("u must be positive")
@@ -440,11 +393,9 @@ def _sommerfeld(geom: PlanarGeometry, u: float, medium: HalfSpaceMedium,
     x = geom.X
     # i1 (gxz = -i1, gzx = +i1) carries J1(qX), odd in X, so it vanishes on
     # the axis X = 0; its X-derivative does not.
-    axis_i1_zero = x == 0.0 and bessel is None
+    axis_i1_zero = x == 0.0 and wrt != "X"
     zp = geom.Z_plus
     k2 = u**2
-    decay = decay or (lambda b: np.exp(-b * zp))
-    bessel = bessel or (lambda q: bessel_j0_j1_j2(q * x))
     breaks = q_breakpoints(geom, u)
     spec = _scattering_spec(spec, len(breaks))
     # The first grid, keyed by its nodes' bytes: every element integral
@@ -459,7 +410,12 @@ def _sommerfeld(geom: PlanarGeometry, u: float, medium: HalfSpaceMedium,
         if k is None:
             rs, rp = reflection(q, u, medium)
             b = np.sqrt(u**2 + q**2)
-            k = (rs, rp, b, decay(b), *bessel(q))
+            d = np.exp(-b * zp)
+            if wrt == "Z_plus":
+                d = -b * d
+            bessel = (_bessel_x_derivatives(q, x) if wrt == "X"
+                      else bessel_j0_j1_j2(q * x))
+            k = (rs, rp, b, d, *bessel)
             if not first_grid:
                 first_grid[key] = k
         return k

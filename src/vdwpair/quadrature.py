@@ -92,7 +92,8 @@ class QuadSpec:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        # "not > 0" also turns away NaN, which every comparison fails.
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")

@@ -10,16 +10,14 @@ from vdwpair import (
     LorentzMedium,
     PlanarGeometry,
 )
+from vdwpair import cli
 from vdwpair.greens import (
     FOUR_PI,
     _scattering_spec,
+    _sommerfeld,
     bessel_j0_j1_j2,
     free_space_green,
-    free_space_green_gradient,
     halfspace_scattering,
-    halfspace_scattering_derivative,
-    halfspace_scattering_quadrature,
-    perfect_image_scattering,
     q_breakpoints,
     reflection,
     static_reflection,
@@ -29,6 +27,12 @@ from vdwpair.quadrature import ConvergenceError, QuadSpec, integrate_semiinf
 EPS_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 COMPONENTS = ("gxx", "gyy", "gxz", "gzx", "gzz")
+
+
+def sommerfeld_quadrature(geom, u, medium, spec=None):
+    """G1 by Sommerfeld q-quadrature for any medium, perfect plates too,
+    whose ``halfspace_scattering`` takes the image closed form."""
+    return _sommerfeld(geom, u, medium, spec, None)
 
 
 class TestPlanarGeometry:
@@ -127,9 +131,9 @@ class TestFreeSpaceGreen:
         # and d/dz gxz cancel, and both routes lose digits there.
         us = np.geomspace(1e-2, 30.0, 9)
         h = 1e-30
-        grad_x, grad_z = free_space_green_gradient(x, z, us)
-        for grad, shifted in ((grad_x, free_space_green(x + 1j * h, z, us)),
-                              (grad_z, free_space_green(x, z + 1j * h, us))):
+        for wrt, shifted in (("X", free_space_green(x + 1j * h, z, us)),
+                             ("Z", free_space_green(x, z + 1j * h, us))):
+            grad = free_space_green(x, z, us, wrt)
             closed = np.array([getattr(grad, n) for n in COMPONENTS])
             step = np.array([np.imag(getattr(shifted, n)) / h
                              for n in COMPONENTS])
@@ -246,12 +250,12 @@ class TestStaticReflection:
 class TestHalfspaceScattering:
     def test_vacuum_zero(self):
         med = HalfSpaceMedium(eps=LorentzMedium(omegaP=0.0))
-        g = halfspace_scattering_quadrature(
+        g = halfspace_scattering(
             PlanarGeometry.parallel(1.0, 0.5), 1.0, med)
         assert g == GreenComponents(0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_axis_aligned_offdiagonals_vanish(self):
-        g = halfspace_scattering_quadrature(
+        g = halfspace_scattering(
             PlanarGeometry.vertical(0.4, 0.6), 1.0,
             HalfSpaceMedium.dielectric(EPS_MEDIUM))
         assert g.gxz == 0.0 and g.gzx == 0.0
@@ -259,10 +263,10 @@ class TestHalfspaceScattering:
     def test_antisymmetric_offdiagonal_and_swap(self):
         med = HalfSpaceMedium.dielectric(EPS_MEDIUM)
         geom = PlanarGeometry(0.1, 0.5, 0.8, 0.9)
-        g = halfspace_scattering_quadrature(geom, 1.2, med)
+        g = halfspace_scattering(geom, 1.2, med)
         assert g.gxz == -g.gzx
         swapped = PlanarGeometry(geom.x_b, geom.z_b, geom.x_a, geom.z_a)
-        gs = halfspace_scattering_quadrature(swapped, 1.2, med)
+        gs = halfspace_scattering(swapped, 1.2, med)
         assert gs.gxx == pytest.approx(g.gxx, rel=1e-8)
         assert gs.gyy == pytest.approx(g.gyy, rel=1e-8)
         assert gs.gzz == pytest.approx(g.gzz, rel=1e-8)
@@ -274,9 +278,9 @@ class TestHalfspaceScattering:
         for geom, u in [(PlanarGeometry.parallel(0.7, 0.4), 0.8),
                         (PlanarGeometry.vertical(0.3, 0.9), 1.5),
                         (PlanarGeometry(0.1, 0.5, 0.9, 0.8), 2.0)]:
-            img = perfect_image_scattering(geom, u, med)
-            quad = halfspace_scattering_quadrature(geom, u, med,
-                                                   spec=QuadSpec(rel_tol=1e-10))
+            img = halfspace_scattering(geom, u, med)
+            quad = sommerfeld_quadrature(geom, u, med,
+                                         spec=QuadSpec(rel_tol=1e-10))
             for name in ("gxx", "gyy", "gxz", "gzx", "gzz"):
                 assert getattr(quad, name) == pytest.approx(
                     getattr(img, name), rel=1e-8, abs=1e-14)
@@ -312,8 +316,8 @@ class TestHalfspaceScattering:
         h = 1e-3 * geom.Z_plus
 
         def components(**shift):
-            g = halfspace_scattering_quadrature(geom.shifted(**shift), u,
-                                                medium, spec=spec)
+            g = halfspace_scattering(geom.shifted(**shift), u, medium,
+                                     spec=spec)
             return np.array([getattr(g, n) for n in COMPONENTS])
 
         for wrt, shift in (("X", lambda d: {"dx_b": d}),
@@ -322,8 +326,7 @@ class TestHalfspaceScattering:
             fd = (8.0 * (components(**shift(h)) - components(**shift(-h)))
                   - (components(**shift(2.0 * h))
                      - components(**shift(-2.0 * h)))) / (12.0 * h)
-            dg = halfspace_scattering_derivative(geom, u, medium, wrt,
-                                                 spec=spec)
+            dg = halfspace_scattering(geom, u, medium, spec, wrt)
             exact = np.array([getattr(dg, n) for n in COMPONENTS])
             assert exact == pytest.approx(
                 fd, rel=0.0, abs=1e-7 * np.max(np.abs(fd))), wrt
@@ -341,16 +344,13 @@ class TestHalfspaceScattering:
             assert np.all(np.isfinite([getattr(g, n) for n in COMPONENTS]))
 
     def test_derivative_rejects_unknown_coordinate(self):
+        geom = PlanarGeometry.parallel(0.5, 0.3)
+        for medium in (HalfSpaceMedium.perfect_conductor(),
+                       HalfSpaceMedium.dielectric(EPS_MEDIUM)):
+            with pytest.raises(ValueError, match="wrt"):
+                halfspace_scattering(geom, 1.0, medium, wrt="Z")
         with pytest.raises(ValueError, match="wrt"):
-            halfspace_scattering_derivative(
-                PlanarGeometry.parallel(0.5, 0.3), 1.0,
-                HalfSpaceMedium.perfect_conductor(), "Z")
-
-    def test_dispatch_uses_image_for_perfect(self):
-        med = HalfSpaceMedium(perfect="permeable")
-        geom = PlanarGeometry.parallel(0.7, 0.4)
-        assert halfspace_scattering(geom, 1.0, med) == \
-            perfect_image_scattering(geom, 1.0, med)
+            free_space_green(geom.X, geom.Z, 1.0, wrt="Z_plus")
 
     @pytest.mark.parametrize("kind", ["conducting", "permeable"])
     def test_perfect_image_vectorized_in_u(self, kind):
@@ -359,7 +359,7 @@ class TestHalfspaceScattering:
         us = np.geomspace(1e-3, 30.0, 17)
         g = halfspace_scattering(geom, us, med)
         for i, u in enumerate(us):
-            gi = perfect_image_scattering(geom, float(u), med)
+            gi = halfspace_scattering(geom, float(u), med)
             for name in ("gxx", "gyy", "gxz", "gzx", "gzz"):
                 assert getattr(g, name)[i] == pytest.approx(
                     getattr(gi, name), rel=1e-15, abs=0.0)
@@ -368,8 +368,8 @@ class TestHalfspaceScattering:
         # X = 0, u Z+ = 20: quadrature matches the image closed form to 1%
         geom = PlanarGeometry.vertical(5.0, 10.0)  # Z+ = 20
         med = HalfSpaceMedium.perfect_conductor()
-        g = halfspace_scattering_quadrature(geom, 1.0, med)
-        ref = perfect_image_scattering(geom, 1.0, med)
+        g = sommerfeld_quadrature(geom, 1.0, med)
+        ref = halfspace_scattering(geom, 1.0, med)
         assert g.gxx == pytest.approx(ref.gxx, rel=0.01, abs=0.0)
         assert g.gzz == pytest.approx(ref.gzz, rel=0.01, abs=0.0)
 
@@ -381,7 +381,7 @@ class TestHalfspaceScattering:
         u = 1e-3
         for geom in (PlanarGeometry.parallel(0.02, 0.01),
                      PlanarGeometry.vertical(0.01, 0.02)):
-            gb = halfspace_scattering_quadrature(geom, u, big)
+            gb = halfspace_scattering(geom, u, big)
             gp = halfspace_scattering(geom, u, perf)
             for name in ("gxx", "gyy", "gzz"):
                 assert getattr(gb, name) == pytest.approx(
@@ -393,7 +393,7 @@ class TestHalfspaceScattering:
         med = HalfSpaceMedium.dielectric(EPS_MEDIUM)
         vals = []
         for z in (0.5, 2.0, 4.0, 8.0):
-            g = halfspace_scattering_quadrature(
+            g = halfspace_scattering(
                 PlanarGeometry.parallel(1.0, z), 1.0, med)
             vals.append(max(abs(g.gxx), abs(g.gyy), abs(g.gzz)))
         assert vals[-1] < 1e-6 * vals[0]
@@ -436,7 +436,7 @@ class TestHalfspaceScattering:
                 return out / (8.0 * np.pi**2)
             return integrate_semiinf(f, spec, breakpoints=breaks).value
 
-        g = halfspace_scattering_quadrature(geom, u, med, spec=spec)
+        g = halfspace_scattering(geom, u, med, spec=spec)
         assert component(0, 0) == pytest.approx(g.gxx, rel=1e-6)
         assert component(1, 1) == pytest.approx(g.gyy, rel=1e-6)
         assert component(0, 2) == pytest.approx(g.gxz, rel=1e-6)
@@ -490,8 +490,8 @@ class TestConstantReflectionOracle:
     def test_p_minus_s_is_the_conducting_image(self, x):
         us = np.geomspace(1e-3, 30.0, 9)
         s_part, p_part = _constant_reflection_parts(x, 1.0, us)
-        image = perfect_image_scattering(PlanarGeometry(0.0, 0.4, x, 0.6), us,
-                                         HalfSpaceMedium(perfect="conducting"))
+        image = halfspace_scattering(PlanarGeometry(0.0, 0.4, x, 0.6), us,
+                                     HalfSpaceMedium(perfect="conducting"))
         # The e^{-uZ+} terms of S and P cancel in P - S, so the scale of
         # the roundoff is that of the larger part, at each u.
         scale = np.max([np.maximum(abs(getattr(s_part, n)),
@@ -509,7 +509,7 @@ class TestConstantReflectionOracle:
         monkeypatch.setattr(
             "vdwpair.greens.reflection",
             lambda q, u, medium: (np.full(q.shape, rs), np.full(q.shape, rp)))
-        got = halfspace_scattering_quadrature(
+        got = halfspace_scattering(
             PlanarGeometry(0.0, 0.4, x, 0.6), u,
             HalfSpaceMedium.dielectric(EPS_MEDIUM),
             spec=QuadSpec(rel_tol=1e-11))
@@ -544,6 +544,20 @@ class TestOscillationBudget:
                                  HalfSpaceMedium.dielectric(EPS_MEDIUM),
                                  spec=QuadSpec(rel_tol=1e-9))
         assert err.value.axis == "q"
+
+    def test_sweep_row_beyond_the_grid_ends_in_an_error_marker(
+            self, tmp_path, capsys):
+        # X/Z+ = 50,000 end to end: the half-space row carries the q-axis
+        # ConvergenceError and the sweep exits 2, in about a second.
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"rel_tol": 1e-6, '
+                       '"geometry": {"family": "parallel", "z": 1e-4}, '
+                       '"sweep": {"variable": "l", "start": 10.0, '
+                       '"stop": 10.0, "points": 1, "scale": "log"}}')
+        assert cli.main(["half-space", "--config", str(cfg)]) == 2
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert row.startswith("1.000000000000e+01,")
+        assert "ConvergenceError" in row and "(axis 'q')" in row
 
 
 def _old_bessel_x_derivatives(q, x):
@@ -621,12 +635,7 @@ class TestSharedKernel:
                                                   rel_tol):
         spec = QuadSpec(rel_tol=rel_tol, abs_tol=1e-300)
         for u in (0.3, 4.0):
-            if wrt is None:
-                got = halfspace_scattering_quadrature(geom, u, medium,
-                                                      spec=spec)
-            else:
-                got = halfspace_scattering_derivative(geom, u, medium, wrt,
-                                                      spec=spec)
+            got = halfspace_scattering(geom, u, medium, spec, wrt)
             assert got == _per_element_kernels(geom, u, medium, spec, wrt)
 
 
@@ -710,7 +719,7 @@ class TestNonretardedScattering:
                     HalfSpaceMedium.magnetic(MU_MEDIUM),
                     HalfSpaceMedium.perfect_conductor()):
             approx = nonretarded_scattering(geom, u, med)
-            exact = halfspace_scattering_quadrature(geom, u, med)
+            exact = sommerfeld_quadrature(geom, u, med)
             for name in ("gxx", "gyy", "gzz"):
                 assert getattr(approx, name) == pytest.approx(
                     getattr(exact, name), rel=0.05)

@@ -46,6 +46,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             QuadSpec(max_subdivisions=0)
 
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    def test_quadspec_rejects_nan_tolerance(self, field):
+        # NaN fails every comparison, so a "<= 0" check lets it through.
+        with pytest.raises(ValueError, match="tolerances"):
+            QuadSpec(**{field: float("nan")})
+
     def test_tightened(self):
         spec = QuadSpec(rel_tol=1e-6, abs_tol=1e-12)
         tight = spec.tightened()
