@@ -10,13 +10,11 @@ from .materials import LorentzMedium, ResonanceAtom, VACUUM, \
 from .greens import GreenComponents, HalfSpaceMedium, PlanarGeometry
 from .quadrature import ConvergenceError, QuadResult, QuadSpec
 from .potentials import (
+    LIMIT_RATIOS,
     AsymptoticCoefficients,
     PotentialBreakdown,
     asymptotic_coefficients,
-    nonretarded_electric_closed,
-    nonretarded_magnetic_closed,
-    perfect_limit_ratio,
-    perfect_nonretarded_closed,
+    nonretarded_closed,
     perfect_retarded_closed,
     retarded_halfspace_closed,
     threshold,
@@ -34,10 +32,8 @@ __all__ = [
     "GreenComponents", "HalfSpaceMedium", "PlanarGeometry",
     "ConvergenceError", "QuadResult", "QuadSpec",
     "AsymptoticCoefficients", "PotentialBreakdown",
-    "asymptotic_coefficients", "nonretarded_electric_closed",
-    "nonretarded_magnetic_closed", "perfect_limit_ratio",
-    "perfect_nonretarded_closed", "perfect_retarded_closed",
-    "retarded_halfspace_closed", "threshold",
+    "LIMIT_RATIOS", "asymptotic_coefficients", "nonretarded_closed",
+    "perfect_retarded_closed", "retarded_halfspace_closed", "threshold",
     "u0_ee", "u0_em", "u1_halfspace", "u2_halfspace", "u_total",
     "ForcePair", "free_space_force", "halfspace_forces",
 ]

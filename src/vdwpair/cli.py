@@ -39,8 +39,9 @@ from .forces import free_space_force, halfspace_forces
 from .greens import HalfSpaceMedium, PlanarGeometry
 from .materials import LorentzMedium, ResonanceAtom
 from .potentials import (
+    LIMIT_RATIOS,
+    THRESHOLD_CASES,
     asymptotic_coefficients,
-    perfect_limit_ratio,
     threshold,
     u0_ee,
     u0_em,
@@ -76,20 +77,6 @@ FREE_COLUMNS = ("l", "U", "U_retarded_asymptote", "U_nonretarded_asymptote",
                 "force", "error")
 HALF_COLUMNS = ("l", "U0", "U1", "U2", "U", "ratio", "F_on_A_x", "F_on_A_z",
                 "F_on_B_x", "F_on_B_z", "error")
-
-_LIMIT_CASES = {
-    "retarded-conducting": ("retarded-vertical-conducting", "40/23"),
-    "retarded-permeable": ("retarded-vertical-permeable", "52/23"),
-    "nonretarded-parallel-conducting": ("nonretarded-parallel-conducting",
-                                        "2/3"),
-    "nonretarded-parallel-permeable": ("nonretarded-parallel-permeable",
-                                       "10/3"),
-}
-_THRESHOLD_CASES = {
-    "threshold-vertical-conducting": "retarded-conducting-vertical",
-    "threshold-vertical-permeable": "nonretarded-permeable-vertical",
-}
-
 
 def _number(val, path: str) -> None:
     # abs(val) <= max float also turns away NaN, +-inf and ints too large
@@ -416,7 +403,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    cases = list(_LIMIT_CASES) + list(_THRESHOLD_CASES)
+    cases = [*LIMIT_RATIOS, *THRESHOLD_CASES]
     if args.case is not None:
         if args.case not in cases:
             print(f"unknown case {args.case!r}; choose from: "
@@ -425,19 +412,19 @@ def cmd_limits(args) -> int:
         cases = [args.case]
     print(f"{'case':42s} {'value':>14s}  exact")
     for case in cases:
-        if case in _LIMIT_CASES:
-            internal, exact = _LIMIT_CASES[case]
-            value = perfect_limit_ratio(internal)
+        if case in LIMIT_RATIOS:
+            num, den = LIMIT_RATIOS[case]
+            value, exact = num / den, f"{num}/{den}"
         else:
-            value, exact = threshold(_THRESHOLD_CASES[case]), "root"
+            value, exact = threshold(case), "root"
         print(f"{case:42s} {value:14.10f}  {exact}")
     return 0
 
 
 def cmd_thresholds(_args) -> int:
     print(f"{'case':42s} {'z_B/z_A':>12s}")
-    for case, internal in _THRESHOLD_CASES.items():
-        print(f"{case:42s} {threshold(internal):12.6f}")
+    for case in THRESHOLD_CASES:
+        print(f"{case:42s} {threshold(case):12.6f}")
     return 0
 
 

@@ -147,6 +147,14 @@ class HalfSpaceMedium:
         return self.perfect is not None
 
     @property
+    def reflection_sign(self) -> float:
+        """r_p = -r_s of a perfect plate: +1 for the conducting plate, -1
+        for the permeable one.  A finite medium has no such sign."""
+        if not self.is_perfect:
+            raise ValueError("only a perfect plate has a reflection sign")
+        return 1.0 if self.perfect == "conducting" else -1.0
+
+    @property
     def is_vacuum(self) -> bool:
         if self.is_perfect:
             return False
@@ -216,7 +224,7 @@ def reflection(q, u: float, medium: HalfSpaceMedium):
     if u <= 0:
         raise ValueError("u must be positive")
     if medium.is_perfect:
-        sign = 1.0 if medium.perfect == "conducting" else -1.0
+        sign = medium.reflection_sign
         shape = q.shape
         rs = np.full(shape, -sign) if shape else -sign
         rp = np.full(shape, sign) if shape else sign
@@ -301,7 +309,7 @@ def _scattering_spec(spec: QuadSpec | None, n_breaks: int) -> QuadSpec:
 def _image(g: GreenComponents, medium: HalfSpaceMedium) -> GreenComponents:
     """-+ g . diag(1, 1, -1): the image signs of a perfect reflector, upper
     sign for the conducting plate."""
-    sign = -1.0 if medium.perfect == "conducting" else 1.0
+    sign = -medium.reflection_sign
     return GreenComponents(gxx=sign * g.gxx, gyy=sign * g.gyy,
                            gxz=-sign * g.gxz, gzx=sign * g.gzx,
                            gzz=-sign * g.gzz)
@@ -386,6 +394,8 @@ def _sommerfeld(geom: PlanarGeometry, u: float, medium: HalfSpaceMedium,
     and the Bessel factors on it are computed once and kept for the length
     of this call only.
     """
+    if np.ndim(u):
+        raise ValueError("a finite medium takes one u at a time, not an array")
     if u <= 0:
         raise ValueError("u must be positive")
     if medium.is_vacuum:

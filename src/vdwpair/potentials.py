@@ -5,10 +5,14 @@ repulsive potential of a polarizable/magnetizable pair, with their
 retarded (l^-7) and nonretarded (l^-6, l^-4) asymptotic coefficients.
 
 Half space: the decomposition U = U0 + U1 + U2 into bulk, cross, and
-scattering contributions, computed by direct quadrature, plus every
-closed-form asymptotic limit (perfect reflector retarded/nonretarded,
-magneto-electric retarded, purely electric/magnetic nonretarded) and the
-two threshold ratios along the vertical alignment.
+scattering contributions, computed by direct quadrature, plus the
+closed-form asymptotic limits, each of which takes the medium as a
+``HalfSpaceMedium``: retarded near a perfect plate, retarded near a
+magneto-electric half space of static response (eps0, mu0), and one
+nonretarded form for perfect plates and purely electric or purely
+magnetic media.  ``LIMIT_RATIOS`` and ``threshold`` give the limiting
+U/U0 ratios and the two sign-change thresholds, under the case names that
+``vdwpair limits`` prints.
 
 All in reduced units hbar = c = eps0 = mu0 = 1.
 """
@@ -31,8 +35,7 @@ from .greens import (
     halfspace_scattering,
     static_reflection,
 )
-from .materials import LorentzMedium, ResonanceAtom, permeability_iu, \
-    permittivity_iu, response_product
+from .materials import ResonanceAtom, response_product
 from .quadrature import QuadSpec, integrate_mapped, integrate_semiinf
 
 __all__ = [
@@ -45,12 +48,11 @@ __all__ = [
     "u2_halfspace",
     "u_total",
     "perfect_retarded_closed",
-    "perfect_nonretarded_closed",
-    "perfect_limit_ratio",
+    "nonretarded_closed",
     "retarded_halfspace_closed",
     "weighted_AB",
-    "nonretarded_electric_closed",
-    "nonretarded_magnetic_closed",
+    "LIMIT_RATIOS",
+    "THRESHOLD_CASES",
     "threshold",
 ]
 
@@ -301,19 +303,13 @@ def u_total(geom: PlanarGeometry, atom_a: ResonanceAtom,
     return PotentialBreakdown.assemble(u0, u1, u2)
 
 
-def _plate_sign(plate_kind: str) -> float:
-    if plate_kind == "conducting":
-        return 1.0
-    if plate_kind == "permeable":
-        return -1.0
-    raise ValueError("plate_kind must be 'conducting' or 'permeable'")
-
-
 def perfect_retarded_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
                             atom_b: ResonanceAtom,
-                            plate_kind: str) -> PotentialBreakdown:
-    """Closed-form retarded potential near a perfect reflector (X << Z+)."""
-    sign = _plate_sign(plate_kind)
+                            medium: HalfSpaceMedium) -> PotentialBreakdown:
+    """Closed-form retarded potential near a perfect plate (X << Z+); a
+    finite medium raises ValueError."""
+    _check_ee(atom_a, atom_b)
+    sign = medium.reflection_sign
     c7 = asymptotic_coefficients(atom_a, atom_b).c7_ee
     l = geom.l
     zp = geom.Z_plus
@@ -324,39 +320,18 @@ def perfect_retarded_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
     return PotentialBreakdown.assemble(u0, u1, u2)
 
 
-def perfect_nonretarded_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
-                               atom_b: ResonanceAtom,
-                               plate_kind: str) -> PotentialBreakdown:
-    """Closed-form nonretarded potential near a perfect reflector."""
-    sign = _plate_sign(plate_kind)
-    c6 = asymptotic_coefficients(atom_a, atom_b).c6
-    l = geom.l
-    lp = geom.l_plus
-    x, z, zp = geom.X, geom.Z, geom.Z_plus
-    u0 = -c6 / l**6
-    u1 = sign * (4.0 * x**4 - 2.0 * z**2 * zp**2 + x**2 * (zp**2 + z**2)) \
-        * c6 / (3.0 * l**5 * lp**5)
-    u2 = -c6 / lp**6
-    return PotentialBreakdown.assemble(u0, u1, u2)
-
-
-def perfect_limit_ratio(case: str) -> float:
-    """Limiting U/U0 ratios of the perfect-reflector closed forms.
-
-    'retarded-vertical-conducting'/'-permeable': atom A approaching the
-    surface (z_A/z_B -> 0), where U1/U0 -> -+ (32/23)*6/2^5 and U2/U0 -> 1.
-    'nonretarded-parallel-conducting'/'-permeable': on-surface limit
-    Z+ -> 0, where U1/U0 -> -+ 4/3 and U2/U0 -> 1.
-    """
-    if case == "retarded-vertical-conducting":
-        return 40.0 / 23.0
-    if case == "retarded-vertical-permeable":
-        return 52.0 / 23.0
-    if case == "nonretarded-parallel-conducting":
-        return 2.0 / 3.0
-    if case == "nonretarded-parallel-permeable":
-        return 10.0 / 3.0
-    raise ValueError(f"unknown case {case!r}")
+# Limiting U/U0 of the perfect-plate closed forms as (numerator,
+# denominator), keyed by the case names of ``vdwpair limits``.  Retarded:
+# atom A approaching the surface along the vertical (z_A/z_B -> 0), where
+# U1/U0 -> -+(32/23) 6/2^5 and U2/U0 -> 1.  Nonretarded parallel: the
+# on-surface limit Z+ -> 0, where U1/U0 -> -+4/3 and U2/U0 -> 1.  Upper
+# signs for the conducting plate.
+LIMIT_RATIOS = {
+    "retarded-conducting": (40, 23),
+    "retarded-permeable": (52, 23),
+    "nonretarded-parallel-conducting": (2, 3),
+    "nonretarded-parallel-permeable": (10, 3),
+}
 
 
 def _v_quadrature(f, spec: QuadSpec, breakpoints):
@@ -451,6 +426,7 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
     each coefficient of the (v, v') double integral is a sum of products of
     one function of v and one of v', so the double integral factorises.
     """
+    _check_ee(atom_a, atom_b)
     spec = spec or QuadSpec()
     a0b0 = atom_a.alpha0 * atom_b.alpha0
     l, x, z, zp = geom.l, geom.X, geom.Z, geom.Z_plus
@@ -525,76 +501,76 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
     return u1, u2
 
 
-def _response_product_integral(atom_a, atom_b, weight, spec, scale):
-    """int_0^inf alpha_A alpha_B weight du at the lower of the atomic
-    resonances and ``scale`` (a medium resonance the weight carries)."""
-    def f(u):
-        return response_product(atom_a, atom_b, u) * weight(u)
-
-    return _scaled_integral(f, min(atom_a.omega10, atom_b.omega10, scale),
-                            spec)
-
-
-def nonretarded_electric_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
-                                atom_b: ResonanceAtom,
-                                eps_medium: LorentzMedium,
-                                spec: QuadSpec | None = None) -> float:
-    """Nonretarded total potential near a purely electric half space."""
-    _check_ee(atom_a, atom_b)
-
-    def frac(u):
-        e = permittivity_iu(eps_medium, u)
-        return (e - 1.0) / (e + 1.0)
-
-    c6 = asymptotic_coefficients(atom_a, atom_b).c6
-    d = 1.0 / PI3_16 * _response_product_integral(
-        atom_a, atom_b, frac, spec, eps_medium.omegaT)
-    e_coef = 3.0 / PI3_16 * _response_product_integral(
-        atom_a, atom_b, lambda u: frac(u) ** 2, spec, eps_medium.omegaT)
-    l, lp = geom.l, geom.l_plus
-    x, z, zp = geom.X, geom.Z, geom.Z_plus
-    return (-c6 / l**6
-            + (4.0 * x**4 - 2.0 * z**2 * zp**2 + x**2 * (z**2 + zp**2)) * d
-            / (l**5 * lp**5)
-            - e_coef / lp**6)
-
-
-def nonretarded_magnetic_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
-                                atom_b: ResonanceAtom,
-                                mu_medium: LorentzMedium,
-                                spec: QuadSpec | None = None) -> float:
-    """Nonretarded total potential near a purely magnetic half space.
-
-    The scattering part U2 does not contribute at this order.  Static
-    permeabilities above 1e3 are rejected: the nonretarded limit is
-    incompatible with perfect reflectivity.
+def nonretarded_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
+                       atom_b: ResonanceAtom, medium: HalfSpaceMedium,
+                       spec: QuadSpec | None = None) -> PotentialBreakdown:
+    """Nonretarded potential near a perfect plate or a purely electric or
+    purely magnetic half space.  U0 = -c6/l^6 on each.  A perfect plate or
+    an electric medium gives U2 = -E/l+^6 and
+    U1 = (4 X^4 - 2 Z^2 Z+^2 + X^2 (Z^2 + Z+^2)) D/(l^5 l+^5),
+    with D and E the moments 1/(16 pi^3) int alpha_A alpha_B r du and
+    3/(16 pi^3) int alpha_A alpha_B r^2 du of the static image factor
+    r = (eps - 1)/(eps + 1).  A perfect plate has r = +-1 (upper sign for
+    the conducting plate), so D = +-c6/3 and E = c6.  A purely magnetic
+    medium gives U1 = (Z^2 - 2 X^2 + 3 Z+ (l+ - Z+)) F/(l^5 l+), with F the
+    moment 1/(64 pi^3) int alpha_A alpha_B u^2 (mu - 1)(mu - 3)/(mu + 1) du,
+    and U2 = 0 at this order; static permeabilities above 1e3 are rejected,
+    as the limit breaks down on approach to perfect reflectivity.  A medium
+    with both eps and mu has no closed form here.
     """
     _check_ee(atom_a, atom_b)
-    mu0 = permeability_iu(mu_medium, 0.0)
-    if mu0 > 1e3:
-        raise ValueError(
-            f"static permeability {mu0:.3g} too large: the nonretarded limit "
-            "breaks down on approach to perfect reflectivity")
-
-    def weight(u):
-        m = permeability_iu(mu_medium, u)
-        return u**2 * (m - 1.0) * (m - 3.0) / (m + 1.0)
-
+    if medium.eps is not None and medium.mu is not None:
+        raise ValueError("no nonretarded closed form for a medium with both "
+                         "eps and mu")
     c6 = asymptotic_coefficients(atom_a, atom_b).c6
-    f_coef = 1.0 / PI3_64 * _response_product_integral(atom_a, atom_b, weight,
-                                                       spec, mu_medium.omegaT)
     l, lp = geom.l, geom.l_plus
     x, z, zp = geom.X, geom.Z, geom.Z_plus
-    return (-c6 / l**6
-            + (z**2 - 2.0 * x**2 + 3.0 * zp * (lp - zp)) * f_coef / (l**5 * lp))
+    u0 = -c6 / l**6
+
+    def moment(weight, omega_t):
+        # int alpha_A alpha_B weight du, at the lower of the atomic
+        # resonances and the medium's
+        return _scaled_integral(
+            lambda u: response_product(atom_a, atom_b, u) * weight(u),
+            min(atom_a.omega10, atom_b.omega10, omega_t), spec)
+
+    if medium.mu is not None:
+        mu0 = medium.mu_iu(0.0)
+        if mu0 > 1e3:
+            raise ValueError(
+                f"static permeability {mu0:.3g} too large: the nonretarded "
+                "limit breaks down on approach to perfect reflectivity")
+
+        def weight(u):
+            m = medium.mu_iu(u)
+            return u**2 * (m - 1.0) * (m - 3.0) / (m + 1.0)
+
+        f_coef = 1.0 / PI3_64 * moment(weight, medium.mu.omegaT)
+        return PotentialBreakdown.assemble(
+            u0, (z**2 - 2.0 * x**2 + 3.0 * zp * (lp - zp)) * f_coef
+            / (l**5 * lp), 0.0)
+    if medium.is_perfect:
+        d, e_coef = medium.reflection_sign * c6 / 3.0, c6
+    else:
+        def frac(u):
+            e = medium.eps_iu(u)
+            return (e - 1.0) / (e + 1.0)
+
+        d = 1.0 / PI3_16 * moment(frac, medium.eps.omegaT)
+        e_coef = 3.0 / PI3_16 * moment(lambda u: frac(u) ** 2,
+                                       medium.eps.omegaT)
+    u1 = (4.0 * x**4 - 2.0 * z**2 * zp**2 + x**2 * (z**2 + zp**2)) * d \
+        / (l**5 * lp**5)
+    return PotentialBreakdown.assemble(u0, u1, -e_coef / lp**6)
 
 
-_THRESHOLD_CASES = ("retarded-conducting-vertical",
-                    "nonretarded-permeable-vertical")
+THRESHOLD_CASES = ("threshold-vertical-conducting",
+                   "threshold-vertical-permeable")
 
 
 def threshold(case: str) -> float:
-    """Height ratio z_B/z_A at which U1 + U2 changes sign (vertical family).
+    """Height ratio z_B/z_A at which U1 + U2 changes sign (vertical family),
+    for a case of ``THRESHOLD_CASES``.
 
     With z_A = 1 and z_B = r: in the retarded conducting case the closed
     forms give U1 + U2 proportional to
@@ -603,11 +579,11 @@ def threshold(case: str) -> float:
     case to 2/(3 (r+1)^3 (r-1)^3) - 1/(r+1)^6, which vanishes at
     (r+1)/(r-1) = 1.5^(1/3).
     """
-    if case == "retarded-conducting-vertical":
+    if case == "threshold-vertical-conducting":
         poly = (Polynomial([0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0])
                 - (6.0 / 23.0) * Polynomial([1.0, 1.0]) ** 6)
         # The other five roots lie in the left half plane.
         return float(max(poly.roots().real))
-    if case == "nonretarded-permeable-vertical":
+    if case == "threshold-vertical-permeable":
         return 1.0 + 2.0 / (1.5 ** (1.0 / 3.0) - 1.0)
-    raise ValueError(f"case must be one of {_THRESHOLD_CASES}")
+    raise ValueError(f"case must be one of {THRESHOLD_CASES}")

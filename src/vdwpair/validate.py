@@ -29,12 +29,10 @@ from .greens import (
 )
 from .materials import LorentzMedium, ResonanceAtom, response_iu
 from .potentials import (
+    LIMIT_RATIOS,
     PI3_32,
     asymptotic_coefficients,
-    nonretarded_electric_closed,
-    nonretarded_magnetic_closed,
-    perfect_limit_ratio,
-    perfect_nonretarded_closed,
+    nonretarded_closed,
     threshold,
     u0_ee,
     u0_em,
@@ -228,13 +226,13 @@ def check_perfect_retarded_ratios() -> CheckResult:
     spec = QuadSpec(rel_tol=1e-7)
     geom = PlanarGeometry.vertical(60.0, 59940.0)  # z_B = 60000
     details, ok = [], True
-    for kind, case, target in (
-            ("conducting", "retarded-vertical-conducting", 40.0 / 23.0),
-            ("permeable", "retarded-vertical-permeable", 52.0 / 23.0)):
+    for kind, target in (("conducting", 40.0 / 23.0),
+                         ("permeable", 52.0 / 23.0)):
         bd = u_total(geom, _ATOM, _ATOM, HalfSpaceMedium(perfect=kind),
                      spec=spec)
         dev = abs(bd.ratio / target - 1.0)
-        closed_dev = abs(perfect_limit_ratio(case) - target)
+        num, den = LIMIT_RATIOS[f"retarded-{kind}"]
+        closed_dev = abs(num / den - target)
         ok &= dev < 0.03 and closed_dev < 1e-12
         details.append(f"{kind}: quadrature ratio {bd.ratio:.5f} vs "
                        f"{target:.5f} (dev {dev:.2e}, tol 3%); closed-form "
@@ -250,10 +248,10 @@ def check_onsurface_parallel() -> CheckResult:
     l = 1e-3
     geom = PlanarGeometry.parallel(l, 0.5e-3 * l)
     details, ok = [], True
-    for kind, case, target in (
-            ("conducting", "nonretarded-parallel-conducting", 2.0 / 3.0),
-            ("permeable", "nonretarded-parallel-permeable", 10.0 / 3.0)):
-        closed = perfect_limit_ratio(case)
+    for kind, target in (("conducting", 2.0 / 3.0),
+                         ("permeable", 10.0 / 3.0)):
+        num, den = LIMIT_RATIOS[f"nonretarded-parallel-{kind}"]
+        closed = num / den
         bd = u_total(geom, _ATOM, _ATOM, HalfSpaceMedium(perfect=kind),
                      spec=spec)
         dev = abs(bd.ratio / target - 1.0)
@@ -266,8 +264,8 @@ def check_onsurface_parallel() -> CheckResult:
 
 def check_thresholds() -> CheckResult:
     """Sign-change thresholds 4.90 and 14.82 for the vertical alignments."""
-    r1 = threshold("retarded-conducting-vertical")
-    r2 = threshold("nonretarded-permeable-vertical")
+    r1 = threshold("threshold-vertical-conducting")
+    r2 = threshold("threshold-vertical-permeable")
     exact2 = 1.0 + 2.0 / ((1.5) ** (1.0 / 3.0) - 1.0)
     ok = abs(r1 - 4.90) < 0.01 and abs(r2 - exact2) < 1e-4 \
         and abs(r2 - 14.82) < 0.01
@@ -354,20 +352,14 @@ def check_nonretarded_halfspace() -> CheckResult:
     spec = QuadSpec(rel_tol=1e-7)
     geom = PlanarGeometry(0.0, 4e-4, 8e-4, 1e-3)
     details, ok = [], True
-    bd = u_total(geom, _ATOM, _ATOM, HalfSpaceMedium.dielectric(_EPS_MEDIUM),
-                 spec=spec)
-    ref = nonretarded_electric_closed(geom, _ATOM, _ATOM, _EPS_MEDIUM,
-                                      spec=spec)
-    dev = abs(bd.total / ref - 1.0)
-    ok &= dev < 0.02
-    details.append(f"electric: dev {dev:.2e} (tol 2%)")
-    bd = u_total(geom, _ATOM, _ATOM, HalfSpaceMedium.magnetic(_MU_MEDIUM),
-                 spec=spec)
-    ref = nonretarded_magnetic_closed(geom, _ATOM, _ATOM, _MU_MEDIUM,
-                                      spec=spec)
-    dev = abs(bd.total / ref - 1.0)
-    ok &= dev < 0.02
-    details.append(f"magnetic: dev {dev:.2e} (tol 2%)")
+    for label, medium in (
+            ("electric", HalfSpaceMedium.dielectric(_EPS_MEDIUM)),
+            ("magnetic", HalfSpaceMedium.magnetic(_MU_MEDIUM))):
+        bd = u_total(geom, _ATOM, _ATOM, medium, spec=spec)
+        ref = nonretarded_closed(geom, _ATOM, _ATOM, medium, spec=spec)
+        dev = abs(bd.total / ref.total - 1.0)
+        ok &= dev < 0.02
+        details.append(f"{label}: dev {dev:.2e} (tol 2%)")
     return CheckResult(10, "nonretarded half-space asymptotics", ok, details)
 
 
@@ -450,7 +442,8 @@ def verify_against_closed_forms(n_geometries: int = 10,
             l = float(rng.uniform(0.2, 2.0))
             geom = (PlanarGeometry.parallel(l, z) if alignment == "parallel"
                     else PlanarGeometry.vertical(z, l))
-            bd = perfect_nonretarded_closed(geom, _ATOM, _ATOM, plate)
+            bd = nonretarded_closed(geom, _ATOM, _ATOM,
+                                    HalfSpaceMedium(perfect=plate))
             got.append(int(np.sign(bd.u1)))
         report.append({"plate": plate, "alignment": alignment,
                        "predicted": sign, "evaluated": got,

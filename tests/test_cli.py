@@ -302,9 +302,29 @@ class TestLimitsAndThresholds:
         assert "4.8954893275" in out
         assert "14.8203397586" in out
 
-    def test_import_leaves_out_scipy_optimize(self):
+    def test_limits_full_text(self, capsys):
+        assert run(["limits"]) == 0
+        assert capsys.readouterr().out == (
+            "case                                                value  exact\n"
+            "retarded-conducting                          1.7391304348  40/23\n"
+            "retarded-permeable                           2.2608695652  52/23\n"
+            "nonretarded-parallel-conducting              0.6666666667  2/3\n"
+            "nonretarded-parallel-permeable               3.3333333333  10/3\n"
+            "threshold-vertical-conducting                4.8954893275  root\n"
+            "threshold-vertical-permeable                14.8203397586  root\n")
+
+    def test_thresholds_full_text(self, capsys):
+        assert run(["thresholds"]) == 0
+        assert capsys.readouterr().out == (
+            "case                                            z_B/z_A\n"
+            "threshold-vertical-conducting                  4.895489\n"
+            "threshold-vertical-permeable                  14.820340\n")
+
+    @pytest.mark.parametrize("module", ["scipy.optimize", "fractions",
+                                        "decimal"])
+    def test_import_leaves_out(self, module):
         code = ("import sys, vdwpair.cli; "
-                "print('scipy.optimize' in sys.modules)")
+                f"print({module!r} in sys.modules)")
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [
                        os.path.dirname(os.path.dirname(cli.__file__)),

@@ -71,6 +71,14 @@ class TestHalfSpaceMedium:
         assert not HalfSpaceMedium.dielectric(EPS_MEDIUM).is_vacuum
         assert not HalfSpaceMedium.perfect_conductor().is_vacuum
 
+    def test_reflection_sign_only_on_perfect_plates(self):
+        assert HalfSpaceMedium.perfect_conductor().reflection_sign == 1.0
+        assert HalfSpaceMedium(perfect="permeable").reflection_sign == -1.0
+        for medium in (HalfSpaceMedium.dielectric(EPS_MEDIUM),
+                       HalfSpaceMedium.magnetic(MU_MEDIUM)):
+            with pytest.raises(ValueError, match="only a perfect plate"):
+                medium.reflection_sign
+
 
 class TestFreeSpaceGreen:
     def test_trace(self):
@@ -253,6 +261,12 @@ class TestHalfspaceScattering:
         g = halfspace_scattering(
             PlanarGeometry.parallel(1.0, 0.5), 1.0, med)
         assert g == GreenComponents(0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_finite_medium_rejects_an_array_of_u(self):
+        with pytest.raises(ValueError, match="one u at a time"):
+            halfspace_scattering(PlanarGeometry.parallel(0.5, 0.3),
+                                 np.array([0.5, 1.0]),
+                                 HalfSpaceMedium.dielectric(EPS_MEDIUM))
 
     def test_axis_aligned_offdiagonals_vanish(self):
         g = halfspace_scattering(

@@ -29,13 +29,13 @@ class TestVerification:
 
     def test_mutation_canary(self, monkeypatch):
         # a sign flip in the closed-form cross term must break the check
-        original = validate.perfect_nonretarded_closed
+        original = validate.nonretarded_closed
 
-        def flipped(geom, atom_a, atom_b, plate):
-            bd = original(geom, atom_a, atom_b, plate)
+        def flipped(geom, atom_a, atom_b, medium, spec=None):
+            bd = original(geom, atom_a, atom_b, medium, spec)
             return type(bd)(u0=bd.u0, u1=-bd.u1, u2=bd.u2,
                             total=bd.total, ratio=bd.ratio)
 
-        monkeypatch.setattr(validate, "perfect_nonretarded_closed", flipped)
+        monkeypatch.setattr(validate, "nonretarded_closed", flipped)
         report = verify_against_closed_forms(n_geometries=3)
         assert all(not rec["ok"] for rec in report)

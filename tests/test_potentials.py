@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from vdwpair import (
+    LIMIT_RATIOS,
     HalfSpaceMedium,
     LorentzMedium,
     PlanarGeometry,
     PotentialBreakdown,
     ResonanceAtom,
     asymptotic_coefficients,
-    nonretarded_electric_closed,
-    nonretarded_magnetic_closed,
-    perfect_limit_ratio,
-    perfect_nonretarded_closed,
+    nonretarded_closed,
     perfect_retarded_closed,
     retarded_halfspace_closed,
     threshold,
@@ -33,6 +31,8 @@ ATOM = ResonanceAtom()
 MAG_ATOM = ResonanceAtom(kind="magnetic")
 EPS_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
+CONDUCTING = HalfSpaceMedium.perfect_conductor()
+PERMEABLE = HalfSpaceMedium(perfect="permeable")
 PI = np.pi
 
 
@@ -163,7 +163,7 @@ class TestHalfSpaceQuadrature:
         spec = QuadSpec(rel_tol=1e-7)
         for kind in ("conducting", "permeable"):
             med = HalfSpaceMedium(perfect=kind)
-            ref = perfect_nonretarded_closed(geom, ATOM, ATOM, kind)
+            ref = nonretarded_closed(geom, ATOM, ATOM, med)
             assert u1_halfspace(geom, ATOM, ATOM, med, spec=spec) == \
                 pytest.approx(ref.u1, rel=0.02)
             assert u2_halfspace(geom, ATOM, ATOM, med, spec=spec) == \
@@ -236,42 +236,39 @@ class TestPerfectPlateVectorized:
 class TestPerfectClosedForms:
     def test_retarded_u2_depends_only_on_zplus(self):
         a = perfect_retarded_closed(PlanarGeometry(0.0, 1.0, 0.1, 2.0),
-                                    ATOM, ATOM, "conducting")
+                                    ATOM, ATOM, CONDUCTING)
         b = perfect_retarded_closed(PlanarGeometry(0.0, 1.4, 0.8, 1.6),
-                                    ATOM, ATOM, "conducting")
+                                    ATOM, ATOM, CONDUCTING)
         assert a.u2 == pytest.approx(b.u2, rel=1e-13)
 
     def test_retarded_vertical_cross_ratio(self):
         # z_A/z_B -> 0 (conducting): u1/u0 -> -6/23
         geom = PlanarGeometry.vertical(1e-6, 1.0)
-        bd = perfect_retarded_closed(geom, ATOM, ATOM, "conducting")
+        bd = perfect_retarded_closed(geom, ATOM, ATOM, CONDUCTING)
         assert bd.u1 / bd.u0 == pytest.approx(-6.0 / 23.0, rel=1e-4)
 
     def test_nonretarded_vertical_conducting_cross(self):
         # X = 0: u1 = -2 c6/(3 Z+^3 l^3), always attractive
         geom = PlanarGeometry.vertical(0.7, 1.1)
-        bd = perfect_nonretarded_closed(geom, ATOM, ATOM, "conducting")
+        bd = nonretarded_closed(geom, ATOM, ATOM, CONDUCTING)
         c6 = asymptotic_coefficients(ATOM, ATOM).c6
         assert bd.u1 == pytest.approx(
             -2.0 * c6 / (3.0 * geom.Z_plus**3 * geom.l**3), rel=1e-8)
         assert bd.u1 < 0.0
 
     def test_limit_ratios_exact(self):
-        assert perfect_limit_ratio("retarded-vertical-conducting") \
-            == 40.0 / 23.0
-        assert perfect_limit_ratio("retarded-vertical-permeable") \
-            == 52.0 / 23.0
-        assert perfect_limit_ratio("nonretarded-parallel-conducting") \
-            == 2.0 / 3.0
-        assert perfect_limit_ratio("nonretarded-parallel-permeable") \
-            == 10.0 / 3.0
-        with pytest.raises(ValueError):
-            perfect_limit_ratio("nonretarded-diagonal")
+        assert LIMIT_RATIOS == {
+            "retarded-conducting": (40, 23),
+            "retarded-permeable": (52, 23),
+            "nonretarded-parallel-conducting": (2, 3),
+            "nonretarded-parallel-permeable": (10, 3),
+        }
 
     def test_plate_kind_validation(self):
         with pytest.raises(ValueError):
             perfect_retarded_closed(PlanarGeometry.parallel(1.0, 1.0),
-                                    ATOM, ATOM, "wooden")
+                                    ATOM, ATOM,
+                                    HalfSpaceMedium.dielectric(EPS_MEDIUM))
 
 
 class TestRetardedHalfSpaceClosed:
@@ -283,7 +280,7 @@ class TestRetardedHalfSpaceClosed:
     def test_large_eps_approaches_perfect(self):
         geom = PlanarGeometry.vertical(1.0, 2.0)
         u1, u2 = retarded_halfspace_closed(geom, ATOM, ATOM, 1e6, 1.0)
-        ref = perfect_retarded_closed(geom, ATOM, ATOM, "conducting")
+        ref = perfect_retarded_closed(geom, ATOM, ATOM, CONDUCTING)
         assert u1 == pytest.approx(ref.u1, rel=0.02)
         assert u2 == pytest.approx(ref.u2, rel=0.02)
 
@@ -291,7 +288,7 @@ class TestRetardedHalfSpaceClosed:
         geom = PlanarGeometry.vertical(1.0, 2.0)
         # convergence toward the perfect reflector is O(mu0^{-1/2})
         u1, u2 = retarded_halfspace_closed(geom, ATOM, ATOM, 1.0, 1e10)
-        ref = perfect_retarded_closed(geom, ATOM, ATOM, "permeable")
+        ref = perfect_retarded_closed(geom, ATOM, ATOM, PERMEABLE)
         assert u1 == pytest.approx(ref.u1, rel=0.01)
         assert u2 == pytest.approx(ref.u2, rel=0.01)
 
@@ -419,39 +416,151 @@ class TestNonretardedClosed:
     def test_electric_vacuum_reduces_to_free_space(self):
         geom = PlanarGeometry.parallel(1e-3, 1e-3)
         c6 = asymptotic_coefficients(ATOM, ATOM).c6
-        val = nonretarded_electric_closed(geom, ATOM, ATOM,
-                                          LorentzMedium(omegaP=0.0))
+        val = nonretarded_closed(geom, ATOM, ATOM, HalfSpaceMedium.dielectric(
+            LorentzMedium(omegaP=0.0))).total
         assert val == pytest.approx(-c6 / geom.l**6, rel=1e-9)
 
     def test_electric_perfect_limit(self):
         # eps -> infinity reproduces the perfect-conductor closed form
         geom = PlanarGeometry(0.0, 1e-3, 2e-3, 1.5e-3)
         huge = LorentzMedium(omegaP=1e5, omegaT=1.0, gamma=0.0)
-        val = nonretarded_electric_closed(geom, ATOM, ATOM, huge)
-        ref = perfect_nonretarded_closed(geom, ATOM, ATOM, "conducting")
+        val = nonretarded_closed(geom, ATOM, ATOM,
+                                 HalfSpaceMedium.dielectric(huge)).total
+        ref = nonretarded_closed(geom, ATOM, ATOM, CONDUCTING)
         assert val == pytest.approx(ref.total, rel=1e-4)
 
     def test_magnetic_vacuum_reduces_to_free_space(self):
         geom = PlanarGeometry.parallel(1e-3, 1e-3)
         c6 = asymptotic_coefficients(ATOM, ATOM).c6
-        val = nonretarded_magnetic_closed(
-            geom, ATOM, ATOM, LorentzMedium(omegaP=0.0))
+        val = nonretarded_closed(geom, ATOM, ATOM, HalfSpaceMedium.magnetic(
+            LorentzMedium(omegaP=0.0))).total
         assert val == pytest.approx(-c6 / geom.l**6, rel=1e-9)
 
     def test_magnetic_rejects_perfect_reflectivity(self):
         geom = PlanarGeometry.parallel(1e-3, 1e-3)
         huge = LorentzMedium(omegaP=1e3, omegaT=1.0, gamma=0.0)
         with pytest.raises(ValueError, match="perfect reflectivity"):
-            nonretarded_magnetic_closed(geom, ATOM, ATOM, huge)
+            nonretarded_closed(geom, ATOM, ATOM,
+                               HalfSpaceMedium.magnetic(huge))
 
     def test_parallel_signs(self):
         # parallel near-surface: electric reduces, magnetic enhances
         geom = PlanarGeometry.parallel(1e-3, 2e-4)
         free = -asymptotic_coefficients(ATOM, ATOM).c6 / geom.l**6
-        die = nonretarded_electric_closed(geom, ATOM, ATOM, EPS_MEDIUM)
-        mag = nonretarded_magnetic_closed(geom, ATOM, ATOM, MU_MEDIUM)
+        die = nonretarded_closed(geom, ATOM, ATOM,
+                                 HalfSpaceMedium.dielectric(EPS_MEDIUM)).total
+        mag = nonretarded_closed(geom, ATOM, ATOM,
+                                 HalfSpaceMedium.magnetic(MU_MEDIUM)).total
         assert die / free < 1.0
         assert mag / free > 1.0
+
+    def test_rejects_a_medium_with_both_eps_and_mu(self):
+        medium = HalfSpaceMedium(eps=EPS_MEDIUM, mu=MU_MEDIUM)
+        with pytest.raises(ValueError, match="both eps and mu"):
+            nonretarded_closed(PlanarGeometry.parallel(1e-3, 1e-3), ATOM,
+                               ATOM, medium)
+
+
+@pytest.mark.parametrize("closed_form", [
+    lambda geom, b: perfect_retarded_closed(geom, ATOM, b, CONDUCTING),
+    lambda geom, b: nonretarded_closed(geom, ATOM, b, PERMEABLE),
+    lambda geom, b: nonretarded_closed(geom, ATOM, b,
+                                       HalfSpaceMedium.dielectric(EPS_MEDIUM)),
+    lambda geom, b: retarded_halfspace_closed(geom, ATOM, b, 10.0, 1.0),
+], ids=["perfect-retarded", "nonretarded-perfect", "nonretarded-dielectric",
+        "retarded-halfspace"])
+def test_closed_forms_reject_an_electric_magnetic_pair(closed_form):
+    with pytest.raises(ValueError, match="electric-polarizable"):
+        closed_form(PlanarGeometry.parallel(0.5, 0.3), MAG_ATOM)
+
+
+# (medium, (x_a, z_a, x_b, z_b), U0, U1, U2) of the closed forms as they
+# stood when each medium had its own nonretarded function and the perfect
+# plates took a plate-kind string (default spec).  The perfect plates now
+# round D = +-c6/3 once, so the last bit may move.
+CLOSED_MEDIA = {"conducting": CONDUCTING, "permeable": PERMEABLE,
+                "dielectric": HalfSpaceMedium.dielectric(EPS_MEDIUM),
+                "magnetic": HalfSpaceMedium.magnetic(MU_MEDIUM)}
+NONRETARDED_GOLDENS = [
+    ("conducting", (0.0, 0.0004, 0.0008, 0.001),
+     -4749430483234583.0, 248651263865305.97, -270222489942796.1),
+    ("permeable", (0.0, 0.0004, 0.0008, 0.001),
+     -4749430483234583.0, -248651263865305.97, -270222489942796.1),
+    ("dielectric", (0.0, 0.0004, 0.0008, 0.001),
+     -4749430483234583.0, 185247008069559.88, -153372027609044.16),
+    ("magnetic", (0.0, 0.0004, 0.0008, 0.001),
+     -4749430483234583.0, -4357349.060371876, 0.0),
+    ("conducting", (0.0, 0.0002, 0.001, 0.0002),
+     -4749430483234583.0, 4544317200366382.0, -3042759084035439.5),
+    ("permeable", (0.0, 0.0002, 0.001, 0.0002),
+     -4749430483234583.0, -4544317200366382.0, -3042759084035439.5),
+    ("dielectric", (0.0, 0.0002, 0.001, 0.0002),
+     -4749430483234583.0, 3385549512199238.5, -1726999593346743.2),
+    ("magnetic", (0.0, 0.0002, 0.001, 0.0002),
+     -4749430483234583.0, -279641259.55848706, 0.0),
+    ("conducting", (0.0, 0.7, 0.0, 1.8),
+     -0.002680929690388635, -0.00015224820983071038, -1.9453667259328853e-05),
+    ("permeable", (0.0, 0.7, 0.0, 1.8),
+     -0.002680929690388635, 0.00015224820983071038, -1.9453667259328853e-05),
+    ("dielectric", (0.0, 0.7, 0.0, 1.8),
+     -0.002680929690388635, -0.00011342602855364314, -1.1041451037722867e-05),
+    ("magnetic", (0.0, 0.7, 0.0, 1.8),
+     -0.002680929690388635, 7.621780824203006e-05, 0.0),
+    ("conducting", (0.0, 0.001, 0.002, 0.0015),
+     -61869234872178.59, 10980777954053.004, -4410318348935.93),
+    ("permeable", (0.0, 0.001, 0.002, 0.0015),
+     -61869234872178.59, -10980777954053.004, -4410318348935.93),
+    ("dielectric", (0.0, 0.001, 0.002, 0.0015),
+     -61869234872178.59, 8180759794434.03, -2503194562824.3896),
+    ("magnetic", (0.0, 0.001, 0.002, 0.0015),
+     -61869234872178.59, -5293467.222930847, 0.0),
+    ("conducting", (-0.3, 0.5, 0.6, 1.2),
+     -0.00216177991954237, 7.893654448631804e-05, -9.376405115658669e-05),
+    ("permeable", (-0.3, 0.5, 0.6, 1.2),
+     -0.00216177991954237, -7.893654448631804e-05, -9.376405115658669e-05),
+    ("dielectric", (-0.3, 0.5, 0.6, 1.2),
+     -0.00216177991954237, 5.880830230310534e-05, -5.321830409366791e-05),
+    ("magnetic", (-0.3, 0.5, 0.6, 1.2),
+     -0.00216177991954237, 6.87389499753057e-07, 0.0),
+]
+RETARDED_GOLDENS = [
+    ("conducting", (0.0, 1.0, 0.1, 2.0),
+     -0.011193694134264916, 3.119607124812263e-05, -5.2996777260773055e-06),
+    ("permeable", (0.0, 1.0, 0.1, 2.0),
+     -0.011193694134264916, -3.119607124812263e-05, -5.2996777260773055e-06),
+    ("conducting", (0.0, 60.0, 0.0, 120.0),
+     -4.140373223497895e-15, 1.1251014194287758e-17, -1.8931747706894812e-18),
+    ("permeable", (0.0, 60.0, 0.0, 120.0),
+     -4.140373223497895e-15, -1.1251014194287758e-17, -1.8931747706894812e-18),
+    ("conducting", (0.0, 1e-06, 0.0, 1.000001),
+     -0.011590395186931076, 0.0030235601881306667, -0.01159023292269658),
+    ("permeable", (0.0, 1e-06, 0.0, 1.000001),
+     -0.011590395186931076, -0.0030235601881306667, -0.01159023292269658),
+    ("conducting", (0.2, 3.0, 0.5, 4.0),
+     -0.008572460667786816, 3.9849928264180683e-07, -1.407381908040147e-08),
+    ("permeable", (0.2, 3.0, 0.5, 4.0),
+     -0.008572460667786816, -3.9849928264180683e-07, -1.407381908040147e-08),
+    ("conducting", (0.0, 0.5, 0.3, 0.5),
+     -52.99677726077307, 0.10133988567537247, -0.011590395186931068),
+    ("permeable", (0.0, 0.5, 0.3, 0.5),
+     -52.99677726077307, -0.10133988567537247, -0.011590395186931068),
+]
+
+
+class TestClosedFormGoldens:
+    @pytest.mark.parametrize("name,pos,u0,u1,u2", NONRETARDED_GOLDENS)
+    def test_nonretarded(self, name, pos, u0, u1, u2):
+        bd = nonretarded_closed(PlanarGeometry(*pos), ATOM, ATOM,
+                                CLOSED_MEDIA[name])
+        assert (bd.u0, bd.u1, bd.u2) == pytest.approx((u0, u1, u2),
+                                                      rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("name,pos,u0,u1,u2", RETARDED_GOLDENS)
+    def test_perfect_retarded(self, name, pos, u0, u1, u2):
+        bd = perfect_retarded_closed(PlanarGeometry(*pos), ATOM, ATOM,
+                                     CLOSED_MEDIA[name])
+        assert (bd.u0, bd.u1, bd.u2) == pytest.approx((u0, u1, u2),
+                                                      rel=1e-14, abs=0.0)
 
 
 class TestThreshold:
@@ -463,16 +572,16 @@ class TestThreshold:
                 4.9)
             c = mpmath.cbrt(mpmath.mpf(3) / 2)
             permeable = 1 + 2 / (c - 1)
-        assert abs(threshold("retarded-conducting-vertical")
+        assert abs(threshold("threshold-vertical-conducting")
                    - float(retarded)) < 1e-12
-        assert abs(threshold("nonretarded-permeable-vertical")
+        assert abs(threshold("threshold-vertical-permeable")
                    - float(permeable)) < 1e-12
 
     def test_values(self):
-        assert threshold("retarded-conducting-vertical") == \
+        assert threshold("threshold-vertical-conducting") == \
             pytest.approx(4.90, abs=0.01)
         analytic = 1.0 + 2.0 / ((1.5) ** (1.0 / 3.0) - 1.0)
-        assert threshold("nonretarded-permeable-vertical") == \
+        assert threshold("threshold-vertical-permeable") == \
             pytest.approx(analytic, abs=1e-4)
 
     def test_unknown_case(self):
@@ -480,21 +589,21 @@ class TestThreshold:
             threshold("sideways")
 
     def test_sign_change_retarded_conducting(self):
-        root = threshold("retarded-conducting-vertical")
+        root = threshold("threshold-vertical-conducting")
 
         def u1_plus_u2(r):
             geom = PlanarGeometry.vertical(1.0, r - 1.0)
-            bd = perfect_retarded_closed(geom, ATOM, ATOM, "conducting")
+            bd = perfect_retarded_closed(geom, ATOM, ATOM, CONDUCTING)
             return bd.u1 + bd.u2
 
         assert u1_plus_u2(root * 0.9) * u1_plus_u2(root * 1.1) < 0.0
 
     def test_sign_change_nonretarded_permeable(self):
-        root = threshold("nonretarded-permeable-vertical")
+        root = threshold("threshold-vertical-permeable")
 
         def u1_plus_u2(r):
             geom = PlanarGeometry.vertical(1.0, r - 1.0)
-            bd = perfect_nonretarded_closed(geom, ATOM, ATOM, "permeable")
+            bd = nonretarded_closed(geom, ATOM, ATOM, PERMEABLE)
             return bd.u1 + bd.u2
 
         assert u1_plus_u2(root * 0.9) * u1_plus_u2(root * 1.1) < 0.0
