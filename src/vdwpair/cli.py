@@ -10,8 +10,9 @@ validate     run the acceptance validation suite
 
 Configuration is a JSON file merged over ``DEFAULT_CONFIG`` and checked
 against ``_SCHEMA``; command-line flags override file values.  Sweep
-points are dispatched to a process pool and rows are emitted in input
-order, so the output is deterministic for a fixed config and tolerance.
+points run in this process by default; with ``workers`` > 1 they are
+dispatched to a process pool.  Rows are emitted in input order either way,
+so the output is deterministic for a fixed config and tolerance.
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 validation
 failure.
 
@@ -30,7 +31,6 @@ import json
 import os
 import sys
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -117,6 +117,8 @@ def _output_path(val, path: str) -> None:
     if val is not None and not (isinstance(val, str) and os.path.isdir(
             os.path.dirname(val) or ".")):
         raise ConfigError(f"{path} {val!r} is not in an existing directory")
+    if val is not None and os.path.isdir(val):
+        raise ConfigError(f"{path} {val!r} is a directory")
 
 
 # A table field that may be absent, and a table chosen by the string in its
@@ -341,6 +343,8 @@ def _compute_rows(cfg: dict, worker) -> list[dict]:
     workers = min(cfg["workers"], len(tasks), os.cpu_count() or 1)
     if workers == 1:
         return [worker(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # Executor.map yields results in submission order, so rows come out
         # in input order regardless of completion order.

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .materials import VACUUM, LorentzMedium, permeability_iu, \
     permittivity_iu
@@ -355,6 +354,10 @@ def bessel_j0_j1_j2(t):
     0 < |t| <= 2, J2(0) = 0 exactly, and J0, J2 are even and J1 odd to the
     bit.
     """
+    # scipy.special loads here, on a finite medium's first G1: free-space
+    # and perfect-plate runs never need it.
+    from scipy import special
+
     t = np.asarray(t, dtype=float)
     j0, j1 = special.j0(t), special.j1(t)
     small = np.abs(t) < 1.0

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
-from scipy import special
 
 from .greens import (
     FOUR_PI,
@@ -426,6 +424,8 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
     each coefficient of the (v, v') double integral is a sum of products of
     one function of v and one of v', so the double integral factorises.
     """
+    from scipy import special
+
     _check_ee(atom_a, atom_b)
     spec = spec or QuadSpec()
     a0b0 = atom_a.alpha0 * atom_b.alpha0
@@ -580,6 +580,8 @@ def threshold(case: str) -> float:
     (r+1)/(r-1) = 1.5^(1/3).
     """
     if case == "threshold-vertical-conducting":
+        from numpy.polynomial import Polynomial
+
         poly = (Polynomial([0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0])
                 - (6.0 / 23.0) * Polynomial([1.0, 1.0]) ** 6)
         # The other five roots lie in the left half plane.

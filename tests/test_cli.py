@@ -37,6 +37,16 @@ def parse_csv(text):
     return header, rows
 
 
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this package."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   os.path.dirname(os.path.dirname(cli.__file__)),
+                   os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+
+
 class TestConfig:
     def test_defaults_load(self):
         cfg = load_config(None)
@@ -95,6 +105,10 @@ class TestConfig:
         ({"rel_tol": 1.0}, "field rel_tol must be below 1"),
         ({"output": {"path": 7, "format": "csv"}},
          "output.path 7 is not in an existing directory"),
+        ({"output": {"path": ".", "format": "csv"}},
+         "output.path '.' is a directory"),
+        ({"output": {"path": "." + os.sep, "format": "csv"}},
+         f"output.path {'.' + os.sep!r} is a directory"),
     ])
     def test_meaningless_values_rejected(self, tmp_path, capsys, bad,
                                          message):
@@ -321,17 +335,34 @@ class TestLimitsAndThresholds:
             "threshold-vertical-permeable                  14.820340\n")
 
     @pytest.mark.parametrize("module", ["scipy.optimize", "fractions",
-                                        "decimal"])
+                                        "decimal", "scipy",
+                                        "concurrent.futures",
+                                        "multiprocessing",
+                                        "numpy.polynomial"])
     def test_import_leaves_out(self, module):
         code = ("import sys, vdwpair.cli; "
                 f"print({module!r} in sys.modules)")
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [
-                       os.path.dirname(os.path.dirname(cli.__file__)),
-                       os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
+        out = _fresh_python(code)
         assert out.stdout.strip() == "False"
+
+    def test_deferred_imports_load_in_a_fresh_interpreter(self, tmp_path):
+        # scipy.special and numpy.polynomial load inside the first
+        # finite-medium row and the conducting threshold; no test module
+        # has imported them in this interpreter.
+        out = tmp_path / "row.json"
+        code = ("from vdwpair.cli import main; "
+                "print(main(['half-space', '--points', '1', '--rel-tol', "
+                f"'1e-6', '--format', 'json', '--output', {str(out)!r}]), "
+                "main(['thresholds']))")
+        done = _fresh_python(code)
+        assert done.stdout == (
+            "case                                            z_B/z_A\n"
+            "threshold-vertical-conducting                  4.895489\n"
+            "threshold-vertical-permeable                  14.820340\n"
+            "0 0\n")
+        (row,) = json.loads(out.read_text())["rows"]
+        assert row["error"] == ""
+        assert all(np.isfinite(row[c]) for c in ("U0", "U1", "U2", "U"))
 
 
 class TestFreeSpace:
@@ -438,7 +469,7 @@ class TestFreeSpace:
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         cfg = load_config(None, {"workers": 1000})
         cfg["sweep"]["points"] = 1000
         rows = cli._compute_rows(cfg, lambda task: task[1])
