@@ -39,6 +39,7 @@ from .forces import free_space_force, halfspace_forces
 from .greens import HalfSpaceMedium, PlanarGeometry
 from .materials import LorentzMedium, ResonanceAtom
 from .potentials import (
+    FREE_SPACE_PAIRS,
     LIMIT_RATIOS,
     THRESHOLD_CASES,
     asymptotic_coefficients,
@@ -245,12 +246,11 @@ def _validate_config(cfg: dict) -> None:
 
 def _check_atom_pair(cfg: dict, command: str) -> None:
     pair = tuple(a.get("kind", "electric") for a in cfg["atoms"])
-    if pair != ("electric", "electric") and (
-            command == "half-space" or pair != ("electric", "magnetic")):
-        raise ConfigError(
-            f"{command} cannot compute atom kinds (A, B) = {pair}: "
-            "half-space supports (electric, electric) only, free-space "
-            "also (electric, magnetic)")
+    supported = (list(FREE_SPACE_PAIRS) if command == "free-space"
+                 else [("electric", "electric")])
+    if pair not in supported:
+        raise ConfigError(f"{command} cannot compute atom kinds (A, B) = "
+                          f"{pair}; supported: {supported}")
 
 
 def _build_atoms(cfg: dict) -> tuple[ResonanceAtom, ResonanceAtom]:
@@ -434,7 +434,7 @@ def cmd_thresholds(_args) -> int:
 
 def cmd_validate(_args) -> int:
     from .validate import run_all
-    results = run_all(verbose=True)
+    results = run_all()
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 3 if failed else 0

@@ -1,7 +1,7 @@
 """Van der Waals forces on the two atoms.
 
-Free space: the signed radial force from the analytic derivative of the
-potential's frequency integrand.  Near a half space: per-atom force vectors
+Free space: the signed radial force from the l-derivative of the pair's
+row of ``FREE_SPACE_PAIRS``.  Near a half space: per-atom force vectors
 from their own frequency integrals.  The potential depends on the atoms only
 through X = x_B - x_A, Z = z_B - z_A and Z+ = z_A + z_B, so the radial
 free-space force and three u-integrals of Green-tensor derivatives (dG0 in
@@ -14,22 +14,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .greens import (
     HalfSpaceMedium,
     PlanarGeometry,
     free_space_green,
     halfspace_scattering,
 )
-from .materials import ResonanceAtom, response_product
+from .materials import ResonanceAtom
 from .quadrature import QuadSpec, integrate_semiinf
-from .potentials import _frequency_integral, _u_scale, u_total
+from .potentials import FREE_SPACE_PAIRS, _free_space_integral, \
+    _frequency_integral, u_total
 
 __all__ = ["ForcePair", "free_space_force", "halfspace_forces",
            "richardson_forces"]
 
-_PI3_8 = 8.0 * np.pi**3
+# F = -dU/dl of a FREE_SPACE_PAIRS row: at x = ul, -d/dl[l^-n e^{-2x} P(x)]
+# = l^-(n+1) e^{-2x} (nP - xP' + 2xP), so q_k = (n - k) p_k + 2 p_(k-1).
+_FORCE_ROWS = {
+    pair: (sign, n + 1, m, tuple((n - k) * pk + 2.0 * pk_1 for k, (pk, pk_1)
+                                 in enumerate(zip(p + (0.0,), (0.0,) + p))))
+    for pair, (sign, n, m, p) in FREE_SPACE_PAIRS.items()}
 
 
 @dataclass(frozen=True)
@@ -47,30 +51,8 @@ def free_space_force(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
     Negative means attraction (electric-electric pairs), positive repulsion
     (electric-magnetic pairs).
     """
-    if l <= 0:
-        raise ValueError("separation l must be positive")
-    kinds = (atom_a.kind, atom_b.kind)
-    if kinds == ("electric", "electric"):
-        def f(u):
-            x = u * l
-            p = np.exp(-2.0 * x) * (9.0 + 18.0 * x + 16.0 * x**2
-                                    + 8.0 * x**3 + 3.0 * x**4 + x**5)
-            return response_product(atom_a, atom_b, u) * p
-
-        prefactor = -1.0 / (_PI3_8 * l**7)
-    elif kinds == ("electric", "magnetic"):
-        def f(u):
-            x = u * l
-            p = np.exp(-2.0 * x) * (2.0 + 4.0 * x + 3.0 * x**2 + x**3)
-            return u**2 * response_product(atom_a, atom_b, u) * p
-
-        prefactor = 1.0 / (_PI3_8 * l**5)
-    else:
-        raise ValueError("supported pairs: (electric, electric) and "
-                         "(electric, magnetic)")
-    s = _u_scale(atom_a, atom_b, l)
-    res = integrate_semiinf(lambda v: f(s * v), spec)
-    return prefactor * s * res.value
+    return _free_space_integral(_FORCE_ROWS, None, l, atom_a, atom_b, spec,
+                                integrate_semiinf)
 
 
 def _plate_derivative_trace(wrt: str, geom: PlanarGeometry,

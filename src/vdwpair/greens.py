@@ -47,10 +47,12 @@ class PlanarGeometry:
     z_b: float
 
     def __post_init__(self):
-        if self.z_a <= 0 or self.z_b <= 0:
+        # "not" also turns away NaN; l is NaN or inf if any coordinate is.
+        if not (self.z_a > 0 and self.z_b > 0):
             raise ValueError("both atoms must sit above the surface (z > 0)")
-        if self.l <= 0:
-            raise ValueError("atom positions must not coincide")
+        if not 0.0 < self.l < np.inf:
+            raise ValueError("atom positions must not coincide and must be "
+                             "finite")
 
     @property
     def X(self) -> float:

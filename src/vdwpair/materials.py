@@ -39,10 +39,10 @@ class ResonanceAtom:
     kind: str = "electric"
 
     def __post_init__(self):
-        if self.omega10 <= 0:
-            raise ValueError("omega10 must be positive")
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
+        if not 0.0 < self.omega10 < np.inf:
+            raise ValueError("omega10 must be positive and finite")
+        if not 0.0 < self.alpha0 < np.inf:
+            raise ValueError("alpha0 must be positive and finite")
         if self.kind not in _ATOM_KINDS:
             raise ValueError(f"kind must be one of {_ATOM_KINDS}")
 
@@ -56,12 +56,12 @@ class LorentzMedium:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.omegaT <= 0:
-            raise ValueError("omegaT must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.omegaP < 0:
-            raise ValueError("omegaP must be >= 0")
+        if not 0.0 < self.omegaT < np.inf:
+            raise ValueError("omegaT must be positive and finite")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be >= 0 and finite")
+        if not 0.0 <= self.omegaP < np.inf:
+            raise ValueError("omegaP must be >= 0 and finite")
 
 
 VACUUM = LorentzMedium()

@@ -1,8 +1,9 @@
 """Two-atom van der Waals potentials in free space and near a half space.
 
 Free space: the attractive potential of two polarizable atoms and the
-repulsive potential of a polarizable/magnetizable pair, with their
-retarded (l^-7) and nonretarded (l^-6, l^-4) asymptotic coefficients.
+repulsive potential of a polarizable/magnetizable pair, each from its row
+of the frequency-integrand table ``FREE_SPACE_PAIRS``, with their retarded
+(l^-7) and nonretarded (l^-6, l^-4) asymptotic coefficients.
 
 Half space: the decomposition U = U0 + U1 + U2 into bulk, cross, and
 scattering contributions, computed by direct quadrature, plus the
@@ -41,6 +42,7 @@ __all__ = [
     "AsymptoticCoefficients",
     "u0_ee",
     "u0_em",
+    "FREE_SPACE_PAIRS",
     "asymptotic_coefficients",
     "u1_halfspace",
     "u2_halfspace",
@@ -57,6 +59,14 @@ __all__ = [
 PI3_32 = 32.0 * np.pi**3
 PI3_64 = 64.0 * np.pi**3
 PI3_16 = 16.0 * np.pi**3
+
+# (kind_A, kind_B): (sign, n, m, P), one row per free-space pair: U0 =
+# sign/(32 pi^3 l^n) int_0^inf u^m alpha_A alpha_B 2 e^{-2ul} P(ul) du, with
+# P's coefficients lowest order first.
+FREE_SPACE_PAIRS = {
+    ("electric", "electric"): (-1.0, 6, 0, (3.0, 6.0, 5.0, 2.0, 1.0)),
+    ("electric", "magnetic"): (+1.0, 4, 2, (1.0, 2.0, 1.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -108,38 +118,43 @@ def _check_ee(atom_a, atom_b):
         raise ValueError("both atoms must be electric-polarizable")
 
 
+def _free_space_integral(rows, pair, l, atom_a, atom_b, spec, integrate):
+    """The ``rows`` entry at ``pair``, the atoms' kinds (any entry when
+    None), integrated as ``FREE_SPACE_PAIRS`` states by the caller's own
+    ``integrate_semiinf`` at the scale s of ``_u_scale``."""
+    if not 0.0 < l < np.inf:  # NaN fails every comparison
+        raise ValueError("separation l must be positive and finite")
+    kinds = (atom_a.kind, atom_b.kind)
+    if kinds not in ([pair] if pair else rows):
+        raise ValueError(f"atom kinds (A, B) = {kinds} are not supported")
+    sign, n, m, poly = rows[kinds]
+    s = _u_scale(atom_a, atom_b, l)
+
+    def f(v):
+        u = s * v
+        x = u * l
+        # in order from p0, not by Horner: check 13 prints U0's last bits
+        p = poly[0] + poly[1] * x
+        for k in range(2, len(poly)):
+            p = p + poly[k] * x**k
+        w = response_product(atom_a, atom_b, u)
+        return (u**m * w if m else w) * (2.0 * np.exp(-2.0 * x) * p)
+
+    return sign * s * integrate(f, spec).value / (PI3_32 * l**n)
+
+
 def u0_ee(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
           spec: QuadSpec | None = None) -> float:
     """Free-space potential of two polarizable atoms (always attractive)."""
-    if l <= 0:
-        raise ValueError("separation l must be positive")
-    _check_ee(atom_a, atom_b)
-
-    def f(u):
-        x = u * l
-        g = 2.0 * np.exp(-2.0 * x) * (3.0 + 6.0 * x + 5.0 * x**2
-                                      + 2.0 * x**3 + x**4)
-        return response_product(atom_a, atom_b, u) * g
-
-    return -_scaled_integral(f, _u_scale(atom_a, atom_b, l), spec) \
-        / (PI3_32 * l**6)
+    return _free_space_integral(FREE_SPACE_PAIRS, ("electric", "electric"),
+                                l, atom_a, atom_b, spec, integrate_semiinf)
 
 
 def u0_em(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
           spec: QuadSpec | None = None) -> float:
     """Free-space potential of a polarizable/magnetizable pair (repulsive)."""
-    if l <= 0:
-        raise ValueError("separation l must be positive")
-    if atom_a.kind != "electric" or atom_b.kind != "magnetic":
-        raise ValueError("atom A must be electric, atom B magnetic")
-
-    def f(u):
-        x = u * l
-        h = 2.0 * np.exp(-2.0 * x) * (1.0 + 2.0 * x + x**2)
-        return u**2 * response_product(atom_a, atom_b, u) * h
-
-    return _scaled_integral(f, _u_scale(atom_a, atom_b, l), spec) \
-        / (PI3_32 * l**4)
+    return _free_space_integral(FREE_SPACE_PAIRS, ("electric", "magnetic"),
+                                l, atom_a, atom_b, spec, integrate_semiinf)
 
 
 def asymptotic_coefficients(atom_a: ResonanceAtom,

@@ -502,14 +502,13 @@ CHECKS = (
 ORACLE_CHECKS = (check_force_oracle,)
 
 
-def run_all(verbose: bool = True) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     """Run every acceptance check, printing one pass/fail line each."""
     results = []
     for check in CHECKS + ORACLE_CHECKS:
         res = check()
         results.append(res)
-        if verbose:
-            print(res.line())
-            for d in res.details:
-                print(f"    {d}")
+        print(res.line())
+        for d in res.details:
+            print(f"    {d}")
     return results

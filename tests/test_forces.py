@@ -14,9 +14,10 @@ from vdwpair import (
     free_space_force,
     halfspace_forces,
     u0_ee,
+    u0_em,
     u_total,
 )
-from vdwpair.forces import richardson_forces
+from vdwpair.forces import _FORCE_ROWS, richardson_forces
 from vdwpair.quadrature import QuadSpec
 
 ATOM = ResonanceAtom()
@@ -55,19 +56,40 @@ class TestFreeSpaceForce:
         for l in (1e-3, 1.0, 100.0):
             assert free_space_force(l, ATOM, MAG_ATOM) > 0.0
 
-    def test_matches_potential_derivative(self):
-        l = 0.7
-        h = 1e-5
+    @pytest.mark.parametrize("l", [0.05, 0.7, 20.0])
+    @pytest.mark.parametrize("atom_b", [
+        ATOM, ResonanceAtom(omega10=1.7, alpha0=0.3),
+        MAG_ATOM, ResonanceAtom(omega10=1.7, alpha0=0.3, kind="magnetic"),
+    ], ids=["ee-equal", "ee-unequal", "em-equal", "em-unequal"])
+    def test_matches_potential_derivative(self, atom_b, l):
+        u0 = u0_em if atom_b.kind == "magnetic" else u0_ee
+        h = 1e-4 * l
         spec = QuadSpec(rel_tol=1e-11)
-        fd = -(u0_ee(l + h, ATOM, ATOM, spec=spec)
-               - u0_ee(l - h, ATOM, ATOM, spec=spec)) / (2.0 * h)
-        assert free_space_force(l, ATOM, ATOM) == pytest.approx(fd, rel=1e-6)
+        fd = -(u0(l + h, ATOM, atom_b, spec=spec)
+               - u0(l - h, ATOM, atom_b, spec=spec)) / (2.0 * h)
+        assert free_space_force(l, ATOM, atom_b) == pytest.approx(fd,
+                                                                  rel=1e-6)
+
+    def test_force_rows_are_the_hand_derived_polynomials(self):
+        # -dU/dl worked out by hand: -e^{-2x}(9 + 18x + 16x^2 + 8x^3 + 3x^4
+        # + x^5)/(8 pi^3 l^7) and +u^2 e^{-2x}(2 + 4x + 3x^2 + x^3)
+        # /(8 pi^3 l^5), times alpha_A alpha_B; a row carries 2/(32 pi^3).
+        assert _FORCE_ROWS == {
+            ("electric", "electric"): (-1.0, 7, 0, (18, 36, 32, 16, 6, 2)),
+            ("electric", "magnetic"): (1.0, 5, 2, (4, 8, 6, 2)),
+        }
 
     def test_domain(self):
         with pytest.raises(ValueError):
             free_space_force(0.0, ATOM, ATOM)
         with pytest.raises(ValueError):
             free_space_force(1.0, MAG_ATOM, ATOM)
+
+    @pytest.mark.parametrize("l", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("atom_b", [ATOM, MAG_ATOM], ids=["ee", "em"])
+    def test_separation_must_be_positive_and_finite(self, l, atom_b):
+        with pytest.raises(ValueError, match="positive and finite"):
+            free_space_force(l, ATOM, atom_b)
 
 
 class TestHalfSpaceForces:

@@ -56,6 +56,14 @@ class TestPlanarGeometry:
         with pytest.raises(ValueError):
             PlanarGeometry(0.0, 1.0, 0.0, 1.0)  # coincident
 
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate(self, index, value):
+        coords = [0.0, 1.0, 0.5, 2.0]
+        coords[index] = value
+        with pytest.raises(ValueError):
+            PlanarGeometry(*coords)
+
 
 class TestHalfSpaceMedium:
     def test_exclusive_descriptions(self):

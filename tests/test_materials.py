@@ -39,6 +39,12 @@ class TestResonanceAtom:
         with pytest.raises(ValueError):
             response_iu(ResonanceAtom(), -0.1)
 
+    @pytest.mark.parametrize("field", ["omega10", "alpha0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    def test_invalid_parameters(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ResonanceAtom(**{field: value})
+
     def test_response_product_matches_factors(self):
         atom_a = ResonanceAtom(omega10=0.7, alpha0=1.3)
         atom_b = ResonanceAtom(omega10=2.9, alpha0=0.45, kind="magnetic")
@@ -99,3 +105,9 @@ class TestLorentzMedium:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             LorentzMedium(**kwargs)
+
+    @pytest.mark.parametrize("field", ["omegaP", "omegaT", "gamma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameters(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            LorentzMedium(**{field: value})

@@ -1,5 +1,7 @@
 """Free-space and half-space potentials, closed-form limits, thresholds."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from vdwpair import (
     u2_halfspace,
     u_total,
 )
-from vdwpair.potentials import _static_h_weight, u1_trace_integrand, \
-    u2_frequency_integrand
+from vdwpair.potentials import FREE_SPACE_PAIRS, _static_h_weight, \
+    u1_trace_integrand, u2_frequency_integrand
 from vdwpair.quadrature import QuadSpec
 from vdwpair.validate import u1_frequency_integrand
 
@@ -63,6 +65,13 @@ class TestFreeSpace:
         with pytest.raises(ValueError):
             u0_em(1.0, ATOM, ATOM)
 
+    @pytest.mark.parametrize("l", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("u0,atom_b", [(u0_ee, ATOM), (u0_em, MAG_ATOM)],
+                             ids=["ee", "em"])
+    def test_separation_must_be_positive_and_finite(self, u0, atom_b, l):
+        with pytest.raises(ValueError, match="positive and finite"):
+            u0(l, ATOM, atom_b)
+
     def test_exact_coefficients(self):
         co = asymptotic_coefficients(ATOM, ATOM)
         # int du/(1+u^2)^2 = pi/4 gives c6 = 3/(64 pi^2) for unit atoms
@@ -96,6 +105,55 @@ class TestFreeSpace:
         co = asymptotic_coefficients(atom_a, atom_b)
         assert co.c6 == pytest.approx(c6, rel=1e-13, abs=0.0)
         assert co.c4 == pytest.approx(c4, rel=1e-13, abs=0.0)
+
+    # Each row of FREE_SPACE_PAIRS in its two limits.  As l -> 0,
+    # e^{-2ul} P(ul) -> p0, leaving 2 p0 times the u^m-moment of
+    # alpha_A alpha_B, whose closed forms for single-resonance atoms are
+    # a0 b0 wA^2 wB^2 pi/(2 wA wB (wA + wB)) (m = 0) and
+    # a0 b0 wA^2 wB^2 pi/(2 (wA + wB)) (m = 2).  As l -> inf, alpha -> a0 b0
+    # and int u^m 2 e^{-2ul} P(ul) du = 2 sum_k p_k (k + m)!/2^(k+m+1)
+    # / l^(m+1).
+    PAIR_COEFFICIENTS = {("electric", "electric"): ("c6", "c7_ee", 23 / 4),
+                         ("electric", "magnetic"): ("c4", "c7_em", 7 / 4)}
+
+    @pytest.mark.parametrize("pair", list(FREE_SPACE_PAIRS))
+    def test_pair_table_nonretarded_limit(self, pair):
+        _, _, m, p = FREE_SPACE_PAIRS[pair]
+        atom_a = ResonanceAtom(omega10=1.0, alpha0=1.0, kind=pair[0])
+        atom_b = ResonanceAtom(omega10=1.7, alpha0=0.3, kind=pair[1])
+        wa, wb = atom_a.omega10, atom_b.omega10
+        moment = (atom_a.alpha0 * atom_b.alpha0 * wa**2 * wb**2 * PI
+                  / (2.0 * (wa + wb)) / {0: wa * wb, 2: 1.0}[m])
+        co = asymptotic_coefficients(atom_a, atom_b)
+        c_nonretarded = getattr(co, self.PAIR_COEFFICIENTS[pair][0])
+        assert 2 * p[0] * moment / (32.0 * PI**3) == pytest.approx(
+            c_nonretarded, rel=1e-14)
+
+    @staticmethod
+    def retarded_moment(pair):
+        _, n, m, p = FREE_SPACE_PAIRS[pair]
+        assert n + m + 1 == 7
+        return sum(pk * math.factorial(k + m) / 2 ** (k + m + 1)
+                   for k, pk in enumerate(p))
+
+    @pytest.mark.parametrize("pair", list(FREE_SPACE_PAIRS))
+    def test_pair_table_retarded_limit(self, pair):
+        moment = self.retarded_moment(pair)
+        assert moment == self.PAIR_COEFFICIENTS[pair][2]  # exact
+        atom_a = ResonanceAtom(omega10=1.0, alpha0=1.0, kind=pair[0])
+        atom_b = ResonanceAtom(omega10=1.7, alpha0=0.3, kind=pair[1])
+        co = asymptotic_coefficients(atom_a, atom_b)
+        c_retarded = getattr(co, self.PAIR_COEFFICIENTS[pair][1])
+        assert atom_a.alpha0 * atom_b.alpha0 * 2 * moment / (32.0 * PI**3) \
+            == pytest.approx(c_retarded, rel=1e-14)
+
+    def test_pair_table_gives_the_retarded_ratio(self):
+        # check 3's exact c7_em/c7_ee = 7/23, from the two rows alone
+        ratio = (self.retarded_moment(("electric", "magnetic"))
+                 / self.retarded_moment(("electric", "electric")))
+        assert ratio == 7 / 23
+        co = asymptotic_coefficients(ATOM, ATOM)
+        assert co.c7_em / co.c7_ee == ratio
 
     def test_em_nonretarded_coefficient(self):
         co = asymptotic_coefficients(ATOM, MAG_ATOM)
