@@ -84,7 +84,8 @@ def _plate_derivative_trace(wrt: str, geom: PlanarGeometry,
 
 def halfspace_forces(geom: PlanarGeometry, atom_a: ResonanceAtom,
                      atom_b: ResonanceAtom, medium: HalfSpaceMedium,
-                     spec: QuadSpec | None = None) -> ForcePair:
+                     spec: QuadSpec | None = None, *,
+                     g1_memo: dict | None = None) -> ForcePair:
     """Force vectors on both atoms near the half space.
 
     U_X = dU/dX = -f0 X/l + Phi_X and U_Z = -f0 Z/l + Phi_Z, with f0 the
@@ -92,14 +93,15 @@ def halfspace_forces(geom: PlanarGeometry, atom_a: ResonanceAtom,
     F_A = (U_X, U_Z - U_Z+) and F_B = (-U_X, -U_Z - U_Z+), so
     F_A,x = -F_B,x holds exactly.  The plate parts are u-integrals at the
     scale min(omega10, 1/(l + Z+)), so on finite media they share one G1
-    per u-node through a memo that lives for this call only.  U is even in
-    X (mirror symmetry) and in Z (atom exchange), so Phi_X on the axis
+    per u-node through ``g1_memo``, which a caller may share with
+    ``u_total`` at the same geometry, medium and spec.  U is even in X
+    (mirror symmetry) and in Z (atom exchange), so Phi_X on the axis
     X = 0 and Phi_Z at Z = 0 are zero and not integrated.
     """
     spec = spec or QuadSpec()
     l = geom.l
     f0 = free_space_force(l, atom_a, atom_b, spec=spec)
-    g1_memo = {}
+    g1_memo = {} if g1_memo is None else g1_memo
 
     def phi(wrt: str, zero: bool) -> float:
         if zero:

@@ -190,7 +190,7 @@ def free_space_green(x: float, z: float, u,
     rho = np.sqrt(x * x + z * z)
     if rho == 0.0:
         raise ValueError("free-space Green tensor is singular at zero separation")
-    if np.any(np.asarray(u) <= 0):
+    if not np.all(np.asarray(u) > 0):  # "not > 0" also turns away NaN
         raise ValueError("u must be positive")
     ex, ez = x / rho, z / rho
     xi = 1.0 / (u * rho)
@@ -222,7 +222,7 @@ def reflection(q, u: float, medium: HalfSpaceMedium):
     q = np.asarray(q, dtype=float)
     if np.any(q < 0):
         raise ValueError("q must be >= 0")
-    if u <= 0:
+    if not u > 0:
         raise ValueError("u must be positive")
     if medium.is_perfect:
         sign = medium.reflection_sign
@@ -401,7 +401,7 @@ def _sommerfeld(geom: PlanarGeometry, u: float, medium: HalfSpaceMedium,
     """
     if np.ndim(u):
         raise ValueError("a finite medium takes one u at a time, not an array")
-    if u <= 0:
+    if not u > 0:
         raise ValueError("u must be positive")
     if medium.is_vacuum:
         return GreenComponents(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -413,26 +413,25 @@ def _sommerfeld(geom: PlanarGeometry, u: float, medium: HalfSpaceMedium,
     k2 = u**2
     breaks = q_breakpoints(geom, u)
     spec = _scattering_spec(spec, len(breaks))
-    # The first grid, keyed by its nodes' bytes: every element integral
-    # starts from it.  Refinements rarely coincide between elements (0.3 %
-    # of the kernel nodes of a u_total at parallel(0.6, 0.01), rel_tol
-    # 1e-8), so they are not kept and the memo holds one grid at most.
-    first_grid = {}
+    # The first grid: the engine's first-panel cache hands all four element
+    # integrals the same node array.  Refinements rarely coincide between
+    # elements (0.3 % of the kernel nodes of a u_total at parallel(0.6,
+    # 0.01), rel_tol 1e-8), so they are not kept: one grid at most.
+    first_grid = []
 
     def kernel(q):
-        key = q.tobytes()
-        k = first_grid.get(key)
-        if k is None:
-            rs, rp = reflection(q, u, medium)
-            b = np.sqrt(u**2 + q**2)
-            d = np.exp(-b * zp)
-            if wrt == "Z_plus":
-                d = -b * d
-            bessel = (_bessel_x_derivatives(q, x) if wrt == "X"
-                      else bessel_j0_j1_j2(q * x))
-            k = (rs, rp, b, d, *bessel)
-            if not first_grid:
-                first_grid[key] = k
+        if first_grid and q is first_grid[0]:
+            return first_grid[1]
+        rs, rp = reflection(q, u, medium)
+        b = np.sqrt(u**2 + q**2)
+        d = np.exp(-b * zp)
+        if wrt == "Z_plus":
+            d = -b * d
+        bessel = (_bessel_x_derivatives(q, x) if wrt == "X"
+                  else bessel_j0_j1_j2(q * x))
+        k = (rs, rp, b, d, *bessel)
+        if not first_grid:
+            first_grid.extend((q, k))
         return k
 
     def xx_yy(q, sign):

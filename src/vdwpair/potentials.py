@@ -298,17 +298,19 @@ def u2_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
 
 def u_total(geom: PlanarGeometry, atom_a: ResonanceAtom,
             atom_b: ResonanceAtom, medium: HalfSpaceMedium,
-            spec: QuadSpec | None = None) -> PotentialBreakdown:
+            spec: QuadSpec | None = None, *,
+            g1_memo: dict | None = None) -> PotentialBreakdown:
     """Full potential breakdown U0 + U1 + U2 at the given geometry.
 
     U1 and U2 are u-integrals at one scale; on finite media they share one
-    G1 per u-node through a memo that lives for this call only.
+    G1 per u-node through ``g1_memo``, which a caller may share with
+    ``halfspace_forces`` at the same geometry, medium and spec.
     """
     spec = spec or QuadSpec()
     u0 = u0_ee(geom.l, atom_a, atom_b, spec=spec)
     if medium.is_vacuum:
         return PotentialBreakdown.assemble(u0, 0.0, 0.0)
-    g1_memo = {}
+    g1_memo = {} if g1_memo is None else g1_memo
     u1 = u1_halfspace(geom, atom_a, atom_b, medium, spec=spec,
                       g1_memo=g1_memo)
     u2 = u2_halfspace(geom, atom_a, atom_b, medium, spec=spec,

@@ -14,11 +14,17 @@ err <= max(rel_tol |I|, abs_tol, 250 eps sum|panel values|); its last
 term, the roundoff floor of the panel sum, is how cancelling oscillatory
 and exactly-zero integrals converge.  A panel budget exhausted first
 raises ``ConvergenceError``.  Panels are evaluated in vectorized batches.
+
+An integral's first panel set (edges, half widths, nodes x, weights
+w = dx/dt) depends only on its map, limits and breakpoints: it is built
+once, kept as read-only arrays in a cache of the two most recently used
+sets, and its first round is y = f(x) w and one matmul.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,30 +123,55 @@ class ConvergenceError(RuntimeError):
         self.axis = axis
 
 
-def _eval_panels(f, a: np.ndarray, b: np.ndarray):
-    """Evaluate the Gauss-Kronrod pair on a batch of panels [a_i, b_i]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    pts = mid[:, None] + half[:, None] * KRONROD_NODES
-    y = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+def _nodes(lo, hi, cut: float, scale: float):
+    """Half widths, nodes x and weights w of the panels [lo_i, hi_i] of t.
+
+    x = t up to the cut and x = cut + scale s/(1-s), s = t - cut, beyond
+    it; w = dx/dt.  Only the tail nodes are mapped.
+    """
+    half = 0.5 * (hi - lo)
+    t = ((0.5 * (lo + hi))[:, None] + half[:, None] * KRONROD_NODES).ravel()
+    x, w = t.copy(), np.ones_like(t)
+    tail = t > cut
+    s = t[tail] - cut
+    x[tail] = cut + scale * (s / (1.0 - s))
+    w[tail] = scale * (1.0 / (1.0 - s) ** 2)
+    return half, x, w
+
+
+@lru_cache(maxsize=2)
+def _first_panels(a: float, b: float, breakpoints: bytes, cut: float,
+                  scale: float):
+    """The first panel set of an integral over t in [a, b]: the edges lo,
+    hi split at ``breakpoints`` (float64 bytes) and ``_nodes`` on them,
+    as read-only arrays shared by every call from the same inputs."""
+    p = np.frombuffer(breakpoints)
+    edges = np.concatenate([[a, b], p[(p > a) & (p < b)]])
+    # np.unique without its overhead: sorted, repeats dropped.
+    edges.sort()
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+    edges.flags.writeable = False
+    nodes = _nodes(edges[:-1], edges[1:], cut, scale)
+    for arr in nodes:
+        arr.flags.writeable = False
+    return (edges[:-1], edges[1:], *nodes)
+
+
+def _panel_sums(f, half, x, w):
+    """The Gauss-Kronrod pair of f(x) w on panels of half widths ``half``."""
+    y = (np.asarray(f(x), dtype=float) * w).reshape(half.size, _N_NODES)
     sums = (y @ _RULES) * half[:, None]
     return sums[:, 0], np.abs(sums[:, 1])
 
 
-def integrate_interval(f, a, b, spec=None, breakpoints=None, axis="x"):
-    """Adaptively integrate a vectorized integrand over [a, b], a < b."""
-    if not a < b:
-        raise ValueError(f"limits must satisfy a < b, not {a!r}, {b!r}")
+def _integrate(f, a, b, breakpoints, cut: float, scale: float,
+               spec: QuadSpec | None, axis: str) -> QuadResult:
+    """Adaptively integrate f(x(t)) dx/dt over t in [a, b] (x as in
+    ``_nodes``), starting from the panels split at ``breakpoints``."""
     spec = spec or QuadSpec()
-    edges = np.array([a, b], dtype=float)
-    if breakpoints is not None:
-        p = np.asarray(breakpoints, dtype=float)
-        edges = np.concatenate([edges, p[(p > a) & (p < b)]])
-    # np.unique without its overhead: sorted, repeats dropped.
-    edges.sort()
-    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs = _eval_panels(f, lo, hi)
+    p = np.asarray([] if breakpoints is None else breakpoints, dtype=float)
+    lo, hi, *first = _first_panels(a, b, p.tobytes(), cut, scale)
+    vals, errs = _panel_sums(f, *first)
     evals = _N_NODES * lo.size
     max_panels = lo.size + spec.max_subdivisions
 
@@ -175,17 +206,29 @@ def integrate_interval(f, a, b, spec=None, breakpoints=None, axis="x"):
         sm = 0.5 * (sa + sb)
         new_lo = np.concatenate([lo[~mask], sa, sm])
         new_hi = np.concatenate([hi[~mask], sm, sb])
-        new_vals, new_errs = _eval_panels(f, np.concatenate([sa, sm]),
-                                          np.concatenate([sm, sb]))
+        new_vals, new_errs = _panel_sums(f, *_nodes(
+            np.concatenate([sa, sm]), np.concatenate([sm, sb]), cut, scale))
         evals += _N_NODES * 2 * sa.size
         vals = np.concatenate([vals[~mask], new_vals])
         errs = np.concatenate([errs[~mask], new_errs])
         lo, hi = new_lo, new_hi
 
 
-def _forward_map(t):
-    """x = t/(1-t) and its Jacobian, mapping [0, 1) onto [0, inf)."""
-    return t / (1.0 - t), 1.0 / (1.0 - t) ** 2
+def integrate_interval(f, a, b, spec=None, breakpoints=None, axis="x"):
+    """Adaptively integrate a vectorized integrand over [a, b], a < b.
+
+    b = inf needs a breakpoint c > max(a, 0): the head [a, c] stays in x,
+    the tail is x = c/(1-s), s = t - c (see ``integrate_semiinf``).
+    """
+    if not a < b:
+        raise ValueError(f"limits must satisfy a < b, not {a!r}, {b!r}")
+    if b < np.inf:  # no tail: x = t
+        return _integrate(f, a, b, breakpoints, np.inf, 1.0, spec, axis)
+    p = np.asarray([] if breakpoints is None else breakpoints, dtype=float)
+    cut = float(p.max(initial=-np.inf))
+    if not cut > max(a, 0.0):
+        raise ValueError("b = inf needs a breakpoint above max(a, 0)")
+    return _integrate(f, a, cut + 1.0, p, cut, cut, spec, axis)
 
 
 def integrate_mapped(f, spec=None, panels=8, axis="x"):
@@ -197,13 +240,9 @@ def integrate_mapped(f, spec=None, panels=8, axis="x"):
     are the default of ``integrate_semiinf``; a caller whose integrand
     costs far more per node than a refinement round may start from fewer.
     """
-    def g(t):
-        x, jac = _forward_map(t)
-        return np.asarray(f(x), dtype=float) * jac
-
-    return integrate_interval(g, 0.0, 1.0, spec=spec,
-                              breakpoints=np.arange(1, panels) / panels,
-                              axis=axis)
+    # all tail: x = 0 + 1 t/(1-t)
+    return _integrate(f, 0.0, 1.0, np.arange(1, panels) / panels, 0.0, 1.0,
+                      spec, axis)
 
 
 def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
@@ -225,19 +264,7 @@ def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
     panel budget and one error estimate.
     """
     breaks = np.asarray([] if breakpoints is None else breakpoints, dtype=float)
-    breaks = np.sort(breaks[breaks > 0])
+    breaks = breaks[breaks > 0]
     if not breaks.size:
         return integrate_mapped(f, spec, axis=axis)
-
-    cut = float(breaks[-1])
-
-    def g(t):
-        # s = 0 on the head, where x = t and the Jacobian is 1; on the tail
-        # x = c + c s/(1-s) = c/(1-s)
-        x, jac = _forward_map(np.maximum(t - cut, 0.0))
-        scale = np.where(t > cut, cut, 1.0)
-        return np.asarray(f(np.minimum(t, cut) + scale * x),
-                          dtype=float) * (scale * jac)
-
-    return integrate_interval(g, 0.0, cut + 1.0, spec=spec,
-                              breakpoints=breaks, axis=axis)
+    return integrate_interval(f, 0.0, np.inf, spec, breaks, axis)

@@ -477,7 +477,10 @@ def check_force_oracle() -> CheckResult:
         r = np.array(oracle.f_a + oracle.f_b)
         dev = float(np.max(np.abs(a - r)) / np.max(np.abs(r)))
         ok &= dev <= 10.0 * rel_tol
-        details.append(f"{label}: max|F - F_oracle|/max|F| = {dev:.2e} "
+        # Below tol, dev's digits are roundoff: show its decade.
+        shown = (f"<= {10.0 ** np.ceil(np.log10(dev)):.0e}"
+                 if 0.0 < dev < np.inf else f"= {dev:.2e}")
+        details.append(f"{label}: max|F - F_oracle|/max|F| {shown} "
                        f"(tol {10.0 * rel_tol:.0e})")
     return CheckResult(13, "analytic forces vs finite differences", ok,
                        details)

@@ -175,6 +175,19 @@ class TestHalfSpaceForces:
         assert par.f_a[0] == -par.f_b[0]
         assert par.f_a[1] == par.f_b[1]
 
+    def test_g1_memo_shared_with_the_potential(self):
+        # the G1 that u_total leaves in the memo serve the forces bitwise
+        geom = PlanarGeometry(0.0, 0.02, 0.03, 0.05)
+        med = HalfSpaceMedium.dielectric(EPS_MEDIUM)
+        spec = QuadSpec(rel_tol=1e-6)
+        memo = {}
+        u_total(geom, ATOM, ATOM, med, spec=spec, g1_memo=memo)
+        potential_nodes = set(memo)
+        shared = halfspace_forces(geom, ATOM, ATOM, med, spec=spec,
+                                  g1_memo=memo)
+        assert potential_nodes and potential_nodes <= set(memo)
+        assert shared == halfspace_forces(geom, ATOM, ATOM, med, spec=spec)
+
     def test_richardson_step_halving(self):
         geom = PlanarGeometry.parallel(0.5, 0.3)
         med = HalfSpaceMedium.perfect_conductor()

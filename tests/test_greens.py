@@ -22,7 +22,8 @@ from vdwpair.greens import (
     reflection,
     static_reflection,
 )
-from vdwpair.quadrature import ConvergenceError, QuadSpec, integrate_semiinf
+from vdwpair.quadrature import ConvergenceError, QuadSpec, _first_panels, \
+    integrate_semiinf
 
 EPS_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
@@ -129,6 +130,10 @@ class TestFreeSpaceGreen:
         with pytest.raises(ValueError):
             free_space_green(0.3, 0.7, np.array([0.5, 0.0, 2.0]))
 
+    def test_nan_u_in_array(self):
+        with pytest.raises(ValueError, match="u must be positive"):
+            free_space_green(0.3, 0.7, np.array([0.5, np.nan, 2.0]))
+
     def test_vectorized_in_u(self):
         us = np.geomspace(1e-3, 30.0, 17)
         g = free_space_green(0.3, 0.7, us)
@@ -181,6 +186,10 @@ class TestReflection:
             == (-1.0, 1.0)
         assert reflection(1.0, 1.0, HalfSpaceMedium(perfect="permeable")) \
             == (1.0, -1.0)
+
+    def test_nan_u(self):
+        with pytest.raises(ValueError, match="u must be positive"):
+            reflection(1.0, np.nan, HalfSpaceMedium.dielectric(EPS_MEDIUM))
 
     def test_dielectric_normal_incidence(self):
         # eps(iu) = 10, q = 0: r_p = (10 - sqrt(10))/(10 + sqrt(10))
@@ -269,6 +278,11 @@ class TestHalfspaceScattering:
         g = halfspace_scattering(
             PlanarGeometry.parallel(1.0, 0.5), 1.0, med)
         assert g == GreenComponents(0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_finite_medium_rejects_nan_u(self):
+        with pytest.raises(ValueError, match="u must be positive"):
+            halfspace_scattering(PlanarGeometry.parallel(0.5, 0.3), np.nan,
+                                 HalfSpaceMedium.dielectric(EPS_MEDIUM))
 
     def test_finite_medium_rejects_an_array_of_u(self):
         with pytest.raises(ValueError, match="one u at a time"):
@@ -659,6 +673,31 @@ class TestSharedKernel:
         for u in (0.3, 4.0):
             got = halfspace_scattering(geom, u, medium, spec, wrt)
             assert got == _per_element_kernels(geom, u, medium, spec, wrt)
+
+    def test_one_first_panel_set_per_tensor(self):
+        # the four element integrals start from the same q panel set: it is
+        # built once and read back three times
+        _first_panels.cache_clear()
+        halfspace_scattering(PlanarGeometry.parallel(0.5, 0.3), 1.0,
+                             HalfSpaceMedium.dielectric(EPS_MEDIUM),
+                             QuadSpec(rel_tol=1e-6))
+        info = _first_panels.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_one_kernel_evaluation_on_the_first_grid(self, monkeypatch):
+        # all four element integrals meet the tolerance on the first grid,
+        # whose reflection coefficients are computed once
+        calls = []
+
+        def counted(q, u, medium):
+            calls.append(q.size)
+            return reflection(q, u, medium)
+
+        monkeypatch.setattr("vdwpair.greens.reflection", counted)
+        halfspace_scattering(PlanarGeometry.parallel(0.5, 0.3), 1.0,
+                             HalfSpaceMedium.dielectric(EPS_MEDIUM),
+                             QuadSpec(rel_tol=1e-6))
+        assert len(calls) == 1
 
 
 def nonretarded_scattering(geom: PlanarGeometry, u: float,

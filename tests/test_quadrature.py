@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vdwpair.quadrature import (
+    _first_panels,
     ConvergenceError,
     QuadResult,
     QuadSpec,
@@ -197,6 +198,15 @@ class TestInterval:
                                  breakpoints=list(np.arange(1.0, 20.0)))
         assert res.value == pytest.approx(1.0 - np.cos(20.0), rel=1e-9)
 
+    def test_infinite_upper_limit_maps_the_tail_beyond_the_last_breakpoint(
+            self):
+        res = integrate_interval(lambda x: np.exp(-x), 1.0, np.inf,
+                                 QuadSpec(rel_tol=1e-10),
+                                 breakpoints=[2.0, 4.0])
+        assert res.value == pytest.approx(np.exp(-1.0), rel=1e-10)
+        with pytest.raises(ValueError, match="breakpoint above"):
+            integrate_interval(np.exp, 1.0, np.inf, breakpoints=[0.5])
+
     @pytest.mark.parametrize("a,b", [(1.0, 0.0), (1.0, 1.0), (0.0, np.nan)])
     def test_limits_must_be_ordered(self, a, b):
         # Reversed limits would integrate over [b, a] with the wrong sign.
@@ -234,6 +244,36 @@ class TestAcceptanceRule:
         assert abs(res.value) < 1e-14
         assert res.abs_error_estimate > spec.rel_tol * abs(res.value)
         assert res.abs_error_estimate > spec.abs_tol
+
+
+class TestFirstPanelCache:
+    """The first panel set of an integral is a pure function of its map,
+    limits and breakpoints, kept in a small cache of read-only arrays."""
+
+    def test_integrand_cannot_write_into_the_cached_nodes(self):
+        def f(x):
+            x[0] = 0.0
+            return x
+
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_semiinf(f, breakpoints=[1.0, 2.0])
+
+    def test_entries_stay_within_the_bound(self):
+        for k in range(100):
+            integrate_semiinf(lambda x: np.exp(-x), QuadSpec(rel_tol=1e-3),
+                              breakpoints=[1.0 + k, 50.0 + k])
+        info = _first_panels.cache_info()
+        assert info.currsize <= info.maxsize <= 2
+
+    @pytest.mark.parametrize("breakpoints", [None, [0.5, 1.0, 3.0, 3.0, 8.0]])
+    def test_cold_and_warm_calls_are_bitwise_equal(self, breakpoints):
+        f = SUITE[4][0]
+        spec = QuadSpec(rel_tol=1e-12)
+        _first_panels.cache_clear()
+        cold = integrate_semiinf(f, spec, breakpoints=breakpoints)
+        warm = integrate_semiinf(f, spec, breakpoints=breakpoints)
+        assert _first_panels.cache_info().hits == 1
+        assert warm == cold
 
 
 class TestNested:
