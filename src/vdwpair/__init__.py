@@ -16,7 +16,6 @@ from .potentials import (
     asymptotic_coefficients,
     nonretarded_closed,
     perfect_retarded_closed,
-    retarded_halfspace_closed,
     threshold,
     u0_ee,
     u0_em,
@@ -33,7 +32,7 @@ __all__ = [
     "ConvergenceError", "QuadResult", "QuadSpec",
     "AsymptoticCoefficients", "PotentialBreakdown",
     "LIMIT_RATIOS", "asymptotic_coefficients", "nonretarded_closed",
-    "perfect_retarded_closed", "retarded_halfspace_closed", "threshold",
+    "perfect_retarded_closed", "threshold",
     "u0_ee", "u0_em", "u1_halfspace", "u2_halfspace", "u_total",
     "ForcePair", "free_space_force", "halfspace_forces",
 ]

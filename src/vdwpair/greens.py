@@ -15,7 +15,7 @@ in the vacuum region z > 0, both atoms lie in the xz plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "bessel_j0_j1_j2",
     "free_space_green",
     "reflection",
-    "static_reflection",
     "halfspace_scattering",
 ]
 
@@ -244,25 +243,6 @@ def reflection(q, u: float, medium: HalfSpaceMedium):
     return rs, rp
 
 
-def static_reflection(v, eps0: float, mu0: float):
-    """Static-limit reflection coefficients as functions of v = b/k >= 1."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 1.0):
-        raise ValueError("v must be >= 1")
-    radicand = eps0 * mu0 - 1.0 + v**2
-    if np.any(radicand < 0):
-        raise ValueError("negative radicand: eps0*mu0 - 1 + v^2 must be >= 0")
-    root = np.sqrt(radicand)
-    # Rationalized as in ``reflection``: x v - root = ((x^2 - 1) v^2 -
-    # (eps0 mu0 - 1))/(x v + root) keeps the digits that the direct
-    # difference loses at v >> 1.
-    rs = ((mu0**2 - 1.0) * v**2 - (eps0 * mu0 - 1.0)) / (mu0 * v + root) ** 2
-    rp = ((eps0**2 - 1.0) * v**2 - (eps0 * mu0 - 1.0)) / (eps0 * v + root) ** 2
-    if v.ndim == 0:
-        return float(rs), float(rp)
-    return rs, rp
-
-
 MAX_OSCILLATION_PANELS = 20000
 
 
@@ -297,14 +277,6 @@ def q_breakpoints(geom: PlanarGeometry, u: float):
         if step < q_cut:
             breaks += list(np.arange(step, q_cut, step))
     return breaks
-
-
-def _scattering_spec(spec: QuadSpec | None, n_breaks: int) -> QuadSpec:
-    spec = spec or QuadSpec()
-    min_subdiv = max(spec.max_subdivisions, n_breaks // 2 + 50)
-    if min_subdiv != spec.max_subdivisions:
-        spec = replace(spec, max_subdivisions=min_subdiv)
-    return spec
 
 
 def _image(g: GreenComponents, medium: HalfSpaceMedium) -> GreenComponents:
@@ -412,7 +384,6 @@ def _sommerfeld(geom: PlanarGeometry, u: float, medium: HalfSpaceMedium,
     zp = geom.Z_plus
     k2 = u**2
     breaks = q_breakpoints(geom, u)
-    spec = _scattering_spec(spec, len(breaks))
     # The first grid: the engine's first-panel cache hands all four element
     # integrals the same node array.  Refinements rarely coincide between
     # elements (0.3 % of the kernel nodes of a u_total at parallel(0.6,

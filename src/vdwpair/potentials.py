@@ -8,12 +8,12 @@ of the frequency-integrand table ``FREE_SPACE_PAIRS``, with their retarded
 Half space: the decomposition U = U0 + U1 + U2 into bulk, cross, and
 scattering contributions, computed by direct quadrature, plus the
 closed-form asymptotic limits, each of which takes the medium as a
-``HalfSpaceMedium``: retarded near a perfect plate, retarded near a
-magneto-electric half space of static response (eps0, mu0), and one
-nonretarded form for perfect plates and purely electric or purely
-magnetic media.  ``LIMIT_RATIOS`` and ``threshold`` give the limiting
-U/U0 ratios and the two sign-change thresholds, under the case names that
-``vdwpair limits`` prints.
+``HalfSpaceMedium``: retarded near a perfect plate, and one nonretarded
+form for perfect plates and purely electric or purely magnetic media.
+``LIMIT_RATIOS`` and ``threshold`` give the limiting U/U0 ratios and the
+two sign-change thresholds, under the case names that ``vdwpair limits``
+prints.  The retarded limit near a magneto-electric half space of static
+response (eps0, mu0) is an oracle of ``vdwpair.validate``.
 
 All in reduced units hbar = c = eps0 = mu0 = 1.
 """
@@ -29,10 +29,8 @@ from .greens import (
     GreenComponents,
     HalfSpaceMedium,
     PlanarGeometry,
-    bessel_j0_j1_j2,
     free_space_green,
     halfspace_scattering,
-    static_reflection,
 )
 from .materials import ResonanceAtom, response_product
 from .quadrature import QuadSpec, integrate_mapped, integrate_semiinf
@@ -49,8 +47,6 @@ __all__ = [
     "u_total",
     "perfect_retarded_closed",
     "nonretarded_closed",
-    "retarded_halfspace_closed",
-    "weighted_AB",
     "LIMIT_RATIOS",
     "THRESHOLD_CASES",
     "threshold",
@@ -133,10 +129,9 @@ def _free_space_integral(rows, pair, l, atom_a, atom_b, spec, integrate):
     def f(v):
         u = s * v
         x = u * l
-        # in order from p0, not by Horner: check 13 prints U0's last bits
-        p = poly[0] + poly[1] * x
-        for k in range(2, len(poly)):
-            p = p + poly[k] * x**k
+        p = poly[-1]
+        for c in poly[-2::-1]:  # Horner
+            p = p * x + c
         w = response_product(atom_a, atom_b, u)
         return (u**m * w if m else w) * (2.0 * np.exp(-2.0 * x) * p)
 
@@ -347,175 +342,6 @@ LIMIT_RATIOS = {
     "nonretarded-parallel-conducting": (2, 3),
     "nonretarded-parallel-permeable": (10, 3),
 }
-
-
-def _v_quadrature(f, spec: QuadSpec, breakpoints):
-    """Integral over v in [1, inf) via the shift v = 1 + w."""
-    return integrate_semiinf(lambda w: f(w + 1.0), spec, axis="v",
-                             breakpoints=[p - 1.0 for p in breakpoints])
-
-
-def _static_h_weight(v, eps0: float, mu0: float):
-    """r_s + r_p v^2 of the static reflection coefficients, v >= 1.
-
-    Its large-v limit r_s(inf) + lim (r_p - r_p(inf)) v^2 = K is 0 at
-    (eps0, mu0) = (1, 3), where the two terms are O(1/2) and their sum
-    O(1/v^2).  With R = sqrt(a + v^2), a = eps0 mu0 - 1, d = R - v =
-    a/(R + v) and the limits r(inf) = (x - 1)/(x + 1):
-    r_s - r_s(inf) = -2 mu0 d/((mu0 + 1)((mu0 + 1) v + d)), and
-    r_s(inf) + (r_p - r_p(inf)) v^2 is one fraction whose numerator
-    2 (eps0 + 1) K v^2 + r_s(inf)((eps0 + 1) v d + a) carries K =
-    r_s(inf) - eps0 a/(eps0 + 1)^2 as a coefficient, not as a difference.
-    """
-    a = eps0 * mu0 - 1.0
-    r_sum = np.sqrt(a + v**2) + v
-    d = a / r_sum
-    rs_inf = (mu0 - 1.0) / (mu0 + 1.0)
-    k = rs_inf - eps0 * a / (eps0 + 1.0) ** 2
-    return ((eps0 - 1.0) / (eps0 + 1.0) * v**2
-            - 2.0 * mu0 * d / ((mu0 + 1.0) * ((mu0 + 1.0) * v + d))
-            + (2.0 * (eps0 + 1.0) * k * v**2
-               + rs_inf * ((eps0 + 1.0) * v * d + a))
-            / (((eps0 + 1.0) * v + d) * r_sum))
-
-
-def _closed_form(family: str, k: int, lam, zeta):
-    d = lam**2 + zeta**2
-    if family == "A+":
-        if k == 3:
-            return 6.0 * lam / d**2.5
-        if k == 4:
-            return 6.0 * (4.0 * lam**2 - zeta**2) / d**3.5
-        return 30.0 * (4.0 * lam**3 - 3.0 * lam * zeta**2) / d**4.5
-    if family == "A-":
-        if k == 3:
-            return 6.0 * (lam**3 - 4.0 * lam * zeta**2) / d**3.5
-        if k == 4:
-            return 6.0 * (4.0 * lam**4 - 27.0 * lam**2 * zeta**2
-                          + 4.0 * zeta**4) / d**4.5
-        return 30.0 * (4.0 * lam**5 - 41.0 * lam**3 * zeta**2
-                       + 18.0 * lam * zeta**4) / d**5.5
-    # family "B"
-    if k == 3:
-        return 3.0 * lam * (2.0 * lam**2 - 3.0 * zeta**2) / d**3.5
-    if k == 4:
-        return 3.0 * (8.0 * lam**4 - 24.0 * lam**2 * zeta**2
-                      + 3.0 * zeta**4) / d**4.5
-    return 15.0 * lam * (8.0 * lam**4 - 40.0 * lam**2 * zeta**2
-                         + 15.0 * zeta**4) / d**5.5
-
-
-_MOMENTS = {(family, k) for family in ("A+", "A-", "B") for k in (3, 4, 5)}
-
-
-def weighted_AB(family: str, order: int, lam, zeta=0.0):
-    """Closed form of int_0^inf x^order e^{-lam x} [J0(zeta x) +- J2(zeta x)]
-    dx (``family`` "A+" or "A-") or of the same integral with J0 alone
-    ("B"), for order 3, 4 or 5; ``lam`` and ``zeta`` may be arrays."""
-    if (family, order) not in _MOMENTS:
-        raise ValueError("family must be 'A+', 'A-' or 'B' and order 3, 4 "
-                         f"or 5, not ({family!r}, {order!r})")
-    if np.any(np.asarray(lam) <= 0):
-        raise ValueError("lam must be positive (integral diverges otherwise)")
-    return _closed_form(family, order, lam, zeta)
-
-
-def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
-                              atom_b: ResonanceAtom, eps0: float, mu0: float,
-                              spec: QuadSpec | None = None):
-    """Retarded-limit (U1, U2) for a magneto-electric half space with static
-    response (eps0, mu0).
-
-    Both parts are computed at unit length and scaled back, so only the
-    ratios of (l, X, Z, Z+) enter the quadratures.  With s = sqrt(v^2 - 1):
-
-    U1 = l^-7 times a v-quadrature over closed-form Bessel moments with
-    lambda = 1 + v Z+/l and zeta = (X/l) s.
-
-    U2 = Z+^-7 times int_0^inf dy y^6 [F^T C F + 4 G^2 + H^2] with
-    y = Z+ x, rho = X/Z+, C = [[3, -2, -1], [-2, 2, 0], [-1, 0, 1]] and the
-    single v-integrals
-    F = int dv (r_p v^2, r_p, r_s) e^{-vy} J0(y rho s),
-    G = int dv v s r_p e^{-vy} J1(y rho s),
-    H = int dv (r_s + r_p v^2) e^{-vy} J2(y rho s);
-    each coefficient of the (v, v') double integral is a sum of products of
-    one function of v and one of v', so the double integral factorises.
-    """
-    from scipy import special
-
-    _check_ee(atom_a, atom_b)
-    spec = spec or QuadSpec()
-    a0b0 = atom_a.alpha0 * atom_b.alpha0
-    l, x, z, zp = geom.l, geom.X, geom.Z, geom.Z_plus
-    if eps0 == 1.0 and mu0 == 1.0:
-        return 0.0, 0.0
-
-    def u1_integrand(v):
-        # v-form of the cross-term integrand: the frequency integral of the
-        # explicit (u, q) expression collapses onto Bessel moments with
-        # lambda = 1 + v Z+/l, zeta = (X/l) sqrt(v^2 - 1) once the static
-        # responses are pulled out.  J0 moments are (A+ + A-)/2, J2 moments
-        # (A+ - A-)/2.
-        lam = 1.0 + v * zp / l
-        zeta = x / l * np.sqrt(v**2 - 1.0)
-        ap = [weighted_AB("A+", k, lam, zeta) for k in (3, 4, 5)]
-        am = [weighted_AB("A-", k, lam, zeta) for k in (3, 4, 5)]
-        b3, b4, b5 = (0.5 * (p + m) for p, m in zip(ap, am))
-        c3, c4, c5 = (0.5 * (p - m) for p, m in zip(ap, am))
-        rs, rp = static_reflection(v, eps0, mu0)
-        mom_a = b5 + b4 + b3
-        mom_b = b5 + 3.0 * b4 + 3.0 * b3
-        mom_b2 = c5 + 3.0 * c4 + 3.0 * c3
-        term_j0 = ((rs - v**2 * rp) * (2.0 * mom_a - x**2 / l**2 * mom_b)
-                   - 2.0 * (v**2 - 1.0) * rp
-                   * (mom_a - z**2 / l**2 * mom_b))
-        term_j2 = -(x**2 / l**2) * (rs + v**2 * rp) * mom_b2
-        return term_j0 + term_j2
-
-    v_breaks = [1.0 + w for w in (0.1, 0.3, 1.0, 3.0, 10.0, 5.0 * l / zp + 10.0)]
-    u1_res = _v_quadrature(u1_integrand, spec, breakpoints=v_breaks)
-    u1 = -a0b0 / (PI3_32 * l**7) * u1_res.value
-
-    rho = x / zp
-    inner_spec = spec.tightened()
-    c_mat = np.array([[3.0, -2.0, -1.0], [-2.0, 2.0, 0.0], [-1.0, 0.0, 1.0]])
-
-    # (weight(v, s, r_s, r_p), Bessel function) of the v-integrals F, G, H.
-    v_terms = (
-        (lambda v, s, rs, rp: rp * v**2, special.j0),
-        (lambda v, s, rs, rp: rp, special.j0),
-        (lambda v, s, rs, rp: rs, special.j0),
-        (lambda v, s, rs, rp: v * s * rp, special.j1),
-        (lambda v, s, rs, rp: _static_h_weight(v, eps0, mu0),
-         lambda t: bessel_j0_j1_j2(t)[2]),
-    )
-
-    def v_integral(weight, bessel, y: float, breaks) -> float:
-        def f(v):
-            rs, rp = static_reflection(v, eps0, mu0)
-            s = np.sqrt(v**2 - 1.0)
-            return weight(v, s, rs, rp) * np.exp(-v * y) * bessel(y * rho * s)
-
-        return _v_quadrature(f, inner_spec, breakpoints=breaks).value
-
-    v2_breaks = [1.0 + w for w in (0.1, 0.3, 1.0, 3.0, 10.0)]
-
-    def y_integrand(ys):
-        out = np.empty_like(ys)
-        for i, y in enumerate(ys):
-            breaks = v2_breaks + [c / y for c in (1.0, 4.0, 16.0) if c / y > 1.0]
-            f0, f1, f2, g, h = (v_integral(w, j, y, breaks)
-                                for w, j in v_terms)
-            f = np.array([f0, f1, f2])
-            out[i] = y**6 * (f @ c_mat @ f + 4.0 * g**2 + h**2)
-        return out
-
-    # Graded towards y = 0, where the large-v tails of r_s and r_p leave
-    # y^k log y terms, and spanning the y^6 e^{-2y}-like peak and decay.
-    y_breaks = [0.01, 0.1, 0.875, 1.75, 3.5, 7.0, 14.0, 28.0]
-    u2_res = integrate_semiinf(y_integrand, spec, breakpoints=y_breaks, axis="y")
-    u2 = -a0b0 / (PI3_64 * zp**7) * u2_res.value
-    return u1, u2
 
 
 def nonretarded_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,

@@ -12,8 +12,9 @@ difference is its error estimate.  The panels with the largest errors
 are bisected until the summed estimate meets the one acceptance rule
 err <= max(rel_tol |I|, abs_tol, 250 eps sum|panel values|); its last
 term, the roundoff floor of the panel sum, is how cancelling oscillatory
-and exactly-zero integrals converge.  A panel budget exhausted first
-raises ``ConvergenceError``.  Panels are evaluated in vectorized batches.
+and exactly-zero integrals converge.  A panel budget of
+max(max_subdivisions, n/2) bisections on top of the n first panels,
+exhausted first, raises ``ConvergenceError``.  Panels are evaluated in vectorized batches.
 
 An integral's first panel set (edges, half widths, nodes x, weights
 w = dx/dt) depends only on its map, limits and breakpoints: it is built
@@ -90,7 +91,8 @@ class QuadSpec:
     """Tolerances and budget for one integration call.
 
     ``max_subdivisions`` bounds the number of panel bisections performed on
-    top of the initial panelization.
+    top of the initial panelization; the engine raises it to half the
+    number of first panels, so a grid of n oscillation panels gets n/2.
     """
 
     rel_tol: float = 1e-8
@@ -173,7 +175,7 @@ def _integrate(f, a, b, breakpoints, cut: float, scale: float,
     lo, hi, *first = _first_panels(a, b, p.tobytes(), cut, scale)
     vals, errs = _panel_sums(f, *first)
     evals = _N_NODES * lo.size
-    max_panels = lo.size + spec.max_subdivisions
+    max_panels = lo.size + max(spec.max_subdivisions, lo.size // 2)
 
     while True:
         total = float(vals.sum())

@@ -1,4 +1,5 @@
-"""Acceptance gate: the twelve validation criteria.
+"""Acceptance gate: the twelve validation criteria and the two oracle
+checks that ``vdwpair validate`` runs after them.
 
 Each test runs one numbered check from ``vdwpair.validate`` at its stated
 tolerance and prints a single ``[PASS]``/``[FAIL]`` line to the live
@@ -30,13 +31,24 @@ def test_gate_has_twelve_criteria():
     assert len(CHECKS) == 12
 
 
-def test_force_oracle_check(capsys):
-    """Check 13, which ``vdwpair validate`` runs after the twelve criteria."""
-    (check,) = ORACLE_CHECKS
+def _run_oracle_check(check, number, capsys):
     result = check()
     with capsys.disabled():
         print()
         print(result.line())
         print(f"    {result.details}")
-    assert result.number == 13
+    assert result.number == number
     assert result.passed, result.line()
+
+
+def test_force_oracle_check(capsys):
+    """Check 13, which ``vdwpair validate`` runs after the twelve criteria."""
+    force, _ = ORACLE_CHECKS
+    _run_oracle_check(force, 13, capsys)
+
+
+def test_retarded_limit_check(capsys):
+    """Check 14, the retarded limit of finite media, which ``vdwpair
+    validate`` runs last."""
+    _, retarded = ORACLE_CHECKS
+    _run_oracle_check(retarded, 14, capsys)

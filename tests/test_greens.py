@@ -13,17 +13,16 @@ from vdwpair import (
 from vdwpair import cli
 from vdwpair.greens import (
     FOUR_PI,
-    _scattering_spec,
     _sommerfeld,
     bessel_j0_j1_j2,
     free_space_green,
     halfspace_scattering,
     q_breakpoints,
     reflection,
-    static_reflection,
 )
 from vdwpair.quadrature import ConvergenceError, QuadSpec, _first_panels, \
     integrate_semiinf
+from vdwpair.validate import static_reflection
 
 EPS_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
@@ -560,8 +559,8 @@ class TestConstantReflectionOracle:
 
 class TestOscillationBudget:
     """At X >> Z+ the q-grid takes a breakpoint every half-period pi/X of
-    J_nu(qX), up to MAX_OSCILLATION_PANELS, and ``_scattering_spec`` raises
-    the panel budget of the q-integrals with the grid."""
+    J_nu(qX), up to MAX_OSCILLATION_PANELS, and the engine raises the
+    panel budget of the q-integrals with the grid."""
 
     @pytest.mark.parametrize("geom", [PlanarGeometry.parallel(2.6, 0.001),
                                       PlanarGeometry.parallel(1.8, 0.0005)],
@@ -641,7 +640,6 @@ def _per_element_kernels(geom, u, medium, spec, wrt=None):
         return q**3 * decay(b) * j0(q) * rp / (b * k2) / (4.0 * np.pi)
 
     breaks = q_breakpoints(geom, u)
-    spec = _scattering_spec(spec, len(breaks))
 
     def integral(f):
         return integrate_semiinf(f, spec, breakpoints=breaks, axis="q").value

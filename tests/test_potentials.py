@@ -16,7 +16,6 @@ from vdwpair import (
     asymptotic_coefficients,
     nonretarded_closed,
     perfect_retarded_closed,
-    retarded_halfspace_closed,
     threshold,
     u0_ee,
     u0_em,
@@ -24,10 +23,11 @@ from vdwpair import (
     u2_halfspace,
     u_total,
 )
-from vdwpair.potentials import FREE_SPACE_PAIRS, _static_h_weight, \
-    u1_trace_integrand, u2_frequency_integrand
+from vdwpair.potentials import FREE_SPACE_PAIRS, u1_trace_integrand, \
+    u2_frequency_integrand
 from vdwpair.quadrature import QuadSpec
-from vdwpair.validate import u1_frequency_integrand
+from vdwpair.validate import _static_h_weight, retarded_halfspace_closed, \
+    u1_frequency_integrand
 
 ATOM = ResonanceAtom()
 MAG_ATOM = ResonanceAtom(kind="magnetic")
@@ -463,8 +463,10 @@ class TestRetardedLimitOfFullQuadrature:
     ])
     def test_u1(self, family, name):
         # the dielectric vertical U1 is left out: its near-cancellation
-        # leaves a 2e-2 deviation at this separation.  |U| ~ 1e-18 here,
-        # so pytest.approx's default absolute tolerance is switched off.
+        # leaves a 2e-2 deviation at this separation, the d^-2
+        # finite-distance term, which check 14 of ``vdwpair validate``
+        # holds to 1.3e-3 at d = 240.  |U| ~ 1e-18 here, so
+        # pytest.approx's default absolute tolerance is switched off.
         geom = getattr(PlanarGeometry, family)(60.0, 60.0)
         (u1, _), (u1_closed, _) = self._pair(geom, name)
         assert u1 == pytest.approx(u1_closed, rel=1e-2, abs=0.0)

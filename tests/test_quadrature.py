@@ -236,6 +236,18 @@ class TestAcceptanceRule:
                                QuadSpec(rel_tol=rel_tol, abs_tol=1e-300,
                                         max_subdivisions=1))
 
+    def test_budget_is_at_least_half_the_first_panels(self):
+        # 100 first panels of a sawtooth that no panel resolves: the budget
+        # is 50 bisections, not max_subdivisions = 1, and runs out after
+        # one round that splits the 50 worst panels
+        sawtooth = lambda x: (1e4 * x) % 1.0
+        with pytest.raises(ConvergenceError) as info:
+            integrate_interval(sawtooth, 0.0, 1.0,
+                               QuadSpec(rel_tol=1e-14, abs_tol=1e-300,
+                                        max_subdivisions=1),
+                               breakpoints=np.linspace(0.0, 1.0, 101)[1:-1])
+        assert info.value.best.evaluations == 15 * (100 + 2 * 50)
+
     def test_zero_integral_accepted_at_roundoff_floor(self):
         # neither rel_tol |I| nor abs_tol can be met by an integral that
         # cancels to zero; only the roundoff floor of the panel sum can

@@ -7,8 +7,7 @@ import pytest
 from scipy import special
 
 from vdwpair.greens import bessel_j0_j1_j2
-from vdwpair.potentials import weighted_AB
-from vdwpair.validate import weighted_AB_quadrature
+from vdwpair.validate import weighted_AB, weighted_AB_quadrature
 
 
 class TestBesselJ0J2:
