@@ -92,8 +92,8 @@ def halfspace_forces(geom: PlanarGeometry, atom_a: ResonanceAtom,
     free-space radial force and Phi the plate parts; U_Z+ = Phi_Z+.  Then
     F_A = (U_X, U_Z - U_Z+) and F_B = (-U_X, -U_Z - U_Z+), so
     F_A,x = -F_B,x holds exactly.  The plate parts are u-integrals at the
-    scale min(omega10, 1/(l + Z+)), so on finite media they share one G1
-    per u-node through ``g1_memo``, which a caller may share with
+    scale min(omega10, 1/(l + Z+)), so they share one G1 per batch of
+    u-nodes through ``g1_memo``, which a caller may share with
     ``u_total`` at the same geometry, medium and spec.  U is even in X
     (mirror symmetry) and in Z (atom exchange), so Phi_X on the axis
     X = 0 and Phi_Z at Z = 0 are zero and not integrated.

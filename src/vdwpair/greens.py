@@ -15,6 +15,7 @@ in the vacuum region z > 0, both atoms lie in the xz plane.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,34 +247,52 @@ def reflection(q, u: float, medium: HalfSpaceMedium):
 MAX_OSCILLATION_PANELS = 20000
 
 
-def q_breakpoints(geom: PlanarGeometry, u: float):
-    """Initial q-grid resolving the e^{-b Z+} decay and J_nu(qX) oscillations.
+def q_breakpoints(geom: PlanarGeometry, u):
+    """Initial q-grid resolving the e^{-b Z+} decay and J_nu(qX) oscillations
+    at one u, or at every u of the range [u_lo, u_hi] of an array of u.
 
     The grid ends at q_cut = sqrt(c (2u + c)), c = 45/Z+, where b - u = c:
     relative to its peak e^{-u Z+}, every kernel's envelope e^{-b Z+} has
-    fallen to e^{-45} there, at any u (q_cut -> 45/Z+ as u -> 0).
+    fallen to e^{-45} there, at any u (q_cut -> 45/Z+ as u -> 0).  A range
+    ends at q_cut(u_hi), holds the u-points of u_lo and of u_hi, and fills
+    [3 u_lo, 0.1 u_hi], where the u-points of the nodes in between lie,
+    with 2 points per decade; one u gives the grid of that u alone.  Above
+    ``MAX_OSCILLATION_PANELS`` half periods the oscillation step is
+    widened, with a ``RuntimeWarning``.
     """
+    u_lo, u_hi = float(np.min(u)), float(np.max(u))
     zp = geom.Z_plus
     c = 45.0 / zp
-    q_cut = float(np.sqrt(c * (2.0 * u + c)))
+    q_cut = float(np.sqrt(c * (2.0 * u_hi + c)))
     breaks = list(np.array([0.05, 0.15, 0.4, 1.0, 2.5, 6.0, 15.0, 30.0]) / zp)
     breaks.append(q_cut)
     # The integrand changes character at q ~ u (b crosses over from u to q)
     # and can carry slow algebraic tails between u and the decay scale;
     # resolve that whole range geometrically when it lies below the grid.
-    breaks += [s * u for s in (0.1, 0.3, 1.0, 3.0) if s * u < q_cut]
     lo_decay = 0.05 / zp
-    if 10.0 * u < lo_decay:
-        n_dec = int(np.ceil(4.0 * np.log10(lo_decay / (10.0 * u))))
-        breaks += list(np.geomspace(10.0 * u, lo_decay, max(n_dec, 2)))
-    elif 10.0 * u < q_cut:
-        breaks.append(10.0 * u)
+    for v in dict.fromkeys((u_lo, u_hi)):
+        breaks += [s * v for s in (0.1, 0.3, 1.0, 3.0) if s * v < q_cut]
+        if lo_decay <= 10.0 * v < q_cut:
+            breaks.append(10.0 * v)
+    if 10.0 * u_lo < lo_decay:
+        n_dec = int(np.ceil(4.0 * np.log10(lo_decay / (10.0 * u_lo))))
+        breaks += list(np.geomspace(10.0 * u_lo, lo_decay, max(n_dec, 2)))
+    if 0.1 * u_hi > 3.0 * u_lo:
+        n_fill = int(np.ceil(2.0 * np.log10(u_hi / (30.0 * u_lo))))
+        breaks += [q for q in np.geomspace(3.0 * u_lo, 0.1 * u_hi,
+                                           n_fill + 1)[1:-1] if q < q_cut]
     x = abs(geom.X)
     if x > 0:
         step = np.pi / x
         n = int(q_cut / step)
         if n > MAX_OSCILLATION_PANELS:
             step = q_cut / MAX_OSCILLATION_PANELS
+            warnings.warn(
+                f"q-grid at X/Z+ = {x / zp:.5g}: more than "
+                f"MAX_OSCILLATION_PANELS = {MAX_OSCILLATION_PANELS} half "
+                f"periods of J_nu(qX) lie below the cut, so the oscillation "
+                f"step is widened to {step * x / np.pi:.2g} pi/X",
+                RuntimeWarning, stacklevel=2)
         if step < q_cut:
             breaks += list(np.arange(step, q_cut, step))
     return breaks
@@ -298,12 +317,14 @@ def halfspace_scattering(geom: PlanarGeometry, u,
     A perfect reflector takes the exact image closed form
     G1(rA, rB) = -+ G0(rho_image) . diag(1, 1, -1), rho_image = (X, 0, Z+),
     upper sign for the conducting plate: the value of the q-integrals when
-    the reflection coefficients are constant.  It takes an array of u, and
-    its derivatives are the image signs of dG0/dx or dG0/dz at (X, Z+).
-    A finite medium takes a single u and the Sommerfeld q-quadrature of
-    ``_sommerfeld``.  The gxz element carries the upper (minus) sign of
-    the xz/zx pair, gzx the lower.  Swapping the atoms transposes the
-    tensor.
+    the reflection coefficients are constant.  Its derivatives are the
+    image signs of dG0/dx or dG0/dz at (X, Z+).  A finite medium takes the
+    Sommerfeld q-quadratures of ``_sommerfeld``, in chunks of consecutive
+    u-nodes that share a q-grid.  Every medium takes one u, which gives
+    floats, or an array of u, which gives arrays of its shape; an entry
+    that is not positive (NaN included) raises ``ValueError``.  The gxz
+    element carries the upper (minus) sign of the xz/zx pair, gzx the
+    lower.  Swapping the atoms transposes the tensor.
     """
     if wrt not in (None, "X", "Z_plus"):
         raise ValueError("wrt must be None, 'X' or 'Z_plus'")
@@ -358,74 +379,115 @@ def _bessel_x_derivatives(q, x: float):
     return -q * j1, q * (j0 - j1_t), q * (j1 - 2.0 * j2_t)
 
 
-def _sommerfeld(geom: PlanarGeometry, u: float, medium: HalfSpaceMedium,
+# Consecutive u-nodes that share one q-grid and its Bessel factors.
+_U_CHUNK = 8
+# Entries of one (u, q) table: the rows of a chunk are tabulated in blocks
+# of at most this many values, so a grid of many oscillation panels (X >>
+# Z+) holds the tables of a few rows at a time, not of the whole chunk.
+_TABLE_ENTRIES = 1 << 16
+
+
+def _sommerfeld(geom: PlanarGeometry, u, medium: HalfSpaceMedium,
                 spec: QuadSpec | None, wrt: str | None) -> GreenComponents:
     """Sommerfeld q-integrals of the scattering tensor elements, or of their
     derivatives with respect to X or Z+ (``wrt`` as in
-    ``halfspace_scattering``).
+    ``halfspace_scattering``), at one u or at each u of an array.
 
     The derivative kernels stay on the same grid: d/dZ+ multiplies the
-    decay e^{-b Z+} by -b, d/dX replaces J_nu(qX) by q J_nu'(qX).  Every
-    element is one scalar q-integral on the same breakpoints, so all of
-    them start from the same first grid of q-nodes; r_s, r_p, b, the decay
-    and the Bessel factors on it are computed once and kept for the length
-    of this call only.
+    decay e^{-b Z+} by -b, d/dX replaces J_nu(qX) by q J_nu'(qX).  The
+    u-nodes go in chunks of up to ``_U_CHUNK``; every element at every u
+    of a chunk is one scalar q-integral on the chunk's grid
+    (``q_breakpoints`` of its u-range), so all of them start from the same
+    first panel set, on which the Bessel factors and, as (u, q) tables,
+    r_s, r_p, b, the decay and the elements are computed once, for the
+    length of the chunk only.  One u is a chunk of one.
     """
-    if np.ndim(u):
-        raise ValueError("a finite medium takes one u at a time, not an array")
-    if not u > 0:
+    us = np.asarray(u, dtype=float)
+    if not np.all(us > 0):  # "not > 0" also turns away NaN
         raise ValueError("u must be positive")
     if medium.is_vacuum:
-        return GreenComponents(0.0, 0.0, 0.0, 0.0, 0.0)
+        zero = np.zeros(us.shape) if us.ndim else 0.0
+        return GreenComponents(zero, zero, zero, zero, zero)
+    nodes = us.ravel().tolist()
+    rows = [row for i in range(0, len(nodes), _U_CHUNK)
+            for row in _sommerfeld_chunk(geom, nodes[i:i + _U_CHUNK],
+                                         medium, spec, wrt)]
+    gxx, gyy, i1, gzz = (np.reshape(col, us.shape) if us.ndim else col[0]
+                         for col in zip(*rows))
+    return GreenComponents(gxx=gxx, gyy=gyy, gxz=-i1, gzx=+i1, gzz=gzz)
+
+
+def _sommerfeld_chunk(geom: PlanarGeometry, us: list, medium: HalfSpaceMedium,
+                      spec: QuadSpec | None, wrt: str | None) -> list:
+    """(gxx, gyy, i1, gzz) at each u of ``us`` (floats), with gxz = -i1 and
+    gzx = +i1, from the q-integrals of one chunk (see ``_sommerfeld``)."""
     x = geom.X
     # i1 (gxz = -i1, gzx = +i1) carries J1(qX), odd in X, so it vanishes on
     # the axis X = 0; its X-derivative does not.
     axis_i1_zero = x == 0.0 and wrt != "X"
     zp = geom.Z_plus
-    k2 = u**2
-    breaks = q_breakpoints(geom, u)
-    # The first grid: the engine's first-panel cache hands all four element
-    # integrals the same node array.  Refinements rarely coincide between
-    # elements (0.3 % of the kernel nodes of a u_total at parallel(0.6,
-    # 0.01), rel_tol 1e-8), so they are not kept: one grid at most.
-    first_grid = []
+    # u^2 of each node as a column, squared as a float: every (u, q) entry
+    # is then the value that one u alone gives, to the bit.
+    k2 = np.array([u**2 for u in us])[:, None]
+    breaks = np.asarray(q_breakpoints(geom, us))
 
-    def kernel(q):
-        if first_grid and q is first_grid[0]:
-            return first_grid[1]
-        rs, rp = reflection(q, u, medium)
-        b = np.sqrt(u**2 + q**2)
+    def bessel_factors(q):
+        return (_bessel_x_derivatives(q, x) if wrt == "X"
+                else bessel_j0_j1_j2(q * x))
+
+    def kernel(q, rows, bessel):
+        """r_s, r_p, b, the decay and k^2 at the nodes ``rows`` of ``us``
+        (one row each) on q, and the Bessel factors on q."""
+        rs, rp = np.stack([reflection(q, us[i], medium) for i in rows],
+                          axis=1)
+        kk = k2[rows]
+        b = np.sqrt(kk + q**2)
         d = np.exp(-b * zp)
         if wrt == "Z_plus":
             d = -b * d
-        bessel = (_bessel_x_derivatives(q, x) if wrt == "X"
-                  else bessel_j0_j1_j2(q * x))
-        k = (rs, rp, b, d, *bessel)
-        if not first_grid:
-            first_grid.extend((q, k))
-        return k
+        return rs, rp, b, d, kk, bessel
 
-    def xx_yy(q, sign):
-        rs, rp, b, d, c0, _, c2 = kernel(q)
-        damp = q * d
-        return damp * ((c0 + sign * c2) / b * rs
-                       - b * (c0 - sign * c2) / k2 * rp) / (8.0 * np.pi)
+    def xx_yy(sign):
+        def element(q, rs, rp, b, d, kk, bessel):
+            c0, _, c2 = bessel
+            damp = q * d
+            return damp * ((c0 + sign * c2) / b * rs
+                           - b * (c0 - sign * c2) / kk * rp) / (8.0 * np.pi)
+        return element
 
-    def xz(q):
-        _, rp, _, d, _, j1, _ = kernel(q)
-        return q**2 * d * j1 * rp / k2 / FOUR_PI
+    def xz(q, rs, rp, b, d, kk, bessel):
+        return q**2 * d * bessel[1] * rp / kk / FOUR_PI
 
-    def zz(q):
-        _, rp, b, d, j0, _, _ = kernel(q)
-        return q**3 * d * j0 * rp / (b * k2) / FOUR_PI
+    def zz(q, rs, rp, b, d, kk, bessel):
+        return q**3 * d * bessel[0] * rp / (b * kk) / FOUR_PI
 
-    gxx = integrate_semiinf(lambda q: xx_yy(q, +1.0), spec, breakpoints=breaks,
-                            axis="q").value
-    gyy = integrate_semiinf(lambda q: xx_yy(q, -1.0), spec, breakpoints=breaks,
-                            axis="q").value
-    gzz = -integrate_semiinf(zz, spec, breakpoints=breaks, axis="q").value
-    if axis_i1_zero:
-        i1 = 0.0
-    else:
-        i1 = integrate_semiinf(xz, spec, breakpoints=breaks, axis="q").value
-    return GreenComponents(gxx=gxx, gyy=gyy, gxz=-i1, gzx=+i1, gzz=gzz)
+    elements = [xx_yy(+1.0), xx_yy(-1.0), zz] + ([] if axis_i1_zero
+                                                 else [xz])
+    # The engine's first-panel cache hands every integral of the chunk the
+    # same first node array, recognised by identity.  Its Bessel factors are
+    # computed at the first call, and the elements on it as tables of a
+    # block of rows, kept until the integrals of those rows are done.
+    # Refinements rarely coincide between integrals, so they are evaluated
+    # per integral.
+    first = {}
+
+    def integral(row: int, k: int) -> float:
+        def f(q):
+            if not first:
+                first.update(q=q, bessel=bessel_factors(q), rows=range(0))
+            if q is not first["q"]:
+                return elements[k](q, *kernel(q, [row], bessel_factors(q)))[0]
+            rows = first["rows"]
+            if row not in rows:
+                first.pop("table", None)
+                rows = range(row, min(len(us), row + max(
+                    1, _TABLE_ENTRIES // q.size)))
+                factors = kernel(q, rows, first["bessel"])
+                first.update(rows=rows,
+                             table=[e(q, *factors) for e in elements])
+            return first["table"][k][row - rows.start]
+        return integrate_semiinf(f, spec, breakpoints=breaks, axis="q").value
+
+    return [(integral(row, 0), integral(row, 1),
+             0.0 if axis_i1_zero else integral(row, 3), -integral(row, 2))
+            for row in range(len(us))]

@@ -186,7 +186,7 @@ def u1_trace_integrand(u, geom: PlanarGeometry,
                        spec: QuadSpec | None = None):
     """u-integrand of the cross term in Green-tensor trace form:
     -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)].
-    Vectorized in u for perfect reflectors."""
+    Vectorized in u."""
     g1 = halfspace_scattering(geom, u, medium, spec=spec)
     return _plate_weight(u, atom_a, atom_b) * _cross_trace(u, geom, g1)
 
@@ -197,7 +197,7 @@ def u2_frequency_integrand(u, geom: PlanarGeometry,
                            spec: QuadSpec | None = None):
     """u-integrand of the scattering part:
     -(1/2pi) u^4 alpha_A alpha_B Tr[G1(r_A,r_B) . G1(r_B,r_A)], with
-    G1(r_B,r_A) = G1(r_A,r_B)^T.  Vectorized in u for perfect reflectors."""
+    G1(r_B,r_A) = G1(r_A,r_B)^T.  Vectorized in u."""
     g1 = halfspace_scattering(geom, u, medium, spec=spec)
     return _plate_weight(u, atom_a, atom_b) * g1.trace(g1.transpose()) / 2.0
 
@@ -207,18 +207,18 @@ def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
                         spec: QuadSpec | None,
                         g1_memo: dict | None = None) -> float:
     """u-integral of a plate part: -u^4 alpha_A alpha_B/pi times
-    ``trace(u, G1(u), inner_spec)``.
+    ``trace(us, G1(us), inner_spec)`` on each batch of u-nodes us.
 
     Every plate part takes the scale s = min(omega10_A, omega10_B,
     1/(l + Z+)), so all of them meet G1 at the same u-nodes, and is taken
     in units of ``_plate_magnitude`` so that abs_tol is relative to an O(1)
-    integrand however small the part is.  Perfect reflectors take each
-    batch of u-nodes at once, from the engine's default panels.  Finite
-    media need one q-quadrature per node, at the tightened inner
-    tolerance, so a node costs far more than a refinement round: their
-    integral starts from 4 panels.  ``g1_memo``, a dict keyed by float u that
-    the caller holds for one call at one geometry, medium and spec, lets
-    the integrals of that call evaluate G1 once per node.
+    integrand however small the part is.  Each batch of u-nodes is one
+    ``halfspace_scattering`` call, at the tightened inner tolerance.
+    Perfect reflectors start from the engine's default panels.  A
+    finite-medium node costs far more than a refinement round, so their
+    integral starts from 4 panels.  ``g1_memo``, a dict keyed by the bytes
+    of a batch that the caller holds for one call at one geometry, medium
+    and spec, lets the integrals of that call evaluate G1 once per batch.
     """
     _check_ee(atom_a, atom_b)
     if medium.is_vacuum:
@@ -227,19 +227,12 @@ def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
     inner = spec.tightened()
     memo = {} if g1_memo is None else g1_memo
 
-    def g1_at(u: float) -> GreenComponents:
-        g1 = memo.get(u)
-        if g1 is None:
-            g1 = memo[u] = halfspace_scattering(geom, u, medium, spec=inner)
-        return g1
-
     def outer(us):
-        if medium.is_perfect:
-            traces = trace(us, halfspace_scattering(geom, us, medium), inner)
-        else:
-            traces = np.array([trace(u, g1_at(u), inner)
-                               for u in us.tolist()])
-        return _plate_weight(us, atom_a, atom_b) * traces
+        key = us.tobytes()
+        g1 = memo.get(key)
+        if g1 is None:
+            g1 = memo[key] = halfspace_scattering(geom, us, medium, inner)
+        return _plate_weight(us, atom_a, atom_b) * trace(us, g1, inner)
 
     scale = _u_scale(atom_a, atom_b, geom.l + geom.Z_plus)
     size = _plate_magnitude(scale, geom, atom_a, atom_b)
@@ -297,8 +290,8 @@ def u_total(geom: PlanarGeometry, atom_a: ResonanceAtom,
             g1_memo: dict | None = None) -> PotentialBreakdown:
     """Full potential breakdown U0 + U1 + U2 at the given geometry.
 
-    U1 and U2 are u-integrals at one scale; on finite media they share one
-    G1 per u-node through ``g1_memo``, which a caller may share with
+    U1 and U2 are u-integrals at one scale; they share one G1 per batch of
+    u-nodes through ``g1_memo``, which a caller may share with
     ``halfspace_forces`` at the same geometry, medium and spec.
     """
     spec = spec or QuadSpec()

@@ -1,5 +1,7 @@
 """Free-space and half-space Green tensors, reflection coefficients."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special
@@ -9,10 +11,13 @@ from vdwpair import (
     HalfSpaceMedium,
     LorentzMedium,
     PlanarGeometry,
+    ResonanceAtom,
+    u1_halfspace,
 )
 from vdwpair import cli
 from vdwpair.greens import (
     FOUR_PI,
+    _U_CHUNK,
     _sommerfeld,
     bessel_j0_j1_j2,
     free_space_green,
@@ -281,12 +286,6 @@ class TestHalfspaceScattering:
     def test_finite_medium_rejects_nan_u(self):
         with pytest.raises(ValueError, match="u must be positive"):
             halfspace_scattering(PlanarGeometry.parallel(0.5, 0.3), np.nan,
-                                 HalfSpaceMedium.dielectric(EPS_MEDIUM))
-
-    def test_finite_medium_rejects_an_array_of_u(self):
-        with pytest.raises(ValueError, match="one u at a time"):
-            halfspace_scattering(PlanarGeometry.parallel(0.5, 0.3),
-                                 np.array([0.5, 1.0]),
                                  HalfSpaceMedium.dielectric(EPS_MEDIUM))
 
     def test_axis_aligned_offdiagonals_vanish(self):
@@ -571,6 +570,16 @@ class TestOscillationBudget:
                                  spec=QuadSpec(rel_tol=1e-9))
         assert all(np.isfinite(getattr(g, name)) for name in COMPONENTS)
 
+    def test_widened_step_is_reported(self):
+        with pytest.warns(RuntimeWarning,
+                          match=r"X/Z\+ = 1800: .* widened to 1\.3 pi/X"):
+            q_breakpoints(PlanarGeometry.parallel(1.8, 0.0005), 1.0)
+
+    def test_grid_within_the_cap_is_not_reported(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q_breakpoints(PlanarGeometry.parallel(2.6, 0.001), 1.0)
+
     def test_beyond_the_grid_fails_with_an_error(self):
         # X/Z+ = 5000: the widened step no longer resolves the oscillations,
         # and the budget runs out in a fraction of a second, not a hang
@@ -696,6 +705,149 @@ class TestSharedKernel:
                              HalfSpaceMedium.dielectric(EPS_MEDIUM),
                              QuadSpec(rel_tol=1e-6))
         assert len(calls) == 1
+
+
+def _first_round_u_nodes(geom, medium):
+    """The u-nodes of the first round of a row's plate u-integrals: the
+    first array that ``u1_halfspace`` hands ``halfspace_scattering``."""
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def spy(geom, us, medium, spec=None, wrt=None):
+        seen.append(us)
+        raise Stop
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("vdwpair.potentials.halfspace_scattering", spy)
+        with pytest.raises(Stop):
+            u1_halfspace(geom, ResonanceAtom(), ResonanceAtom(), medium)
+    return seen[0]
+
+
+BATCH_MEDIA = pytest.mark.parametrize(
+    "medium", [HalfSpaceMedium.dielectric(EPS_MEDIUM),
+               HalfSpaceMedium.magnetic(MU_MEDIUM)],
+    ids=["dielectric", "magnetic"])
+WRT = pytest.mark.parametrize("wrt", [None, "X", "Z_plus"])
+
+
+class TestBatchedSommerfeld:
+    """A finite medium takes an array of u in chunks of ``_U_CHUNK``
+    consecutive nodes, each on the q-grid of its u-range."""
+
+    GEOM = PlanarGeometry.parallel(0.1, 0.01)
+
+    @BATCH_MEDIA
+    @WRT
+    def test_one_node_array_is_the_scalar_call(self, medium, wrt):
+        spec = QuadSpec(rel_tol=1e-7)
+        for u in (0.02, 1.3, 40.0):
+            got = halfspace_scattering(self.GEOM, np.array([u]), medium,
+                                       spec, wrt)
+            ref = halfspace_scattering(self.GEOM, u, medium, spec, wrt)
+            for name in COMPONENTS:
+                assert getattr(got, name).shape == (1,)
+                assert getattr(got, name)[0] == getattr(ref, name)
+
+    @WRT
+    def test_array_is_its_chunks_concatenated(self, wrt):
+        medium = HalfSpaceMedium.dielectric(EPS_MEDIUM)
+        us = np.geomspace(1e-3, 50.0, 2 * _U_CHUNK + 1)
+        spec = QuadSpec(rel_tol=1e-7)
+        whole = halfspace_scattering(self.GEOM, us, medium, spec, wrt)
+        chunks = [halfspace_scattering(self.GEOM, us[i:i + _U_CHUNK], medium,
+                                       spec, wrt)
+                  for i in range(0, us.size, _U_CHUNK)]
+        for name in COMPONENTS:
+            assert np.array_equal(
+                getattr(whole, name),
+                np.concatenate([getattr(c, name) for c in chunks]))
+
+    def test_one_panel_set_and_one_bessel_table_per_chunk(self,
+                                                          monkeypatch):
+        # 17 nodes are three chunks; every q-integral of a chunk starts
+        # from its one first panel set, where J0/J1/J2 are computed once
+        calls = []
+
+        def counted(t):
+            calls.append(t.size)
+            return bessel_j0_j1_j2(t)
+
+        monkeypatch.setattr("vdwpair.greens.bessel_j0_j1_j2", counted)
+        _first_panels.cache_clear()
+        halfspace_scattering(PlanarGeometry.parallel(0.5, 0.3),
+                             np.geomspace(0.1, 10.0, 2 * _U_CHUNK + 1),
+                             HalfSpaceMedium.dielectric(EPS_MEDIUM),
+                             QuadSpec(rel_tol=1e-6))
+        assert _first_panels.cache_info().misses == 3
+        assert len(calls) == 3
+
+    def test_grid_of_a_u_range(self):
+        geom = self.GEOM
+        u_lo, u_hi = 0.02, 300.0
+        breaks = np.sort(q_breakpoints(geom, np.array([u_hi, 1.0, u_lo])))
+        # the cut of u_hi, and the u-points of both ends
+        assert breaks[-1] == max(q_breakpoints(geom, u_hi))
+        for u in (u_lo, u_hi):
+            assert np.all(np.isin([s * u for s in (0.1, 0.3, 1.0, 3.0)],
+                                  breaks))
+        # no gap wider than a factor sqrt(10) where the u-points of the
+        # nodes in between lie
+        inside = breaks[(breaks >= 3.0 * u_lo) & (breaks <= 0.1 * u_hi)]
+        assert np.all(inside[1:] / inside[:-1] <= np.sqrt(10.0) * (1 + 1e-12))
+        # one u, as an array or not, has the grid of that u alone
+        assert q_breakpoints(geom, np.array([u_lo])) \
+            == q_breakpoints(geom, u_lo)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
+    def test_rejects_a_nonpositive_entry(self, bad):
+        with pytest.raises(ValueError, match="u must be positive"):
+            halfspace_scattering(self.GEOM, np.array([0.5, bad, 1.0]),
+                                 HalfSpaceMedium.dielectric(EPS_MEDIUM))
+
+    def test_vacuum_gives_zero_arrays(self):
+        g = halfspace_scattering(self.GEOM, np.array([0.5, 1.0]),
+                                 HalfSpaceMedium(eps=LorentzMedium(omegaP=0.0)))
+        for name in COMPONENTS:
+            assert np.array_equal(getattr(g, name), np.zeros(2))
+
+    @BATCH_MEDIA
+    @pytest.mark.parametrize("geom", [PlanarGeometry.parallel(0.05, 0.01),
+                                      PlanarGeometry.parallel(1.0, 0.01),
+                                      PlanarGeometry.vertical(0.01, 0.01),
+                                      PlanarGeometry(0.9, 0.3, 0.2, 0.4)],
+                             ids=["X=2.5Z+", "X=50Z+", "axis", "negative-X"])
+    def test_first_round_u_nodes_match_tight_scalar_calls(self, medium,
+                                                          geom):
+        # Beyond u (l+ - Z+) = 15 the q-integrals cancel to roundoff (G1 is
+        # below 1e-13 of its low-u size there), so two grids disagree in
+        # noise that the u-integral does not see.
+        us = _first_round_u_nodes(geom, medium)
+        assert us.size == 60
+        batch = halfspace_scattering(geom, us, medium, QuadSpec(rel_tol=1e-7))
+        for i in np.flatnonzero(us * (geom.l_plus - geom.Z_plus) <= 15.0):
+            ref = halfspace_scattering(geom, float(us[i]), medium,
+                                       QuadSpec(rel_tol=1e-12))
+            ref = np.array([getattr(ref, name) for name in COMPONENTS])
+            got = np.array([getattr(batch, name)[i] for name in COMPONENTS])
+            assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref)), \
+                us[i]
+
+    @pytest.mark.parametrize("kind", ["conducting", "permeable"])
+    @WRT
+    def test_shared_grid_on_a_perfect_plate_is_the_image(self, kind, wrt):
+        # Constant reflection r_s, r_p = -+1, +-1 through the Sommerfeld
+        # route, chunk by chunk, against the exact image closed form.
+        medium = HalfSpaceMedium(perfect=kind)
+        geom = PlanarGeometry(0.1, 0.5, 0.9, 0.8)
+        us = np.geomspace(1e-2, 30.0, 30)
+        got = _sommerfeld(geom, us, medium, QuadSpec(rel_tol=1e-11), wrt)
+        image = halfspace_scattering(geom, us, medium, wrt=wrt)
+        for name in COMPONENTS:
+            assert getattr(got, name) == pytest.approx(
+                getattr(image, name), rel=1e-9, abs=0.0), name
 
 
 def nonretarded_scattering(geom: PlanarGeometry, u: float,
