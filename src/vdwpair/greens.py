@@ -217,29 +217,38 @@ def free_space_green(x: float, z: float, u,
         gzz=ek * (big_a - big_b * ez * ez) - 2.0 * c * ez * (dzk - ez * ek))
 
 
-def reflection(q, u: float, medium: HalfSpaceMedium):
-    """Fresnel coefficients (r_s, r_p) at imaginary frequency, vectorized in q."""
+def reflection(q, u, medium: HalfSpaceMedium):
+    """Fresnel coefficients (r_s, r_p) at imaginary frequency iu, vectorized
+    in q and in a column of u (shape (n, 1)): row i is, to the bit, the call
+    at u_i alone.  Scalar q and u give floats; an entry of u that is not
+    positive (NaN included) raises ``ValueError``."""
     q = np.asarray(q, dtype=float)
-    if np.any(q < 0):
+    u = np.asarray(u, dtype=float)
+    if (q < 0).any():
         raise ValueError("q must be >= 0")
-    if not u > 0:
+    if not (u > 0).all():  # "not > 0" also turns away NaN
         raise ValueError("u must be positive")
     if medium.is_perfect:
         sign = medium.reflection_sign
-        shape = q.shape
-        rs = np.full(shape, -sign) if shape else -sign
-        rp = np.full(shape, sign) if shape else sign
-        return rs, rp
+        shape = np.broadcast_shapes(u.shape, q.shape)
+        return ((np.full(shape, -sign), np.full(shape, sign)) if shape
+                else (-sign, sign))
     eps = medium.eps_iu(u)
     mu = medium.mu_iu(u)
-    b = np.sqrt(u**2 + q**2)
-    b_m = np.sqrt(eps * mu * u**2 + q**2)
+    # Squares by Python's float ** (libm pow), as for one u: numpy's x*x
+    # differs from it in the last bit of about one value in 10^3.
+    u2, eps2, mu2 = (float(u)**2, eps**2, mu**2) if not u.ndim else (
+        np.array([v**2 for v in a.ravel().tolist()]).reshape(u.shape)
+        for a in (u, eps, mu))
+    q2 = q**2
+    b = np.sqrt(u2 + q2)
+    b_m = np.sqrt(eps * mu * u2 + q2)
     # Rationalized numerators: x*b - b_m = (x^2 b^2 - b_m^2)/(x*b + b_m)
     # avoids catastrophic cancellation at q >> u, where the direct
     # difference loses the digits that the 1/u^2 kernels amplify.
-    rs = (mu * (mu - eps) * u**2 + (mu**2 - 1.0) * q**2) / (mu * b + b_m) ** 2
-    rp = (eps * (eps - mu) * u**2 + (eps**2 - 1.0) * q**2) / (eps * b + b_m) ** 2
-    if q.ndim == 0:
+    rs = (mu * (mu - eps) * u2 + (mu2 - 1.0) * q2) / (mu * b + b_m) ** 2
+    rp = (eps * (eps - mu) * u2 + (eps2 - 1.0) * q2) / (eps * b + b_m) ** 2
+    if rs.ndim == 0:
         return float(rs), float(rp)
     return rs, rp
 
@@ -426,21 +435,28 @@ def _sommerfeld_chunk(geom: PlanarGeometry, us: list, medium: HalfSpaceMedium,
     # the axis X = 0; its X-derivative does not.
     axis_i1_zero = x == 0.0 and wrt != "X"
     zp = geom.Z_plus
-    # u^2 of each node as a column, squared as a float: every (u, q) entry
-    # is then the value that one u alone gives, to the bit.
+    # u and u^2 of each node as a column, squared as a float: every (u, q)
+    # entry is then the value that one u alone gives, to the bit.
+    u_col = np.array(us)[:, None]
     k2 = np.array([u**2 for u in us])[:, None]
     breaks = np.asarray(q_breakpoints(geom, us))
 
-    def bessel_factors(q):
+    def bessel_factors(q, k=0):
+        # J_nu(qX), or q J_nu'(qX) at "X", for nu = 0, 1, 2; zz (k = 2) reads
+        # nu = 0 and xz (k = 3) nu = 1, each one Bessel function but xz at X.
+        from scipy import special
+        if k == 2:
+            return (-q * special.j1(q * x) if wrt == "X"
+                    else special.j0(q * x)), None, None
+        if k == 3 and wrt != "X":
+            return None, special.j1(q * x), None
         return (_bessel_x_derivatives(q, x) if wrt == "X"
                 else bessel_j0_j1_j2(q * x))
 
-    def kernel(q, rows, bessel):
-        """r_s, r_p, b, the decay and k^2 at the nodes ``rows`` of ``us``
-        (one row each) on q, and the Bessel factors on q."""
-        rs, rp = np.stack([reflection(q, us[i], medium) for i in rows],
-                          axis=1)
-        kk = k2[rows]
+    def kernel(q, u, kk, bessel):
+        """r_s, r_p, b, the decay and k^2 = kk on q at u (one node, or a
+        column of them, one row each), and the Bessel factors on q."""
+        rs, rp = reflection(q, u, medium)
         b = np.sqrt(kk + q**2)
         d = np.exp(-b * zp)
         if wrt == "Z_plus":
@@ -476,13 +492,14 @@ def _sommerfeld_chunk(geom: PlanarGeometry, us: list, medium: HalfSpaceMedium,
             if not first:
                 first.update(q=q, bessel=bessel_factors(q), rows=range(0))
             if q is not first["q"]:
-                return elements[k](q, *kernel(q, [row], bessel_factors(q)))[0]
+                return elements[k](q, *kernel(q, us[row], k2[row],
+                                              bessel_factors(q, k)))
             rows = first["rows"]
             if row not in rows:
                 first.pop("table", None)
                 rows = range(row, min(len(us), row + max(
                     1, _TABLE_ENTRIES // q.size)))
-                factors = kernel(q, rows, first["bessel"])
+                factors = kernel(q, u_col[rows], k2[rows], first["bessel"])
                 first.update(rows=rows,
                              table=[e(q, *factors) for e in elements])
             return first["table"][k][row - rows.start]

@@ -11,15 +11,16 @@ nodes, the Kronrod sum is the panel value and the raw |K15 - G7|
 difference is its error estimate.  The panels with the largest errors
 are bisected until the summed estimate meets the one acceptance rule
 err <= max(rel_tol |I|, abs_tol, 250 eps sum|panel values|); its last
-term, the roundoff floor of the panel sum, is how cancelling oscillatory
-and exactly-zero integrals converge.  A panel budget of
-max(max_subdivisions, n/2) bisections on top of the n first panels,
-exhausted first, raises ``ConvergenceError``.  Panels are evaluated in vectorized batches.
+term, the roundoff floor of the panel sum (summed only when the others
+do not accept), is how cancelling oscillatory and exactly-zero integrals
+converge.  A panel budget of max(max_subdivisions, n/2) bisections on top
+of the n first panels, exhausted first, raises ``ConvergenceError``.
+Panels are evaluated in vectorized batches.
 
 An integral's first panel set (edges, half widths, nodes x, weights
-w = dx/dt) depends only on its map, limits and breakpoints: it is built
-once, kept as read-only arrays in a cache of the two most recently used
-sets, and its first round is y = f(x) w and one matmul.
+w = dx/dt, map) depends only on its limits and breakpoint values: it is
+built once, kept as read-only arrays in a cache of the two most recently
+used sets, and its first round is f(x) w, one matmul and one scale.
 """
 
 from __future__ import annotations
@@ -126,53 +127,62 @@ class ConvergenceError(RuntimeError):
 
 
 def _nodes(lo, hi, cut: float, scale: float):
-    """Half widths, nodes x and weights w of the panels [lo_i, hi_i] of t.
-
-    x = t up to the cut and x = cut + scale s/(1-s), s = t - cut, beyond
-    it; w = dx/dt.  Only the tail nodes are mapped.
-    """
-    half = 0.5 * (hi - lo)
-    t = ((0.5 * (lo + hi))[:, None] + half[:, None] * KRONROD_NODES).ravel()
+    """Half widths (a column), nodes x and weights w = dx/dt (a row of 15
+    per panel) of the panels [lo_i, hi_i] of t: x = t up to the cut and
+    x = cut + scale s/(1-s), s = t - cut, beyond it."""
+    half = 0.5 * (hi - lo)[:, None]
+    t = ((0.5 * (lo + hi))[:, None] + half * KRONROD_NODES).ravel()
     x, w = t.copy(), np.ones_like(t)
     tail = t > cut
     s = t[tail] - cut
     x[tail] = cut + scale * (s / (1.0 - s))
     w[tail] = scale * (1.0 / (1.0 - s) ** 2)
-    return half, x, w
+    return half, x, w.reshape(lo.size, _N_NODES)
 
 
 @lru_cache(maxsize=2)
-def _first_panels(a: float, b: float, breakpoints: bytes, cut: float,
-                  scale: float):
-    """The first panel set of an integral over t in [a, b]: the edges lo,
-    hi split at ``breakpoints`` (float64 bytes) and ``_nodes`` on them,
-    as read-only arrays shared by every call from the same inputs."""
+def _first_panels(a: float, b: float, breakpoints: bytes, panels: int):
+    """Read-only edges lo, hi and ``_nodes`` of the first panels of an
+    integral over [a, b], split at the ``breakpoints`` (float64 bytes, any
+    order) inside, then the map's cut and scale.  b = inf keeps x = t up to
+    c, the largest breakpoint above max(a, 0), and maps t in [c, c + 1) by
+    x = c + c s/(1-s); from a = 0 without one, x = t/(1-t) maps t in [0, 1)
+    from ``panels`` equal panels.  A finite b keeps x = t."""
     p = np.frombuffer(breakpoints)
+    cut, scale = np.inf, 1.0
+    if b == np.inf:
+        cut = float(p.max(where=p > max(a, 0.0), initial=-np.inf))
+        if cut > max(a, 0.0):
+            b, scale = cut + 1.0, cut
+        elif a == 0.0:
+            cut, b, p = 0.0, 1.0, np.arange(1, panels) / panels
+        else:
+            raise ValueError("b = inf needs a breakpoint above max(a, 0)")
     edges = np.concatenate([[a, b], p[(p > a) & (p < b)]])
     # np.unique without its overhead: sorted, repeats dropped.
     edges.sort()
     edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
-    edges.flags.writeable = False
-    nodes = _nodes(edges[:-1], edges[1:], cut, scale)
+    nodes = (edges[:-1], edges[1:], *_nodes(edges[:-1], edges[1:], cut,
+                                            scale))
     for arr in nodes:
         arr.flags.writeable = False
-    return (edges[:-1], edges[1:], *nodes)
+    return (*nodes, cut, scale)
 
 
 def _panel_sums(f, half, x, w):
     """The Gauss-Kronrod pair of f(x) w on panels of half widths ``half``."""
-    y = (np.asarray(f(x), dtype=float) * w).reshape(half.size, _N_NODES)
-    sums = (y @ _RULES) * half[:, None]
+    sums = (np.asarray(f(x), dtype=float).reshape(w.shape) * w @ _RULES) \
+        * half
     return sums[:, 0], np.abs(sums[:, 1])
 
 
-def _integrate(f, a, b, breakpoints, cut: float, scale: float,
-               spec: QuadSpec | None, axis: str) -> QuadResult:
-    """Adaptively integrate f(x(t)) dx/dt over t in [a, b] (x as in
-    ``_nodes``), starting from the panels split at ``breakpoints``."""
+def _integrate(f, a, b, breakpoints, spec: QuadSpec | None, axis: str,
+               panels: int = 8) -> QuadResult:
+    """Adaptively integrate f(x(t)) dx/dt over the t of [a, b] (the map of
+    ``_first_panels``), starting from its first panel set."""
     spec = spec or QuadSpec()
     p = np.asarray([] if breakpoints is None else breakpoints, dtype=float)
-    lo, hi, *first = _first_panels(a, b, p.tobytes(), cut, scale)
+    lo, hi, *first, cut, scale = _first_panels(a, b, p.tobytes(), panels)
     vals, errs = _panel_sums(f, *first)
     evals = _N_NODES * lo.size
     max_panels = lo.size + max(spec.max_subdivisions, lo.size // 2)
@@ -180,11 +190,12 @@ def _integrate(f, a, b, breakpoints, cut: float, scale: float,
     while True:
         total = float(vals.sum())
         err_total = float(errs.sum())
-        # Oscillatory integrands with strong cancellation cannot converge
-        # below the roundoff floor of the panel sum; accept once the
-        # estimate reaches it (the estimate is still reported truthfully).
-        noise_floor = _ROUNDOFF * float(np.abs(vals).sum())
-        tol = max(spec.rel_tol * abs(total), spec.abs_tol, noise_floor)
+        tol = max(spec.rel_tol * abs(total), spec.abs_tol)
+        if err_total > tol:
+            # Strongly cancelling integrands cannot converge below the
+            # roundoff floor of the panel sum; accept once the estimate
+            # reaches it (and report the estimate truthfully).
+            tol = max(tol, _ROUNDOFF * float(np.abs(vals).sum()))
         if err_total <= tol:
             return QuadResult(total, err_total, evals)
         if lo.size >= max_panels:
@@ -220,17 +231,12 @@ def integrate_interval(f, a, b, spec=None, breakpoints=None, axis="x"):
     """Adaptively integrate a vectorized integrand over [a, b], a < b.
 
     b = inf needs a breakpoint c > max(a, 0): the head [a, c] stays in x,
-    the tail is x = c/(1-s), s = t - c (see ``integrate_semiinf``).
+    the tail is x = c/(1-s), s = t - c (see ``integrate_semiinf``).  From
+    a = 0 without one it is ``integrate_mapped`` from 8 panels.
     """
     if not a < b:
         raise ValueError(f"limits must satisfy a < b, not {a!r}, {b!r}")
-    if b < np.inf:  # no tail: x = t
-        return _integrate(f, a, b, breakpoints, np.inf, 1.0, spec, axis)
-    p = np.asarray([] if breakpoints is None else breakpoints, dtype=float)
-    cut = float(p.max(initial=-np.inf))
-    if not cut > max(a, 0.0):
-        raise ValueError("b = inf needs a breakpoint above max(a, 0)")
-    return _integrate(f, a, cut + 1.0, p, cut, cut, spec, axis)
+    return _integrate(f, a, b, breakpoints, spec, axis)
 
 
 def integrate_mapped(f, spec=None, panels=8, axis="x"):
@@ -242,21 +248,19 @@ def integrate_mapped(f, spec=None, panels=8, axis="x"):
     are the default of ``integrate_semiinf``; a caller whose integrand
     costs far more per node than a refinement round may start from fewer.
     """
-    # all tail: x = 0 + 1 t/(1-t)
-    return _integrate(f, 0.0, 1.0, np.arange(1, panels) / panels, 0.0, 1.0,
-                      spec, axis)
+    return _integrate(f, 0.0, np.inf, None, spec, axis, panels)
 
 
 def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
     """Integrate a vectorized integrand over [0, inf) in one adaptive pass.
 
-    Without breakpoints this is ``integrate_mapped`` from 8 panels.
+    Without a positive breakpoint this is ``integrate_mapped``.
 
-    ``breakpoints`` are abscissas (in the original variable) at which the
-    initial panelization is split; supplying the integrand's oscillation
-    scales here makes the adaptive refinement start from a grid that
-    already resolves them.  With breakpoints, the head [0, c], c =
-    max(breakpoints), stays in the original variable (the compactifying
+    ``breakpoints`` are abscissas (in the original variable, in any order)
+    at which the initial panelization is split; supplying the integrand's
+    oscillation scales here makes the adaptive refinement start from a
+    grid that already resolves them.  With breakpoints, the head [0, c],
+    c = max(breakpoints), stays in the original variable (the compactifying
     map loses floating-point phase resolution at large abscissas, which
     matters for oscillatory integrands) and the tail is mapped by
     x = c/(1-s), s = t - c in [0, 1), on the scale of the cut: s = t - c
@@ -265,8 +269,4 @@ def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
     form one panel set on t in [0, c + 1) with one acceptance test, one
     panel budget and one error estimate.
     """
-    breaks = np.asarray([] if breakpoints is None else breakpoints, dtype=float)
-    breaks = breaks[breaks > 0]
-    if not breaks.size:
-        return integrate_mapped(f, spec, axis=axis)
-    return integrate_interval(f, 0.0, np.inf, spec, breaks, axis)
+    return integrate_interval(f, 0.0, np.inf, spec, breakpoints, axis)

@@ -241,6 +241,57 @@ class TestReflection:
         assert abs(rp) < 1e-7
 
 
+def _squares_differ(v):
+    """Whether numpy's x*x and Python's x**2 (libm pow) differ, per value."""
+    return np.array([x * x != x**2 for x in np.ravel(v).tolist()])
+
+
+class TestReflectionColumn:
+    """A column of u gives one row per u, each bitwise the scalar call."""
+
+    MEDIA = pytest.mark.parametrize("medium", [
+        HalfSpaceMedium.dielectric(EPS_MEDIUM),
+        HalfSpaceMedium.magnetic(MU_MEDIUM),
+        HalfSpaceMedium(eps=EPS_MEDIUM,
+                        mu=LorentzMedium(omegaP=1.5, omegaT=2.0, gamma=0.1)),
+        HalfSpaceMedium.perfect_conductor(),
+        HalfSpaceMedium(perfect="permeable")],
+        ids=["dielectric", "magnetic", "both", "conducting", "permeable"])
+
+    @MEDIA
+    def test_rows_are_scalar_calls_to_the_bit(self, medium):
+        # Nodes where x*x and x**2 differ for u, eps(iu) or mu(iu) come
+        # first: a column squared by numpy would miss their bits.
+        pool = np.geomspace(1e-4, 1e3, 40001)
+        odd = (_squares_differ(pool) | _squares_differ(medium.eps_iu(pool))
+               | _squares_differ(medium.mu_iu(pool)))
+        us = np.concatenate([pool[odd][:40], pool[::2000]])
+        assert odd.sum() >= 10
+        q = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 30)])
+        rs, rp = reflection(q, us[:, None], medium)
+        assert rs.shape == rp.shape == (us.size, q.size)
+        for i, u in enumerate(us.tolist()):
+            rs_u, rp_u = reflection(q, u, medium)
+            assert rs[i].tobytes() == rs_u.tobytes(), u
+            assert rp[i].tobytes() == rp_u.tobytes(), u
+
+    @MEDIA
+    def test_one_u_gives_floats(self, medium):
+        rs, rp = reflection(2.0, 0.7, medium)
+        assert type(rs) is float and type(rp) is float
+        column = reflection(np.array([2.0]), np.array([[0.7]]), medium)
+        assert [c.tolist() for c in column] == [[[rs]], [[rp]]]
+
+    @pytest.mark.parametrize("medium", [HalfSpaceMedium.dielectric(EPS_MEDIUM),
+                                        HalfSpaceMedium.perfect_conductor()],
+                             ids=["dielectric", "conducting"])
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
+    def test_rejects_a_nonpositive_entry(self, medium, bad):
+        with pytest.raises(ValueError, match="u must be positive"):
+            reflection(np.array([0.5, 1.0]), np.array([[0.5], [bad], [2.0]]),
+                       medium)
+
+
 class TestStaticReflection:
     def test_vacuum(self):
         assert static_reflection(1.5, 1.0, 1.0) == (0.0, 0.0)

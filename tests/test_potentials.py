@@ -686,11 +686,12 @@ class TestSharedScattering:
 
     def _counts(self, monkeypatch):
         """Count q-integrals made through either module that integrates
-        over q, and ``reflection`` calls."""
+        over q, the u-rows that ``reflection`` is called on, and its
+        calls."""
         import vdwpair.greens
         import vdwpair.potentials
 
-        counts = {"q": 0, "reflection": 0}
+        counts = {"q": 0, "rows": 0, "reflection": 0}
         for module in (vdwpair.greens, vdwpair.potentials):
             def counting_integrate(f, spec=None, breakpoints=None, axis="x",
                                    integrate=module.integrate_semiinf):
@@ -700,9 +701,11 @@ class TestSharedScattering:
             monkeypatch.setattr(module, "integrate_semiinf",
                                 counting_integrate)
 
-        def counting_reflection(*args, reflection=vdwpair.greens.reflection):
+        def counting_reflection(q, u, medium,
+                                reflection=vdwpair.greens.reflection):
+            counts["rows"] += np.size(u)
             counts["reflection"] += 1
-            return reflection(*args)
+            return reflection(q, u, medium)
 
         monkeypatch.setattr(vdwpair.greens, "reflection", counting_reflection)
         return counts
@@ -710,22 +713,23 @@ class TestSharedScattering:
     def test_anchor_counts(self, monkeypatch):
         # 60 u-nodes (the 4-panel first grid), one G1 each: 4 q-integrals
         # and, since every element integral is accepted on the common
-        # first grid, one reflection call.  The 8-panel first grid made
-        # 480 q-integrals and 120 reflection calls; a U1 of its own
+        # first grid, one reflection row, all of a chunk's rows in one call
+        # (seven chunks of 8 nodes and one of 4).  The 8-panel first grid
+        # made 480 q-integrals and 120 reflection rows; a U1 of its own
         # q-integrals and a separate U2 u-grid made 600 and 600.
         counts = self._counts(monkeypatch)
         u_total(self.GEOM, ATOM, ATOM, self.MEDIUM)
-        assert counts == {"q": 240, "reflection": 60}
+        assert counts == {"q": 240, "rows": 60, "reflection": 8}
 
     def test_magnetic_row_counts(self, monkeypatch):
         # a magnetic row of the oscillatory benchmark's shape (X/Z+ = 1.5)
         # at rel_tol 1e-6: the 60-node first grid and one split panel (30
-        # nodes); the 8-panel first grid made 120 nodes
+        # nodes), in 8 + 4 chunks; the 8-panel first grid made 120 nodes
         counts = self._counts(monkeypatch)
         u_total(PlanarGeometry.parallel(0.03, 0.01), ATOM, ATOM,
                 HalfSpaceMedium.magnetic(MU_MEDIUM),
                 spec=QuadSpec(rel_tol=1e-6))
-        assert counts == {"q": 360, "reflection": 90}
+        assert counts == {"q": 360, "rows": 90, "reflection": 12}
 
     def test_no_state_outlives_a_call(self, monkeypatch):
         counts = self._counts(monkeypatch)

@@ -288,6 +288,53 @@ class TestFirstPanelCache:
         assert warm == cold
 
 
+class TestBreakpointValues:
+    """The first panel set is keyed by the breakpoints' values: their
+    container and order, and entries at or below 0 of a semi-infinite
+    integral, do not change a result."""
+
+    F = staticmethod(SUITE[4][0])
+    SPEC = QuadSpec(rel_tol=1e-12)
+    SORTED = np.array([0.5, 1.0, 3.0, 8.0])
+
+    @pytest.mark.parametrize("breakpoints", [
+        [0.5, 1.0, 3.0, 8.0],
+        np.array([3.0, 8.0, 0.5, 1.0]),
+        np.array([-2.0, 0.5, 0.0, 1.0, 3.0, -0.0, 8.0, 1.0])],
+        ids=["list", "unsorted", "non-positive"])
+    def test_same_result_as_the_sorted_positive_array(self, breakpoints):
+        assert integrate_semiinf(self.F, self.SPEC, breakpoints=breakpoints) \
+            == integrate_semiinf(self.F, self.SPEC, breakpoints=self.SORTED)
+
+    def test_no_positive_breakpoint_is_the_mapped_integral(self):
+        assert integrate_semiinf(self.F, self.SPEC, breakpoints=[-1.0, 0.0]) \
+            == integrate_semiinf(self.F, self.SPEC)
+
+    def test_an_array_changed_in_place_gets_a_new_panel_set(self):
+        p = self.SORTED.copy()
+        _first_panels.cache_clear()
+        before = integrate_semiinf(self.F, self.SPEC, breakpoints=p)
+        p[-1] = 16.0
+        after = integrate_semiinf(self.F, self.SPEC, breakpoints=p)
+        assert _first_panels.cache_info().misses == 2
+        assert after != before
+        assert after == integrate_semiinf(
+            self.F, self.SPEC, breakpoints=[0.5, 1.0, 3.0, 16.0])
+
+    def test_cancelling_integrand_accepted_at_roundoff_floor(self):
+        # 20 half periods of sin over [0, 20 pi] and nothing beyond: the
+        # panels sum to 40 in magnitude and cancel to roundoff, which
+        # neither rel_tol |I| nor abs_tol accepts
+        spec = QuadSpec(abs_tol=1e-300)
+        c = 20.0 * np.pi
+        res = integrate_semiinf(lambda x: np.where(x < c, np.sin(x), 0.0),
+                                spec, breakpoints=np.pi * np.arange(1, 21))
+        assert abs(res.value) < 1e-13
+        assert res.abs_error_estimate > max(spec.rel_tol * abs(res.value),
+                                            spec.abs_tol)
+        assert res.abs_error_estimate <= 250 * np.finfo(float).eps * 40.0
+
+
 class TestNested:
     def test_separable_product(self):
         res = integrate_2d(lambda x, y: np.exp(-x - y))
