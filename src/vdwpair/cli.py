@@ -40,6 +40,7 @@ from .greens import HalfSpaceMedium, PlanarGeometry
 from .materials import LorentzMedium, ResonanceAtom
 from .potentials import (
     FREE_SPACE_PAIRS,
+    HALF_SPACE_PAIRS,
     LIMIT_RATIOS,
     THRESHOLD_CASES,
     asymptotic_coefficients,
@@ -246,8 +247,8 @@ def _validate_config(cfg: dict) -> None:
 
 def _check_atom_pair(cfg: dict, command: str) -> None:
     pair = tuple(a.get("kind", "electric") for a in cfg["atoms"])
-    supported = (list(FREE_SPACE_PAIRS) if command == "free-space"
-                 else [("electric", "electric")])
+    supported = list(FREE_SPACE_PAIRS if command == "free-space"
+                     else HALF_SPACE_PAIRS)
     if pair not in supported:
         raise ConfigError(f"{command} cannot compute atom kinds (A, B) = "
                           f"{pair}; supported: {supported}")

@@ -235,12 +235,7 @@ def reflection(q, u, medium: HalfSpaceMedium):
                 else (-sign, sign))
     eps = medium.eps_iu(u)
     mu = medium.mu_iu(u)
-    # Squares by Python's float ** (libm pow), as for one u: numpy's x*x
-    # differs from it in the last bit of about one value in 10^3.
-    u2, eps2, mu2 = (float(u)**2, eps**2, mu**2) if not u.ndim else (
-        np.array([v**2 for v in a.ravel().tolist()]).reshape(u.shape)
-        for a in (u, eps, mu))
-    q2 = q**2
+    u2, eps2, mu2, q2 = u * u, eps * eps, mu * mu, q * q
     b = np.sqrt(u2 + q2)
     b_m = np.sqrt(eps * mu * u2 + q2)
     # Rationalized numerators: x*b - b_m = (x^2 b^2 - b_m^2)/(x*b + b_m)
@@ -329,7 +324,8 @@ def halfspace_scattering(geom: PlanarGeometry, u,
     the reflection coefficients are constant.  Its derivatives are the
     image signs of dG0/dx or dG0/dz at (X, Z+).  A finite medium takes the
     Sommerfeld q-quadratures of ``_sommerfeld``, in chunks of consecutive
-    u-nodes that share a q-grid.  Every medium takes one u, which gives
+    u-nodes that share a q-grid; a vacuum gives zeros, with no q-integral,
+    so every plate part of it is 0.  Every medium takes one u, which gives
     floats, or an array of u, which gives arrays of its shape; an entry
     that is not positive (NaN included) raises ``ValueError``.  The gxz
     element carries the upper (minus) sign of the xz/zx pair, gzx the
@@ -435,10 +431,10 @@ def _sommerfeld_chunk(geom: PlanarGeometry, us: list, medium: HalfSpaceMedium,
     # the axis X = 0; its X-derivative does not.
     axis_i1_zero = x == 0.0 and wrt != "X"
     zp = geom.Z_plus
-    # u and u^2 of each node as a column, squared as a float: every (u, q)
-    # entry is then the value that one u alone gives, to the bit.
+    # u and u^2 of each node as a column: every (u, q) entry is the value
+    # that one u alone gives, to the bit.
     u_col = np.array(us)[:, None]
-    k2 = np.array([u**2 for u in us])[:, None]
+    k2 = u_col * u_col
     breaks = np.asarray(q_breakpoints(geom, us))
 
     def bessel_factors(q, k=0):

@@ -69,7 +69,7 @@ VACUUM = LorentzMedium()
 
 def _check_u(u):
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
+    if (u < 0).any():
         raise ValueError("imaginary-axis frequency u must be >= 0")
     return u
 

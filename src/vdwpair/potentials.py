@@ -41,6 +41,7 @@ __all__ = [
     "u0_ee",
     "u0_em",
     "FREE_SPACE_PAIRS",
+    "HALF_SPACE_PAIRS",
     "asymptotic_coefficients",
     "u1_halfspace",
     "u2_halfspace",
@@ -63,6 +64,8 @@ FREE_SPACE_PAIRS = {
     ("electric", "electric"): (-1.0, 6, 0, (3.0, 6.0, 5.0, 2.0, 1.0)),
     ("electric", "magnetic"): (+1.0, 4, 2, (1.0, 2.0, 1.0)),
 }
+# (kind_A, kind_B) of every pair that the half-space parts and limits take.
+HALF_SPACE_PAIRS = (("electric", "electric"),)
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def _scaled_integral(f, scale: float, spec: QuadSpec, axis: str = "x") -> float:
 
 
 def _check_ee(atom_a, atom_b):
-    if atom_a.kind != "electric" or atom_b.kind != "electric":
+    if (atom_a.kind, atom_b.kind) not in HALF_SPACE_PAIRS:
         raise ValueError("both atoms must be electric-polarizable")
 
 
@@ -221,8 +224,6 @@ def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
     and spec, lets the integrals of that call evaluate G1 once per batch.
     """
     _check_ee(atom_a, atom_b)
-    if medium.is_vacuum:
-        return 0.0
     spec = spec or QuadSpec()
     inner = spec.tightened()
     memo = {} if g1_memo is None else g1_memo
@@ -296,8 +297,6 @@ def u_total(geom: PlanarGeometry, atom_a: ResonanceAtom,
     """
     spec = spec or QuadSpec()
     u0 = u0_ee(geom.l, atom_a, atom_b, spec=spec)
-    if medium.is_vacuum:
-        return PotentialBreakdown.assemble(u0, 0.0, 0.0)
     g1_memo = {} if g1_memo is None else g1_memo
     u1 = u1_halfspace(geom, atom_a, atom_b, medium, spec=spec,
                       g1_memo=g1_memo)

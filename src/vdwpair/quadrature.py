@@ -13,8 +13,8 @@ are bisected until the summed estimate meets the one acceptance rule
 err <= max(rel_tol |I|, abs_tol, 250 eps sum|panel values|); its last
 term, the roundoff floor of the panel sum (summed only when the others
 do not accept), is how cancelling oscillatory and exactly-zero integrals
-converge.  A panel budget of max(max_subdivisions, n/2) bisections on top
-of the n first panels, exhausted first, raises ``ConvergenceError``.
+converge.  A panel budget of max(200, n/2) bisections on top of the n
+first panels, exhausted first, raises ``ConvergenceError``.
 Panels are evaluated in vectorized batches.
 
 An integral's first panel set (edges, half widths, nodes x, weights
@@ -25,7 +25,7 @@ used sets, and its first round is f(x) w, one matmul and one scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -89,28 +89,19 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances and budget for one integration call.
-
-    ``max_subdivisions`` bounds the number of panel bisections performed on
-    top of the initial panelization; the engine raises it to half the
-    number of first panels, so a grid of n oscillation panels gets n/2.
-    """
+    """Tolerances for one integration call."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-14
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         # "not > 0" also turns away NaN, which every comparison fails.
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
     def tightened(self) -> "QuadSpec":
         """The spec of an inner (nested) integral: both tolerances / 10."""
-        return replace(self, rel_tol=self.rel_tol / 10.0,
-                       abs_tol=self.abs_tol / 10.0)
+        return QuadSpec(self.rel_tol / 10.0, self.abs_tol / 10.0)
 
 
 class ConvergenceError(RuntimeError):
@@ -185,7 +176,7 @@ def _integrate(f, a, b, breakpoints, spec: QuadSpec | None, axis: str,
     lo, hi, *first, cut, scale = _first_panels(a, b, p.tobytes(), panels)
     vals, errs = _panel_sums(f, *first)
     evals = _N_NODES * lo.size
-    max_panels = lo.size + max(spec.max_subdivisions, lo.size // 2)
+    max_panels = lo.size + max(200, lo.size // 2)
 
     while True:
         total = float(vals.sum())

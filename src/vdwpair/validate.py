@@ -506,6 +506,13 @@ def check_weighted_integrals() -> CheckResult:
                        [f"worst relative deviation {worst:.2e} (tol 1e-8)"])
 
 
+def _decade(dev: float) -> str:
+    """A deviation far below its tolerance as the decade it lies below:
+    its digits are roundoff, which any change of summation order moves."""
+    return (f"<= {10.0 ** np.ceil(np.log10(dev)):.0e}" if 0.0 < dev < np.inf
+            else f"= {dev:.2e}")
+
+
 def check_trace_oracles() -> CheckResult:
     """Explicit cross/scattering integrands match the Green-tensor trace
     forms to 1e-8 relative on a 5x5 (geometry, frequency) grid."""
@@ -541,8 +548,9 @@ def check_trace_oracles() -> CheckResult:
         worst2 = max(worst2, abs(explicit / trace - 1.0))
     ok = worst1 < 1e-8 and worst2 < 1e-8
     return CheckResult(8, "dual-route integrand oracles", ok,
-                       [f"cross term worst dev {worst1:.2e} (tol 1e-8)",
-                        f"scattering term worst dev {worst2:.2e} (tol 1e-8)"])
+                       [f"cross term worst dev {_decade(worst1)} (tol 1e-8)",
+                        f"scattering term worst dev {_decade(worst2)} "
+                        "(tol 1e-8)"])
 
 
 def check_far_plate() -> CheckResult:
@@ -692,10 +700,7 @@ def check_force_oracle() -> CheckResult:
         r = np.array(oracle.f_a + oracle.f_b)
         dev = float(np.max(np.abs(a - r)) / np.max(np.abs(r)))
         ok &= dev <= 10.0 * rel_tol
-        # Below tol, dev's digits are roundoff: show its decade.
-        shown = (f"<= {10.0 ** np.ceil(np.log10(dev)):.0e}"
-                 if 0.0 < dev < np.inf else f"= {dev:.2e}")
-        details.append(f"{label}: max|F - F_oracle|/max|F| {shown} "
+        details.append(f"{label}: max|F - F_oracle|/max|F| {_decade(dev)} "
                        f"(tol {10.0 * rel_tol:.0e})")
     return CheckResult(13, "analytic forces vs finite differences", ok,
                        details)

@@ -1,5 +1,6 @@
 """Free-space and half-space Green tensors, reflection coefficients."""
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -261,7 +262,8 @@ class TestReflectionColumn:
     @MEDIA
     def test_rows_are_scalar_calls_to_the_bit(self, medium):
         # Nodes where x*x and x**2 differ for u, eps(iu) or mu(iu) come
-        # first: a column squared by numpy would miss their bits.
+        # first: rows and scalar calls both square by x*x, so a row that
+        # squared another way would miss their bits.
         pool = np.geomspace(1e-4, 1e3, 40001)
         odd = (_squares_differ(pool) | _squares_differ(medium.eps_iu(pool))
                | _squares_differ(medium.mu_iu(pool)))
@@ -612,13 +614,16 @@ class TestOscillationBudget:
     J_nu(qX), up to MAX_OSCILLATION_PANELS, and the engine raises the
     panel budget of the q-integrals with the grid."""
 
-    @pytest.mark.parametrize("geom", [PlanarGeometry.parallel(2.6, 0.001),
-                                      PlanarGeometry.parallel(1.8, 0.0005)],
-                             ids=["X=1300Z+", "X=1800Z+-widened-step"])
-    def test_converges(self, geom):
-        g = halfspace_scattering(geom, 1.0,
-                                 HalfSpaceMedium.dielectric(EPS_MEDIUM),
-                                 spec=QuadSpec(rel_tol=1e-9))
+    @pytest.mark.parametrize(
+        "geom,widened", [(PlanarGeometry.parallel(2.6, 0.001), False),
+                         (PlanarGeometry.parallel(1.8, 0.0005), True)],
+        ids=["X=1300Z+", "X=1800Z+-widened-step"])
+    def test_converges(self, geom, widened):
+        with (pytest.warns(RuntimeWarning, match="MAX_OSCILLATION_PANELS")
+              if widened else contextlib.nullcontext()):
+            g = halfspace_scattering(geom, 1.0,
+                                     HalfSpaceMedium.dielectric(EPS_MEDIUM),
+                                     spec=QuadSpec(rel_tol=1e-9))
         assert all(np.isfinite(getattr(g, name)) for name in COMPONENTS)
 
     def test_widened_step_is_reported(self):
@@ -634,7 +639,8 @@ class TestOscillationBudget:
     def test_beyond_the_grid_fails_with_an_error(self):
         # X/Z+ = 5000: the widened step no longer resolves the oscillations,
         # and the budget runs out in a fraction of a second, not a hang
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError) as err, \
+                pytest.warns(RuntimeWarning, match="MAX_OSCILLATION_PANELS"):
             halfspace_scattering(PlanarGeometry.parallel(10.0, 0.001), 1.0,
                                  HalfSpaceMedium.dielectric(EPS_MEDIUM),
                                  spec=QuadSpec(rel_tol=1e-9))
@@ -649,7 +655,8 @@ class TestOscillationBudget:
                        '"geometry": {"family": "parallel", "z": 1e-4}, '
                        '"sweep": {"variable": "l", "start": 10.0, '
                        '"stop": 10.0, "points": 1, "scale": "log"}}')
-        assert cli.main(["half-space", "--config", str(cfg)]) == 2
+        with pytest.warns(RuntimeWarning, match="MAX_OSCILLATION_PANELS"):
+            assert cli.main(["half-space", "--config", str(cfg)]) == 2
         row = capsys.readouterr().out.splitlines()[-1]
         assert row.startswith("1.000000000000e+01,")
         assert "ConvergenceError" in row and "(axis 'q')" in row

@@ -44,8 +44,6 @@ class TestTypes:
             QuadSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadSpec(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadSpec(max_subdivisions=0)
 
     @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
     def test_quadspec_rejects_nan_tolerance(self, field):
@@ -91,14 +89,6 @@ class TestSemiInfinite:
         assert abs(res.value - exact) <= max(res.abs_error_estimate, 5e-14)
         assert res.evaluations >= 1
 
-    @pytest.mark.parametrize("f,exact", SUITE)
-    def test_doubling_budget_never_hurts(self, f, exact):
-        base = QuadSpec(rel_tol=1e-10, max_subdivisions=100)
-        big = QuadSpec(rel_tol=1e-10, max_subdivisions=200)
-        err_base = abs(integrate_semiinf(f, base).value - exact)
-        err_big = abs(integrate_semiinf(f, big).value - exact)
-        assert err_big <= err_base + 1e-13
-
     def test_breakpoints_help_sharp_features(self):
         # narrow bump at x = 40, invisible to the default panelization
         f = lambda x: np.exp(-((x - 40.0) / 0.05) ** 2)
@@ -110,18 +100,18 @@ class TestSemiInfinite:
     def test_convergence_error_carries_best(self):
         f = lambda x: np.cos(50.0 * x) * np.exp(-0.01 * x)
         with pytest.raises(ConvergenceError) as info:
-            integrate_semiinf(f, QuadSpec(rel_tol=1e-12, abs_tol=1e-22,
-                                          max_subdivisions=1),
+            integrate_semiinf(f, QuadSpec(rel_tol=1e-12, abs_tol=1e-22),
                               axis="q")
         assert info.value.axis == "q"
         assert isinstance(info.value.best, QuadResult)
 
     def test_convergence_error_best_is_the_whole_integral(self):
-        # the budget runs out with head and tail on one panel set, so the
-        # best estimate covers [0, inf), not the head [0, 8] alone
+        # the budget runs out (the tail's (1 - s)^-1/2 end point takes more
+        # than 200 bisections to 1e-14) with head and tail on one panel set,
+        # so the best estimate covers [0, inf), not the head [0, 8] alone
         with pytest.raises(ConvergenceError) as info:
             integrate_semiinf(lambda x: (1.0 + x) ** -1.5,
-                              QuadSpec(rel_tol=1e-14, max_subdivisions=1),
+                              QuadSpec(rel_tol=1e-14),
                               breakpoints=[1.0, 2.0, 4.0, 8.0])
         best = info.value.best
         assert abs(best.value - 2.0) <= best.abs_error_estimate
@@ -225,28 +215,25 @@ class TestAcceptanceRule:
         assert res.value == pytest.approx(np.pi / 4.0, rel=1e-8)
         assert res.abs_error_estimate <= spec.rel_tol * abs(res.value)
 
-    def test_budget_exhausted_above_tol_raises(self):
-        # tol is a third of the two-panel estimate, and one bisection of
-        # the initial panel is all the budget allows
-        two = integrate_interval(np.sqrt, 0.0, 1.0, QuadSpec(rel_tol=1.0),
-                                 breakpoints=[0.5])
-        rel_tol = two.abs_error_estimate / 3.0 / abs(two.value)
-        with pytest.raises(ConvergenceError):
-            integrate_interval(np.sqrt, 0.0, 1.0,
-                               QuadSpec(rel_tol=rel_tol, abs_tol=1e-300,
-                                        max_subdivisions=1))
-
-    def test_budget_is_at_least_half_the_first_panels(self):
-        # 100 first panels of a sawtooth that no panel resolves: the budget
-        # is 50 bisections, not max_subdivisions = 1, and runs out after
-        # one round that splits the 50 worst panels
+    @staticmethod
+    def sawtooth_evaluations(n):
+        # n first panels of a sawtooth that no panel resolves, at a
+        # tolerance that its panel sum cannot meet: the evaluations when
+        # the budget runs out
         sawtooth = lambda x: (1e4 * x) % 1.0
         with pytest.raises(ConvergenceError) as info:
             integrate_interval(sawtooth, 0.0, 1.0,
-                               QuadSpec(rel_tol=1e-14, abs_tol=1e-300,
-                                        max_subdivisions=1),
-                               breakpoints=np.linspace(0.0, 1.0, 101)[1:-1])
-        assert info.value.best.evaluations == 15 * (100 + 2 * 50)
+                               QuadSpec(rel_tol=1e-14, abs_tol=1e-300),
+                               breakpoints=np.linspace(0.0, 1.0, n + 1)[1:-1])
+        return info.value.best.evaluations
+
+    def test_budget_exhausted_above_tol_raises(self):
+        # 100 first panels: n/2 = 50 is below the fixed 200 bisections
+        assert self.sawtooth_evaluations(100) == 15 * (100 + 2 * 200)
+
+    def test_budget_is_at_least_half_the_first_panels(self):
+        # 500 first panels: n/2 = 250 bisections, above the fixed 200
+        assert self.sawtooth_evaluations(500) == 15 * (500 + 2 * 250)
 
     def test_zero_integral_accepted_at_roundoff_floor(self):
         # neither rel_tol |I| nor abs_tol can be met by an integral that
