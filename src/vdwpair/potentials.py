@@ -183,28 +183,6 @@ def _cross_trace(u, geom: PlanarGeometry, g1: GreenComponents):
     return free_space_green(geom.X, geom.Z, u).trace(g1.transpose())
 
 
-def u1_trace_integrand(u, geom: PlanarGeometry,
-                       atom_a: ResonanceAtom, atom_b: ResonanceAtom,
-                       medium: HalfSpaceMedium,
-                       spec: QuadSpec | None = None):
-    """u-integrand of the cross term in Green-tensor trace form:
-    -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)].
-    Vectorized in u."""
-    g1 = halfspace_scattering(geom, u, medium, spec=spec)
-    return _plate_weight(u, atom_a, atom_b) * _cross_trace(u, geom, g1)
-
-
-def u2_frequency_integrand(u, geom: PlanarGeometry,
-                           atom_a: ResonanceAtom, atom_b: ResonanceAtom,
-                           medium: HalfSpaceMedium,
-                           spec: QuadSpec | None = None):
-    """u-integrand of the scattering part:
-    -(1/2pi) u^4 alpha_A alpha_B Tr[G1(r_A,r_B) . G1(r_B,r_A)], with
-    G1(r_B,r_A) = G1(r_A,r_B)^T.  Vectorized in u."""
-    g1 = halfspace_scattering(geom, u, medium, spec=spec)
-    return _plate_weight(u, atom_a, atom_b) * g1.trace(g1.transpose()) / 2.0
-
-
 def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
                         atom_b: ResonanceAtom, medium: HalfSpaceMedium,
                         spec: QuadSpec | None,
@@ -217,11 +195,16 @@ def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
     in units of ``_plate_magnitude`` so that abs_tol is relative to an O(1)
     integrand however small the part is.  Each batch of u-nodes is one
     ``halfspace_scattering`` call, at the tightened inner tolerance.
-    Perfect reflectors start from the engine's default panels.  A
-    finite-medium node costs far more than a refinement round, so their
-    integral starts from 4 panels.  ``g1_memo``, a dict keyed by the bytes
-    of a batch that the caller holds for one call at one geometry, medium
-    and spec, lets the integrals of that call evaluate G1 once per batch.
+    Perfect reflectors, whose nodes are closed forms, take the panel
+    engine's 8 first panels.  A finite-medium node (one G1, four
+    q-integrals) costs far more than a quadrature round, so their integral
+    climbs the nested ladder of ``integrate_mapped``: 15 nodes, then 16,
+    32, ... new ones, until the change between two levels meets the
+    tolerance.  Every plate part of a row hands ``halfspace_scattering``
+    the same batch at each level, so ``g1_memo``, a dict keyed by the
+    bytes of a batch that the caller holds for one call at one geometry,
+    medium and spec, lets the integrals of that call evaluate G1 once per
+    u-node.
     """
     _check_ee(atom_a, atom_b)
     spec = spec or QuadSpec()
@@ -240,8 +223,7 @@ def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
     if medium.is_perfect:
         return size * _scaled_integral(lambda u: outer(u) / size, scale,
                                        spec, axis="u")
-    res = integrate_mapped(lambda v: outer(scale * v) / size, spec,
-                           panels=4, axis="u")
+    res = integrate_mapped(lambda v: outer(scale * v) / size, spec, axis="u")
     return size * scale * res.value
 
 

@@ -1,21 +1,34 @@
-"""Adaptive panel quadrature over finite and semi-infinite intervals.
+"""Adaptive quadrature over finite and semi-infinite intervals.
 
 All integrands must accept a 1-D numpy array of abscissas and return an
-array of the same shape.  A semi-infinite integral is one adaptive pass:
-its range is mapped onto a finite one (x = t/(1-t), suited to
-exponentially decaying integrands, or a head [0, c] kept in x followed by
-the tail mapped on the scale of the cut, x = c/(1-s)), and that one panel
-set is integrated with adaptive 7/15-point Gauss-Kronrod panels
-(QUADPACK's qk15 pair): the 7 Gauss nodes are nested in the 15 Kronrod
-nodes, the Kronrod sum is the panel value and the raw |K15 - G7|
-difference is its error estimate.  The panels with the largest errors
-are bisected until the summed estimate meets the one acceptance rule
-err <= max(rel_tol |I|, abs_tol, 250 eps sum|panel values|); its last
-term, the roundoff floor of the panel sum (summed only when the others
-do not accept), is how cancelling oscillatory and exactly-zero integrals
-converge.  A panel budget of max(200, n/2) bisections on top of the n
-first panels, exhausted first, raises ``ConvergenceError``.
-Panels are evaluated in vectorized batches.
+array of the same shape.  Two engines share one acceptance rule,
+err <= max(rel_tol |I|, abs_tol, 250 eps sum|terms|), whose last term,
+the roundoff floor of the sum (summed only when the others do not
+accept), is how cancelling oscillatory and exactly-zero integrals
+converge; an integral that cannot meet it raises ``ConvergenceError``.
+
+``integrate_mapped`` is a nested ladder for integrands that cost far more
+per node than a quadrature round (the finite-medium frequency integrals):
+Fejer's second rule on t in (0, 1), x = t/(1-t), at n - 1 = 15, 31, 63,
+..., 1023 nodes, with nodes t_k = (1 - cos k pi/n)/2 and closed-form
+weights (Waldvogel, BIT 46, 195 (2006); Trefethen, SIAM Rev. 50, 67
+(2008)).  Each level evaluates only its n/2 new nodes (odd k), returns
+Q_n with the estimate |Q_n - Q_{n/2}| and accepts by the rule above, so
+the 15-node level is never accepted alone and the node count follows the
+tolerance; the 1023-node level raises.
+
+The panel engine handles everything else.  A semi-infinite integral is
+one adaptive pass: its range is mapped onto a finite one (x = t/(1-t) on
+8 equal panels, suited to exponentially decaying integrands, or a head
+[0, c] kept in x followed by the tail mapped on the scale of the cut,
+x = c/(1-s)), and that one panel set is integrated with adaptive
+7/15-point Gauss-Kronrod panels (QUADPACK's qk15 pair): the 7 Gauss
+nodes are nested in the 15 Kronrod nodes, the Kronrod sum is the panel
+value and the raw |K15 - G7| difference is its error estimate.  The
+panels with the largest errors are bisected until the summed estimate
+meets the rule.  A panel budget of max(200, n/2) bisections on top of
+the n first panels, exhausted first, raises.  Panels are evaluated in
+vectorized batches.
 
 An integral's first panel set (edges, half widths, nodes x, weights
 w = dx/dt, map) depends only on its limits and breakpoint values: it is
@@ -68,7 +81,7 @@ GAUSS_WEIGHTS[1::2] = np.concatenate([_WG_HALF, [_WG_MID], _WG_HALF[::-1]])
 _N_NODES = KRONROD_NODES.size
 # Columns: Kronrod sum, Kronrod minus Gauss.
 _RULES = np.stack([KRONROD_WEIGHTS, KRONROD_WEIGHTS - GAUSS_WEIGHTS], axis=1)
-# Relative roundoff floor of a panel sum (see ``integrate_interval``).
+# Relative roundoff floor of a sum (see the module docstring).
 _ROUNDOFF = 250.0 * float(np.finfo(float).eps)
 
 
@@ -132,13 +145,13 @@ def _nodes(lo, hi, cut: float, scale: float):
 
 
 @lru_cache(maxsize=2)
-def _first_panels(a: float, b: float, breakpoints: bytes, panels: int):
+def _first_panels(a: float, b: float, breakpoints: bytes):
     """Read-only edges lo, hi and ``_nodes`` of the first panels of an
     integral over [a, b], split at the ``breakpoints`` (float64 bytes, any
     order) inside, then the map's cut and scale.  b = inf keeps x = t up to
     c, the largest breakpoint above max(a, 0), and maps t in [c, c + 1) by
     x = c + c s/(1-s); from a = 0 without one, x = t/(1-t) maps t in [0, 1)
-    from ``panels`` equal panels.  A finite b keeps x = t."""
+    from 8 equal panels.  A finite b keeps x = t."""
     p = np.frombuffer(breakpoints)
     cut, scale = np.inf, 1.0
     if b == np.inf:
@@ -146,7 +159,7 @@ def _first_panels(a: float, b: float, breakpoints: bytes, panels: int):
         if cut > max(a, 0.0):
             b, scale = cut + 1.0, cut
         elif a == 0.0:
-            cut, b, p = 0.0, 1.0, np.arange(1, panels) / panels
+            cut, b, p = 0.0, 1.0, np.arange(1, 8) / 8.0
         else:
             raise ValueError("b = inf needs a breakpoint above max(a, 0)")
     edges = np.concatenate([[a, b], p[(p > a) & (p < b)]])
@@ -167,13 +180,13 @@ def _panel_sums(f, half, x, w):
     return sums[:, 0], np.abs(sums[:, 1])
 
 
-def _integrate(f, a, b, breakpoints, spec: QuadSpec | None, axis: str,
-               panels: int = 8) -> QuadResult:
+def _integrate(f, a, b, breakpoints, spec: QuadSpec | None,
+               axis: str) -> QuadResult:
     """Adaptively integrate f(x(t)) dx/dt over the t of [a, b] (the map of
     ``_first_panels``), starting from its first panel set."""
     spec = spec or QuadSpec()
     p = np.asarray([] if breakpoints is None else breakpoints, dtype=float)
-    lo, hi, *first, cut, scale = _first_panels(a, b, p.tobytes(), panels)
+    lo, hi, *first, cut, scale = _first_panels(a, b, p.tobytes())
     vals, errs = _panel_sums(f, *first)
     evals = _N_NODES * lo.size
     max_panels = lo.size + max(200, lo.size // 2)
@@ -223,29 +236,80 @@ def integrate_interval(f, a, b, spec=None, breakpoints=None, axis="x"):
 
     b = inf needs a breakpoint c > max(a, 0): the head [a, c] stays in x,
     the tail is x = c/(1-s), s = t - c (see ``integrate_semiinf``).  From
-    a = 0 without one it is ``integrate_mapped`` from 8 panels.
+    a = 0 without one it is x = t/(1-t) on 8 equal panels of t in [0, 1)
+    (x edges 1/7, 1/3, 3/5, 1, 5/3, 3, 7), which suit an integrand on the
+    scale x ~ 1.
     """
     if not a < b:
         raise ValueError(f"limits must satisfy a < b, not {a!r}, {b!r}")
     return _integrate(f, a, b, breakpoints, spec, axis)
 
 
-def integrate_mapped(f, spec=None, panels=8, axis="x"):
-    """Integrate a vectorized integrand over [0, inf) through x = t/(1-t),
-    starting from ``panels`` equal panels of t in [0, 1).
+# n of the levels of ``integrate_mapped``: n - 1 = 15, 31, ..., 1023 nodes.
+_LADDER = tuple(2**k for k in range(4, 11))
 
-    The panels suit an integrand on the scale x ~ 1; callers rescale their
-    variable to it.  Eight panels (x edges 1/7, 1/3, 3/5, 1, 5/3, 3, 7)
-    are the default of ``integrate_semiinf``; a caller whose integrand
-    costs far more per node than a refinement round may start from fewer.
+
+@lru_cache(maxsize=None)
+def _fejer_level(n: int):
+    """Read-only new nodes x (odd k; every k at the first level) and the
+    weights of all n - 1 nodes, dx/dt included, of Fejer's second rule on
+    t in (0, 1), x = t/(1-t): t_k = sin^2(theta_k/2), theta_k = k pi/n,
+    w_k = (2/n) sin theta_k sum_{j <= n/2} sin((2j-1) theta_k)/(2j-1) on
+    (0, 1), and dx/dt = (1 + x)^2."""
+    theta = np.arange(1, n) * (np.pi / n)
+    odd = np.arange(1, n, 2)
+    w = (2.0 / n) * np.sin(theta) * (np.sin(np.outer(theta, odd))
+                                     @ (1.0 / odd))
+    x = np.tan(0.5 * theta) ** 2
+    w *= (1.0 + x) ** 2
+    new = x if n == _LADDER[0] else x[::2]
+    for arr in (new, w):
+        arr.flags.writeable = False
+    return new, w
+
+
+def integrate_mapped(f, spec=None, axis="x"):
+    """Integrate a vectorized integrand over [0, inf) through x = t/(1-t)
+    on the nested Fejer ladder of the module docstring.
+
+    The levels suit an integrand on the scale x ~ 1 that decays
+    exponentially; callers rescale their variable to it.  ``f`` gets the
+    15 nodes of the first level, then the n/2 new nodes of each next level
+    in increasing order, so every integral hands ``f`` the same node array
+    at the same level.
     """
-    return _integrate(f, 0.0, np.inf, None, spec, axis, panels)
+    spec = spec or QuadSpec()
+    fx = prev = None
+    for n in _LADDER:
+        x, w = _fejer_level(n)
+        new = np.asarray(f(x), dtype=float)
+        if fx is None:
+            fx = new
+        else:
+            fx, old = np.empty(n - 1), fx
+            fx[::2], fx[1::2] = new, old
+        terms = w * fx
+        total = float(terms.sum())
+        if prev is None:
+            prev = total
+            continue
+        err = abs(total - prev)
+        tol = max(spec.rel_tol * abs(total), spec.abs_tol)
+        if err > tol:
+            tol = max(tol, _ROUNDOFF * float(np.abs(terms).sum()))
+        if err <= tol:
+            return QuadResult(total, err, n - 1)
+        prev = total
+    raise ConvergenceError(
+        f"quadrature did not converge: error {err:.3e} > tol {tol:.3e} "
+        f"with {n - 1} nodes", best=QuadResult(total, err, n - 1), axis=axis)
 
 
 def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
     """Integrate a vectorized integrand over [0, inf) in one adaptive pass.
 
-    Without a positive breakpoint this is ``integrate_mapped``.
+    Without a positive breakpoint the panels are x = t/(1-t) on 8 equal
+    panels of t in [0, 1) (see ``integrate_interval``).
 
     ``breakpoints`` are abscissas (in the original variable, in any order)
     at which the initial panelization is split; supplying the integrand's

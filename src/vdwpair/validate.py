@@ -6,11 +6,12 @@ oracles, thresholds, and figure-shape properties.  The checks are shared
 between the test suite and the command-line ``validate`` subcommand.
 
 The oracles that only the checks and tests use live here too: the
-explicit Bessel-kernel routes of U1 and U2 with the nested 2-D quadrature
-of the latter (check 8), the closed forms of the Bessel moments and their
-direct quadrature (check 7), the image-dipole sign table of the cross term
-(check 12) and the retarded limit near a magneto-electric half space of
-static response (eps0, mu0), a v-quadrature over those moments (check 14).
+Green-tensor trace and explicit Bessel-kernel routes of the U1 and U2
+u-integrands, with the nested 2-D quadrature of the latter (check 8), the
+closed forms of the Bessel moments and their direct quadrature (check 7),
+the image-dipole sign table of the cross term (check 12) and the retarded
+limit near a magneto-electric half space of static response (eps0, mu0),
+a v-quadrature over those moments (check 14).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .greens import (
     HalfSpaceMedium,
     PlanarGeometry,
     bessel_j0_j1_j2,
+    halfspace_scattering,
     q_breakpoints,
     reflection,
 )
@@ -35,14 +37,14 @@ from .potentials import (
     PI3_64,
     THRESHOLD_CASES,
     _check_ee,
+    _cross_trace,
+    _plate_weight,
     asymptotic_coefficients,
     nonretarded_closed,
     perfect_retarded_closed,
     threshold,
     u0_ee,
     u0_em,
-    u1_trace_integrand,
-    u2_frequency_integrand,
     u_total,
 )
 from .quadrature import QuadResult, QuadSpec, integrate_semiinf
@@ -104,6 +106,28 @@ def u1_frequency_integrand(u: float, geom: PlanarGeometry,
     l = geom.l
     alpha = response_iu(atom_a, u) * response_iu(atom_b, u)
     return -u**4 * alpha * np.exp(-u * l) * q_res.value / (PI3_32 * l)
+
+
+def u1_trace_integrand(u, geom: PlanarGeometry,
+                       atom_a: ResonanceAtom, atom_b: ResonanceAtom,
+                       medium: HalfSpaceMedium,
+                       spec: QuadSpec | None = None):
+    """u-integrand of the cross term in Green-tensor trace form:
+    -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)].
+    Vectorized in u."""
+    g1 = halfspace_scattering(geom, u, medium, spec=spec)
+    return _plate_weight(u, atom_a, atom_b) * _cross_trace(u, geom, g1)
+
+
+def u2_frequency_integrand(u, geom: PlanarGeometry,
+                           atom_a: ResonanceAtom, atom_b: ResonanceAtom,
+                           medium: HalfSpaceMedium,
+                           spec: QuadSpec | None = None):
+    """u-integrand of the scattering part:
+    -(1/2pi) u^4 alpha_A alpha_B Tr[G1(r_A,r_B) . G1(r_B,r_A)], with
+    G1(r_B,r_A) = G1(r_A,r_B)^T.  Vectorized in u."""
+    g1 = halfspace_scattering(geom, u, medium, spec=spec)
+    return _plate_weight(u, atom_a, atom_b) * g1.trace(g1.transpose()) / 2.0
 
 
 # The Bessel moments of the retarded limit: their closed forms and, the

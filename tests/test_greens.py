@@ -765,23 +765,28 @@ class TestSharedKernel:
         assert len(calls) == 1
 
 
-def _first_round_u_nodes(geom, medium):
-    """The u-nodes of the first round of a row's plate u-integrals: the
-    first array that ``u1_halfspace`` hands ``halfspace_scattering``."""
+def _ladder_u_nodes(geom, medium, levels=3):
+    """The new u-nodes of each of the first ``levels`` levels of a row's
+    plate u-integrals: the first node arrays that ``u1_halfspace`` hands
+    ``halfspace_scattering``, which here returns noise that no level
+    accepts."""
     class Stop(Exception):
         pass
 
     seen = []
+    rng = np.random.default_rng(0)
 
     def spy(geom, us, medium, spec=None, wrt=None):
+        if len(seen) == levels:
+            raise Stop
         seen.append(us)
-        raise Stop
+        return GreenComponents(*rng.standard_normal((5, us.size)))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("vdwpair.potentials.halfspace_scattering", spy)
         with pytest.raises(Stop):
             u1_halfspace(geom, ResonanceAtom(), ResonanceAtom(), medium)
-    return seen[0]
+    return seen
 
 
 BATCH_MEDIA = pytest.mark.parametrize(
@@ -882,16 +887,22 @@ class TestBatchedSommerfeld:
         # Beyond u (l+ - Z+) = 15 the q-integrals cancel to roundoff (G1 is
         # below 1e-13 of its low-u size there), so two grids disagree in
         # noise that the u-integral does not see.
-        us = _first_round_u_nodes(geom, medium)
-        assert us.size == 60
-        batch = halfspace_scattering(geom, us, medium, QuadSpec(rel_tol=1e-7))
-        for i in np.flatnonzero(us * (geom.l_plus - geom.Z_plus) <= 15.0):
-            ref = halfspace_scattering(geom, float(us[i]), medium,
-                                       QuadSpec(rel_tol=1e-12))
-            ref = np.array([getattr(ref, name) for name in COMPONENTS])
-            got = np.array([getattr(batch, name)[i] for name in COMPONENTS])
-            assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref)), \
-                us[i]
+        # Every node of the 63-node level, each batch of new nodes
+        # evaluated as the row evaluates it.
+        batches = _ladder_u_nodes(geom, medium)
+        assert [us.size for us in batches] == [15, 16, 32]
+        for us in batches:
+            batch = halfspace_scattering(geom, us, medium,
+                                         QuadSpec(rel_tol=1e-7))
+            far = us * (geom.l_plus - geom.Z_plus) > 15.0
+            for i in np.flatnonzero(~far):
+                ref = halfspace_scattering(geom, float(us[i]), medium,
+                                           QuadSpec(rel_tol=1e-12))
+                ref = np.array([getattr(ref, name) for name in COMPONENTS])
+                got = np.array([getattr(batch, name)[i]
+                                for name in COMPONENTS])
+                assert np.max(np.abs(got - ref)) \
+                    <= 1e-6 * np.max(np.abs(ref)), us[i]
 
     @pytest.mark.parametrize("kind", ["conducting", "permeable"])
     @WRT

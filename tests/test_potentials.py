@@ -14,6 +14,7 @@ from vdwpair import (
     PotentialBreakdown,
     ResonanceAtom,
     asymptotic_coefficients,
+    halfspace_forces,
     nonretarded_closed,
     perfect_retarded_closed,
     threshold,
@@ -23,11 +24,10 @@ from vdwpair import (
     u2_halfspace,
     u_total,
 )
-from vdwpair.potentials import FREE_SPACE_PAIRS, u1_trace_integrand, \
-    u2_frequency_integrand
+from vdwpair.potentials import FREE_SPACE_PAIRS
 from vdwpair.quadrature import QuadSpec
 from vdwpair.validate import _static_h_weight, retarded_halfspace_closed, \
-    u1_frequency_integrand
+    u1_frequency_integrand, u1_trace_integrand, u2_frequency_integrand
 
 ATOM = ResonanceAtom()
 MAG_ATOM = ResonanceAtom(kind="magnetic")
@@ -711,25 +711,78 @@ class TestSharedScattering:
         return counts
 
     def test_anchor_counts(self, monkeypatch):
-        # 60 u-nodes (the 4-panel first grid), one G1 each: 4 q-integrals
-        # and, since every element integral is accepted on the common
-        # first grid, one reflection row, all of a chunk's rows in one call
-        # (seven chunks of 8 nodes and one of 4).  The 8-panel first grid
-        # made 480 q-integrals and 120 reflection rows; a U1 of its own
-        # q-integrals and a separate U2 u-grid made 600 and 600.
+        # 63 u-nodes (the ladder's 15 + 16 + 32), one G1 each: 4
+        # q-integrals and one reflection row, all of a chunk's rows in one
+        # call (2 + 2 + 4 chunks of at most 8 nodes), since every element
+        # integral but one is accepted on the common first grid; that one
+        # refines once, one more row and call.
         counts = self._counts(monkeypatch)
         u_total(self.GEOM, ATOM, ATOM, self.MEDIUM)
-        assert counts == {"q": 240, "rows": 60, "reflection": 8}
+        assert counts == {"q": 252, "rows": 64, "reflection": 9}
 
     def test_magnetic_row_counts(self, monkeypatch):
         # a magnetic row of the oscillatory benchmark's shape (X/Z+ = 1.5)
-        # at rel_tol 1e-6: the 60-node first grid and one split panel (30
-        # nodes), in 8 + 4 chunks; the 8-panel first grid made 120 nodes
+        # at rel_tol 1e-6: the ladder's 63 nodes in 2 + 2 + 4 chunks
         counts = self._counts(monkeypatch)
         u_total(PlanarGeometry.parallel(0.03, 0.01), ATOM, ATOM,
                 HalfSpaceMedium.magnetic(MU_MEDIUM),
                 spec=QuadSpec(rel_tol=1e-6))
-        assert counts == {"q": 360, "rows": 90, "reflection": 12}
+        assert counts == {"q": 252, "rows": 63, "reflection": 8}
+
+    @staticmethod
+    def _g1_nodes(monkeypatch):
+        """The u-node of every G1 (``wrt=None``) that a plate part asks
+        ``halfspace_scattering`` for, one entry per node."""
+        import vdwpair.potentials
+
+        nodes = []
+
+        def spy(geom, us, medium, spec=None, wrt=None,
+                scattering=vdwpair.potentials.halfspace_scattering):
+            if wrt is None:
+                nodes.extend(np.atleast_1d(us).tolist())
+            return scattering(geom, us, medium, spec, wrt)
+
+        monkeypatch.setattr(vdwpair.potentials, "halfspace_scattering", spy)
+        return nodes
+
+    def test_g1_nodes_follow_the_tolerance(self, monkeypatch):
+        # the ladder stops at the first level whose change from the one
+        # below meets rel_tol: 31 nodes at 1e-6, at least as many at 1e-8
+        nodes = self._g1_nodes(monkeypatch)
+        counts = []
+        for rel_tol in (1e-6, 1e-8):
+            nodes.clear()
+            u_total(self.GEOM, ATOM, ATOM, self.MEDIUM,
+                    spec=QuadSpec(rel_tol=rel_tol))
+            counts.append(len(nodes))
+        assert counts[0] == 31
+        assert counts[1] >= counts[0]
+
+    def test_one_g1_per_u_node_across_a_row(self, monkeypatch):
+        # at this geometry U2 stops at 31 nodes, U1 and Phi_X at 63 and
+        # Phi_Z+ at 127: every part meets G1 at the ladder's node batches,
+        # so the row's memo evaluates each node once
+        import vdwpair.potentials
+
+        geom = PlanarGeometry.parallel(1e-4, 0.01)
+        medium = HalfSpaceMedium.magnetic(MU_MEDIUM)
+        spec = QuadSpec(rel_tol=1e-8)
+        levels = []
+
+        def recording(f, spec=None, axis="x",
+                      integrate=vdwpair.potentials.integrate_mapped):
+            res = integrate(f, spec, axis=axis)
+            levels.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(vdwpair.potentials, "integrate_mapped", recording)
+        nodes = self._g1_nodes(monkeypatch)
+        memo = {}
+        u_total(geom, ATOM, ATOM, medium, spec=spec, g1_memo=memo)
+        halfspace_forces(geom, ATOM, ATOM, medium, spec=spec, g1_memo=memo)
+        assert len(set(levels)) > 1
+        assert len(nodes) == len(set(nodes)) == max(levels)
 
     def test_no_state_outlives_a_call(self, monkeypatch):
         counts = self._counts(monkeypatch)

@@ -155,26 +155,73 @@ class TestSemiInfinite:
 
 
 class TestMapped:
+    """The nested Fejer ladder of ``integrate_mapped``: 15, 31, 63, ...
+    nodes, each level evaluating only its new nodes."""
+
     @pytest.mark.parametrize("f,exact", SUITE)
     def test_four_panels_meet_rel_tol(self, f, exact):
-        res = integrate_mapped(f, QuadSpec(rel_tol=1e-10), panels=4)
+        res = integrate_mapped(f, QuadSpec(rel_tol=1e-10))
         assert res.value == pytest.approx(exact, rel=1e-9)
 
-    def test_first_grid_is_the_panel_count(self):
+    def test_levels_are_nested(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.array(x))
+            return np.exp(-x) * np.cos(3.0 * x)
+
+        res = integrate_mapped(f, QuadSpec(rel_tol=1e-10))
+        assert [c.size for c in calls] == [15] + [
+            16 * 2**k for k in range(len(calls) - 1)]
+        assert len(calls) >= 3
+        seen = np.concatenate(calls)
+        assert np.unique(seen).size == seen.size
+        assert res.evaluations == sum(c.size for c in calls) == seen.size
+        # each level's new nodes interleave with the old ones
+        for k in range(1, len(calls)):
+            old = np.sort(np.concatenate(calls[:k]))
+            assert np.all(calls[k][:-1] < old) and np.all(old < calls[k][1:])
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("f,exact", SUITE)
+    def test_estimate_bounds_the_true_error(self, f, exact, rel_tol):
+        res = integrate_mapped(f, QuadSpec(rel_tol=rel_tol))
+        assert abs(res.value - exact) <= res.abs_error_estimate
+        assert res.abs_error_estimate <= rel_tol * abs(res.value)
+
+    def test_first_level_is_never_accepted_alone(self):
+        # (1 + x)^-2 dx is dt: every level integrates it exactly, but the
+        # first one has no estimate
+        res = integrate_mapped(lambda x: (1.0 + x) ** -2.0,
+                               QuadSpec(rel_tol=1e-3))
+        assert res.evaluations == 31
+        assert res.value == pytest.approx(1.0, rel=1e-15)
+
+    def test_top_level_raises_with_axis_and_best(self):
+        # a period of 2 pi/50 against an e^-0.01x envelope: the mapped
+        # integrand oscillates without bound as t -> 1
         calls = []
 
         def f(x):
             calls.append(x.size)
-            return np.exp(-x)
+            return np.cos(50.0 * x) * np.exp(-0.01 * x)
 
-        res = integrate_mapped(f, QuadSpec(rel_tol=1e-6), panels=4)
-        assert calls[0] == 15 * 4
-        assert res.evaluations == sum(calls)
+        with pytest.raises(ConvergenceError) as info:
+            integrate_mapped(f, QuadSpec(rel_tol=1e-12, abs_tol=1e-22),
+                             axis="u")
+        assert info.value.axis == "u"
+        best = info.value.best
+        assert isinstance(best, QuadResult)
+        assert best.evaluations == sum(calls) == 1023
+        assert best.abs_error_estimate > 1e-12 * abs(best.value)
 
-    def test_default_is_integrate_semiinf(self):
-        f = SUITE[2][0]
-        spec = QuadSpec(rel_tol=1e-10)
-        assert integrate_mapped(f, spec) == integrate_semiinf(f, spec)
+    def test_integrand_cannot_write_into_the_cached_nodes(self):
+        def f(x):
+            x[0] = 0.0
+            return x
+
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_mapped(f)
 
 
 class TestInterval:
