@@ -279,20 +279,15 @@ def integrate_mapped(f, spec=None, axis="x"):
     at the same level.
     """
     spec = spec or QuadSpec()
-    fx = prev = None
-    for n in _LADDER:
+    x, w = _fejer_level(_LADDER[0])
+    fx = np.asarray(f(x), dtype=float)
+    prev = float((w * fx).sum())
+    for n in _LADDER[1:]:
         x, w = _fejer_level(n)
-        new = np.asarray(f(x), dtype=float)
-        if fx is None:
-            fx = new
-        else:
-            fx, old = np.empty(n - 1), fx
-            fx[::2], fx[1::2] = new, old
+        fx, old = np.empty(n - 1), fx
+        fx[::2], fx[1::2] = np.asarray(f(x), dtype=float), old
         terms = w * fx
         total = float(terms.sum())
-        if prev is None:
-            prev = total
-            continue
         err = abs(total - prev)
         tol = max(spec.rel_tol * abs(total), spec.abs_tol)
         if err > tol:
