@@ -204,12 +204,17 @@ def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
     the same batch at each level, so ``g1_memo``, a dict keyed by the
     bytes of a batch that the caller holds for one call at one geometry,
     medium and spec, lets the integrals of that call evaluate G1 once per
-    u-node.
+    u-node.  Its entry under None records the (geometry, medium, spec)
+    that filled it; a memo brought to another raises ValueError.
     """
     _check_ee(atom_a, atom_b)
     spec = spec or QuadSpec()
     inner = spec.tightened()
     memo = {} if g1_memo is None else g1_memo
+    owner = (geom, medium, spec)
+    if memo.setdefault(None, owner) != owner:
+        raise ValueError("g1_memo holds G1 of another geometry, medium or "
+                         "spec")
 
     def outer(us):
         key = us.tobytes()

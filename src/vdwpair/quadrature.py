@@ -1,11 +1,12 @@
-"""Adaptive quadrature over finite and semi-infinite intervals.
+"""Adaptive quadrature over [0, inf).
 
 All integrands must accept a 1-D numpy array of abscissas and return an
 array of the same shape.  Two engines share one acceptance rule,
 err <= max(rel_tol |I|, abs_tol, 250 eps sum|terms|), whose last term,
 the roundoff floor of the sum (summed only when the others do not
 accept), is how cancelling oscillatory and exactly-zero integrals
-converge; an integral that cannot meet it raises ``ConvergenceError``.
+converge; an integral that cannot meet it raises ``ConvergenceError``
+(both in ``_unmet_tolerance``).
 
 ``integrate_mapped`` is a nested ladder for integrands that cost far more
 per node than a quadrature round (the finite-medium frequency integrals):
@@ -17,23 +18,23 @@ Q_n with the estimate |Q_n - Q_{n/2}| and accepts by the rule above, so
 the 15-node level is never accepted alone and the node count follows the
 tolerance; the 1023-node level raises.
 
-The panel engine handles everything else.  A semi-infinite integral is
-one adaptive pass: its range is mapped onto a finite one (x = t/(1-t) on
-8 equal panels, suited to exponentially decaying integrands, or a head
-[0, c] kept in x followed by the tail mapped on the scale of the cut,
-x = c/(1-s)), and that one panel set is integrated with adaptive
-7/15-point Gauss-Kronrod panels (QUADPACK's qk15 pair): the 7 Gauss
-nodes are nested in the 15 Kronrod nodes, the Kronrod sum is the panel
-value and the raw |K15 - G7| difference is its error estimate.  The
-panels with the largest errors are bisected until the summed estimate
-meets the rule.  A panel budget of max(200, n/2) bisections on top of
-the n first panels, exhausted first, raises.  Panels are evaluated in
-vectorized batches.
+The panel engine, ``integrate_semiinf``, handles everything else.  An
+integral is one adaptive pass: [0, inf) is mapped onto a finite range
+(x = t/(1-t) on 8 equal panels, suited to exponentially decaying
+integrands, or a head [0, c] kept in x followed by the tail mapped on the
+scale of the cut, x = c/(1-s)), and that one panel set is integrated with
+adaptive 7/15-point Gauss-Kronrod panels (QUADPACK's qk15 pair): the 7
+Gauss nodes are nested in the 15 Kronrod nodes, the Kronrod sum is the
+panel value and the raw |K15 - G7| difference is its error estimate.
+The panels with the largest errors are bisected until the summed
+estimate meets the rule.  A panel budget of max(200, n/2) bisections on
+top of the n first panels, exhausted first, raises.  Panels are
+evaluated in vectorized batches.
 
 An integral's first panel set (edges, half widths, nodes x, weights
-w = dx/dt, map) depends only on its limits and breakpoint values: it is
-built once, kept as read-only arrays in a cache of the two most recently
-used sets, and its first round is f(x) w, one matmul and one scale.
+w = dx/dt, map) depends only on its breakpoint values: it is built once,
+kept as read-only arrays in a cache of the two most recently used sets,
+and its first round is f(x) w, one matmul and one scale.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "QuadResult",
     "QuadSpec",
     "ConvergenceError",
-    "integrate_interval",
     "integrate_mapped",
     "integrate_semiinf",
 ]
@@ -118,7 +118,7 @@ class QuadSpec:
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the panel budget is exhausted before the tolerance is met.
+    """Raised when an engine's budget is exhausted before the tolerance is met.
 
     Carries the best available estimate in ``best`` and the name of the
     failing axis in ``axis``.
@@ -145,24 +145,20 @@ def _nodes(lo, hi, cut: float, scale: float):
 
 
 @lru_cache(maxsize=2)
-def _first_panels(a: float, b: float, breakpoints: bytes):
+def _first_panels(breakpoints: bytes):
     """Read-only edges lo, hi and ``_nodes`` of the first panels of an
-    integral over [a, b], split at the ``breakpoints`` (float64 bytes, any
-    order) inside, then the map's cut and scale.  b = inf keeps x = t up to
-    c, the largest breakpoint above max(a, 0), and maps t in [c, c + 1) by
-    x = c + c s/(1-s); from a = 0 without one, x = t/(1-t) maps t in [0, 1)
-    from 8 equal panels.  A finite b keeps x = t."""
+    integral over [0, inf), split at the positive ``breakpoints`` (float64
+    bytes, any order; non-positive and NaN entries are ignored), then the
+    map's cut and scale.  With a largest positive breakpoint c, x = t up
+    to c and t in [c, c + 1) maps by x = c + c s/(1-s); without one,
+    x = t/(1-t) maps t in [0, 1) from 8 equal panels."""
     p = np.frombuffer(breakpoints)
-    cut, scale = np.inf, 1.0
-    if b == np.inf:
-        cut = float(p.max(where=p > max(a, 0.0), initial=-np.inf))
-        if cut > max(a, 0.0):
-            b, scale = cut + 1.0, cut
-        elif a == 0.0:
-            cut, b, p = 0.0, 1.0, np.arange(1, 8) / 8.0
-        else:
-            raise ValueError("b = inf needs a breakpoint above max(a, 0)")
-    edges = np.concatenate([[a, b], p[(p > a) & (p < b)]])
+    cut = float(p.max(where=p > 0.0, initial=0.0))
+    if cut > 0.0:
+        b, scale = cut + 1.0, cut
+    else:
+        b, scale, p = 1.0, 1.0, np.arange(1, 8) / 8.0
+    edges = np.concatenate([[0.0, b], p[(p > 0.0) & (p < b)]])
     # np.unique without its overhead: sorted, repeats dropped.
     edges.sort()
     edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
@@ -180,69 +176,24 @@ def _panel_sums(f, half, x, w):
     return sums[:, 0], np.abs(sums[:, 1])
 
 
-def _integrate(f, a, b, breakpoints, spec: QuadSpec | None,
-               axis: str) -> QuadResult:
-    """Adaptively integrate f(x(t)) dx/dt over the t of [a, b] (the map of
-    ``_first_panels``), starting from its first panel set."""
-    spec = spec or QuadSpec()
-    p = np.asarray([] if breakpoints is None else breakpoints, dtype=float)
-    lo, hi, *first, cut, scale = _first_panels(a, b, p.tobytes())
-    vals, errs = _panel_sums(f, *first)
-    evals = _N_NODES * lo.size
-    max_panels = lo.size + max(200, lo.size // 2)
-
-    while True:
-        total = float(vals.sum())
-        err_total = float(errs.sum())
-        tol = max(spec.rel_tol * abs(total), spec.abs_tol)
-        if err_total > tol:
-            # Strongly cancelling integrands cannot converge below the
-            # roundoff floor of the panel sum; accept once the estimate
-            # reaches it (and report the estimate truthfully).
-            tol = max(tol, _ROUNDOFF * float(np.abs(vals).sum()))
-        if err_total <= tol:
-            return QuadResult(total, err_total, evals)
-        if lo.size >= max_panels:
-            raise ConvergenceError(
-                f"quadrature did not converge: error {err_total:.3e} > tol {tol:.3e} "
-                f"with {lo.size} panels",
-                best=QuadResult(total, err_total, evals),
-                axis=axis,
-            )
-        # Split every panel whose error exceeds its equal share of the
-        # budget; always include the worst offender.
-        mask = errs > tol / (2.0 * lo.size)
-        mask[np.argmax(errs)] = True
-        room = max_panels - lo.size
-        if int(mask.sum()) > room:
-            keep = np.argsort(errs[mask])[::-1][:room]
-            idx = np.flatnonzero(mask)[keep]
-            mask = np.zeros_like(mask)
-            mask[idx] = True
-        sa, sb = lo[mask], hi[mask]
-        sm = 0.5 * (sa + sb)
-        new_lo = np.concatenate([lo[~mask], sa, sm])
-        new_hi = np.concatenate([hi[~mask], sm, sb])
-        new_vals, new_errs = _panel_sums(f, *_nodes(
-            np.concatenate([sa, sm]), np.concatenate([sm, sb]), cut, scale))
-        evals += _N_NODES * 2 * sa.size
-        vals = np.concatenate([vals[~mask], new_vals])
-        errs = np.concatenate([errs[~mask], new_errs])
-        lo, hi = new_lo, new_hi
-
-
-def integrate_interval(f, a, b, spec=None, breakpoints=None, axis="x"):
-    """Adaptively integrate a vectorized integrand over [a, b], a < b.
-
-    b = inf needs a breakpoint c > max(a, 0): the head [a, c] stays in x,
-    the tail is x = c/(1-s), s = t - c (see ``integrate_semiinf``).  From
-    a = 0 without one it is x = t/(1-t) on 8 equal panels of t in [0, 1)
-    (x edges 1/7, 1/3, 3/5, 1, 5/3, 3, 7), which suit an integrand on the
-    scale x ~ 1.
-    """
-    if not a < b:
-        raise ValueError(f"limits must satisfy a < b, not {a!r}, {b!r}")
-    return _integrate(f, a, b, breakpoints, spec, axis)
+def _unmet_tolerance(spec: QuadSpec, total: float, err: float, terms,
+                     evals: int, size: int, limit: int, unit: str,
+                     axis: str) -> float | None:
+    """None if ``err`` meets the rule of the module docstring (its floor
+    summed only when rel_tol |total| and abs_tol do not accept), else the
+    tolerance it misses, or ``ConvergenceError`` at ``size`` >= ``limit``
+    panels or nodes (``unit``)."""
+    tol = max(spec.rel_tol * abs(total), spec.abs_tol)
+    if err > tol:
+        tol = max(tol, _ROUNDOFF * float(np.abs(terms).sum()))
+    if err <= tol:
+        return None
+    if size >= limit:
+        raise ConvergenceError(
+            f"quadrature did not converge: error {err:.3e} > tol {tol:.3e} "
+            f"with {size} {unit}", best=QuadResult(total, err, evals),
+            axis=axis)
+    return tol
 
 
 # n of the levels of ``integrate_mapped``: n - 1 = 15, 31, ..., 1023 nodes.
@@ -289,34 +240,61 @@ def integrate_mapped(f, spec=None, axis="x"):
         terms = w * fx
         total = float(terms.sum())
         err = abs(total - prev)
-        tol = max(spec.rel_tol * abs(total), spec.abs_tol)
-        if err > tol:
-            tol = max(tol, _ROUNDOFF * float(np.abs(terms).sum()))
-        if err <= tol:
+        if _unmet_tolerance(spec, total, err, terms, n - 1, n - 1,
+                            _LADDER[-1] - 1, "nodes", axis) is None:
             return QuadResult(total, err, n - 1)
         prev = total
-    raise ConvergenceError(
-        f"quadrature did not converge: error {err:.3e} > tol {tol:.3e} "
-        f"with {n - 1} nodes", best=QuadResult(total, err, n - 1), axis=axis)
 
 
 def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
     """Integrate a vectorized integrand over [0, inf) in one adaptive pass.
 
     Without a positive breakpoint the panels are x = t/(1-t) on 8 equal
-    panels of t in [0, 1) (see ``integrate_interval``).
-
-    ``breakpoints`` are abscissas (in the original variable, in any order)
-    at which the initial panelization is split; supplying the integrand's
-    oscillation scales here makes the adaptive refinement start from a
-    grid that already resolves them.  With breakpoints, the head [0, c],
-    c = max(breakpoints), stays in the original variable (the compactifying
-    map loses floating-point phase resolution at large abscissas, which
-    matters for oscillatory integrands) and the tail is mapped by
-    x = c/(1-s), s = t - c in [0, 1), on the scale of the cut: s = t - c
-    is rounded to ulp(c), which a tail on the scale 1 (x = c + s/(1-s))
-    turns into node errors of order ulp(c)/(1-s)^2.  Head and tail panels
-    form one panel set on t in [0, c + 1) with one acceptance test, one
-    panel budget and one error estimate.
+    panels of t in [0, 1) (x edges 1/7, 1/3, 3/5, 1, 5/3, 3, 7), which
+    suit an integrand on the scale x ~ 1.  ``breakpoints`` are abscissas
+    (in the original variable, in any order; non-positive and NaN entries
+    are ignored) at which the first panels are split; supplying the
+    integrand's oscillation scales here makes the adaptive refinement
+    start from a grid that already resolves them.  With breakpoints, the
+    head [0, c], c = max(breakpoints), stays in the original variable
+    (the compactifying map loses floating-point phase resolution at large
+    abscissas, which matters for oscillatory integrands) and the tail is
+    mapped by x = c/(1-s), s = t - c in [0, 1), on the scale of the cut:
+    s = t - c is rounded to ulp(c), which a tail on the scale 1
+    (x = c + s/(1-s)) turns into node errors of order ulp(c)/(1-s)^2.
+    Head and tail panels form one panel set on t in [0, c + 1) with one
+    acceptance test, one panel budget and one error estimate.
     """
-    return integrate_interval(f, 0.0, np.inf, spec, breakpoints, axis)
+    spec = spec or QuadSpec()
+    p = np.asarray([] if breakpoints is None else breakpoints, dtype=float)
+    lo, hi, *first, cut, scale = _first_panels(p.tobytes())
+    vals, errs = _panel_sums(f, *first)
+    evals = _N_NODES * lo.size
+    max_panels = lo.size + max(200, lo.size // 2)
+
+    while True:
+        total, err_total = float(vals.sum()), float(errs.sum())
+        tol = _unmet_tolerance(spec, total, err_total, vals, evals, lo.size,
+                               max_panels, "panels", axis)
+        if tol is None:
+            return QuadResult(total, err_total, evals)
+        # Split every panel whose error exceeds its equal share of the
+        # budget; always include the worst offender.
+        mask = errs > tol / (2.0 * lo.size)
+        mask[np.argmax(errs)] = True
+        room = max_panels - lo.size
+        if int(mask.sum()) > room:
+            keep = np.argsort(errs[mask])[::-1][:room]
+            idx = np.flatnonzero(mask)[keep]
+            mask = np.zeros_like(mask)
+            mask[idx] = True
+        sa, sb = lo[mask], hi[mask]
+        sm = 0.5 * (sa + sb)
+        new_lo = np.concatenate([lo[~mask], sa, sm])
+        new_hi = np.concatenate([hi[~mask], sm, sb])
+        new_vals, new_errs = _panel_sums(f, *_nodes(
+            np.concatenate([sa, sm]), np.concatenate([sm, sb]), cut, scale))
+        evals += _N_NODES * 2 * sa.size
+        vals = np.concatenate([vals[~mask], new_vals])
+        errs = np.concatenate([errs[~mask], new_errs])
+        lo, hi = new_lo, new_hi

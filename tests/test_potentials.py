@@ -784,6 +784,22 @@ class TestSharedScattering:
         assert len(set(levels)) > 1
         assert len(nodes) == len(set(nodes)) == max(levels)
 
+    def test_memo_of_another_geometry_is_rejected(self):
+        # both geometries take the u-scale 1, so their u-nodes coincide:
+        # a memo shared between them would hand the second the first's G1
+        spec = QuadSpec(rel_tol=1e-6)
+        medium = HalfSpaceMedium.dielectric(EPS_MEDIUM)
+        memo = {}
+        u_total(PlanarGeometry.parallel(0.05, 0.01), ATOM, ATOM, medium,
+                spec=spec, g1_memo=memo)
+        other = PlanarGeometry.parallel(0.1, 0.02)
+        for call in (u_total, halfspace_forces):
+            with pytest.raises(ValueError, match="another geometry"):
+                call(other, ATOM, ATOM, medium, spec=spec, g1_memo=memo)
+        with pytest.raises(ValueError, match="another geometry"):
+            u_total(PlanarGeometry.parallel(0.05, 0.01), ATOM, ATOM, medium,
+                    spec=QuadSpec(rel_tol=1e-8), g1_memo=memo)
+
     def test_no_state_outlives_a_call(self, monkeypatch):
         counts = self._counts(monkeypatch)
         first = u_total(self.GEOM, ATOM, ATOM, self.MEDIUM)

@@ -11,7 +11,6 @@ from vdwpair.quadrature import (
     GAUSS_WEIGHTS,
     KRONROD_NODES,
     KRONROD_WEIGHTS,
-    integrate_interval,
     integrate_mapped,
     integrate_semiinf,
 )
@@ -30,6 +29,20 @@ SUITE = [
      * (3.0 + 6.0 * x + 5.0 * x**2 + 2.0 * x**3 + x**4), 23.0 / 2.0),
     (lambda x: np.exp(-x) * np.cos(3.0 * x), 0.1),
 ]
+
+
+def fejer_second_rule(n):
+    """Nodes x and weights (dx/dt included) of Fejer's second rule with
+    n - 1 nodes on t in (0, 1), x = t/(1-t), built apart from the engine:
+    t_k = (1 - cos k pi/n)/2, and weights that integrate the Chebyshev
+    polynomials T_0 ... T_{n-2} on [-1, 1] exactly (y = 2t - 1)."""
+    t = (1.0 - np.cos(np.arange(1, n) * np.pi / n)) / 2.0
+    j = np.arange(n - 1)
+    moments = np.zeros(n - 1)
+    moments[::2] = 2.0 / (1.0 - j[::2] ** 2.0)
+    chebyshev = np.cos(np.outer(j, np.arccos(2.0 * t - 1.0)))
+    w = np.linalg.solve(chebyshev, moments) / 2.0
+    return t / (1.0 - t), w / (1.0 - t) ** 2
 
 
 class TestTypes:
@@ -132,16 +145,20 @@ class TestSemiInfinite:
         assert res.evaluations == calls[0] == 15 * 8
 
     def test_no_breakpoints_keep_the_unit_interval_map(self):
-        # x = t/(1-t) on 8 equal panels of [0, 1), bitwise
-        f = SUITE[2][0]
+        # the first call's nodes are x = t/(1-t) at the 15 Gauss-Kronrod
+        # nodes of each of 8 equal panels of t in [0, 1), bitwise
+        calls = []
 
-        def g(t):
-            return f(t / (1.0 - t)) * (1.0 / (1.0 - t) ** 2)
+        def f(x):
+            calls.append(np.array(x))
+            return SUITE[2][0](x)
 
-        spec = QuadSpec(rel_tol=1e-10)
-        assert integrate_semiinf(f, spec) == integrate_interval(
-            g, 0.0, 1.0, spec, breakpoints=np.arange(1, 8) / 8.0)
-
+        integrate_semiinf(f, QuadSpec(rel_tol=1e-10))
+        edges = np.arange(9) / 8.0
+        half = (edges[1:] - edges[:-1])[:, None] / 2.0
+        t = ((edges[:-1] + edges[1:])[:, None] / 2.0
+             + half * KRONROD_NODES).ravel()
+        np.testing.assert_array_equal(calls[0], t / (1.0 - t))
 
     @pytest.mark.parametrize("cut", [1e4, 1e6, 1e8])
     def test_tail_mapped_on_the_scale_of_the_cut(self, cut):
@@ -189,6 +206,32 @@ class TestMapped:
         assert abs(res.value - exact) <= res.abs_error_estimate
         assert res.abs_error_estimate <= rel_tol * abs(res.value)
 
+    @pytest.mark.parametrize("f,exact", SUITE)
+    def test_value_and_estimate_are_the_last_two_levels(self, f, exact):
+        # Q_n and |Q_n - Q_{n/2}| of an independently built rule, up to
+        # roundoff; at rel_tol 1e-6 the estimate is 1e-10 to 2e-7
+        res = integrate_mapped(f, QuadSpec(rel_tol=1e-6))
+        n = res.evaluations + 1
+        x, w = fejer_second_rule(n)
+        terms = w * f(x)
+        x, w = fejer_second_rule(n // 2)
+        q_n, q_half = terms.sum(), w @ f(x)
+        roundoff = 50 * np.finfo(float).eps * np.abs(terms).sum()
+        assert abs(res.value - q_n) <= roundoff
+        assert abs(res.abs_error_estimate - abs(q_n - q_half)) <= roundoff
+
+    def test_cancelling_integrand_accepted_at_roundoff_floor(self):
+        # e^-x (1 - x) integrates to 0: neither rel_tol |I| nor abs_tol
+        # accepts its estimate, only the roundoff floor of the terms
+        f = lambda x: np.exp(-x) * (1.0 - x)
+        spec = QuadSpec(abs_tol=1e-300)
+        res = integrate_mapped(f, spec)
+        x, w = fejer_second_rule(res.evaluations + 1)
+        assert res.abs_error_estimate > max(spec.rel_tol * abs(res.value),
+                                            spec.abs_tol)
+        assert res.abs_error_estimate \
+            <= 250 * np.finfo(float).eps * np.abs(w * f(x)).sum()
+
     def test_first_level_is_never_accepted_alone(self):
         # (1 + x)^-2 dx is dt: every level integrates it exactly, but the
         # first one has no estimate
@@ -225,30 +268,26 @@ class TestMapped:
 
 
 class TestInterval:
+    """A finite interval [0, c] is the integral over [0, inf) of an
+    integrand that vanishes beyond the last breakpoint c."""
+
     def test_polynomial_exact(self):
-        res = integrate_interval(lambda x: x**2, 0.0, 3.0)
+        res = integrate_semiinf(lambda x: np.where(x < 3.0, x**2, 0.0),
+                                breakpoints=[3.0])
         assert res.value == pytest.approx(9.0, rel=1e-12)
 
     def test_oscillatory(self):
-        res = integrate_interval(lambda x: np.sin(x), 0.0, 20.0,
-                                 QuadSpec(rel_tol=1e-10),
-                                 breakpoints=list(np.arange(1.0, 20.0)))
+        res = integrate_semiinf(lambda x: np.where(x < 20.0, np.sin(x), 0.0),
+                                QuadSpec(rel_tol=1e-10),
+                                breakpoints=list(np.arange(1.0, 21.0)))
         assert res.value == pytest.approx(1.0 - np.cos(20.0), rel=1e-9)
 
     def test_infinite_upper_limit_maps_the_tail_beyond_the_last_breakpoint(
             self):
-        res = integrate_interval(lambda x: np.exp(-x), 1.0, np.inf,
-                                 QuadSpec(rel_tol=1e-10),
-                                 breakpoints=[2.0, 4.0])
+        res = integrate_semiinf(lambda x: np.where(x > 1.0, np.exp(-x), 0.0),
+                                QuadSpec(rel_tol=1e-10),
+                                breakpoints=[1.0, 2.0, 4.0])
         assert res.value == pytest.approx(np.exp(-1.0), rel=1e-10)
-        with pytest.raises(ValueError, match="breakpoint above"):
-            integrate_interval(np.exp, 1.0, np.inf, breakpoints=[0.5])
-
-    @pytest.mark.parametrize("a,b", [(1.0, 0.0), (1.0, 1.0), (0.0, np.nan)])
-    def test_limits_must_be_ordered(self, a, b):
-        # Reversed limits would integrate over [b, a] with the wrong sign.
-        with pytest.raises(ValueError, match="a < b"):
-            integrate_interval(np.cos, a, b)
 
 
 class TestAcceptanceRule:
@@ -264,14 +303,14 @@ class TestAcceptanceRule:
 
     @staticmethod
     def sawtooth_evaluations(n):
-        # n first panels of a sawtooth that no panel resolves, at a
-        # tolerance that its panel sum cannot meet: the evaluations when
-        # the budget runs out
-        sawtooth = lambda x: (1e4 * x) % 1.0
+        # n first panels (n - 1 on [0, 1] and the tail) of a sawtooth on
+        # [0, 1] that no panel resolves, at a tolerance that its panel sum
+        # cannot meet: the evaluations when the budget runs out
+        sawtooth = lambda x: np.where(x < 1.0, (1e4 * x) % 1.0, 0.0)
         with pytest.raises(ConvergenceError) as info:
-            integrate_interval(sawtooth, 0.0, 1.0,
-                               QuadSpec(rel_tol=1e-14, abs_tol=1e-300),
-                               breakpoints=np.linspace(0.0, 1.0, n + 1)[1:-1])
+            integrate_semiinf(sawtooth,
+                              QuadSpec(rel_tol=1e-14, abs_tol=1e-300),
+                              breakpoints=np.linspace(0.0, 1.0, n)[1:])
         return info.value.best.evaluations
 
     def test_budget_exhausted_above_tol_raises(self):
@@ -282,19 +321,10 @@ class TestAcceptanceRule:
         # 500 first panels: n/2 = 250 bisections, above the fixed 200
         assert self.sawtooth_evaluations(500) == 15 * (500 + 2 * 250)
 
-    def test_zero_integral_accepted_at_roundoff_floor(self):
-        # neither rel_tol |I| nor abs_tol can be met by an integral that
-        # cancels to zero; only the roundoff floor of the panel sum can
-        spec = QuadSpec(abs_tol=1e-300)
-        res = integrate_interval(np.sin, 0.0, 2.0 * np.pi, spec)
-        assert abs(res.value) < 1e-14
-        assert res.abs_error_estimate > spec.rel_tol * abs(res.value)
-        assert res.abs_error_estimate > spec.abs_tol
-
 
 class TestFirstPanelCache:
-    """The first panel set of an integral is a pure function of its map,
-    limits and breakpoints, kept in a small cache of read-only arrays."""
+    """The first panel set of an integral is a pure function of its
+    breakpoints, kept in a small cache of read-only arrays."""
 
     def test_integrand_cannot_write_into_the_cached_nodes(self):
         def f(x):
