@@ -196,7 +196,7 @@ def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
     integrand however small the part is.  Each batch of u-nodes is one
     ``halfspace_scattering`` call, at the tightened inner tolerance.
     Perfect reflectors, whose nodes are closed forms, take the panel
-    engine's 8 first panels.  A finite-medium node (one G1, four
+    engine's 32 first panels.  A finite-medium node (one G1, four
     q-integrals) costs far more than a quadrature round, so their integral
     climbs the nested ladder of ``integrate_mapped``: 15 nodes, then 16,
     32, ... new ones, until the change between two levels meets the

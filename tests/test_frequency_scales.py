@@ -17,11 +17,12 @@ integrand's own frequency scale.
 Plate parts at 60 resonance wavelengths (|U| ~ 1e-15 to 1e-18) must meet
 rel_tol at the default abs_tol too, on finite media and perfect plates,
 against a rel_tol 1e-12 reference, and rel_tol, not abs_tol, must accept
-each of their frequency integrals.  Last, the
-evaluation counts of perfect-plate and free-space frequency integrals are
-pinned: their nodes are cheap closed forms, so the 8-panel first grid is
-part of their speed.  A free-space row makes two frequency integrals, U and
-the force: its asymptotic coefficients are closed forms.
+each of their frequency integrals.  Last, the rounds of perfect-plate and
+free-space frequency integrals are pinned: their nodes are cheap closed
+forms, so a round costs about as much as the whole first one, and the
+32-panel first grid meets rel_tol 1e-8 in one.  A free-space row makes two
+frequency integrals, U and the force: its asymptotic coefficients are
+closed forms.
 """
 
 import pytest
@@ -160,24 +161,48 @@ def _evaluations_by_call(monkeypatch, compute):
     return [(axis, res.evaluations) for axis, res in calls]
 
 
+def _rounds_by_call(monkeypatch, compute):
+    """(axis, integrand calls) of every semi-infinite integral ``compute``
+    makes through ``vdwpair.potentials``: one call per round."""
+    import vdwpair.potentials
+
+    integrate, calls = vdwpair.potentials.integrate_semiinf, []
+
+    def counting(f, spec=None, **kwargs):
+        rounds = [0]
+
+        def counted(x):
+            rounds[0] += 1
+            return f(x)
+
+        res = integrate(counted, spec, **kwargs)
+        calls.append((kwargs.get("axis", "x"), rounds[0]))
+        return res
+
+    monkeypatch.setattr(vdwpair.potentials, "integrate_semiinf", counting)
+    compute()
+    return calls
+
+
 @pytest.mark.parametrize("geom,expected", [
-    (PlanarGeometry.parallel(1.0, 0.05), [("x", 120), ("u", 120), ("u", 120)]),
-    (PlanarGeometry.vertical(2.0, 1.0), [("x", 120), ("u", 180), ("u", 150)]),
+    (PlanarGeometry.parallel(1.0, 0.05), [("x", 1), ("u", 1), ("u", 1)]),
+    (PlanarGeometry.vertical(2.0, 1.0), [("x", 1), ("u", 1), ("u", 1)]),
 ])
 def test_perfect_plate_frequency_counts(monkeypatch, geom, expected):
     # Perfect plates evaluate whole u-panel batches in closed form, so a
-    # refinement round costs more than its nodes: a first grid of fewer
-    # than 8 panels adds rounds and slows these rows down.  U0, U1, U2.
-    calls = _evaluations_by_call(monkeypatch, lambda: u_total(
-        geom, ATOM, ATOM, CONDUCTING, spec=QuadSpec(rel_tol=1e-8)))
-    assert calls == expected
+    # refinement round costs about as much as the first: U0, U1 and U2
+    # each take one round at rel_tol 1e-8, on both plates.
+    for medium in (CONDUCTING, PERMEABLE):
+        calls = _rounds_by_call(monkeypatch, lambda: u_total(
+            geom, ATOM, ATOM, medium, spec=QuadSpec(rel_tol=1e-8)))
+        assert calls == expected, medium.perfect
 
 
-@pytest.mark.parametrize("l,expected", [(1.0, 120), (100.0, 150)])
-def test_free_space_frequency_counts(monkeypatch, l, expected):
-    calls = _evaluations_by_call(monkeypatch, lambda: u0_ee(
+@pytest.mark.parametrize("l", [0.01, 1.0, 100.0])
+def test_free_space_frequency_counts(monkeypatch, l):
+    calls = _rounds_by_call(monkeypatch, lambda: u0_ee(
         l, ATOM, ATOM, spec=QuadSpec(rel_tol=1e-8)))
-    assert calls == [("x", expected)]
+    assert calls == [("x", 1)]
 
 
 @pytest.mark.parametrize("kind_b", ["electric", "magnetic"])

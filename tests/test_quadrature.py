@@ -1,5 +1,7 @@
 """Adaptive semi-infinite quadrature engine."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -146,7 +148,7 @@ class TestSemiInfinite:
 
     def test_no_breakpoints_keep_the_unit_interval_map(self):
         # the first call's nodes are x = t/(1-t) at the 15 Gauss-Kronrod
-        # nodes of each of 8 equal panels of t in [0, 1), bitwise
+        # nodes of each of 32 equal panels of t in [0, 1), bitwise
         calls = []
 
         def f(x):
@@ -154,7 +156,7 @@ class TestSemiInfinite:
             return SUITE[2][0](x)
 
         integrate_semiinf(f, QuadSpec(rel_tol=1e-10))
-        edges = np.arange(9) / 8.0
+        edges = np.arange(33) / 32.0
         half = (edges[1:] - edges[:-1])[:, None] / 2.0
         t = ((edges[:-1] + edges[1:])[:, None] / 2.0
              + half * KRONROD_NODES).ravel()
@@ -169,6 +171,15 @@ class TestSemiInfinite:
                                 QuadSpec(rel_tol=1e-10),
                                 breakpoints=[1.0, cut])
         assert abs(res.value - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("cut", [1e15, 1e17])
+    def test_tail_panel_too_narrow_for_its_nodes_is_rejected(self, cut):
+        # at 1e15, s = t - c of the last tail node rounds to 1 (x = inf and
+        # a NaN error estimate); at 1e17, c + 1 == c and no tail panel is
+        # left, so the integral of e^{-x} would read 0
+        with pytest.raises(ValueError,
+                           match=re.escape(f"breakpoint {cut!r}")):
+            integrate_semiinf(lambda x: np.exp(-x), breakpoints=[cut])
 
 
 class TestMapped:
