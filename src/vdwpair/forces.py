@@ -69,14 +69,13 @@ def _plate_derivative_trace(wrt: str, geom: PlanarGeometry,
     The weight w1 is applied by ``_frequency_integral``.
     """
     def trace(u, g1, spec):
-        g1_t = g1.transpose()
         out = 0.0
         if wrt != "Z_plus":
-            out = free_space_green(geom.X, geom.Z, u, wrt).trace(g1_t)
+            out = free_space_green(geom.X, geom.Z, u, wrt).inner(g1)
         if wrt != "Z":
             dg1 = halfspace_scattering(geom, u, medium, spec, wrt)
-            out = out + (free_space_green(geom.X, geom.Z, u)
-                         .trace(dg1.transpose()) + dg1.trace(g1_t))
+            out = out + (free_space_green(geom.X, geom.Z, u).inner(dg1)
+                         + dg1.inner(g1))
         return out
 
     return trace

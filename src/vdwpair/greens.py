@@ -92,7 +92,8 @@ class PlanarGeometry:
 @dataclass(frozen=True)
 class GreenComponents:
     """Nonzero Green tensor elements for in-plane geometry; each is a float
-    or an array over frequency nodes."""
+    or an array over frequency nodes.  ``inner`` is the product of two
+    tensors that every plate integrand takes."""
 
     gxx: float | np.ndarray
     gyy: float | np.ndarray
@@ -100,16 +101,11 @@ class GreenComponents:
     gzx: float | np.ndarray
     gzz: float | np.ndarray
 
-    def trace(self, other: "GreenComponents"):
-        """Tr[self . other], summed row by row over the product's diagonal."""
-        return (self.gxx * other.gxx + self.gxz * other.gzx
+    def inner(self, other: "GreenComponents"):
+        """sum_ij self_ij other_ij = Tr[self . other^T], row by row."""
+        return (self.gxx * other.gxx + self.gxz * other.gxz
                 + self.gyy * other.gyy
-                + (self.gzx * other.gxz + self.gzz * other.gzz))
-
-    def transpose(self) -> "GreenComponents":
-        """The transposed tensor: gxz and gzx exchanged."""
-        return GreenComponents(gxx=self.gxx, gyy=self.gyy, gxz=self.gzx,
-                               gzx=self.gxz, gzz=self.gzz)
+                + (self.gzx * other.gzx + self.gzz * other.gzz))
 
 
 @dataclass(frozen=True)
@@ -257,12 +253,13 @@ def q_breakpoints(geom: PlanarGeometry, u):
 
     The grid ends at q_cut = sqrt(c (2u + c)), c = 45/Z+, where b - u = c:
     relative to its peak e^{-u Z+}, every kernel's envelope e^{-b Z+} has
-    fallen to e^{-45} there, at any u (q_cut -> 45/Z+ as u -> 0).  A range
-    ends at q_cut(u_hi), holds the u-points of u_lo and of u_hi, and fills
-    [3 u_lo, 0.1 u_hi], where the u-points of the nodes in between lie,
-    with 2 points per decade; one u gives the grid of that u alone.  Above
-    ``MAX_OSCILLATION_PANELS`` half periods the oscillation step is
-    widened, with a ``RuntimeWarning``.
+    fallen to e^{-45} there, at any u (q_cut -> 45/Z+ as u -> 0).  The grid
+    of a range holds the fixed points (0.05 ... 30)/Z+, the cut q_cut(u_hi),
+    the u-points (0.1, 0.3, 1, 3, 10) u of u_lo and of u_hi below the cut,
+    a decay fill of 4 points per decade from 10 u_lo up to 0.05/Z+ when
+    10 u_lo lies below it, and the half periods pi/X of J_nu(qX); one u
+    gives the grid of that u alone.  Above ``MAX_OSCILLATION_PANELS`` half
+    periods the oscillation step is widened, with a ``RuntimeWarning``.
     """
     u_lo, u_hi = float(np.min(u)), float(np.max(u))
     zp = geom.Z_plus
@@ -275,16 +272,10 @@ def q_breakpoints(geom: PlanarGeometry, u):
     # resolve that whole range geometrically when it lies below the grid.
     lo_decay = 0.05 / zp
     for v in dict.fromkeys((u_lo, u_hi)):
-        breaks += [s * v for s in (0.1, 0.3, 1.0, 3.0) if s * v < q_cut]
-        if lo_decay <= 10.0 * v < q_cut:
-            breaks.append(10.0 * v)
+        breaks += [s * v for s in (0.1, 0.3, 1.0, 3.0, 10.0) if s * v < q_cut]
     if 10.0 * u_lo < lo_decay:
         n_dec = int(np.ceil(4.0 * np.log10(lo_decay / (10.0 * u_lo))))
         breaks += list(np.geomspace(10.0 * u_lo, lo_decay, max(n_dec, 2)))
-    if 0.1 * u_hi > 3.0 * u_lo:
-        n_fill = int(np.ceil(2.0 * np.log10(u_hi / (30.0 * u_lo))))
-        breaks += [q for q in np.geomspace(3.0 * u_lo, 0.1 * u_hi,
-                                           n_fill + 1)[1:-1] if q < q_cut]
     x = abs(geom.X)
     if x > 0:
         step = np.pi / x
@@ -402,7 +393,9 @@ def _sommerfeld(geom: PlanarGeometry, u, medium: HalfSpaceMedium,
     decay e^{-b Z+} by -b, d/dX replaces J_nu(qX) by q J_nu'(qX).  The
     u-nodes go in chunks of up to ``_U_CHUNK``; every element at every u
     of a chunk is one scalar q-integral on the chunk's grid
-    (``q_breakpoints`` of its u-range), so all of them start from the same
+    (``q_breakpoints`` of its u-range: the u-points of its two end nodes,
+    the cut of the upper one and the decay fill above the lower one, with
+    no points for the nodes in between), so all of them start from the same
     first panel set, on which the Bessel factors and, as (u, q) tables,
     r_s, r_p, b, the decay and the elements are computed once, for the
     length of the chunk only.  One u is a chunk of one.

@@ -180,7 +180,7 @@ def _plate_weight(u, atom_a: ResonanceAtom, atom_b: ResonanceAtom):
 
 def _cross_trace(u, geom: PlanarGeometry, g1: GreenComponents):
     """Tr[G0(r_A,r_B) . G1(r_B,r_A)], with G1(r_B,r_A) = G1(r_A,r_B)^T."""
-    return free_space_green(geom.X, geom.Z, u).trace(g1.transpose())
+    return free_space_green(geom.X, geom.Z, u).inner(g1)
 
 
 def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
@@ -267,9 +267,8 @@ def u2_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
     """Scattering-part contribution, by u-quadrature of the Green-tensor
     trace (whose q-quadratures carry the (q, q') structure).  ``g1_memo``
     shares G1 with the other plate parts of one call (see ``u_total``)."""
-    return _frequency_integral(
-        lambda u, g1, _: g1.trace(g1.transpose()) / 2.0, geom, atom_a,
-        atom_b, medium, spec, g1_memo)
+    return _frequency_integral(lambda u, g1, _: g1.inner(g1) / 2.0, geom,
+                               atom_a, atom_b, medium, spec, g1_memo)
 
 
 def u_total(geom: PlanarGeometry, atom_a: ResonanceAtom,

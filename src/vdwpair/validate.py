@@ -127,7 +127,7 @@ def u2_frequency_integrand(u, geom: PlanarGeometry,
     -(1/2pi) u^4 alpha_A alpha_B Tr[G1(r_A,r_B) . G1(r_B,r_A)], with
     G1(r_B,r_A) = G1(r_A,r_B)^T.  Vectorized in u."""
     g1 = halfspace_scattering(geom, u, medium, spec=spec)
-    return _plate_weight(u, atom_a, atom_b) * g1.trace(g1.transpose()) / 2.0
+    return _plate_weight(u, atom_a, atom_b) * g1.inner(g1) / 2.0
 
 
 # The Bessel moments of the retarded limit: their closed forms and, the
