@@ -254,29 +254,25 @@ def q_breakpoints(geom: PlanarGeometry, u):
     The grid ends at q_cut = sqrt(c (2u + c)), c = 45/Z+, where b - u = c:
     relative to its peak e^{-u Z+}, every kernel's envelope e^{-b Z+} has
     fallen to e^{-45} there, at any u (q_cut -> 45/Z+ as u -> 0).  The grid
-    of a range holds the fixed points (0.05 ... 30)/Z+, the cut q_cut(u_hi),
-    the u-points (0.1, 0.3, 1, 3, 10) u of u_lo and of u_hi below the cut,
-    a decay fill of 4 points per decade from 10 u_lo up to 0.05/Z+ when
-    10 u_lo lies below it, and the half periods pi/X of J_nu(qX); one u
-    gives the grid of that u alone.  Above ``MAX_OSCILLATION_PANELS`` half
-    periods the oscillation step is widened, with a ``RuntimeWarning``.
+    of a range holds the cut q_cut(u_hi), the half periods pi/X of J_nu(qX)
+    and one geometric run, 3 points per decade, from lo = min(0.1 u_lo,
+    0.05/Z+) to hi = max(min(30/Z+, pi/|X|), min(10 u_hi, q_cut)), pi/|X|
+    infinite on the axis; one u gives the grid of that u alone.  Above
+    ``MAX_OSCILLATION_PANELS`` half periods the oscillation step is widened,
+    with a ``RuntimeWarning``.
     """
     u_lo, u_hi = float(np.min(u)), float(np.max(u))
     zp = geom.Z_plus
     c = 45.0 / zp
     q_cut = float(np.sqrt(c * (2.0 * u_hi + c)))
-    breaks = list(np.array([0.05, 0.15, 0.4, 1.0, 2.5, 6.0, 15.0, 30.0]) / zp)
-    breaks.append(q_cut)
-    # The integrand changes character at q ~ u (b crosses over from u to q)
-    # and can carry slow algebraic tails between u and the decay scale;
-    # resolve that whole range geometrically when it lies below the grid.
-    lo_decay = 0.05 / zp
-    for v in dict.fromkeys((u_lo, u_hi)):
-        breaks += [s * v for s in (0.1, 0.3, 1.0, 3.0, 10.0) if s * v < q_cut]
-    if 10.0 * u_lo < lo_decay:
-        n_dec = int(np.ceil(4.0 * np.log10(lo_decay / (10.0 * u_lo))))
-        breaks += list(np.geomspace(10.0 * u_lo, lo_decay, max(n_dec, 2)))
     x = abs(geom.X)
+    # The run resolves q ~ u, where b crosses over from u to q, and the slow
+    # algebraic tails up to the decay scale 1/Z+ or the first half period.
+    lo = min(0.1 * u_lo, 0.05 / zp)
+    hi = max(min(30.0 / zp, np.pi / x if x > 0 else np.inf),
+             min(10.0 * u_hi, q_cut))
+    n_run = int(np.ceil(3.0 * np.log10(hi / lo))) + 1
+    breaks = [*np.geomspace(lo, hi, n_run), q_cut]
     if x > 0:
         step = np.pi / x
         n = int(q_cut / step)
@@ -393,12 +389,12 @@ def _sommerfeld(geom: PlanarGeometry, u, medium: HalfSpaceMedium,
     decay e^{-b Z+} by -b, d/dX replaces J_nu(qX) by q J_nu'(qX).  The
     u-nodes go in chunks of up to ``_U_CHUNK``; every element at every u
     of a chunk is one scalar q-integral on the chunk's grid
-    (``q_breakpoints`` of its u-range: the u-points of its two end nodes,
-    the cut of the upper one and the decay fill above the lower one, with
-    no points for the nodes in between), so all of them start from the same
-    first panel set, on which the Bessel factors and, as (u, q) tables,
-    r_s, r_p, b, the decay and the elements are computed once, for the
-    length of the chunk only.  One u is a chunk of one.
+    (``q_breakpoints`` of its u-range [u_lo, u_hi]: one geometric run over
+    0.1 u_lo ... 10 u_hi and the decay scale 1/Z+, the cut of u_hi and the
+    half periods, no points for the nodes in between), so all of them start
+    from the same first panel set, on which the Bessel factors and, as
+    (u, q) tables, r_s, r_p, b, the decay and the elements are computed
+    once, for the length of the chunk only.  One u is a chunk of one.
     """
     us = np.asarray(u, dtype=float)
     if not np.all(us > 0):  # "not > 0" also turns away NaN

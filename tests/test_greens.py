@@ -859,11 +859,17 @@ class TestBatchedSommerfeld:
         geom = self.GEOM
         u_lo, u_hi = 0.02, 300.0
         breaks = np.sort(q_breakpoints(geom, np.array([u_hi, 1.0, u_lo])))
-        # the cut of u_hi, and the u-points of both ends
-        assert breaks[-1] == max(q_breakpoints(geom, u_hi))
-        for u in (u_lo, u_hi):
-            assert np.all(np.isin([s * u for s in (0.1, 0.3, 1.0, 3.0)],
-                                  breaks))
+        # the cut of u_hi, and one run from lo to hi, at most a third of a
+        # decade per step
+        c = 45.0 / geom.Z_plus
+        q_cut = np.sqrt(c * (2.0 * u_hi + c))
+        assert breaks[-1] == q_cut
+        lo = min(0.1 * u_lo, 0.05 / geom.Z_plus)
+        hi = max(min(30.0 / geom.Z_plus, np.pi / geom.X),
+                 min(10.0 * u_hi, q_cut))
+        assert np.all(np.isin([lo, hi], breaks))
+        run = breaks[(breaks >= lo) & (breaks <= hi)]
+        assert np.all(run[1:] / run[:-1] <= 10.0 ** (1.0 / 3.0) * (1 + 1e-12))
         # one u, as an array or not, has the grid of that u alone
         assert q_breakpoints(geom, np.array([u_lo])) \
             == q_breakpoints(geom, u_lo)

@@ -236,6 +236,20 @@ class TestHalfSpaceQuadrature:
                           HalfSpaceMedium.perfect_conductor(), spec=spec)
         assert u2 == pytest.approx(-c7 / geom.Z_plus**7, rel=0.02, abs=0.0)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the frequency integral meets abs_tol in units of the plate "
+        "magnitude, about 2e10 |U2| at l << Z+ on a magnetic medium, so "
+        "the default abs_tol leaves U2 about 3e-8 off"))
+    @pytest.mark.parametrize("geom", [PlanarGeometry.parallel(1e-3, 0.01),
+                                      PlanarGeometry.vertical(0.01, 1e-3)],
+                             ids=["parallel", "vertical"])
+    def test_magnetic_u2_meets_rel_tol_at_short_range(self, geom):
+        med = HalfSpaceMedium.magnetic(MU_MEDIUM)
+        got = u2_halfspace(geom, ATOM, ATOM, med, QuadSpec(rel_tol=1e-10))
+        ref = u2_halfspace(geom, ATOM, ATOM, med,
+                           QuadSpec(rel_tol=1e-10, abs_tol=1e-30))
+        assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+
 
 # u1_halfspace / u2_halfspace from the per-node implementation that
 # preceded the u-vectorized perfect-plate integrands.  They are the converged
