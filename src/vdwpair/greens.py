@@ -261,7 +261,8 @@ def q_breakpoints(geom: PlanarGeometry, u):
     ``MAX_OSCILLATION_PANELS`` half periods the oscillation step is widened,
     with a ``RuntimeWarning``.
     """
-    u_lo, u_hi = float(np.min(u)), float(np.max(u))
+    bounds = np.asarray(u, dtype=float)
+    u_lo, u_hi = float(bounds.min()), float(bounds.max())
     zp = geom.Z_plus
     c = 45.0 / zp
     q_cut = float(np.sqrt(c * (2.0 * u_hi + c)))
@@ -271,8 +272,12 @@ def q_breakpoints(geom: PlanarGeometry, u):
     lo = min(0.1 * u_lo, 0.05 / zp)
     hi = max(min(30.0 / zp, np.pi / x if x > 0 else np.inf),
              min(10.0 * u_hi, q_cut))
-    n_run = int(np.ceil(3.0 * np.log10(hi / lo))) + 1
-    breaks = [*np.geomspace(lo, hi, n_run), q_cut]
+    # The run lo 10^(k span/(n - 1)), k = 0 ... n - 1, with both ends exact.
+    span = math.log10(hi / lo)
+    n_run = math.ceil(3.0 * span) + 1
+    run = lo * 10.0 ** (np.arange(n_run) * (span / (n_run - 1)))
+    run[-1] = hi
+    breaks = [*run.tolist(), q_cut]
     if x > 0:
         step = np.pi / x
         n = int(q_cut / step)
@@ -284,8 +289,7 @@ def q_breakpoints(geom: PlanarGeometry, u):
                 f"periods of J_nu(qX) lie below the cut, so the oscillation "
                 f"step is widened to {step * x / np.pi:.2g} pi/X",
                 RuntimeWarning, stacklevel=2)
-        if step < q_cut:
-            breaks += list(np.arange(step, q_cut, step))
+        breaks += np.arange(step, q_cut, step).tolist()
     return breaks
 
 

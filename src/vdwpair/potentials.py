@@ -186,15 +186,19 @@ def _cross_trace(u, geom: PlanarGeometry, g1: GreenComponents):
 def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
                         atom_b: ResonanceAtom, medium: HalfSpaceMedium,
                         spec: QuadSpec | None,
-                        g1_memo: dict | None = None) -> float:
+                        g1_memo: dict | None = None, *,
+                        rhos: tuple | None = None) -> float:
     """u-integral of a plate part: -u^4 alpha_A alpha_B/pi times
     ``trace(us, G1(us), inner_spec)`` on each batch of u-nodes us.
 
     Every plate part takes the scale s = min(omega10_A, omega10_B,
     1/(l + Z+)), so all of them meet G1 at the same u-nodes, and is taken
-    in units of ``_plate_magnitude`` so that abs_tol is relative to an O(1)
-    integrand however small the part is.  Each batch of u-nodes is one
-    ``halfspace_scattering`` call, at the tightened inner tolerance.
+    in units of its own ``_plate_magnitude`` so that abs_tol is relative to
+    an O(1) integrand however small the part is: ``rhos`` are the two
+    distances whose Green tensors it multiplies, (l, l+) for a part with
+    G0 (the default) and (l+, l+) for Tr[G1 . G1^T].  Each batch of
+    u-nodes is one ``halfspace_scattering`` call, at the tightened inner
+    tolerance.
     Perfect reflectors, whose nodes are closed forms, take the panel
     engine's 32 first panels.  A finite-medium node (one G1, four
     q-integrals) costs far more than a quadrature round, so their integral
@@ -224,7 +228,8 @@ def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
         return _plate_weight(us, atom_a, atom_b) * trace(us, g1, inner)
 
     scale = _u_scale(atom_a, atom_b, geom.l + geom.Z_plus)
-    size = _plate_magnitude(scale, geom, atom_a, atom_b)
+    size = _plate_magnitude(scale, rhos or (geom.l, geom.l_plus), atom_a,
+                            atom_b)
     if medium.is_perfect:
         return size * _scaled_integral(lambda u: outer(u) / size, scale,
                                        spec, axis="u")
@@ -232,18 +237,18 @@ def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
     return size * scale * res.value
 
 
-def _plate_magnitude(u: float, geom: PlanarGeometry, atom_a: ResonanceAtom,
+def _plate_magnitude(u: float, rhos: tuple, atom_a: ResonanceAtom,
                      atom_b: ResonanceAtom) -> float:
     """Size of a plate part's u-integrand at u with its exponentials
-    dropped: u^4 alpha_A alpha_B/pi times g(l) g(l+), where g(rho) =
-    (1 + xi + xi^2)/(4 pi rho), xi = 1/(u rho), is the size of G0 at
-    distance rho."""
+    dropped: u^4 alpha_A alpha_B/pi times g(rho_1) g(rho_2) at the two
+    distances ``rhos``, where g(rho) = (1 + xi + xi^2)/(4 pi rho),
+    xi = 1/(u rho), is the size of G0 at distance rho."""
     def g(rho):
         xi = 1.0 / (u * rho)
         return (1.0 + xi + xi**2) / (FOUR_PI * rho)
 
-    return float(-_plate_weight(u, atom_a, atom_b)) * g(geom.l) \
-        * g(geom.l_plus)
+    return float(-_plate_weight(u, atom_a, atom_b)) * g(rhos[0]) \
+        * g(rhos[1])
 
 
 def u1_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
@@ -265,10 +270,12 @@ def u2_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
                  spec: QuadSpec | None = None, *,
                  g1_memo: dict | None = None) -> float:
     """Scattering-part contribution, by u-quadrature of the Green-tensor
-    trace (whose q-quadratures carry the (q, q') structure).  ``g1_memo``
-    shares G1 with the other plate parts of one call (see ``u_total``)."""
+    trace (whose q-quadratures carry the (q, q') structure), in units of
+    the size of G1 squared.  ``g1_memo`` shares G1 with the other plate
+    parts of one call (see ``u_total``)."""
     return _frequency_integral(lambda u, g1, _: g1.inner(g1) / 2.0, geom,
-                               atom_a, atom_b, medium, spec, g1_memo)
+                               atom_a, atom_b, medium, spec, g1_memo,
+                               rhos=(geom.l_plus, geom.l_plus))
 
 
 def u_total(geom: PlanarGeometry, atom_a: ResonanceAtom,

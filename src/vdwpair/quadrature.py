@@ -37,7 +37,12 @@ integrand on the scale x ~ 1 meet rel_tol 1e-8 in the first round.
 An integral's first panel set (edges, half widths, nodes x, weights
 w = dx/dt, map) depends only on its breakpoint values: it is built once,
 kept as read-only arrays in a cache of the two most recently used sets,
-and its first round is f(x) w, one matmul and one scale.
+together with each rule's weights folded with w and the half widths.  Its
+first round is then one dot product of f(x) with the folded Kronrod
+weights for the value and one weighted row sum per panel with the folded
+Kronrod-minus-Gauss weights, |.| summed, for the estimate.  The per-panel
+value and error arrays, and the roundoff floor summed over them, are
+formed only when that round misses and the panels are refined.
 """
 
 from __future__ import annotations
@@ -84,6 +89,7 @@ GAUSS_WEIGHTS[1::2] = np.concatenate([_WG_HALF, [_WG_MID], _WG_HALF[::-1]])
 _N_NODES = KRONROD_NODES.size
 # Columns: Kronrod sum, Kronrod minus Gauss.
 _RULES = np.stack([KRONROD_WEIGHTS, KRONROD_WEIGHTS - GAUSS_WEIGHTS], axis=1)
+_ONES = np.ones(_N_NODES)
 # Relative roundoff floor of a sum (see the module docstring).
 _ROUNDOFF = 250.0 * float(np.finfo(float).eps)
 
@@ -152,11 +158,16 @@ def _first_panels(breakpoints: bytes):
     """Read-only edges lo, hi and ``_nodes`` of the first panels of an
     integral over [0, inf), split at the positive ``breakpoints`` (float64
     bytes, any order; non-positive and NaN entries are ignored), then the
-    map's cut and scale.  With a largest positive breakpoint c, x = t up
-    to c and t in [c, c + 1) maps by x = c + c s/(1-s); without one,
-    x = t/(1-t) maps t in [0, 1) from 32 equal panels.  A c so large that
-    the tail panel cannot hold its 15 nodes distinct with 0 < s < 1 (from
-    c ~ 1e14 on) raises ValueError."""
+    first round's folded weights, then the map's cut and scale.  With a
+    largest positive breakpoint c, x = t up to c and t in [c, c + 1) maps
+    by x = c + c s/(1-s); without one, x = t/(1-t) maps t in [0, 1) from
+    32 equal panels.  A c so large that the tail panel cannot hold its 15
+    nodes distinct with 0 < s < 1 (from c ~ 1e14 on) raises ValueError.
+
+    The folded weights are each rule's weights times dx/dt and the panel
+    half widths: the Kronrod ones flat, so that the first round's value is
+    one dot product with f(x), and Kronrod minus Gauss per panel, so that
+    its estimate is one weighted row sum per panel."""
     p = np.frombuffer(breakpoints)
     cut = float(p.max(where=p > 0.0, initial=0.0))
     if cut > 0.0:
@@ -174,18 +185,27 @@ def _first_panels(breakpoints: bytes):
     # np.unique without its overhead: sorted, repeats dropped.
     edges.sort()
     edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
-    nodes = (edges[:-1], edges[1:], *_nodes(edges[:-1], edges[1:], cut,
-                                            scale))
-    for arr in nodes:
+    half, x, w = _nodes(edges[:-1], edges[1:], cut, scale)
+    w_half = w * half
+    arrays = (edges[:-1], edges[1:], half, x, w,
+              (w_half * KRONROD_WEIGHTS).ravel(), w_half * _RULES[:, 1])
+    for arr in arrays:
         arr.flags.writeable = False
-    return (*nodes, cut, scale)
+    return (*arrays, cut, scale)
 
 
-def _panel_sums(f, half, x, w):
-    """The Gauss-Kronrod pair of f(x) w on panels of half widths ``half``."""
-    sums = (np.asarray(f(x), dtype=float).reshape(w.shape) * w @ _RULES) \
+def _panel_sums(fx, half, w):
+    """The Gauss-Kronrod pair of f(x) w on panels of half widths ``half``,
+    from the values ``fx`` of f at their nodes."""
+    sums = (np.asarray(fx, dtype=float).reshape(w.shape) * w @ _RULES) \
         * half
     return sums[:, 0], np.abs(sums[:, 1])
+
+
+def _tolerance(spec: QuadSpec, total: float) -> float:
+    """max(rel_tol |total|, abs_tol): the rule of the module docstring
+    without its roundoff floor."""
+    return max(spec.rel_tol * abs(total), spec.abs_tol)
 
 
 def _unmet_tolerance(spec: QuadSpec, total: float, err: float, terms,
@@ -195,7 +215,7 @@ def _unmet_tolerance(spec: QuadSpec, total: float, err: float, terms,
     summed only when rel_tol |total| and abs_tol do not accept), else the
     tolerance it misses, or ``ConvergenceError`` at ``size`` >= ``limit``
     panels or nodes (``unit``)."""
-    tol = max(spec.rel_tol * abs(total), spec.abs_tol)
+    tol = _tolerance(spec, total)
     if err > tol:
         tol = max(tol, _ROUNDOFF * float(np.abs(terms).sum()))
     if err <= tol:
@@ -280,9 +300,18 @@ def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
     """
     spec = spec or QuadSpec()
     p = np.asarray([] if breakpoints is None else breakpoints, dtype=float)
-    lo, hi, *first, cut, scale = _first_panels(p.tobytes())
-    vals, errs = _panel_sums(f, *first)
+    lo, hi, half, x, w, w_value, w_error, cut, scale = _first_panels(
+        p.tobytes())
+    fx = np.asarray(f(x), dtype=float)
     evals = _N_NODES * lo.size
+    # The first round: the Kronrod sum as one dot product and the summed
+    # |K15 - G7| of the panels from one weighted row sum each.
+    total = float(np.dot(fx, w_value))
+    err_total = float(np.abs(fx.reshape(w_error.shape) * w_error
+                             @ _ONES).sum())
+    if err_total <= _tolerance(spec, total):
+        return QuadResult(total, err_total, evals)
+    vals, errs = _panel_sums(fx, half, w)
     max_panels = lo.size + max(200, lo.size // 2)
 
     while True:
@@ -305,8 +334,9 @@ def integrate_semiinf(f, spec=None, breakpoints=None, axis="x"):
         sm = 0.5 * (sa + sb)
         new_lo = np.concatenate([lo[~mask], sa, sm])
         new_hi = np.concatenate([hi[~mask], sm, sb])
-        new_vals, new_errs = _panel_sums(f, *_nodes(
-            np.concatenate([sa, sm]), np.concatenate([sm, sb]), cut, scale))
+        half, x, w = _nodes(np.concatenate([sa, sm]),
+                            np.concatenate([sm, sb]), cut, scale)
+        new_vals, new_errs = _panel_sums(f(x), half, w)
         evals += _N_NODES * 2 * sa.size
         vals = np.concatenate([vals[~mask], new_vals])
         errs = np.concatenate([errs[~mask], new_errs])

@@ -236,10 +236,6 @@ class TestHalfSpaceQuadrature:
                           HalfSpaceMedium.perfect_conductor(), spec=spec)
         assert u2 == pytest.approx(-c7 / geom.Z_plus**7, rel=0.02, abs=0.0)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the frequency integral meets abs_tol in units of the plate "
-        "magnitude, about 2e10 |U2| at l << Z+ on a magnetic medium, so "
-        "the default abs_tol leaves U2 about 3e-8 off"))
     @pytest.mark.parametrize("geom", [PlanarGeometry.parallel(1e-3, 0.01),
                                       PlanarGeometry.vertical(0.01, 1e-3)],
                              ids=["parallel", "vertical"])
@@ -797,6 +793,35 @@ class TestSharedScattering:
         halfspace_forces(geom, ATOM, ATOM, medium, spec=spec, g1_memo=memo)
         assert len(set(levels)) > 1
         assert len(nodes) == len(set(nodes)) == max(levels)
+
+    @pytest.mark.parametrize("kind,lorentz", [("dielectric", EPS_MEDIUM),
+                                              ("magnetic", MU_MEDIUM)],
+                             ids=["dielectric", "magnetic"])
+    @pytest.mark.parametrize("geom", [PlanarGeometry.parallel(0.1, 0.01),
+                                      PlanarGeometry.vertical(0.01, 0.01)],
+                             ids=["parallel", "vertical"])
+    def test_q_evaluations_do_not_rise_as_rel_tol_loosens(self, monkeypatch,
+                                                         kind, lorentz,
+                                                         geom):
+        # the summed q-evaluations of one u_total at rel_tol 1e-4, 1e-6 and
+        # 1e-8 (169,380 / 352,740 / 731,460 on the magnetic medium in
+        # parallel): a looser tolerance never costs more
+        import vdwpair.greens
+
+        evaluations = []
+
+        def counting(f, spec=None, breakpoints=None, axis="x",
+                     integrate=vdwpair.greens.integrate_semiinf):
+            res = integrate(f, spec, breakpoints=breakpoints, axis=axis)
+            evaluations[-1] += res.evaluations
+            return res
+
+        monkeypatch.setattr(vdwpair.greens, "integrate_semiinf", counting)
+        medium = getattr(HalfSpaceMedium, kind)(lorentz)
+        for rel_tol in (1e-4, 1e-6, 1e-8):
+            evaluations.append(0)
+            u_total(geom, ATOM, ATOM, medium, spec=QuadSpec(rel_tol=rel_tol))
+        assert 0 < evaluations[0] <= evaluations[1] <= evaluations[2]
 
     def test_memo_of_another_geometry_is_rejected(self):
         # both geometries take the u-scale 1, so their u-nodes coincide:

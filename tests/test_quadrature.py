@@ -182,6 +182,65 @@ class TestSemiInfinite:
             integrate_semiinf(lambda x: np.exp(-x), breakpoints=[cut])
 
 
+class TestFirstRound:
+    """A first round that meets the tolerance returns the Gauss-Kronrod
+    sums of its panels: the Kronrod value and the estimate
+    sum |K15 - G7|, here summed apart from the engine."""
+
+    @staticmethod
+    def panel_sums(f, edges, cut, scale):
+        """Kronrod and Gauss sums of f on the panels of t between
+        ``edges``, x = t up to the cut and x = cut + scale s/(1-s),
+        s = t - cut, beyond it."""
+        half = np.diff(edges)[:, None] / 2.0
+        t = (edges[:-1] + edges[1:])[:, None] / 2.0 + half * KRONROD_NODES
+        s = np.clip(t - cut, 0.0, None)
+        x = np.where(t > cut, cut + scale * s / (1.0 - s), t)
+        dx_dt = np.where(t > cut, scale / (1.0 - s) ** 2, 1.0)
+        y = f(x) * dx_dt * half
+        return y @ KRONROD_WEIGHTS, y @ GAUSS_WEIGHTS
+
+    @pytest.mark.parametrize("breakpoints,edges,cut,scale", [
+        (None, np.arange(33) / 32.0, 0.0, 1.0),
+        ([20.0, 0.5, 1.0, 2.0, 45.0, 5.0, 10.0],
+         np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 45.0, 46.0]),
+         45.0, 45.0)], ids=["mapped", "breakpoints"])
+    def test_one_round_is_the_gauss_kronrod_sum(self, breakpoints, edges,
+                                                cut, scale):
+        calls = []
+        integrand = lambda x: x * np.exp(-x)
+
+        def f(x):
+            calls.append(x.size)
+            return integrand(x)
+
+        res = integrate_semiinf(f, QuadSpec(rel_tol=1e-7),
+                                breakpoints=breakpoints)
+        assert calls == [15 * (edges.size - 1)]
+        kronrod, gauss = self.panel_sums(integrand, edges, cut, scale)
+        ulps = 4.0 * np.finfo(float).eps * np.abs(kronrod).sum()
+        assert abs(res.value - kronrod.sum()) <= ulps
+        assert abs(res.abs_error_estimate
+                   - np.abs(kronrod - gauss).sum()) <= ulps
+
+    @pytest.mark.parametrize("breakpoints", [None, [8.0]])
+    def test_a_missed_first_round_refines_to_the_closed_form(self,
+                                                              breakpoints):
+        # e^{-x} cos(10 x) integrates to 1/101; neither first panel set
+        # resolves the oscillation to rel_tol 1e-10
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(-x) * np.cos(10.0 * x)
+
+        res = integrate_semiinf(f, QuadSpec(rel_tol=1e-10),
+                                breakpoints=breakpoints)
+        assert len(calls) > 1
+        assert res.value == pytest.approx(1.0 / 101.0, rel=1e-10)
+        assert abs(res.value - 1.0 / 101.0) <= res.abs_error_estimate
+
+
 class TestMapped:
     """The nested Fejer ladder of ``integrate_mapped``: 15, 31, 63, ...
     nodes, each level evaluating only its new nodes."""
