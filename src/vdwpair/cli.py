@@ -374,7 +374,7 @@ def _emit(cfg: dict, command: str, columns, rows) -> None:
             "columns": list(columns),
             "rows": [{c: r[c] for c in columns} for r in rows],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload) + "\n"
     else:
         buf = io.StringIO()
         buf.write(f"# vdwpair {__version__} {command}\n")

@@ -101,7 +101,11 @@ class AsymptoticCoefficients:
 
 def _u_scale(atom_a: ResonanceAtom, atom_b: ResonanceAtom,
              length: float) -> float:
-    """Smallest frequency scale of the integrand: a resonance or 1/length."""
+    """Frequency scale of every plate u-integral, length = l + Z+: the
+    smallest of the two resonances and 1/length.  The u^4-weighted plate
+    integrands keep it for all parts (``_frequency_integral``); the
+    free-space rows start from it at length = l and adjust it by their own
+    u-power (``_free_space_integral``)."""
     return min(atom_a.omega10, atom_b.omega10, 1.0 / length)
 
 
@@ -120,14 +124,24 @@ def _check_ee(atom_a, atom_b):
 def _free_space_integral(rows, pair, l, atom_a, atom_b, spec, integrate):
     """The ``rows`` entry at ``pair``, the atoms' kinds (any entry when
     None), integrated as ``FREE_SPACE_PAIRS`` states by the caller's own
-    ``integrate_semiinf`` at the scale s of ``_u_scale``."""
+    ``integrate_semiinf`` at the scale s = s0^(1 - m/4) l^(-m/4), with s0
+    from ``_u_scale`` and m the row's u-power.
+
+    Above the resonances alpha_A alpha_B falls as u^-4, so the weight
+    u^m alpha_A alpha_B falls as u^(m-4) between s0 and the cutoff 1/l
+    of e^{-2ul}: for m = 0 the integrand lives at s0, and s is s0 to the
+    bit; for m = 4 it would run flat out to 1/l.  The em rows (m = 2) have
+    a u^-2 tail that the cutoff ends, and s = sqrt(s0/l), the geometric
+    mean of the two scales, puts both ends of it on the engine's first
+    panels, where s0 alone leaves the cutoff in the last mapped panel at
+    l << 1/s0 and each refinement round bisects that one panel."""
     if not 0.0 < l < np.inf:  # NaN fails every comparison
         raise ValueError("separation l must be positive and finite")
     kinds = (atom_a.kind, atom_b.kind)
     if kinds not in ([pair] if pair else rows):
         raise ValueError(f"atom kinds (A, B) = {kinds} are not supported")
     sign, n, m, poly = rows[kinds]
-    s = _u_scale(atom_a, atom_b, l)
+    s = _u_scale(atom_a, atom_b, l) ** (1.0 - m / 4.0) * l ** (-m / 4.0)
 
     def f(v):
         u = s * v

@@ -396,6 +396,23 @@ class TestFreeSpace:
         assert all(float(r["U"]) > 0.0 for r in rows)
         assert all(float(r["force"]) > 0.0 for r in rows)
 
+    def test_json_is_one_line_of_the_computed_rows(self, tmp_path, capsys):
+        # --format json writes the payload as one compact line whose rows
+        # are the computed floats to the bit.
+        path = write_config(tmp_path, {
+            "atoms": [{"omega10": 1.0, "alpha0": 1.0, "kind": "electric"},
+                      {"omega10": 0.5, "alpha0": 2.0, "kind": "magnetic"}],
+            "sweep": {"variable": "l", "start": 1e-3, "stop": 1e2,
+                      "points": 6, "scale": "log"},
+            "output": {"path": None, "format": "json"}})
+        assert run(["free-space", "--config", path]) == 0
+        text = capsys.readouterr().out
+        assert text.endswith("}\n") and text.count("\n") == 1
+        cfg = load_config(path)
+        rows = cli._compute_rows(cfg, cli._free_space_row)
+        assert json.loads(text)["rows"] == [
+            {c: r[c] for c in cli.FREE_COLUMNS} for r in rows]
+
     def test_single_point_sweep(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "sweep": {"variable": "l", "start": 0.5, "stop": 0.5,

@@ -36,7 +36,7 @@ SPEC = QuadSpec(rel_tol=1e-8)
 ATOM_A = ResonanceAtom()
 ATOM_B = ResonanceAtom(omega10=0.5, alpha0=2.0)
 MAG_B = ResonanceAtom(omega10=0.5, alpha0=2.0, kind="magnetic")
-SEPARATIONS = [3e-3, 0.03, 0.3, 1.0, 10.0, 100.0]
+SEPARATIONS = [1e-3, 3e-3, 0.03, 0.3, 1.0, 10.0, 100.0]
 # 12 digits keep the oracle within 1e-12 of U and F (against the engine at
 # rel_tol 1e-13); mpmath.diff works at twice that precision.
 DPS = 12

@@ -3,8 +3,10 @@
 Each quantity is computed at rel_tol 1e-8 and compared, component by
 component, with a rel_tol 1e-13 run.  The cases put the integrand's scale
 far from 1 in both directions: slow and fast atomic resonances, free-space
-separations of 1e-3 and 1e3, a plate correction decaying over 6e4 (gate
-check 4) and one over 1e-6 (gate check 5).
+separations of 1e-7, 1e-3 and 1e3, a plate correction decaying over 6e4
+(gate check 4) and one over 1e-6 (gate check 5).  At l = 1e-7 the em
+integrand's u^-2 tail runs seven decades past the resonance; a first grid
+on the resonance alone accepts it in one round, 19 rel_tol off.
 
 The reference runs at abs_tol 1e-300, so that only rel_tol decides its
 acceptance.  The rel_tol 1e-8 run is made twice: at abs_tol 1e-300, where
@@ -20,9 +22,10 @@ against a rel_tol 1e-12 reference, and rel_tol, not abs_tol, must accept
 each of their frequency integrals.  Last, the rounds of perfect-plate and
 free-space frequency integrals are pinned: their nodes are cheap closed
 forms, so a round costs about as much as the whole first one, and the
-32-panel first grid meets rel_tol 1e-8 in one.  A free-space row makes two
-frequency integrals, U and the force: its asymptotic coefficients are
-closed forms.
+32-panel first grid meets rel_tol 1e-8 in one (in two for the em pair at
+l = 1e-3, where resonance and cutoff lie three decades apart).  A
+free-space row makes two frequency integrals, U and the force: its
+asymptotic coefficients are closed forms.
 """
 
 import pytest
@@ -70,7 +73,7 @@ for w in (0.05, 20.0):
         (f"u_total-omegaB={w}",
          lambda s, b=slow_or_fast: u_total(PlanarGeometry.parallel(1.0, 0.5),
                                            ATOM, b, CONDUCTING, spec=s)))
-for l in (1e-3, 1e3):
+for l in (1e-7, 1e-3, 1e3):
     CASES += _free_space_cases(f"l={l}", l, ATOM, MAG_ATOM)
 for name, medium in (("conducting", CONDUCTING), ("permeable", PERMEABLE)):
     for label, geom in (("check4", PlanarGeometry.vertical(60.0, 59940.0)),
@@ -163,7 +166,9 @@ def _evaluations_by_call(monkeypatch, compute):
 
 def _rounds_by_call(monkeypatch, compute):
     """(axis, integrand calls) of every semi-infinite integral ``compute``
-    makes through ``vdwpair.potentials``: one call per round."""
+    makes through ``vdwpair.potentials`` and ``vdwpair.forces``: one call
+    per round."""
+    import vdwpair.forces
     import vdwpair.potentials
 
     integrate, calls = vdwpair.potentials.integrate_semiinf, []
@@ -179,7 +184,8 @@ def _rounds_by_call(monkeypatch, compute):
         calls.append((kwargs.get("axis", "x"), rounds[0]))
         return res
 
-    monkeypatch.setattr(vdwpair.potentials, "integrate_semiinf", counting)
+    for module in (vdwpair.potentials, vdwpair.forces):
+        monkeypatch.setattr(module, "integrate_semiinf", counting)
     compute()
     return calls
 
@@ -198,11 +204,23 @@ def test_perfect_plate_frequency_counts(monkeypatch, geom, expected):
         assert calls == expected, medium.perfect
 
 
-@pytest.mark.parametrize("l", [0.01, 1.0, 100.0])
+# Rounds of an em pair's U and force at rel_tol 1e-8 where they take more
+# than one: at the scale sqrt(s0/l) of ``_free_space_integral`` both the
+# resonance s0 and the cutoff 1/l sit on the first panels, so only the
+# widest spread here, 1/(s0 l) = 1e3, refines once.
+EM_ROUNDS = {1e-3: [("x", 2), ("x", 2)]}
+
+
+@pytest.mark.parametrize("l", [1e-3, 0.01, 0.05, 1.0, 100.0])
 def test_free_space_frequency_counts(monkeypatch, l):
-    calls = _rounds_by_call(monkeypatch, lambda: u0_ee(
-        l, ATOM, ATOM, spec=QuadSpec(rel_tol=1e-8)))
+    spec = QuadSpec(rel_tol=1e-8)
+    calls = _rounds_by_call(monkeypatch, lambda: u0_ee(l, ATOM, ATOM,
+                                                       spec=spec))
     assert calls == [("x", 1)]
+    calls = _rounds_by_call(monkeypatch, lambda: (
+        u0_em(l, ATOM, MAG_ATOM, spec=spec),
+        free_space_force(l, ATOM, MAG_ATOM, spec=spec)))
+    assert calls == EM_ROUNDS.get(l, [("x", 1), ("x", 1)])
 
 
 @pytest.mark.parametrize("kind_b", ["electric", "magnetic"])
