@@ -327,15 +327,14 @@ def _half_space_row(args) -> dict:
     row["l"] = value
     try:
         geom = _geometry_at(cfg, value)
-        # The forces' u-integrals meet G1 at the potential's u-nodes.
-        g1_memo = {}
-        bd = u_total(geom, atom_a, atom_b, medium, spec=spec, g1_memo=g1_memo)
-        row.update(U0=bd.u0, U1=bd.u1, U2=bd.u2, U=bd.total, ratio=bd.ratio)
         if cfg["forces"]:
-            forces = halfspace_forces(geom, atom_a, atom_b, medium, spec=spec,
-                                      g1_memo=g1_memo)
+            forces = halfspace_forces(geom, atom_a, atom_b, medium, spec=spec)
+            bd = forces.potential
             row.update(F_on_A_x=forces.f_a[0], F_on_A_z=forces.f_a[1],
                        F_on_B_x=forces.f_b[0], F_on_B_z=forces.f_b[1])
+        else:
+            bd = u_total(geom, atom_a, atom_b, medium, spec=spec)
+        row.update(U0=bd.u0, U1=bd.u1, U2=bd.u2, U=bd.total, ratio=bd.ratio)
     except Exception as exc:  # noqa: BLE001 - row-level error marker
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row

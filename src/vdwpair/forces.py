@@ -4,26 +4,23 @@ Free space: the signed radial force from the l-derivative of the pair's
 row of ``FREE_SPACE_PAIRS``.  Near a half space: per-atom force vectors
 from their own frequency integrals.  The potential depends on the atoms only
 through X = x_B - x_A, Z = z_B - z_A and Z+ = z_A + z_B, so the radial
-free-space force and three u-integrals of Green-tensor derivatives (dG0 in
-closed form, dG1 by image signs or derivative q-kernels) give all four
-components.  Richardson-extrapolated differences of the total potential
-are kept as the independent oracle ``richardson_forces``.
+free-space force and the derivative parts Phi_X, Phi_Z and Phi_Z+ of
+``potentials._PLATE_PARTS`` (dG0 in closed form, dG1 by image signs or
+derivative q-kernels) give all four components.  A force row integrates
+them with U1 and U2 in one call and returns the potential breakdown as
+``ForcePair.potential``.  Richardson-extrapolated differences of the total
+potential are kept as the independent oracle ``richardson_forces``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .greens import (
-    HalfSpaceMedium,
-    PlanarGeometry,
-    free_space_green,
-    halfspace_scattering,
-)
+from .greens import HalfSpaceMedium, PlanarGeometry
 from .materials import ResonanceAtom
 from .quadrature import QuadSpec, integrate_semiinf
-from .potentials import FREE_SPACE_PAIRS, _free_space_integral, \
-    _frequency_integral, u_total
+from .potentials import FREE_SPACE_PAIRS, PotentialBreakdown, \
+    _free_space_integral, _plate_parts, u0_ee, u_total
 
 __all__ = ["ForcePair", "free_space_force", "halfspace_forces",
            "richardson_forces"]
@@ -38,10 +35,12 @@ _FORCE_ROWS = {
 
 @dataclass(frozen=True)
 class ForcePair:
-    """Force vectors on the two atoms, in the xz plane (fy = 0)."""
+    """Force vectors on the two atoms, in the xz plane (fy = 0), and the
+    potential breakdown at their geometry."""
 
     f_a: tuple[float, float]
     f_b: tuple[float, float]
+    potential: PotentialBreakdown
 
 
 def free_space_force(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
@@ -55,65 +54,34 @@ def free_space_force(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
                                 integrate_semiinf)
 
 
-def _plate_derivative_trace(wrt: str, geom: PlanarGeometry,
-                            medium: HalfSpaceMedium):
-    """Trace part of the u-integrand of d(U1 + U2)/d``wrt`` for wrt in X,
-    Z, Z_plus.
-
-    With w1 = -u^4 alpha_A alpha_B/pi, U1 + U2 integrates
-    w1 (Tr[G0 . G1^T] + Tr[G1 . G1^T]/2), where G1^T = G1(r_B, r_A).  G0
-    depends on (X, Z) and G1 on (X, Z+), so
-    d/dX:  w1 (Tr[dG0 . G1^T] + Tr[G0 . dG1^T] + Tr[dG1 . G1^T]),
-    d/dZ:  w1 Tr[dG0 . G1^T],
-    d/dZ+: w1 (Tr[G0 . dG1^T] + Tr[dG1 . G1^T]).
-    The weight w1 is applied by ``_frequency_integral``.
-    """
-    def trace(u, g1, spec):
-        out = 0.0
-        if wrt != "Z_plus":
-            out = free_space_green(geom.X, geom.Z, u, wrt).inner(g1)
-        if wrt != "Z":
-            dg1 = halfspace_scattering(geom, u, medium, spec, wrt)
-            out = out + (free_space_green(geom.X, geom.Z, u).inner(dg1)
-                         + dg1.inner(g1))
-        return out
-
-    return trace
-
-
 def halfspace_forces(geom: PlanarGeometry, atom_a: ResonanceAtom,
                      atom_b: ResonanceAtom, medium: HalfSpaceMedium,
-                     spec: QuadSpec | None = None, *,
-                     g1_memo: dict | None = None) -> ForcePair:
-    """Force vectors on both atoms near the half space.
+                     spec: QuadSpec | None = None) -> ForcePair:
+    """Force vectors on both atoms near the half space, with the potential
+    breakdown at the same geometry.
 
     U_X = dU/dX = -f0 X/l + Phi_X and U_Z = -f0 Z/l + Phi_Z, with f0 the
     free-space radial force and Phi the plate parts; U_Z+ = Phi_Z+.  Then
     F_A = (U_X, U_Z - U_Z+) and F_B = (-U_X, -U_Z - U_Z+), so
-    F_A,x = -F_B,x holds exactly.  The plate parts are u-integrals at the
-    scale min(omega10, 1/(l + Z+)), so they share one G1 per batch of
-    u-nodes through ``g1_memo``, which a caller may share with
-    ``u_total`` at the same geometry, medium and spec.  U is even in X
-    (mirror symmetry) and in Z (atom exchange), so Phi_X on the axis
-    X = 0 and Phi_Z at Z = 0 are zero and not integrated.
+    F_A,x = -F_B,x holds exactly.  U1, U2 and the Phi come from one
+    ``_plate_parts`` call, so ``potential`` is ``u_total``'s to the bit.
+    U is even in X (mirror symmetry) and in Z (atom exchange), so Phi_X on
+    the axis X = 0 and Phi_Z at Z = 0 are zero and not integrated.
     """
-    spec = spec or QuadSpec()
     l = geom.l
     f0 = free_space_force(l, atom_a, atom_b, spec=spec)
-    g1_memo = {} if g1_memo is None else g1_memo
-
-    def phi(wrt: str, zero: bool) -> float:
-        if zero:
-            return 0.0
-        return _frequency_integral(_plate_derivative_trace(wrt, geom, medium),
-                                   geom, atom_a, atom_b, medium, spec,
-                                   g1_memo)
-
-    u_x = -f0 * geom.X / l + phi("X", geom.X == 0.0)
-    u_z = -f0 * geom.Z / l + phi("Z", geom.Z == 0.0)
-    u_zp = phi("Z_plus", False)
+    names = ["U1", "U2", "Z_plus", *(wrt for wrt in ("X", "Z")
+                                     if getattr(geom, wrt) != 0.0)]
+    part = {"X": 0.0, "Z": 0.0, **_plate_parts(names, geom, atom_a, atom_b,
+                                               medium, spec, {})}
+    u_x = -f0 * geom.X / l + part["X"]
+    u_z = -f0 * geom.Z / l + part["Z"]
+    u_zp = part["Z_plus"]
     # 0.0 - u_x negates exactly, but gives 0.0 rather than -0.0 on the axis.
-    return ForcePair(f_a=(u_x, u_z - u_zp), f_b=(0.0 - u_x, -u_z - u_zp))
+    return ForcePair(f_a=(u_x, u_z - u_zp), f_b=(0.0 - u_x, -u_z - u_zp),
+                     potential=PotentialBreakdown.assemble(
+                         u0_ee(l, atom_a, atom_b, spec=spec), part["U1"],
+                         part["U2"]))
 
 
 def _richardson_derivative(f, h: float) -> float:
@@ -129,7 +97,9 @@ def richardson_forces(geom: PlanarGeometry, atom_a: ResonanceAtom,
                       step: float = 1e-3) -> ForcePair:
     """Oracle for ``halfspace_forces`` that shares no derivative code with
     it: each component is -dU/dcoordinate by Richardson-extrapolated
-    central differences of ``u_total`` (16 potentials).
+    central differences of ``u_total`` (16 potentials, at the tightened
+    spec), and ``potential`` is ``u_total`` at the unshifted geometry and
+    the requested spec (a 17th).
 
     ``step`` is relative to the smallest geometric scale.  The displaced
     atom must stay above the surface.
@@ -150,4 +120,6 @@ def richardson_forces(geom: PlanarGeometry, atom_a: ResonanceAtom,
     faz = -_richardson_derivative(lambda d: u_of(dz_a=d), h)
     fbx = -_richardson_derivative(lambda d: u_of(dx_b=d), h)
     fbz = -_richardson_derivative(lambda d: u_of(dz_b=d), h)
-    return ForcePair(f_a=(fax, faz), f_b=(fbx, fbz))
+    return ForcePair(f_a=(fax, faz), f_b=(fbx, fbz),
+                     potential=u_total(geom, atom_a, atom_b, medium,
+                                       spec=spec))

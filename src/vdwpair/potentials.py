@@ -6,8 +6,11 @@ of the frequency-integrand table ``FREE_SPACE_PAIRS``, with their retarded
 (l^-7) and nonretarded (l^-6, l^-4) asymptotic coefficients.
 
 Half space: the decomposition U = U0 + U1 + U2 into bulk, cross, and
-scattering contributions, computed by direct quadrature, plus the
-closed-form asymptotic limits, each of which takes the medium as a
+scattering contributions, computed by direct quadrature.  U1 and U2 are
+two of the five plate parts in ``_PLATE_PARTS``; the other three are the
+plate parts of the forces (``vdwpair.forces``).  ``_plate_parts``
+integrates any of them and computes each Green tensor of a batch of
+u-nodes once.  The closed-form asymptotic limits each take the medium as a
 ``HalfSpaceMedium``: retarded near a perfect plate, and one nonretarded
 form for perfect plates and purely electric or purely magnetic media.
 ``LIMIT_RATIOS`` and ``threshold`` give the limiting U/U0 ratios and the
@@ -26,7 +29,6 @@ import numpy as np
 
 from .greens import (
     FOUR_PI,
-    GreenComponents,
     HalfSpaceMedium,
     PlanarGeometry,
     free_space_green,
@@ -103,7 +105,7 @@ def _u_scale(atom_a: ResonanceAtom, atom_b: ResonanceAtom,
              length: float) -> float:
     """Frequency scale of every plate u-integral, length = l + Z+: the
     smallest of the two resonances and 1/length.  The u^4-weighted plate
-    integrands keep it for all parts (``_frequency_integral``); the
+    integrands keep it for all parts (``_plate_parts``); the
     free-space rows start from it at length = l and adjust it by their own
     u-power (``_free_space_integral``)."""
     return min(atom_a.omega10, atom_b.omega10, 1.0 / length)
@@ -192,63 +194,93 @@ def _plate_weight(u, atom_a: ResonanceAtom, atom_b: ResonanceAtom):
     return -u**4 * response_product(atom_a, atom_b, u) / np.pi
 
 
-def _cross_trace(u, geom: PlanarGeometry, g1: GreenComponents):
-    """Tr[G0(r_A,r_B) . G1(r_B,r_A)], with G1(r_B,r_A) = G1(r_A,r_B)^T."""
-    return free_space_green(geom.X, geom.Z, u).inner(g1)
+# The plate parts of a half-space row by name: U1 and U2, and the parts
+# Phi_X, Phi_Z and Phi_Z+ of dU/dX, dU/dZ and dU/dZ+.  Each is the trace of
+# a u-batch's tensors t (``_Batch``) that the batch's weight multiplies,
+# and the two distances of its ``_plate_magnitude``.  U1 + U2 integrates
+# Tr[G0 . G1^T] + Tr[G1 . G1^T]/2, with G1^T = G1(r_B, r_A); G0 depends on
+# (X, Z) and G1 on (X, Z+), which gives the three derivative traces.
+_PLATE_PARTS = {
+    "U1": (lambda t: t["G0"].inner(t["G1"]), ("l", "l_plus")),
+    "U2": (lambda t: t["G1"].inner(t["G1"]) / 2.0, ("l_plus", "l_plus")),
+    "X": (lambda t: t["dG0/dX"].inner(t["G1"])
+          + (t["G0"].inner(t["dG1/dX"]) + t["dG1/dX"].inner(t["G1"])),
+          ("l", "l_plus")),
+    "Z": (lambda t: t["dG0/dZ"].inner(t["G1"]), ("l", "l_plus")),
+    "Z_plus": (lambda t: t["G0"].inner(t["dG1/dZ_plus"])
+               + t["dG1/dZ_plus"].inner(t["G1"]), ("l", "l_plus")),
+}
 
 
-def _frequency_integral(trace, geom: PlanarGeometry, atom_a: ResonanceAtom,
-                        atom_b: ResonanceAtom, medium: HalfSpaceMedium,
-                        spec: QuadSpec | None,
-                        g1_memo: dict | None = None, *,
-                        rhos: tuple | None = None) -> float:
-    """u-integral of a plate part: -u^4 alpha_A alpha_B/pi times
-    ``trace(us, G1(us), inner_spec)`` on each batch of u-nodes us.
+class _Batch(dict):
+    """One batch of u-nodes of the plate parts: its ``weight``
+    -u^4 alpha_A alpha_B/pi, and its Green tensors by name, each computed
+    on first use: "G0" and "G1", or "dG0/d" and "dG1/d" followed by the
+    ``wrt`` of ``free_space_green`` or ``halfspace_scattering``."""
 
-    Every plate part takes the scale s = min(omega10_A, omega10_B,
-    1/(l + Z+)), so all of them meet G1 at the same u-nodes, and is taken
-    in units of its own ``_plate_magnitude`` so that abs_tol is relative to
-    an O(1) integrand however small the part is: ``rhos`` are the two
-    distances whose Green tensors it multiplies, (l, l+) for a part with
-    G0 (the default) and (l+, l+) for Tr[G1 . G1^T].  Each batch of
-    u-nodes is one ``halfspace_scattering`` call, at the tightened inner
-    tolerance.
-    Perfect reflectors, whose nodes are closed forms, take the panel
-    engine's 32 first panels.  A finite-medium node (one G1, four
-    q-integrals) costs far more than a quadrature round, so their integral
-    climbs the nested ladder of ``integrate_mapped``: 15 nodes, then 16,
-    32, ... new ones, until the change between two levels meets the
-    tolerance.  Every plate part of a row hands ``halfspace_scattering``
-    the same batch at each level, so ``g1_memo``, a dict keyed by the
-    bytes of a batch that the caller holds for one call at one geometry,
-    medium and spec, lets the integrals of that call evaluate G1 once per
-    u-node.  Its entry under None records the (geometry, medium, spec)
-    that filled it; a memo brought to another raises ValueError.
+    def __init__(self, geom, us, atom_a, atom_b, medium, spec):
+        self.weight = _plate_weight(us, atom_a, atom_b)
+        self.args = geom, us, medium, spec
+
+    def __missing__(self, name):
+        geom, us, medium, spec = self.args
+        tensor, _, wrt = name.partition("/d")
+        self[name] = value = (
+            free_space_green(geom.X, geom.Z, us, wrt or None)
+            if tensor.endswith("0")
+            else halfspace_scattering(geom, us, medium, spec, wrt or None))
+        return value
+
+
+def _plate_parts(names, geom: PlanarGeometry, atom_a: ResonanceAtom,
+                 atom_b: ResonanceAtom, medium: HalfSpaceMedium,
+                 spec: QuadSpec | None, memo: dict) -> dict:
+    """The plate parts ``names`` of ``_PLATE_PARTS`` by name, each its own
+    u-integral of its batches' weight times its trace.
+
+    Every part takes the scale s = min(omega10_A, omega10_B, 1/(l + Z+)),
+    so all of them meet the same u-nodes, and is taken in units of its own
+    ``_plate_magnitude`` so that abs_tol is relative to an O(1) integrand
+    however small the part is.  Perfect reflectors, whose nodes are closed
+    forms, take the panel engine's 32 first panels.  A finite-medium node
+    (one G1, four q-integrals) costs far more than a quadrature round, so
+    their integrals climb the nested ladder of ``integrate_mapped``: 15
+    nodes, then 16, 32, ... new ones, until the change between two levels
+    meets the tolerance.  Every part hands the integrand the same batch at
+    each level, and ``memo`` keeps each ``_Batch`` under its bytes, filed
+    under the (geometry, atoms, medium, inner spec) that made it: the
+    weight and each tensor of a batch are computed once, the tensors at
+    the tightened inner tolerance, and a memo shared across calls never
+    hands one geometry another's G1.
     """
     _check_ee(atom_a, atom_b)
     spec = spec or QuadSpec()
     inner = spec.tightened()
-    memo = {} if g1_memo is None else g1_memo
-    owner = (geom, medium, spec)
-    if memo.setdefault(None, owner) != owner:
-        raise ValueError("g1_memo holds G1 of another geometry, medium or "
-                         "spec")
+    batches = memo.setdefault((geom, atom_a, atom_b, medium, inner), {})
+    distances = {"l": geom.l, "l_plus": geom.l_plus}
+    scale = _u_scale(atom_a, atom_b, distances["l"] + geom.Z_plus)
+    values = {}
+    for name in names:
+        trace, rhos = _PLATE_PARTS[name]
+        size = _plate_magnitude(scale, [distances[r] for r in rhos], atom_a,
+                                atom_b)
 
-    def outer(us):
-        key = us.tobytes()
-        g1 = memo.get(key)
-        if g1 is None:
-            g1 = memo[key] = halfspace_scattering(geom, us, medium, inner)
-        return _plate_weight(us, atom_a, atom_b) * trace(us, g1, inner)
+        def integrand(us):
+            key = us.tobytes()
+            batch = batches.get(key)
+            if batch is None:
+                batch = batches[key] = _Batch(geom, us, atom_a, atom_b,
+                                              medium, inner)
+            return batch.weight * trace(batch) / size
 
-    scale = _u_scale(atom_a, atom_b, geom.l + geom.Z_plus)
-    size = _plate_magnitude(scale, rhos or (geom.l, geom.l_plus), atom_a,
-                            atom_b)
-    if medium.is_perfect:
-        return size * _scaled_integral(lambda u: outer(u) / size, scale,
-                                       spec, axis="u")
-    res = integrate_mapped(lambda v: outer(scale * v) / size, spec, axis="u")
-    return size * scale * res.value
+        if medium.is_perfect:
+            values[name] = size * _scaled_integral(integrand, scale, spec,
+                                                   axis="u")
+        else:
+            res = integrate_mapped(lambda v: integrand(scale * v), spec,
+                                   axis="u")
+            values[name] = size * scale * res.value
+    return values
 
 
 def _plate_magnitude(u: float, rhos: tuple, atom_a: ResonanceAtom,
@@ -272,11 +304,10 @@ def u1_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
     """Cross term of bulk and scattering Green tensor parts: the
     u-integral of -(1/pi) u^4 alpha_A alpha_B Tr[G0 . G1^T], with the
     exact image closed form of G1 on perfect reflectors and its
-    q-quadratures on finite media.  ``g1_memo`` shares G1 with the other
-    plate parts of one call (see ``u_total``)."""
-    return _frequency_integral(
-        lambda u, g1, _: _cross_trace(u, geom, g1), geom, atom_a, atom_b,
-        medium, spec, g1_memo)
+    q-quadratures on finite media.  ``g1_memo`` shares the tensors with
+    the other plate parts of a row (see ``_plate_parts``)."""
+    return _plate_parts(["U1"], geom, atom_a, atom_b, medium, spec,
+                        {} if g1_memo is None else g1_memo)["U1"]
 
 
 def u2_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
@@ -285,30 +316,25 @@ def u2_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
                  g1_memo: dict | None = None) -> float:
     """Scattering-part contribution, by u-quadrature of the Green-tensor
     trace (whose q-quadratures carry the (q, q') structure), in units of
-    the size of G1 squared.  ``g1_memo`` shares G1 with the other plate
-    parts of one call (see ``u_total``)."""
-    return _frequency_integral(lambda u, g1, _: g1.inner(g1) / 2.0, geom,
-                               atom_a, atom_b, medium, spec, g1_memo,
-                               rhos=(geom.l_plus, geom.l_plus))
+    the size of G1 squared.  ``g1_memo`` shares the tensors with the other
+    plate parts of a row (see ``_plate_parts``)."""
+    return _plate_parts(["U2"], geom, atom_a, atom_b, medium, spec,
+                        {} if g1_memo is None else g1_memo)["U2"]
 
 
 def u_total(geom: PlanarGeometry, atom_a: ResonanceAtom,
             atom_b: ResonanceAtom, medium: HalfSpaceMedium,
-            spec: QuadSpec | None = None, *,
-            g1_memo: dict | None = None) -> PotentialBreakdown:
+            spec: QuadSpec | None = None) -> PotentialBreakdown:
     """Full potential breakdown U0 + U1 + U2 at the given geometry.
 
-    U1 and U2 are u-integrals at one scale; they share one G1 per batch of
-    u-nodes through ``g1_memo``, which a caller may share with
-    ``halfspace_forces`` at the same geometry, medium and spec.
+    U1 and U2 are u-integrals at one scale that share one G1 per batch of
+    u-nodes through a memo of this call; ``halfspace_forces`` returns the
+    same breakdown, to the bit, with the forces of a row.
     """
-    spec = spec or QuadSpec()
     u0 = u0_ee(geom.l, atom_a, atom_b, spec=spec)
-    g1_memo = {} if g1_memo is None else g1_memo
-    u1 = u1_halfspace(geom, atom_a, atom_b, medium, spec=spec,
-                      g1_memo=g1_memo)
-    u2 = u2_halfspace(geom, atom_a, atom_b, medium, spec=spec,
-                      g1_memo=g1_memo)
+    memo = {}
+    u1 = u1_halfspace(geom, atom_a, atom_b, medium, spec=spec, g1_memo=memo)
+    u2 = u2_halfspace(geom, atom_a, atom_b, medium, spec=spec, g1_memo=memo)
     return PotentialBreakdown.assemble(u0, u1, u2)
 
 

@@ -26,7 +26,6 @@ from .greens import (
     HalfSpaceMedium,
     PlanarGeometry,
     bessel_j0_j1_j2,
-    halfspace_scattering,
     q_breakpoints,
     reflection,
 )
@@ -36,9 +35,9 @@ from .potentials import (
     PI3_32,
     PI3_64,
     THRESHOLD_CASES,
+    _PLATE_PARTS,
+    _Batch,
     _check_ee,
-    _cross_trace,
-    _plate_weight,
     asymptotic_coefficients,
     nonretarded_closed,
     perfect_retarded_closed,
@@ -113,10 +112,10 @@ def u1_trace_integrand(u, geom: PlanarGeometry,
                        medium: HalfSpaceMedium,
                        spec: QuadSpec | None = None):
     """u-integrand of the cross term in Green-tensor trace form:
-    -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)].
-    Vectorized in u."""
-    g1 = halfspace_scattering(geom, u, medium, spec=spec)
-    return _plate_weight(u, atom_a, atom_b) * _cross_trace(u, geom, g1)
+    -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)], the U1
+    entry of ``_PLATE_PARTS``.  Vectorized in u."""
+    batch = _Batch(geom, u, atom_a, atom_b, medium, spec)
+    return batch.weight * _PLATE_PARTS["U1"][0](batch)
 
 
 def u2_frequency_integrand(u, geom: PlanarGeometry,
@@ -125,9 +124,10 @@ def u2_frequency_integrand(u, geom: PlanarGeometry,
                            spec: QuadSpec | None = None):
     """u-integrand of the scattering part:
     -(1/2pi) u^4 alpha_A alpha_B Tr[G1(r_A,r_B) . G1(r_B,r_A)], with
-    G1(r_B,r_A) = G1(r_A,r_B)^T.  Vectorized in u."""
-    g1 = halfspace_scattering(geom, u, medium, spec=spec)
-    return _plate_weight(u, atom_a, atom_b) * g1.inner(g1) / 2.0
+    G1(r_B,r_A) = G1(r_A,r_B)^T, the U2 entry of ``_PLATE_PARTS``.
+    Vectorized in u."""
+    batch = _Batch(geom, u, atom_a, atom_b, medium, spec)
+    return batch.weight * _PLATE_PARTS["U2"][0](batch)
 
 
 # The Bessel moments of the retarded limit: their closed forms and, the

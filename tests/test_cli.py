@@ -537,6 +537,29 @@ class TestHalfSpace:
             -float(row["F_on_B_x"]), rel=0.2)
         assert float(row["F_on_A_z"]) != 0.0
 
+    @pytest.mark.parametrize("medium", [
+        {"kind": "perfect", "perfect": "permeable"},
+        DEFAULT_CONFIG["medium"]], ids=["permeable", "dielectric"])
+    def test_force_rows_print_the_potential_of_plain_rows(self, tmp_path,
+                                                          medium):
+        # the potential columns of a --forces row are those of the plain
+        # row, byte for byte
+        cfg = write_config(tmp_path, {
+            "medium": medium,
+            "sweep": {"variable": "l", "start": 0.01, "stop": 0.1,
+                      "points": 2, "scale": "log"}})
+        columns = {}
+        for flags in ([], ["--forces"]):
+            out = tmp_path / "out.csv"
+            assert run(["half-space", "--config", cfg, "--rel-tol", "1e-6",
+                        "--output", str(out), *flags]) == 0
+            _, rows = parse_csv(out.read_text())
+            columns[bool(flags)] = [[r[c] for c in ("U0", "U1", "U2", "U",
+                                                     "ratio")]
+                                    for r in rows]
+        assert columns[True] == columns[False]
+        assert len(columns[True]) == 2
+
     @pytest.mark.parametrize("plate", ["conducting", "permeable"])
     def test_force_rows_keep_symmetries_exactly(self, tmp_path, plate):
         # Parallel rows: F_A,x = -F_B,x; vertical rows: no x force.

@@ -175,18 +175,18 @@ class TestHalfSpaceForces:
         assert par.f_a[0] == -par.f_b[0]
         assert par.f_a[1] == par.f_b[1]
 
-    def test_g1_memo_shared_with_the_potential(self):
-        # the G1 that u_total leaves in the memo serve the forces bitwise
-        geom = PlanarGeometry(0.0, 0.02, 0.03, 0.05)
-        med = HalfSpaceMedium.dielectric(EPS_MEDIUM)
+    def test_potential_is_u_total_to_the_bit(self):
+        # a force row's U1 and U2 are integrals of the same call as its
+        # forces, and they equal u_total's at the same geometry and spec
         spec = QuadSpec(rel_tol=1e-6)
-        memo = {}
-        u_total(geom, ATOM, ATOM, med, spec=spec, g1_memo=memo)
-        potential_nodes = set(memo)
-        shared = halfspace_forces(geom, ATOM, ATOM, med, spec=spec,
-                                  g1_memo=memo)
-        assert potential_nodes and potential_nodes <= set(memo)
-        assert shared == halfspace_forces(geom, ATOM, ATOM, med, spec=spec)
+        for med in (HalfSpaceMedium.perfect_conductor(),
+                    HalfSpaceMedium.dielectric(EPS_MEDIUM),
+                    HalfSpaceMedium.magnetic(MU_MEDIUM)):
+            for geom in (PlanarGeometry.parallel(0.03, 0.02),
+                         PlanarGeometry(0.0, 0.02, 0.03, 0.05)):
+                assert halfspace_forces(geom, ATOM, ATOM, med,
+                                        spec=spec).potential \
+                    == u_total(geom, ATOM, ATOM, med, spec=spec)
 
     def test_richardson_step_halving(self):
         geom = PlanarGeometry.parallel(0.5, 0.3)

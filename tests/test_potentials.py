@@ -771,8 +771,8 @@ class TestSharedScattering:
 
     def test_one_g1_per_u_node_across_a_row(self, monkeypatch):
         # at this geometry U2 stops at 31 nodes, U1 and Phi_X at 63 and
-        # Phi_Z+ at 127: every part meets G1 at the ladder's node batches,
-        # so the row's memo evaluates each node once
+        # Phi_Z+ at 127: every part of a force row meets G1 at the
+        # ladder's node batches, so the row evaluates each node once
         import vdwpair.potentials
 
         geom = PlanarGeometry.parallel(1e-4, 0.01)
@@ -788,9 +788,7 @@ class TestSharedScattering:
 
         monkeypatch.setattr(vdwpair.potentials, "integrate_mapped", recording)
         nodes = self._g1_nodes(monkeypatch)
-        memo = {}
-        u_total(geom, ATOM, ATOM, medium, spec=spec, g1_memo=memo)
-        halfspace_forces(geom, ATOM, ATOM, medium, spec=spec, g1_memo=memo)
+        halfspace_forces(geom, ATOM, ATOM, medium, spec=spec)
         assert len(set(levels)) > 1
         assert len(nodes) == len(set(nodes)) == max(levels)
 
@@ -823,21 +821,21 @@ class TestSharedScattering:
             u_total(geom, ATOM, ATOM, medium, spec=QuadSpec(rel_tol=rel_tol))
         assert 0 < evaluations[0] <= evaluations[1] <= evaluations[2]
 
-    def test_memo_of_another_geometry_is_rejected(self):
-        # both geometries take the u-scale 1, so their u-nodes coincide:
-        # a memo shared between them would hand the second the first's G1
-        spec = QuadSpec(rel_tol=1e-6)
+    def test_a_shared_memo_keeps_geometries_and_specs_apart(self):
+        # both geometries take the u-scale 1, so their u-nodes coincide: a
+        # memo keyed by the batch alone would hand the second the first's
+        # G1; back at the first geometry, a tighter spec must not change
+        # what a shared memo returns either
         medium = HalfSpaceMedium.dielectric(EPS_MEDIUM)
         memo = {}
-        u_total(PlanarGeometry.parallel(0.05, 0.01), ATOM, ATOM, medium,
-                spec=spec, g1_memo=memo)
-        other = PlanarGeometry.parallel(0.1, 0.02)
-        for call in (u_total, halfspace_forces):
-            with pytest.raises(ValueError, match="another geometry"):
-                call(other, ATOM, ATOM, medium, spec=spec, g1_memo=memo)
-        with pytest.raises(ValueError, match="another geometry"):
-            u_total(PlanarGeometry.parallel(0.05, 0.01), ATOM, ATOM, medium,
-                    spec=QuadSpec(rel_tol=1e-8), g1_memo=memo)
+        for geom, rel_tol in ((PlanarGeometry.parallel(0.05, 0.01), 1e-6),
+                              (PlanarGeometry.parallel(0.1, 0.02), 1e-6),
+                              (PlanarGeometry.parallel(0.05, 0.01), 1e-8)):
+            spec = QuadSpec(rel_tol=rel_tol)
+            for part in (u1_halfspace, u2_halfspace):
+                assert part(geom, ATOM, ATOM, medium, spec=spec,
+                            g1_memo=memo) \
+                    == part(geom, ATOM, ATOM, medium, spec=spec)
 
     def test_no_state_outlives_a_call(self, monkeypatch):
         counts = self._counts(monkeypatch)
