@@ -825,12 +825,15 @@ class TestSharedScattering:
         # both geometries take the u-scale 1, so their u-nodes coincide: a
         # memo keyed by the batch alone would hand the second the first's
         # G1; back at the first geometry, a tighter spec must not change
-        # what a shared memo returns either
+        # what a shared memo returns either.  Here the G1 of the inner
+        # rel_tols 1e-7 and 1e-9 agree to the bit, so only the 1e-11 call,
+        # whose G1 differ, tells a memo keyed without the spec apart.
         medium = HalfSpaceMedium.dielectric(EPS_MEDIUM)
         memo = {}
         for geom, rel_tol in ((PlanarGeometry.parallel(0.05, 0.01), 1e-6),
                               (PlanarGeometry.parallel(0.1, 0.02), 1e-6),
-                              (PlanarGeometry.parallel(0.05, 0.01), 1e-8)):
+                              (PlanarGeometry.parallel(0.05, 0.01), 1e-8),
+                              (PlanarGeometry.parallel(0.05, 0.01), 1e-11)):
             spec = QuadSpec(rel_tol=rel_tol)
             for part in (u1_halfspace, u2_halfspace):
                 assert part(geom, ATOM, ATOM, medium, spec=spec,
