@@ -3,7 +3,7 @@
 Covers the free-space (bulk) tensor G0, Fresnel reflection coefficients of
 a magneto-electric half space, the half-space scattering tensor G1 (the
 image closed form for a perfect reflector, Sommerfeld-type q-quadrature
-for a finite medium), and the Bessel factors J0, J1, J2 of its kernels.
+of the ``_LANES`` kernels for a finite medium) and their Bessel factors.
 Each tensor has one function, ``free_space_green`` and
 ``halfspace_scattering``, whose ``wrt`` argument selects the tensor or
 one of the derivatives that the forces need.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,11 +45,18 @@ class PlanarGeometry:
     z_a: float
     x_b: float
     z_b: float
+    # |r_B - r_A| and the distance from r_A to B's image, computed once; not
+    # compared, so == and hash stay those of the positions.
+    l: float = field(init=False, repr=False, compare=False)
+    l_plus: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # "not" also turns away NaN; l is NaN or inf if any coordinate is.
         if not (self.z_a > 0 and self.z_b > 0):
             raise ValueError("both atoms must sit above the surface (z > 0)")
+        object.__setattr__(self, "l", float(np.hypot(self.X, self.Z)))
+        object.__setattr__(self, "l_plus",
+                           float(np.hypot(self.X, self.Z_plus)))
         if not 0.0 < self.l < np.inf:
             raise ValueError("atom positions must not coincide and must be "
                              "finite")
@@ -65,14 +72,6 @@ class PlanarGeometry:
     @property
     def Z_plus(self) -> float:
         return self.z_a + self.z_b
-
-    @property
-    def l(self) -> float:
-        return float(np.hypot(self.X, self.Z))
-
-    @property
-    def l_plus(self) -> float:
-        return float(np.hypot(self.X, self.Z_plus))
 
     def shifted(self, dx_a=0.0, dz_a=0.0, dx_b=0.0, dz_b=0.0) -> "PlanarGeometry":
         return PlanarGeometry(self.x_a + dx_a, self.z_a + dz_a,
@@ -362,12 +361,22 @@ def bessel_j0_j1_j2(t):
     return j0, j1, j2
 
 
-def _bessel_x_derivatives(q, x: float):
-    """d/dX of J0(qX), J1(qX), J2(qX): q J_nu'(t) at t = qX, with
-    J0' = -J1, J1' = J0 - J1/t, J2' = J1 - 2 J2/t (J1'(0) = 1/2,
-    J2'(0) = 0)."""
+def _bessel(q, x: float, wrt: str | None, orders: tuple):
+    """Bessel factors (c0, c1, c2) on q, at least those of the ``orders``
+    nu: J_nu(t) at t = qX, or q J_nu'(t) = d/dX J_nu(qX) at ``wrt="X"``,
+    with J0' = -J1, J1' = J0 - J1/t and J2' = J1 - 2 J2/t (J1'(0) = 1/2,
+    J2'(0) = 0); order 0 alone, or 1 alone but not at "X", takes one."""
+    from scipy import special
+
     t = q * x
+    if orders == (0,):
+        c0 = -q * special.j1(t) if wrt == "X" else special.j0(t)
+        return c0, None, None
+    if orders == (1,) and wrt != "X":
+        return None, special.j1(t), None
     j0, j1, j2 = bessel_j0_j1_j2(t)
+    if wrt != "X":
+        return j0, j1, j2
     nonzero = t != 0.0
     safe_t = np.where(nonzero, t, 1.0)
     j1_t = np.where(nonzero, j1 / safe_t, 0.5)
@@ -375,6 +384,20 @@ def _bessel_x_derivatives(q, x: float):
     return -q * j1, q * (j0 - j1_t), q * (j1 - 2.0 * j2_t)
 
 
+def _xx_yy(sign):
+    return lambda q, rs, rp, b, d, kk, c: q * d * (
+        (c[0] + sign * c[2]) / b * rs
+        - b * (c[0] - sign * c[2]) / kk * rp) / (8.0 * np.pi)
+
+
+# The lanes of ``_sommerfeld``: the q-kernels of gxx, gyy, -gzz and i1 from
+# r_s, r_p, b, the decay d and k^2 = kk (at one u or a column of u) and the
+# Bessel factors c, each with the orders nu of c that it reads.
+_LANES = ((_xx_yy(+1.0), (0, 2)), (_xx_yy(-1.0), (0, 2)),
+          (lambda q, rs, rp, b, d, kk, c:
+           q**3 * d * c[0] * rp / (b * kk) / FOUR_PI, (0,)),
+          (lambda q, rs, rp, b, d, kk, c:
+           q**2 * d * c[1] * rp / kk / FOUR_PI, (1,)))
 # Consecutive u-nodes that share one q-grid and its Bessel factors.
 _U_CHUNK = 8
 # Entries of one (u, q) table: the rows of a chunk are tabulated in blocks
@@ -387,18 +410,20 @@ def _sommerfeld(geom: PlanarGeometry, u, medium: HalfSpaceMedium,
                 spec: QuadSpec | None, wrt: str | None) -> GreenComponents:
     """Sommerfeld q-integrals of the scattering tensor elements, or of their
     derivatives with respect to X or Z+ (``wrt`` as in
-    ``halfspace_scattering``), at one u or at each u of an array.
+    ``halfspace_scattering``), at one u (floats) or each u of an array.
 
     The derivative kernels stay on the same grid: d/dZ+ multiplies the
     decay e^{-b Z+} by -b, d/dX replaces J_nu(qX) by q J_nu'(qX).  The
-    u-nodes go in chunks of up to ``_U_CHUNK``; every element at every u
-    of a chunk is one scalar q-integral on the chunk's grid
-    (``q_breakpoints`` of its u-range [u_lo, u_hi]: one geometric run over
-    0.1 u_lo ... 10 u_hi and the decay scale 1/Z+, the cut of u_hi and the
-    half periods, no points for the nodes in between), so all of them start
-    from the same first panel set, on which the Bessel factors and, as
-    (u, q) tables, r_s, r_p, b, the decay and the elements are computed
-    once, for the length of the chunk only.  One u is a chunk of one.
+    lanes of a u-node are scalar q-integrals of the ``_LANES`` kernels:
+    gxx, gyy, gzz and i1 (gxz = -i1, gzx = +i1), which carries J1(qX), odd
+    in X, and is 0 on the axis X = 0 (its X-derivative is not).  All lanes
+    of a chunk of up to ``_U_CHUNK`` nodes take one grid, ``q_breakpoints``
+    of its u-range (a geometric run over 0.1 u_lo ... 10 u_hi and 1/Z+, the
+    cut of u_hi and the half periods), so each first integrand call gets
+    the panel set that ``integrate_semiinf`` builds from those breakpoints
+    alone.  There the chunk's Bessel factors are computed once, and r_s,
+    r_p, b, the decay and the lanes as (u, q) tables of a block of rows.
+    Every later call refines one lane at one u, with its own Bessel orders.
     """
     us = np.asarray(u, dtype=float)
     if not np.all(us > 0):  # "not > 0" also turns away NaN
@@ -406,94 +431,46 @@ def _sommerfeld(geom: PlanarGeometry, u, medium: HalfSpaceMedium,
     if medium.is_vacuum:
         zero = np.zeros(us.shape) if us.ndim else 0.0
         return GreenComponents(zero, zero, zero, zero, zero)
-    nodes = us.ravel().tolist()
-    rows = [row for i in range(0, len(nodes), _U_CHUNK)
-            for row in _sommerfeld_chunk(geom, nodes[i:i + _U_CHUNK],
-                                         medium, spec, wrt)]
-    gxx, gyy, i1, gzz = (np.reshape(col, us.shape) if us.ndim else col[0]
-                         for col in zip(*rows))
-    return GreenComponents(gxx=gxx, gyy=gyy, gxz=-i1, gzx=+i1, gzz=gzz)
+    x, zp = geom.X, geom.Z_plus
+    lanes = _LANES[:3] if x == 0.0 and wrt != "X" else _LANES
 
-
-def _sommerfeld_chunk(geom: PlanarGeometry, us: list, medium: HalfSpaceMedium,
-                      spec: QuadSpec | None, wrt: str | None) -> list:
-    """(gxx, gyy, i1, gzz) at each u of ``us`` (floats), with gxz = -i1 and
-    gzx = +i1, from the q-integrals of one chunk (see ``_sommerfeld``)."""
-    x = geom.X
-    # i1 (gxz = -i1, gzx = +i1) carries J1(qX), odd in X, so it vanishes on
-    # the axis X = 0; its X-derivative does not.
-    axis_i1_zero = x == 0.0 and wrt != "X"
-    zp = geom.Z_plus
-    # u and u^2 of each node as a column: every (u, q) entry is the value
-    # that one u alone gives, to the bit.
-    u_col = np.array(us)[:, None]
-    k2 = u_col * u_col
-    breaks = np.asarray(q_breakpoints(geom, us))
-
-    def bessel_factors(q, k=0):
-        # J_nu(qX), or q J_nu'(qX) at "X", for nu = 0, 1, 2; zz (k = 2) reads
-        # nu = 0 and xz (k = 3) nu = 1, each one Bessel function but xz at X.
-        from scipy import special
-        if k == 2:
-            return (-q * special.j1(q * x) if wrt == "X"
-                    else special.j0(q * x)), None, None
-        if k == 3 and wrt != "X":
-            return None, special.j1(q * x), None
-        return (_bessel_x_derivatives(q, x) if wrt == "X"
-                else bessel_j0_j1_j2(q * x))
-
-    def kernel(q, u, kk, bessel):
-        """r_s, r_p, b, the decay and k^2 = kk on q at u (one node, or a
-        column of them, one row each), and the Bessel factors on q."""
+    def kernel(q, u, kk):  # at one u, or a column of u (one row each)
         rs, rp = reflection(q, u, medium)
         b = np.sqrt(kk + q**2)
         d = np.exp(-b * zp)
-        if wrt == "Z_plus":
-            d = -b * d
-        return rs, rp, b, d, kk, bessel
+        return rs, rp, b, -b * d if wrt == "Z_plus" else d, kk
 
-    def xx_yy(sign):
-        def element(q, rs, rp, b, d, kk, bessel):
-            c0, _, c2 = bessel
-            damp = q * d
-            return damp * ((c0 + sign * c2) / b * rs
-                           - b * (c0 - sign * c2) / kk * rp) / (8.0 * np.pi)
-        return element
+    def f(q):
+        nonlocal calls, bessel, block, table
+        calls += 1
+        if calls > 1:  # a refinement: this lane at this u alone
+            return element(q, *kernel(q, u_row, k2[row]),
+                           _bessel(q, x, wrt, orders))
+        if bessel is None:
+            bessel = _bessel(q, x, wrt, (0, 1, 2))
+        if row not in block:
+            table = None  # the last block's tables go before the next
+            block = range(row, min(len(chunk), row + max(
+                1, _TABLE_ENTRIES // q.size)))
+            shared = kernel(q, u_col[block], k2[block])
+            table = [e(q, *shared, bessel) for e, _ in lanes]
+        return table[lane][row - block.start]
 
-    def xz(q, rs, rp, b, d, kk, bessel):
-        return q**2 * d * bessel[1] * rp / kk / FOUR_PI
-
-    def zz(q, rs, rp, b, d, kk, bessel):
-        return q**3 * d * bessel[0] * rp / (b * kk) / FOUR_PI
-
-    elements = [xx_yy(+1.0), xx_yy(-1.0), zz] + ([] if axis_i1_zero
-                                                 else [xz])
-    # The engine's first-panel cache hands every integral of the chunk the
-    # same first node array, recognised by identity.  Its Bessel factors are
-    # computed at the first call, and the elements on it as tables of a
-    # block of rows, kept until the integrals of those rows are done.
-    # Refinements rarely coincide between integrals, so they are evaluated
-    # per integral.
-    first = {}
-
-    def integral(row: int, k: int) -> float:
-        def f(q):
-            if not first:
-                first.update(q=q, bessel=bessel_factors(q), rows=range(0))
-            if q is not first["q"]:
-                return elements[k](q, *kernel(q, us[row], k2[row],
-                                              bessel_factors(q, k)))
-            rows = first["rows"]
-            if row not in rows:
-                first.pop("table", None)
-                rows = range(row, min(len(us), row + max(
-                    1, _TABLE_ENTRIES // q.size)))
-                factors = kernel(q, u_col[rows], k2[rows], first["bessel"])
-                first.update(rows=rows,
-                             table=[e(q, *factors) for e in elements])
-            return first["table"][k][row - rows.start]
-        return integrate_semiinf(f, spec, breakpoints=breaks, axis="q").value
-
-    return [(integral(row, 0), integral(row, 1),
-             0.0 if axis_i1_zero else integral(row, 3), -integral(row, 2))
-            for row in range(len(us))]
+    nodes = us.ravel().tolist()
+    values = []
+    for start in range(0, len(nodes), _U_CHUNK):
+        chunk = nodes[start:start + _U_CHUNK]
+        # u and u^2 as columns: each (u, q) entry is, to the bit, u's alone.
+        u_col = np.array(chunk)[:, None]
+        k2 = u_col * u_col
+        breaks = np.asarray(q_breakpoints(geom, chunk))
+        bessel, block, table = None, range(0), None
+        for row, u_row in enumerate(chunk):
+            values.append([0.0] * len(_LANES))
+            for lane, (element, orders) in enumerate(lanes):
+                calls = 0
+                values[-1][lane] = integrate_semiinf(
+                    f, spec, breakpoints=breaks, axis="q").value
+    gxx, gyy, zz, i1 = (np.reshape(col, us.shape) if us.ndim else col[0]
+                        for col in zip(*values))
+    return GreenComponents(gxx=gxx, gyy=gyy, gxz=-i1, gzx=+i1, gzz=-zz)

@@ -51,8 +51,9 @@ from .quadrature import QuadResult, QuadSpec, integrate_semiinf
 __all__ = ["CheckResult", "run_all", "CHECKS", "ORACLE_CHECKS"]
 
 _ATOM = ResonanceAtom()
-_EPS_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
-_MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
+# The response of both default media, eps of the dielectric, mu of the
+# magnetic one.
+_LORENTZ = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 
 
 @dataclass
@@ -107,27 +108,16 @@ def u1_frequency_integrand(u: float, geom: PlanarGeometry,
     return -u**4 * alpha * np.exp(-u * l) * q_res.value / (PI3_32 * l)
 
 
-def u1_trace_integrand(u, geom: PlanarGeometry,
-                       atom_a: ResonanceAtom, atom_b: ResonanceAtom,
-                       medium: HalfSpaceMedium,
-                       spec: QuadSpec | None = None):
-    """u-integrand of the cross term in Green-tensor trace form:
-    -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)], the U1
-    entry of ``_PLATE_PARTS``.  Vectorized in u."""
+def trace_integrand(part: str, u, geom: PlanarGeometry,
+                    atom_a: ResonanceAtom, atom_b: ResonanceAtom,
+                    medium: HalfSpaceMedium, spec: QuadSpec | None = None):
+    """u-integrand of the plate part ``part`` ("U1" or "U2") of
+    ``_PLATE_PARTS`` in Green-tensor trace form, vectorized in u:
+    -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)] for the cross
+    term U1, -(1/2pi) u^4 alpha_A alpha_B Tr[G1(r_A,r_B) . G1(r_B,r_A)]
+    with G1(r_B,r_A) = G1(r_A,r_B)^T for the scattering part U2."""
     batch = _Batch(geom, u, atom_a, atom_b, medium, spec)
-    return batch.weight * _PLATE_PARTS["U1"][0](batch)
-
-
-def u2_frequency_integrand(u, geom: PlanarGeometry,
-                           atom_a: ResonanceAtom, atom_b: ResonanceAtom,
-                           medium: HalfSpaceMedium,
-                           spec: QuadSpec | None = None):
-    """u-integrand of the scattering part:
-    -(1/2pi) u^4 alpha_A alpha_B Tr[G1(r_A,r_B) . G1(r_B,r_A)], with
-    G1(r_B,r_A) = G1(r_A,r_B)^T, the U2 entry of ``_PLATE_PARTS``.
-    Vectorized in u."""
-    batch = _Batch(geom, u, atom_a, atom_b, medium, spec)
-    return batch.weight * _PLATE_PARTS["U2"][0](batch)
+    return batch.weight * _PLATE_PARTS[part][0](batch)
 
 
 # The Bessel moments of the retarded limit: their closed forms and, the
@@ -554,16 +544,16 @@ def check_trace_oracles() -> CheckResult:
         for u in us:
             explicit = u1_frequency_integrand(u, geom, _ATOM, _ATOM, medium,
                                               spec=spec)
-            trace = u1_trace_integrand(u, geom, _ATOM, _ATOM, medium,
-                                       spec=spec)
+            trace = trace_integrand("U1", u, geom, _ATOM, _ATOM, medium,
+                                    spec=spec)
             worst1 = max(worst1, abs(explicit / trace - 1.0))
     # Scattering part: the (q, q') double quadrature is costly, so the
     # grid diagonal (5 points) carries the explicit cross-check.
     worst2 = 0.0
     pref = 1.0 / (64.0 * np.pi**3)
     for geom, u in zip(geoms, us):
-        trace = u2_frequency_integrand(u, geom, _ATOM, _ATOM, medium,
-                                       spec=spec)
+        trace = trace_integrand("U2", u, geom, _ATOM, _ATOM, medium,
+                                spec=spec)
         breaks = q_breakpoints(geom, u)
         res = integrate_2d(
             lambda q, qp: u2_scattering_integrand(q, qp, u, geom, medium),
@@ -584,8 +574,8 @@ def check_far_plate() -> CheckResult:
     l = 0.01
     geom = PlanarGeometry.parallel(l, 100.0 * l)
     details, ok = [], True
-    for label, medium in (("dielectric", HalfSpaceMedium.dielectric(_EPS_MEDIUM)),
-                          ("magnetic", HalfSpaceMedium.magnetic(_MU_MEDIUM))):
+    for label, medium in (("dielectric", HalfSpaceMedium.dielectric(_LORENTZ)),
+                          ("magnetic", HalfSpaceMedium.magnetic(_LORENTZ))):
         bd = u_total(geom, _ATOM, _ATOM, medium, spec=spec)
         dev = abs(bd.ratio - 1.0)
         ok &= dev < 0.01
@@ -600,8 +590,8 @@ def check_nonretarded_halfspace() -> CheckResult:
     geom = PlanarGeometry(0.0, 4e-4, 8e-4, 1e-3)
     details, ok = [], True
     for label, medium in (
-            ("electric", HalfSpaceMedium.dielectric(_EPS_MEDIUM)),
-            ("magnetic", HalfSpaceMedium.magnetic(_MU_MEDIUM))):
+            ("electric", HalfSpaceMedium.dielectric(_LORENTZ)),
+            ("magnetic", HalfSpaceMedium.magnetic(_LORENTZ))):
         bd = u_total(geom, _ATOM, _ATOM, medium, spec=spec)
         ref = nonretarded_closed(geom, _ATOM, _ATOM, medium, spec=spec)
         dev = abs(bd.total / ref.total - 1.0)
@@ -626,8 +616,8 @@ def check_figure_shapes() -> CheckResult:
     small-separation dip below 1 (magnetic, vertical)."""
     spec = QuadSpec(rel_tol=1e-6)
     z = 0.01
-    die = HalfSpaceMedium.dielectric(_EPS_MEDIUM)
-    mag = HalfSpaceMedium.magnetic(_MU_MEDIUM)
+    die = HalfSpaceMedium.dielectric(_LORENTZ)
+    mag = HalfSpaceMedium.magnetic(_LORENTZ)
     details, ok = [], True
 
     ls = np.geomspace(1e-3, 0.6, 10)
@@ -716,7 +706,7 @@ def check_force_oracle() -> CheckResult:
     details, ok = [], True
     for label, medium, rel_tol in (
             ("conducting plate", HalfSpaceMedium.perfect_conductor(), 1e-8),
-            ("dielectric", HalfSpaceMedium.dielectric(_EPS_MEDIUM), 1e-6)):
+            ("dielectric", HalfSpaceMedium.dielectric(_LORENTZ), 1e-6)):
         spec = QuadSpec(rel_tol=rel_tol)
         analytic = halfspace_forces(geom, _ATOM, _ATOM, medium, spec=spec)
         oracle = richardson_forces(geom, _ATOM, _ATOM, medium, spec=spec)
@@ -740,8 +730,8 @@ def check_retarded_halfspace() -> CheckResult:
              PlanarGeometry.vertical(240.0, 240.0))
     details, ok = [], True
     for label, medium, eps0, mu0 in (
-            ("dielectric", HalfSpaceMedium.dielectric(_EPS_MEDIUM), 10.0, 1.0),
-            ("magnetic", HalfSpaceMedium.magnetic(_MU_MEDIUM), 1.0, 10.0)):
+            ("dielectric", HalfSpaceMedium.dielectric(_LORENTZ), 10.0, 1.0),
+            ("magnetic", HalfSpaceMedium.magnetic(_LORENTZ), 1.0, 10.0)):
         dev1 = dev2 = 0.0
         for geom in geoms:
             bd = u_total(geom, _ATOM, _ATOM, medium, spec=spec)

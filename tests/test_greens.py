@@ -50,6 +50,15 @@ class TestPlanarGeometry:
         assert g.l == pytest.approx(5.0)
         assert g.l_plus == pytest.approx(np.hypot(3.0, 6.0))
 
+    def test_lengths_are_kept_and_equality_stays_field_only(self):
+        # l and l_plus are computed once; a geometry that has computed them
+        # still equals, and hashes as, one that has not (the plate-part
+        # memo is keyed by geometry)
+        read, fresh = (PlanarGeometry(0.0, 1.0, 3.0, 5.0) for _ in range(2))
+        assert read.l is read.l and read.l_plus is read.l_plus
+        assert read == fresh and hash(read) == hash(fresh)
+        assert {fresh: 1}[read] == 1
+
     def test_families(self):
         par = PlanarGeometry.parallel(2.0, 0.5)
         assert par.Z == 0.0 and par.l == 2.0 and par.Z_plus == 1.0
@@ -821,6 +830,18 @@ class TestBatchedSommerfeld:
             for name in COMPONENTS:
                 assert getattr(got, name).shape == (1,)
                 assert getattr(got, name)[0] == getattr(ref, name)
+
+    @BATCH_MEDIA
+    @WRT
+    @pytest.mark.parametrize(
+        "geom", [GEOM, PlanarGeometry.vertical(0.01, 0.02)],
+        ids=["parallel", "axis"])
+    def test_one_u_gives_floats(self, medium, wrt, geom):
+        # Python floats, not numpy scalars, as halfspace_scattering says;
+        # on the axis, i1 is 0 without an integral
+        g = halfspace_scattering(geom, 0.7, medium, QuadSpec(rel_tol=1e-7),
+                                 wrt)
+        assert [type(getattr(g, name)) for name in COMPONENTS] == [float] * 5
 
     @WRT
     def test_array_is_its_chunks_concatenated(self, wrt):

@@ -421,6 +421,30 @@ class TestFirstPanelCache:
         assert _first_panels.cache_info().hits == 1
         assert warm == cold
 
+    @pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+    def test_first_call_alone_gets_the_first_panel_set(self, cold):
+        # The call order that finite-medium G1 relies on: an integral's
+        # first integrand call gets the nodes of its breakpoints' first
+        # panel set, by value, whether or not the cache holds them, and no
+        # later call of a refining integral gets them again.
+        breakpoints = [0.5, 1.0, 3.0, 8.0]
+        first = _first_panels(np.array(breakpoints).tobytes())[3].copy()
+        if cold:
+            _first_panels.cache_clear()
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.sqrt(x) * np.exp(-x)
+
+        res = integrate_semiinf(f, QuadSpec(rel_tol=1e-12),
+                                breakpoints=breakpoints)
+        assert res.value == pytest.approx(np.sqrt(np.pi) / 2.0, rel=1e-11)
+        assert len(calls) > 1
+        assert np.array_equal(calls[0], first)
+        assert not any(x is calls[0] or np.array_equal(x, first)
+                       for x in calls[1:])
+
 
 class TestBreakpointValues:
     """The first panel set is keyed by the breakpoints' values: their
