@@ -28,7 +28,6 @@ __all__ = [
     "PlanarGeometry",
     "GreenComponents",
     "HalfSpaceMedium",
-    "bessel_j0_j1_j2",
     "free_space_green",
     "reflection",
     "halfspace_scattering",
@@ -149,14 +148,6 @@ class HalfSpaceMedium:
         if not self.is_perfect:
             raise ValueError("only a perfect plate has a reflection sign")
         return 1.0 if self.perfect == "conducting" else -1.0
-
-    @property
-    def is_vacuum(self) -> bool:
-        if self.is_perfect:
-            return False
-        eps_vac = self.eps is None or self.eps.omegaP == 0.0
-        mu_vac = self.mu is None or self.mu.omegaP == 0.0
-        return eps_vac and mu_vac
 
     def eps_iu(self, u):
         return permittivity_iu(self.eps or VACUUM, u)
@@ -314,12 +305,12 @@ def halfspace_scattering(geom: PlanarGeometry, u,
     the reflection coefficients are constant.  Its derivatives are the
     image signs of dG0/dx or dG0/dz at (X, Z+).  A finite medium takes the
     Sommerfeld q-quadratures of ``_sommerfeld``, in chunks of consecutive
-    u-nodes that share a q-grid; a vacuum gives zeros, with no q-integral,
-    so every plate part of it is 0.  Every medium takes one u, which gives
-    floats, or an array of u, which gives arrays of its shape; an entry
-    that is not positive (NaN included) raises ``ValueError``.  The gxz
-    element carries the upper (minus) sign of the xz/zx pair, gzx the
-    lower.  Swapping the atoms transposes the tensor.
+    u-nodes that share a q-grid; a vacuum has r_s = r_p = 0, so each of
+    its q-integrals is 0 in its first round.  Every medium takes one u,
+    which gives floats, or an array of u, which gives arrays of its shape;
+    an entry that is not positive (NaN included) raises ``ValueError``.
+    The gxz element carries the upper (minus) sign of the xz/zx pair, gzx
+    the lower.  Swapping the atoms transposes the tensor.
     """
     if wrt not in (None, "X", "Z_plus"):
         raise ValueError("wrt must be None, 'X' or 'Z_plus'")
@@ -335,53 +326,45 @@ _J2_SERIES = [2.0 * (-0.25) ** k / (math.factorial(k) * math.factorial(k + 2))
               for k in range(8, -1, -1)]
 
 
-def bessel_j0_j1_j2(t):
-    """(J0(t), J1(t), J2(t)) on an array of signed t.
-
-    J2 is the recurrence 2 J1(t)/t - J0(t) for |t| >= 1 and its even power
-    series for |t| < 1, where the recurrence cancels to t^2/8 and keeps only
-    absolute accuracy.  J2 is within 4e-15 relative of the exact value for
-    0 < |t| <= 2, J2(0) = 0 exactly, and J0, J2 are even and J1 odd to the
-    bit.
+def _bessel(q, x: float, wrt: str | None, orders: tuple):
+    """Bessel factors (c0, c1, c2) on q, ``None`` at each order nu not in
+    ``orders``: J_nu(t) at t = qX, or q J_nu'(t) = d/dX J_nu(qX) at
+    ``wrt="X"``, with J0' = -J1, J1' = J0 - J1/t and J2' = J1 - 2 J2/t
+    (J1'(0) = 1/2, J2'(0) = 0); only the J_k that these read are formed.
+    J2 is 2 J1(t)/t - J0(t) for |t| >= 1 and its even power series below,
+    where that recurrence cancels to t^2/8: J2 is within 4e-15 relative for
+    0 < |t| <= 2, J2(0) = 0, and J0, J2 are even and J1 odd to the bit.
     """
     # scipy.special loads here, on a finite medium's first G1: free-space
     # and perfect-plate runs never need it.
     from scipy import special
 
-    t = np.asarray(t, dtype=float)
-    j0, j1 = special.j0(t), special.j1(t)
-    small = np.abs(t) < 1.0
-    j2 = 2.0 * j1 / np.where(small, 1.0, t) - j0
-    if small.any():
-        s = t[small] ** 2
-        series = _J2_SERIES[0]
-        for c in _J2_SERIES[1:]:  # Horner, elementwise: parity to the bit
-            series = series * s + c
-        j2[small] = s / 8.0 * series
-    return j0, j1, j2
-
-
-def _bessel(q, x: float, wrt: str | None, orders: tuple):
-    """Bessel factors (c0, c1, c2) on q, at least those of the ``orders``
-    nu: J_nu(t) at t = qX, or q J_nu'(t) = d/dX J_nu(qX) at ``wrt="X"``,
-    with J0' = -J1, J1' = J0 - J1/t and J2' = J1 - 2 J2/t (J1'(0) = 1/2,
-    J2'(0) = 0); order 0 alone, or 1 alone but not at "X", takes one."""
-    from scipy import special
-
     t = q * x
-    if orders == (0,):
-        c0 = -q * special.j1(t) if wrt == "X" else special.j0(t)
-        return c0, None, None
-    if orders == (1,) and wrt != "X":
-        return None, special.j1(t), None
-    j0, j1, j2 = bessel_j0_j1_j2(t)
-    if wrt != "X":
-        return j0, j1, j2
+    at_x = wrt == "X"
+    # c_nu reads J_nu, or at "X" J1 and, for nu = 1 or 2, J0 or J2 too; J2
+    # reads J0 and J1.
+    j0 = special.j0(t) if 2 in orders or (1 if at_x else 0) in orders else None
+    j1 = special.j1(t) if at_x or orders != (0,) else None
+    j2 = None
+    if 2 in orders:
+        small = np.abs(t) < 1.0
+        j2 = 2.0 * j1 / np.where(small, 1.0, t) - j0
+        if small.any():
+            s = t[small] ** 2
+            series = _J2_SERIES[0]
+            for c in _J2_SERIES[1:]:  # Horner, elementwise: parity to the bit
+                series = series * s + c
+            j2[small] = s / 8.0 * series
+    if not at_x:
+        return tuple(j if nu in orders else None
+                     for nu, j in enumerate((j0, j1, j2)))
     nonzero = t != 0.0
     safe_t = np.where(nonzero, t, 1.0)
-    j1_t = np.where(nonzero, j1 / safe_t, 0.5)
-    j2_t = np.where(nonzero, j2 / safe_t, 0.0)
-    return -q * j1, q * (j0 - j1_t), q * (j1 - 2.0 * j2_t)
+    return (-q * j1 if 0 in orders else None,
+            q * (j0 - np.where(nonzero, j1 / safe_t, 0.5))
+            if 1 in orders else None,
+            q * (j1 - 2.0 * np.where(nonzero, j2 / safe_t, 0.0))
+            if 2 in orders else None)
 
 
 def _xx_yy(sign):
@@ -428,9 +411,6 @@ def _sommerfeld(geom: PlanarGeometry, u, medium: HalfSpaceMedium,
     us = np.asarray(u, dtype=float)
     if not np.all(us > 0):  # "not > 0" also turns away NaN
         raise ValueError("u must be positive")
-    if medium.is_vacuum:
-        zero = np.zeros(us.shape) if us.ndim else 0.0
-        return GreenComponents(zero, zero, zero, zero, zero)
     x, zp = geom.X, geom.Z_plus
     lanes = _LANES[:3] if x == 0.0 and wrt != "X" else _LANES
 

@@ -25,7 +25,6 @@ from .forces import halfspace_forces, richardson_forces
 from .greens import (
     HalfSpaceMedium,
     PlanarGeometry,
-    bessel_j0_j1_j2,
     q_breakpoints,
     reflection,
 )
@@ -86,7 +85,7 @@ def u1_cross_integrand(q, u: float, geom: PlanarGeometry,
     rs, rp = reflection(q, u, medium)
     b = np.sqrt(u**2 + q**2)
     k2 = u**2
-    j0, _, j2 = bessel_j0_j1_j2(q * geom.X)
+    j0, j2 = special.j0(q * geom.X), special.jn(2, q * geom.X)
     term0 = ((2.0 * a_xi - b_xi * x2_l2) * (rs / b - b * rp / k2)
              - 2.0 * (a_xi - b_xi * z2_l2) * q**2 * rp / (b * k2)) * j0
     term2 = -b_xi * x2_l2 * (rs / b + b * rp / k2) * j2
@@ -360,7 +359,7 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
         (lambda v, s, rs, rp: rs, special.j0),
         (lambda v, s, rs, rp: v * s * rp, special.j1),
         (lambda v, s, rs, rp: _static_h_weight(v, eps0, mu0),
-         lambda t: bessel_j0_j1_j2(t)[2]),
+         lambda t: special.jn(2, t)),
     )
 
     def v_integral(weight, bessel, y: float, breaks) -> float:
@@ -729,9 +728,9 @@ def check_retarded_halfspace() -> CheckResult:
     geoms = (PlanarGeometry.parallel(60.0, 60.0),
              PlanarGeometry.vertical(240.0, 240.0))
     details, ok = [], True
-    for label, medium, eps0, mu0 in (
-            ("dielectric", HalfSpaceMedium.dielectric(_LORENTZ), 10.0, 1.0),
-            ("magnetic", HalfSpaceMedium.magnetic(_LORENTZ), 1.0, 10.0)):
+    for label, medium in (("dielectric", HalfSpaceMedium.dielectric(_LORENTZ)),
+                          ("magnetic", HalfSpaceMedium.magnetic(_LORENTZ))):
+        eps0, mu0 = medium.eps_iu(0.0), medium.mu_iu(0.0)
         dev1 = dev2 = 0.0
         for geom in geoms:
             bd = u_total(geom, _ATOM, _ATOM, medium, spec=spec)

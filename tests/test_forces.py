@@ -93,6 +93,30 @@ class TestFreeSpaceForce:
 
 
 class TestHalfSpaceForces:
+    @pytest.mark.parametrize("medium", [
+        HalfSpaceMedium.dielectric(LorentzMedium(omegaP=0.0)),
+        HalfSpaceMedium.magnetic(LorentzMedium(omegaP=0.0)),
+        HalfSpaceMedium(eps=LorentzMedium(omegaP=0.0),
+                        mu=LorentzMedium(omegaP=0.0))],
+        ids=["dielectric", "magnetic", "magneto-electric"])
+    @pytest.mark.parametrize("geom", [PlanarGeometry.parallel(0.1, 0.01),
+                                      PlanarGeometry.vertical(0.01, 0.02),
+                                      PlanarGeometry(0.9, 0.3, 0.2, 0.4)],
+                             ids=["parallel", "vertical", "general"])
+    def test_vacuum_row_is_the_free_pair(self, medium, geom):
+        # r_s = r_p = 0: the plate parts are +0.0 and the forces are the
+        # free-space radial force along the separation; == also holds for
+        # the -0.0 of F_B,z on the parallel family
+        bd = u_total(geom, ATOM, ATOM, medium)
+        fp = halfspace_forces(geom, ATOM, ATOM, medium)
+        for p in (bd, fp.potential):
+            assert (p.u1, p.u2) == (0.0, 0.0)
+            assert np.copysign(1.0, [p.u1, p.u2]).tolist() == [1.0, 1.0]
+            assert p.ratio == 1.0
+        f0 = free_space_force(geom.l, ATOM, ATOM)
+        assert fp.f_a == (-f0 * geom.X / geom.l, -f0 * geom.Z / geom.l)
+        assert fp.f_b == (-fp.f_a[0], -fp.f_a[1])
+
     def test_far_plate_action_reaction(self):
         # body influence vanishes: f_A ~ -f_B within 1%
         l = 0.01

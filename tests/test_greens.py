@@ -18,9 +18,10 @@ from vdwpair import (
 from vdwpair import cli
 from vdwpair.greens import (
     FOUR_PI,
+    _LANES,
     _U_CHUNK,
+    _bessel,
     _sommerfeld,
-    bessel_j0_j1_j2,
     free_space_green,
     halfspace_scattering,
     q_breakpoints,
@@ -88,11 +89,6 @@ class TestHalfSpaceMedium:
             HalfSpaceMedium()
         with pytest.raises(ValueError):
             HalfSpaceMedium(perfect="translucent")
-
-    def test_vacuum_detection(self):
-        assert HalfSpaceMedium(eps=LorentzMedium(omegaP=0.0)).is_vacuum
-        assert not HalfSpaceMedium.dielectric(EPS_MEDIUM).is_vacuum
-        assert not HalfSpaceMedium.perfect_conductor().is_vacuum
 
     def test_reflection_sign_only_on_perfect_plates(self):
         assert HalfSpaceMedium.perfect_conductor().reflection_sign == 1.0
@@ -685,7 +681,8 @@ def _old_bessel_x_derivatives(q, x):
     nonzero = t != 0.0
     safe_t = np.where(nonzero, t, 1.0)
     j1_t = np.where(nonzero, j1 / safe_t, 0.5)
-    j2_t = np.where(nonzero, bessel_j0_j1_j2(t)[2] / safe_t, 0.0)
+    j2_t = np.where(nonzero, _bessel(t, 1.0, None, (0, 1, 2))[2] / safe_t,
+                    0.0)
     return -q * j1, q * (j0 - j1_t), q * (j1 - 2.0 * j2_t)
 
 
@@ -697,7 +694,7 @@ def _per_element_kernels(geom, u, medium, spec, wrt=None):
     decay = lambda b: np.exp(-b * zp)
     j0 = lambda q: special.j0(q * x)
     j1 = lambda q: special.j1(q * x)
-    j0_j2 = lambda q: bessel_j0_j1_j2(q * x)[::2]
+    j0_j2 = lambda q: _bessel(q * x, 1.0, None, (0, 1, 2))[::2]
     if wrt == "Z_plus":
         decay = lambda b: -b * np.exp(-b * zp)
     elif wrt == "X":
@@ -863,11 +860,12 @@ class TestBatchedSommerfeld:
         # from its one first panel set, where J0/J1/J2 are computed once
         calls = []
 
-        def counted(t):
-            calls.append(t.size)
-            return bessel_j0_j1_j2(t)
+        def counted(q, x, wrt, orders):
+            if orders == (0, 1, 2):
+                calls.append(q.size)
+            return _bessel(q, x, wrt, orders)
 
-        monkeypatch.setattr("vdwpair.greens.bessel_j0_j1_j2", counted)
+        monkeypatch.setattr("vdwpair.greens._bessel", counted)
         _first_panels.cache_clear()
         halfspace_scattering(PlanarGeometry.parallel(0.5, 0.3),
                              np.geomspace(0.1, 10.0, 2 * _U_CHUNK + 1),
@@ -875,6 +873,23 @@ class TestBatchedSommerfeld:
                              QuadSpec(rel_tol=1e-6))
         assert _first_panels.cache_info().misses == 3
         assert len(calls) == 3
+
+    @WRT
+    @pytest.mark.parametrize("orders",
+                             sorted({o for _, o in _LANES} | {(0, 1, 2)}),
+                             ids=lambda o: "".join(map(str, o)))
+    def test_bessel_forms_only_the_orders_asked(self, wrt, orders):
+        # a lane's refinements ask for its own orders: each factor is the
+        # block table's to the bit, and every other order is None
+        q = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
+        for x in (0.0, -0.4, 2.5):
+            full = _bessel(q, x, wrt, (0, 1, 2))
+            got = _bessel(q, x, wrt, orders)
+            for nu in range(3):
+                if nu in orders:
+                    assert got[nu].tobytes() == full[nu].tobytes()
+                else:
+                    assert got[nu] is None
 
     def test_grid_of_a_u_range(self):
         geom = self.GEOM

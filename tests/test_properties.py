@@ -1,4 +1,4 @@
-"""Symmetries of the perfect-plate potential on random geometries.
+"""Properties of the perfect-plate and free-space potentials on random draws.
 
 Hypothesis draws parallel, vertical and general geometries with heights
 and separations log-uniform in [1e-3, 10], and checks three properties of
@@ -12,7 +12,15 @@ the potential of two unequal atoms at rel_tol 1e-8:
   matrix, so U2 is the free-space U_ee at l+ = |r_A - r_B*|.
 
 It also checks the rule of a finite medium's q-grid on random heights,
-offsets (X = 0 among them) and sets of u, integrating nothing.
+offsets (X = 0 among them) and sets of u, integrating nothing, and the
+free-space pair on random atoms (omega10 and alpha0 log-uniform in
+[0.1, 10]) and separations (l log-uniform in [1e-3, 1e2]):
+
+- the ee pair attracts (U < 0, F < 0) and the em pair repels (U > 0,
+  F > 0);
+- U_ee is symmetric in the two atoms;
+- the radial force is -dU0/dl, within 1e-8 relative of a Richardson
+  difference at rel_tol 1e-10.
 """
 
 import math
@@ -28,7 +36,9 @@ from vdwpair import (
     PlanarGeometry,
     QuadSpec,
     ResonanceAtom,
+    free_space_force,
     u0_ee,
+    u0_em,
     u_total,
 )
 from vdwpair.greens import MAX_OSCILLATION_PANELS, q_breakpoints
@@ -114,3 +124,46 @@ def test_q_grid_is_one_geometric_run_below_the_cut(z_a, z_b, x, us):
     assert np.all(run[1:] / run[:-1] <= 10.0 ** (1.0 / 3.0) * (1 + 1e-12))
     half_periods = min(int(q_cut * x / np.pi), MAX_OSCILLATION_PANELS)
     assert grid.size <= half_periods + math.ceil(3.0 * math.log10(hi / lo)) + 2
+
+
+def atoms(kind):
+    return st.builds(ResonanceAtom, log_uniform(-1.0, 1.0),
+                     log_uniform(-1.0, 1.0), st.just(kind))
+
+
+free_pairs = st.one_of(
+    st.tuples(st.just(u0_ee), atoms("electric"), atoms("electric")),
+    st.tuples(st.just(u0_em), atoms("electric"), atoms("magnetic")))
+separations = log_uniform(-3.0, 2.0)
+
+
+@SETTINGS
+@given(pair=free_pairs, l=separations)
+def test_free_pair_attracts_if_ee_and_repels_if_em(pair, l):
+    u0, a, b = pair
+    sign = -1.0 if u0 is u0_ee else 1.0
+    assert sign * u0(l, a, b, spec=SPEC) > 0.0
+    assert sign * free_space_force(l, a, b, spec=SPEC) > 0.0
+
+
+@SETTINGS
+@given(a=atoms("electric"), b=atoms("electric"), l=separations)
+def test_u0_ee_is_symmetric_in_the_atoms(a, b, l):
+    assert u0_ee(l, b, a, spec=SPEC) == pytest.approx(
+        u0_ee(l, a, b, spec=SPEC), rel=1e-14, abs=0.0)
+
+
+@SETTINGS
+@given(pair=free_pairs, l=separations)
+def test_free_space_force_is_minus_the_slope_of_u0(pair, l):
+    u0, a, b = pair
+    spec = QuadSpec(rel_tol=1e-10)
+    h = 1e-3 * l
+
+    def diff(step):
+        return (u0(l + step, a, b, spec=spec)
+                - u0(l - step, a, b, spec=spec)) / (2.0 * step)
+
+    slope = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+    assert free_space_force(l, a, b, spec=spec) == pytest.approx(
+        -slope, rel=1e-8, abs=0.0)

@@ -6,19 +6,20 @@ import pytest
 
 from scipy import special
 
-from vdwpair.greens import bessel_j0_j1_j2
+from vdwpair.greens import _bessel
 from vdwpair.validate import weighted_AB, weighted_AB_quadrature
 
 
 class TestBesselJ0J2:
     def test_matches_scipy(self):
         t = np.concatenate([[0.0], np.geomspace(1e-8, 1e4, 20001)])
-        j0, _, j2 = bessel_j0_j1_j2(t)
+        j0, _, j2 = _bessel(t, 1.0, None, (0, 1, 2))
         assert np.max(np.abs(j2 - special.jn(2, t))) < 1e-14
         assert np.array_equal(j0, special.j0(t))
 
     def test_origin_and_parity(self):
-        j0, _, j2 = bessel_j0_j1_j2(np.array([0.0, -2.5, 2.5]))
+        j0, _, j2 = _bessel(np.array([0.0, -2.5, 2.5]), 1.0, None,
+                            (0, 1, 2))
         assert j0[0] == 1.0 and j2[0] == 0.0
         assert j0[1] == j0[2] and j2[1] == j2[2]
 
@@ -30,7 +31,7 @@ class TestBesselJ2Series:
         t = np.geomspace(1e-8, 2.0, 401)
         with mpmath.workdps(30):
             ref = np.array([float(mpmath.besselj(2, x)) for x in t])
-        j2 = bessel_j0_j1_j2(np.concatenate([-t, t]))[2]
+        j2 = _bessel(np.concatenate([-t, t]), 1.0, None, (0, 1, 2))[2]
         assert np.max(np.abs(j2[t.size:] / ref - 1.0)) < 5e-15
         assert np.array_equal(j2[:t.size], j2[t.size:])
 
