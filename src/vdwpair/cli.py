@@ -23,7 +23,6 @@ units of c/omega10 of atom A, energies in units of hbar*omega10.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import functools
 import io
@@ -74,6 +73,7 @@ DEFAULT_CONFIG: dict = {
     "forces": False,
     "workers": 1,
 }
+_DEFAULT_TEXT = json.dumps(DEFAULT_CONFIG)
 
 FREE_COLUMNS = ("l", "U", "U_retarded_asymptote", "U_nonretarded_asymptote",
                 "force", "error")
@@ -196,7 +196,7 @@ def _walk(rule, val, path: str) -> None:
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
     """Effective configuration: defaults <- file <- flag overrides."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg = json.loads(_DEFAULT_TEXT)  # a fresh copy, cheaper than deepcopy
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -254,12 +254,6 @@ def _check_atom_pair(cfg: dict, command: str) -> None:
                           f"{pair}; supported: {supported}")
 
 
-def _build_atoms(cfg: dict) -> tuple[ResonanceAtom, ResonanceAtom]:
-    return tuple(ResonanceAtom(omega10=a["omega10"], alpha0=a["alpha0"],
-                               kind=a.get("kind", "electric"))
-                 for a in cfg["atoms"])
-
-
 def _build_medium(block: dict) -> HalfSpaceMedium | None:
     def lorentz(fields: dict) -> LorentzMedium:
         return LorentzMedium(**{f: float(fields[f]) for f in _LORENTZ})
@@ -277,10 +271,17 @@ def _build_medium(block: dict) -> HalfSpaceMedium | None:
                               for key in ("eps", "mu") if key in block})
 
 
-def _sweep_values(cfg: dict) -> np.ndarray:
-    sweep = cfg["sweep"]
-    space = np.geomspace if sweep["scale"] == "log" else np.linspace
-    return space(float(sweep["start"]), float(sweep["stop"]), sweep["points"])
+def _sweep_values(cfg: dict) -> list[float]:
+    """np.geomspace or np.linspace to the bit, without their set-up cost."""
+    sweep, points = cfg["sweep"], cfg["sweep"]["points"]
+    start, stop = float(sweep["start"]), float(sweep["stop"])
+    if points == 1:
+        return [start]
+    if sweep["scale"] == "linear":
+        return np.linspace(start, stop, points).tolist()
+    values = 10.0 ** np.linspace(np.log10(start), np.log10(stop), points)
+    values[0], values[-1] = start, stop  # as np.geomspace pins its ends
+    return values.tolist()
 
 
 def _geometry_at(cfg: dict, value: float) -> PlanarGeometry:
@@ -296,10 +297,8 @@ def _geometry_at(cfg: dict, value: float) -> PlanarGeometry:
     return PlanarGeometry.vertical(geom["z_a"], value)
 
 
-def _free_space_row(args) -> dict:
-    cfg, l = args
-    atom_a, atom_b = _build_atoms(cfg)
-    spec = QuadSpec(rel_tol=cfg["rel_tol"])
+def _free_space_row(task) -> dict:
+    (_cfg, atom_a, atom_b, _medium, spec), l = task
     row = dict.fromkeys(FREE_COLUMNS, "")
     row["l"] = l
     try:
@@ -318,11 +317,8 @@ def _free_space_row(args) -> dict:
     return row
 
 
-def _half_space_row(args) -> dict:
-    cfg, value = args
-    atom_a, atom_b = _build_atoms(cfg)
-    medium = _build_medium(cfg["medium"])
-    spec = QuadSpec(rel_tol=cfg["rel_tol"])
+def _half_space_row(task) -> dict:
+    (cfg, atom_a, atom_b, medium, spec), value = task
     row = dict.fromkeys(HALF_COLUMNS, "")
     row["l"] = value
     try:
@@ -341,9 +337,13 @@ def _half_space_row(args) -> dict:
 
 
 def _compute_rows(cfg: dict, worker) -> list[dict]:
-    values = _sweep_values(cfg)
-    tasks = [(cfg, float(v)) for v in values]
-    workers = min(cfg["workers"], len(tasks), os.cpu_count() or 1)
+    # A row task: ((cfg, atom A, atom B, medium, QuadSpec), sweep value).
+    scenario = (cfg, *(ResonanceAtom(**a) for a in cfg["atoms"]),
+                _build_medium(cfg["medium"]), QuadSpec(rel_tol=cfg["rel_tol"]))
+    tasks = [(scenario, v) for v in _sweep_values(cfg)]
+    workers = min(cfg["workers"], len(tasks))
+    if workers > 1:  # only a pool that may start asks for the cores
+        workers = min(workers, os.cpu_count() or 1)
     if workers == 1:
         return [worker(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor

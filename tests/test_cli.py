@@ -52,6 +52,17 @@ class TestConfig:
         cfg = load_config(None)
         assert cfg == DEFAULT_CONFIG
 
+    def test_defaults_are_fresh_on_every_call(self):
+        # every call returns dicts that share nothing with DEFAULT_CONFIG
+        # or with another call's result
+        pristine = json.loads(json.dumps(DEFAULT_CONFIG))
+        cfg = load_config(None)
+        cfg["atoms"][0]["omega10"] = 7.0
+        cfg["sweep"]["points"] = 3
+        cfg["medium"]["omegaP"] = 9.0
+        assert DEFAULT_CONFIG == pristine
+        assert load_config(None) == pristine
+
     def test_unknown_field_rejected(self, tmp_path):
         path = write_config(tmp_path, {"atom": []})
         with pytest.raises(ConfigError, match="unknown config field"):
@@ -493,6 +504,36 @@ class TestFreeSpace:
         assert started == [2]
         assert len(rows) == 1000
 
+    @pytest.mark.parametrize("points", [1, 2, 6, 20])
+    @pytest.mark.parametrize("start,stop", [
+        (1e-3, 1.0), (0.5, 0.5), (1e-7, 1e3), (0.3, 0.9), (2.0, 3.0),
+        (1e-3, 1e-2), (0.0123, 45.6)])
+    @pytest.mark.parametrize("scale", ["log", "linear"])
+    def test_sweep_values_are_numpy_spacing_to_the_bit(self, scale, start,
+                                                       stop, points):
+        space = np.geomspace if scale == "log" else np.linspace
+        cfg = {"sweep": {"start": start, "stop": stop, "points": points,
+                         "scale": scale}}
+        values = cli._sweep_values(cfg)
+        assert all(type(v) is float for v in values)
+        assert np.array(values).tobytes() == \
+            space(start, stop, points).tobytes()
+
+    @pytest.mark.parametrize("points,workers", [(1, 1), (1, 4), (3, 1)])
+    def test_in_process_sweep_asks_no_core_count(self, tmp_path, monkeypatch,
+                                                 points, workers):
+        # os.cpu_count is read only when a pool may start
+        def no_probe():
+            raise AssertionError("os.cpu_count was called")
+
+        monkeypatch.setattr(cli.os, "cpu_count", no_probe)
+        path = write_config(tmp_path, {
+            "sweep": {"variable": "l", "start": 0.5, "stop": 1.0,
+                      "points": points, "scale": "log"},
+            "workers": workers})
+        assert run(["free-space", "--config", path, "--output",
+                    str(tmp_path / "out.csv")]) == 0
+
     def test_tightened_tolerance_consistent(self, tmp_path):
         cfg = write_config(tmp_path, {
             "sweep": {"variable": "l", "start": 0.3, "stop": 0.9,
@@ -578,6 +619,45 @@ class TestHalfSpace:
                     assert row["F_on_A_x"] == -row["F_on_B_x"] != 0.0
                 else:
                     assert row["F_on_A_x"] == 0.0 == row["F_on_B_x"]
+
+    def test_worker_pool_gives_the_in_process_rows(self, tmp_path):
+        # the row tasks carry the sweep's atoms, medium and QuadSpec
+        # through the pool
+        cfg = write_config(tmp_path, {
+            "medium": {"kind": "perfect", "perfect": "conducting"},
+            "sweep": {"variable": "l", "start": 1e-3, "stop": 0.1,
+                      "points": 3, "scale": "log"},
+            "output": {"path": None, "format": "json"}})
+        rows = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.json"
+            assert run(["half-space", "--config", cfg, "--forces",
+                        "--workers", workers, "--output", str(out)]) == 0
+            rows[workers] = json.loads(out.read_text())["rows"]
+        assert len(rows["1"]) == 3
+        assert rows["2"] == rows["1"]
+
+    def test_sweep_builds_its_scenario_once(self, tmp_path, monkeypatch):
+        # a 6-point sweep builds its two atoms and its QuadSpec once, and
+        # its medium once for the rows and once for the config check
+        built = {"atoms": 0, "medium": 0, "spec": 0}
+
+        def counting(name, make):
+            def build(*args, **kwargs):
+                built[name] += 1
+                return make(*args, **kwargs)
+            monkeypatch.setattr(cli, make.__name__, build)
+
+        counting("atoms", cli.ResonanceAtom)
+        counting("medium", cli._build_medium)
+        counting("spec", cli.QuadSpec)
+        cfg = write_config(tmp_path, {
+            "medium": {"kind": "perfect", "perfect": "conducting"},
+            "sweep": {"variable": "l", "start": 1e-3, "stop": 0.1,
+                      "points": 6, "scale": "log"}})
+        assert run(["half-space", "--config", cfg, "--output",
+                    str(tmp_path / "out.csv")]) == 0
+        assert built == {"atoms": 2, "medium": 2, "spec": 1}
 
     def test_free_space_medium_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -228,12 +228,12 @@ def test_free_space_row_makes_two_frequency_integrals(monkeypatch, kind_b):
     # U and the force; the c6, c4 and c7 asymptotes are closed forms.
     from vdwpair.cli import _free_space_row
 
-    atom = {"omega10": 1.0, "alpha0": 1.0}
-    cfg = {"atoms": [dict(atom, kind="electric"), dict(atom, kind=kind_b)],
-           "rel_tol": 1e-8}
+    # a row task: ((cfg, atom A, atom B, medium, spec), separation)
+    scenario = ({}, ResonanceAtom(kind="electric"), ResonanceAtom(kind=kind_b),
+                None, QuadSpec(rel_tol=1e-8))
     rows = []
     calls = _evaluations_by_call(
-        monkeypatch, lambda: rows.append(_free_space_row((cfg, 0.5))))
+        monkeypatch, lambda: rows.append(_free_space_row((scenario, 0.5))))
     assert rows[0]["error"] == ""
     assert [axis for axis, _ in calls] == ["x", "x"]
     assert _evaluations_by_call(monkeypatch, lambda: asymptotic_coefficients(
