@@ -444,11 +444,10 @@ def cmd_validate(_args) -> int:
 
 
 def _flag_overrides(args) -> dict:
-    # None leaves the file's value; so does --forces when not given.
-    return {"rel_tol": args.rel_tol, "sweep.points": args.points,
-            "sweep.scale": args.scale, "output.path": args.output,
-            "output.format": args.format, "workers": args.workers,
-            "forces": getattr(args, "forces", False) or None}
+    # A sweep flag's dest is the config path it sets; None, a flag not
+    # given, leaves the file's value.
+    return {key: val for key, val in vars(args).items()
+            if key.partition(".")[0] in DEFAULT_CONFIG}
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
@@ -456,17 +455,16 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
                    help="JSON scenario config (defaults are built in)")
     p.add_argument("--rel-tol", dest="rel_tol", type=float, metavar="R",
                    help="relative quadrature tolerance")
-    p.add_argument("--points", type=int, metavar="N",
+    p.add_argument("--points", dest="sweep.points", type=int, metavar="N",
                    help="number of sweep points")
     scale = p.add_mutually_exclusive_group()
-    scale.add_argument("--log", dest="scale", action="store_const",
+    scale.add_argument("--log", dest="sweep.scale", action="store_const",
                        const="log", help="logarithmic sweep spacing")
-    scale.add_argument("--linear", dest="scale", action="store_const",
+    scale.add_argument("--linear", dest="sweep.scale", action="store_const",
                        const="linear", help="linear sweep spacing")
-    p.set_defaults(scale=None)
-    p.add_argument("--output", metavar="PATH",
+    p.add_argument("--output", dest="output.path", metavar="PATH",
                    help="write results to PATH instead of stdout")
-    p.add_argument("--format", choices=("csv", "json"),
+    p.add_argument("--format", dest="output.format", choices=("csv", "json"),
                    help="output format")
     p.add_argument("--workers", type=int, metavar="N",
                    help="worker processes for sweep points")
@@ -492,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("half-space",
                        help="sweep the potential breakdown near a half space")
     _add_sweep_flags(p)
-    p.add_argument("--forces", action="store_true",
+    p.add_argument("--forces", action="store_true", default=None,
                    help="also compute per-atom forces")
     p.set_defaults(func=cmd_sweep)
 

@@ -11,7 +11,9 @@ u-integrands, with the nested 2-D quadrature of the latter (check 8), the
 closed forms of the Bessel moments and their direct quadrature (check 7),
 the image-dipole sign table of the cross term (check 12) and the retarded
 limit near a magneto-electric half space of static response (eps0, mu0),
-a v-quadrature over those moments (check 14).
+a v-quadrature over those moments (check 14).  They take their grids from
+``_grid`` and their Bessel functions from ``scipy.special``, none from
+``greens``.
 """
 
 from __future__ import annotations
@@ -22,12 +24,7 @@ import numpy as np
 from scipy import special
 
 from .forces import halfspace_forces, richardson_forces
-from .greens import (
-    HalfSpaceMedium,
-    PlanarGeometry,
-    q_breakpoints,
-    reflection,
-)
+from .greens import HalfSpaceMedium, PlanarGeometry, reflection
 from .materials import LorentzMedium, ResonanceAtom, response_iu
 from .potentials import (
     LIMIT_RATIOS,
@@ -50,9 +47,11 @@ from .quadrature import QuadResult, QuadSpec, integrate_semiinf
 __all__ = ["CheckResult", "run_all", "CHECKS", "ORACLE_CHECKS"]
 
 _ATOM = ResonanceAtom()
-# The response of both default media, eps of the dielectric, mu of the
-# magnetic one.
+# The two default media: one Lorentz response, eps of the dielectric and mu
+# of the magnetic one.
 _LORENTZ = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
+_MEDIA = {"dielectric": HalfSpaceMedium.dielectric(_LORENTZ),
+          "magnetic": HalfSpaceMedium.magnetic(_LORENTZ)}
 
 
 @dataclass
@@ -67,6 +66,23 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] criterion {self.number:2d}: {self.name}"
+
+
+def _grid(scale: float, zeta: float, cut: float) -> list:
+    """The oracles' breakpoints of an integral over [0, inf) of a weight on
+    the scale ``scale`` times Bessel factors J_nu(zeta x): 1/4 ... 8 times
+    ``scale`` and the half periods pi/zeta below ``cut``, at most 4000."""
+    breaks = list(scale * np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0]))
+    if zeta > 0:
+        step = np.pi / zeta
+        breaks += list(np.arange(step, cut, step)[:4000])
+    return breaks
+
+
+def _q_grid(geom: PlanarGeometry) -> list:
+    """Check 8's q-grid: the weight e^{-b Z+}, b = sqrt(u^2 + q^2) > q,
+    decays over 1/Z+ and lies below e^{-60} beyond the cut 60/Z+."""
+    return _grid(1.0 / geom.Z_plus, abs(geom.X), 60.0 / geom.Z_plus)
 
 
 # The explicit cross-term route, the oracle of check 8: a Bessel-weighted
@@ -101,7 +117,7 @@ def u1_frequency_integrand(u: float, geom: PlanarGeometry,
     -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)]."""
     q_res = integrate_semiinf(
         lambda q: u1_cross_integrand(q, u, geom, medium), spec,
-        breakpoints=q_breakpoints(geom, u), axis="q")
+        breakpoints=_q_grid(geom), axis="q")
     l = geom.l
     alpha = response_iu(atom_a, u) * response_iu(atom_b, u)
     return -u**4 * alpha * np.exp(-u * l) * q_res.value / (PI3_32 * l)
@@ -119,47 +135,44 @@ def trace_integrand(part: str, u, geom: PlanarGeometry,
     return batch.weight * _PLATE_PARTS[part][0](batch)
 
 
-# The Bessel moments of the retarded limit: their closed forms and, the
-# oracle of check 7, the defining integral of each.
-def _closed_form(family: str, k: int, lam, zeta):
-    d = lam**2 + zeta**2
-    if family == "A+":
-        if k == 3:
-            return 6.0 * lam / d**2.5
-        if k == 4:
-            return 6.0 * (4.0 * lam**2 - zeta**2) / d**3.5
-        return 30.0 * (4.0 * lam**3 - 3.0 * lam * zeta**2) / d**4.5
-    if family == "A-":
-        if k == 3:
-            return 6.0 * (lam**3 - 4.0 * lam * zeta**2) / d**3.5
-        if k == 4:
-            return 6.0 * (4.0 * lam**4 - 27.0 * lam**2 * zeta**2
-                          + 4.0 * zeta**4) / d**4.5
-        return 30.0 * (4.0 * lam**5 - 41.0 * lam**3 * zeta**2
-                       + 18.0 * lam * zeta**4) / d**5.5
-    # family "B"
-    if k == 3:
-        return 3.0 * lam * (2.0 * lam**2 - 3.0 * zeta**2) / d**3.5
-    if k == 4:
-        return 3.0 * (8.0 * lam**4 - 24.0 * lam**2 * zeta**2
-                      + 3.0 * zeta**4) / d**4.5
-    return 15.0 * lam * (8.0 * lam**4 - 40.0 * lam**2 * zeta**2
-                         + 15.0 * zeta**4) / d**5.5
-
-
-_MOMENTS = {(family, k) for family in ("A+", "A-", "B") for k in (3, 4, 5)}
+# The Bessel moments of the retarded limit: the closed form of each, a
+# function of (lam, zeta, d = lam^2 + zeta^2), and, the oracle of check 7,
+# its defining integral.
+_CLOSED_FORMS = {
+    ("A+", 3): lambda lam, zeta, d: 6.0 * lam / d**2.5,
+    ("A+", 4): lambda lam, zeta, d: 6.0 * (4.0 * lam**2 - zeta**2) / d**3.5,
+    ("A+", 5): lambda lam, zeta, d: (
+        30.0 * (4.0 * lam**3 - 3.0 * lam * zeta**2) / d**4.5),
+    ("A-", 3): lambda lam, zeta, d: (
+        6.0 * (lam**3 - 4.0 * lam * zeta**2) / d**3.5),
+    ("A-", 4): lambda lam, zeta, d: (
+        6.0 * (4.0 * lam**4 - 27.0 * lam**2 * zeta**2 + 4.0 * zeta**4)
+        / d**4.5),
+    ("A-", 5): lambda lam, zeta, d: (
+        30.0 * (4.0 * lam**5 - 41.0 * lam**3 * zeta**2
+                + 18.0 * lam * zeta**4) / d**5.5),
+    ("B", 3): lambda lam, zeta, d: (
+        3.0 * lam * (2.0 * lam**2 - 3.0 * zeta**2) / d**3.5),
+    ("B", 4): lambda lam, zeta, d: (
+        3.0 * (8.0 * lam**4 - 24.0 * lam**2 * zeta**2 + 3.0 * zeta**4)
+        / d**4.5),
+    ("B", 5): lambda lam, zeta, d: (
+        15.0 * lam * (8.0 * lam**4 - 40.0 * lam**2 * zeta**2
+                      + 15.0 * zeta**4) / d**5.5),
+}
 
 
 def weighted_AB(family: str, order: int, lam, zeta=0.0):
     """Closed form of int_0^inf x^order e^{-lam x} [J0(zeta x) +- J2(zeta x)]
     dx (``family`` "A+" or "A-") or of the same integral with J0 alone
     ("B"), for order 3, 4 or 5; ``lam`` and ``zeta`` may be arrays."""
-    if (family, order) not in _MOMENTS:
+    form = _CLOSED_FORMS.get((family, order))
+    if form is None:
         raise ValueError("family must be 'A+', 'A-' or 'B' and order 3, 4 "
                          f"or 5, not ({family!r}, {order!r})")
     if np.any(np.asarray(lam) <= 0):
         raise ValueError("lam must be positive (integral diverges otherwise)")
-    return _closed_form(family, order, lam, zeta)
+    return form(lam, zeta, lam**2 + zeta**2)
 
 
 def weighted_AB_quadrature(family: str, order: int, lam: float,
@@ -169,20 +182,14 @@ def weighted_AB_quadrature(family: str, order: int, lam: float,
     if lam <= 0:
         raise ValueError("lam must be positive")
     spec = spec or QuadSpec(rel_tol=1e-11, abs_tol=1e-16)
+    sign = {"A+": 1.0, "A-": -1.0, "B": 0.0}[family]  # J0 + sign J2
 
     def f(x):
-        w = x**order * np.exp(-lam * x)
-        if family == "B":
-            return w * special.j0(zeta * x)
-        j = special.j0(zeta * x)
-        j2 = special.jn(2, zeta * x)
-        return w * (j + j2) if family == "A+" else w * (j - j2)
+        return (x**order * np.exp(-lam * x)
+                * (special.j0(zeta * x) + sign * special.jn(2, zeta * x)))
 
-    breaks = list((order + 1) / lam * np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0]))
-    if zeta > 0:
-        step = np.pi / zeta
-        breaks += list(np.arange(step, 60.0 / lam, step)[:4000])
-    return integrate_semiinf(f, spec, breakpoints=breaks)
+    return integrate_semiinf(f, spec, breakpoints=_grid(
+        (order + 1) / lam, zeta, 60.0 / lam))
 
 
 # The explicit scattering route, the other oracle of check 8: a double
@@ -219,8 +226,9 @@ def u2_scattering_integrand(q, qp, u: float, geom: PlanarGeometry,
             * (bracket0 * j0 * j0p + bracket1 * j1 * j1p + bracket2 * j2 * j2p))
 
 
-def integrate_2d(f, spec=None, breakpoints_x=None, breakpoints_y=None):
-    """Iterated integral of f(x, y) over [0, inf)^2.
+def integrate_2d(f, spec=None, breakpoints=None):
+    """Iterated integral of f(x, y) over [0, inf)^2, both axes split at
+    ``breakpoints``.
 
     The inner (y) integral is run at ``spec.tightened()``.  f is called
     with a scalar x and an array of y values.
@@ -232,14 +240,13 @@ def integrate_2d(f, spec=None, breakpoints_x=None, breakpoints_y=None):
     def outer(xs):
         out = np.empty_like(xs)
         for i, x in enumerate(xs):
-            r = integrate_semiinf(
-                lambda y: f(x, y), inner_spec, breakpoints=breakpoints_y, axis="y"
-            )
+            r = integrate_semiinf(lambda y: f(x, y), inner_spec,
+                                  breakpoints=breakpoints, axis="y")
             inner_evals[0] += r.evaluations
             out[i] = r.value
         return out
 
-    res = integrate_semiinf(outer, spec, breakpoints=breakpoints_x, axis="x")
+    res = integrate_semiinf(outer, spec, breakpoints=breakpoints, axis="x")
     return QuadResult(res.value, res.abs_error_estimate, inner_evals[0])
 
 
@@ -289,9 +296,10 @@ def _static_h_weight(v, eps0: float, mu0: float):
 
 
 def _v_quadrature(f, spec: QuadSpec, breakpoints):
-    """Integral over v in [1, inf) via the shift v = 1 + w."""
+    """Integral over v in [1, inf) via the shift v = 1 + w, split at the
+    ``breakpoints`` in w."""
     return integrate_semiinf(lambda w: f(w + 1.0), spec, axis="v",
-                             breakpoints=[p - 1.0 for p in breakpoints])
+                             breakpoints=breakpoints)
 
 
 def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
@@ -319,8 +327,6 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
     spec = spec or QuadSpec()
     a0b0 = atom_a.alpha0 * atom_b.alpha0
     l, x, z, zp = geom.l, geom.X, geom.Z, geom.Z_plus
-    if eps0 == 1.0 and mu0 == 1.0:
-        return 0.0, 0.0
 
     def u1_integrand(v):
         # v-form of the cross-term integrand: the frequency integral of the
@@ -344,8 +350,8 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
         term_j2 = -(x**2 / l**2) * (rs + v**2 * rp) * mom_b2
         return term_j0 + term_j2
 
-    v_breaks = [1.0 + w for w in (0.1, 0.3, 1.0, 3.0, 10.0, 5.0 * l / zp + 10.0)]
-    u1_res = _v_quadrature(u1_integrand, spec, breakpoints=v_breaks)
+    u1_res = _v_quadrature(u1_integrand, spec, breakpoints=[
+        0.1, 0.3, 1.0, 3.0, 10.0, 5.0 * l / zp + 10.0])
     u1 = -a0b0 / (PI3_32 * l**7) * u1_res.value
 
     rho = x / zp
@@ -370,12 +376,12 @@ def retarded_halfspace_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,
 
         return _v_quadrature(f, inner_spec, breakpoints=breaks).value
 
-    v2_breaks = [1.0 + w for w in (0.1, 0.3, 1.0, 3.0, 10.0)]
-
     def y_integrand(ys):
         out = np.empty_like(ys)
         for i, y in enumerate(ys):
-            breaks = v2_breaks + [c / y for c in (1.0, 4.0, 16.0) if c / y > 1.0]
+            # v = c/y, c = 1, 4, 16, where e^{-vy} has fallen by e^{-c}
+            breaks = [0.1, 0.3, 1.0, 3.0, 10.0,
+                      *(c / y - 1.0 for c in (1.0, 4.0, 16.0) if c / y > 1.0)]
             f0, f1, f2, g, h = (v_integral(w, j, y, breaks)
                                 for w, j in v_terms)
             f = np.array([f0, f1, f2])
@@ -549,15 +555,14 @@ def check_trace_oracles() -> CheckResult:
     # Scattering part: the (q, q') double quadrature is costly, so the
     # grid diagonal (5 points) carries the explicit cross-check.
     worst2 = 0.0
-    pref = 1.0 / (64.0 * np.pi**3)
     for geom, u in zip(geoms, us):
         trace = trace_integrand("U2", u, geom, _ATOM, _ATOM, medium,
                                 spec=spec)
-        breaks = q_breakpoints(geom, u)
         res = integrate_2d(
             lambda q, qp: u2_scattering_integrand(q, qp, u, geom, medium),
-            QuadSpec(rel_tol=1e-9), breakpoints_x=breaks, breakpoints_y=breaks)
-        explicit = -pref * u**4 * response_iu(_ATOM, u) ** 2 * res.value
+            QuadSpec(rel_tol=1e-9), breakpoints=_q_grid(geom))
+        explicit = (-1.0 / PI3_64 * u**4 * response_iu(_ATOM, u) ** 2
+                    * res.value)
         worst2 = max(worst2, abs(explicit / trace - 1.0))
     ok = worst1 < 1e-8 and worst2 < 1e-8
     return CheckResult(8, "dual-route integrand oracles", ok,
@@ -573,8 +578,7 @@ def check_far_plate() -> CheckResult:
     l = 0.01
     geom = PlanarGeometry.parallel(l, 100.0 * l)
     details, ok = [], True
-    for label, medium in (("dielectric", HalfSpaceMedium.dielectric(_LORENTZ)),
-                          ("magnetic", HalfSpaceMedium.magnetic(_LORENTZ))):
+    for label, medium in _MEDIA.items():
         bd = u_total(geom, _ATOM, _ATOM, medium, spec=spec)
         dev = abs(bd.ratio - 1.0)
         ok &= dev < 0.01
@@ -588,9 +592,7 @@ def check_nonretarded_halfspace() -> CheckResult:
     spec = QuadSpec(rel_tol=1e-7)
     geom = PlanarGeometry(0.0, 4e-4, 8e-4, 1e-3)
     details, ok = [], True
-    for label, medium in (
-            ("electric", HalfSpaceMedium.dielectric(_LORENTZ)),
-            ("magnetic", HalfSpaceMedium.magnetic(_LORENTZ))):
+    for label, medium in zip(("electric", "magnetic"), _MEDIA.values()):
         bd = u_total(geom, _ATOM, _ATOM, medium, spec=spec)
         ref = nonretarded_closed(geom, _ATOM, _ATOM, medium, spec=spec)
         dev = abs(bd.total / ref.total - 1.0)
@@ -600,11 +602,8 @@ def check_nonretarded_halfspace() -> CheckResult:
 
 
 def _ratio_sweep(ls, make_geom, medium, spec):
-    out = []
-    for l in ls:
-        bd = u_total(make_geom(float(l)), _ATOM, _ATOM, medium, spec=spec)
-        out.append(bd.ratio)
-    return np.array(out)
+    return np.array([u_total(make_geom(float(l)), _ATOM, _ATOM, medium,
+                             spec=spec).ratio for l in ls])
 
 
 def check_figure_shapes() -> CheckResult:
@@ -615,8 +614,7 @@ def check_figure_shapes() -> CheckResult:
     small-separation dip below 1 (magnetic, vertical)."""
     spec = QuadSpec(rel_tol=1e-6)
     z = 0.01
-    die = HalfSpaceMedium.dielectric(_LORENTZ)
-    mag = HalfSpaceMedium.magnetic(_LORENTZ)
+    die, mag = _MEDIA.values()
     details, ok = [], True
 
     ls = np.geomspace(1e-3, 0.6, 10)
@@ -705,7 +703,7 @@ def check_force_oracle() -> CheckResult:
     details, ok = [], True
     for label, medium, rel_tol in (
             ("conducting plate", HalfSpaceMedium.perfect_conductor(), 1e-8),
-            ("dielectric", HalfSpaceMedium.dielectric(_LORENTZ), 1e-6)):
+            ("dielectric", _MEDIA["dielectric"], 1e-6)):
         spec = QuadSpec(rel_tol=rel_tol)
         analytic = halfspace_forces(geom, _ATOM, _ATOM, medium, spec=spec)
         oracle = richardson_forces(geom, _ATOM, _ATOM, medium, spec=spec)
@@ -728,8 +726,7 @@ def check_retarded_halfspace() -> CheckResult:
     geoms = (PlanarGeometry.parallel(60.0, 60.0),
              PlanarGeometry.vertical(240.0, 240.0))
     details, ok = [], True
-    for label, medium in (("dielectric", HalfSpaceMedium.dielectric(_LORENTZ)),
-                          ("magnetic", HalfSpaceMedium.magnetic(_LORENTZ))):
+    for label, medium in _MEDIA.items():
         eps0, mu0 = medium.eps_iu(0.0), medium.mu_iu(0.0)
         dev1 = dev2 = 0.0
         for geom in geoms:

@@ -449,6 +449,23 @@ class TestFreeSpace:
         _, rows = parse_csv(capsys.readouterr().out)
         assert all("ConvergenceError" in r["error"] for r in rows)
 
+    @pytest.mark.parametrize("start, stop, points, exception", [
+        (1e-320, 1e-300, 3, "ZeroDivisionError"),
+        (1e300, 1e300, 1, "OverflowError")])
+    def test_float_range_ends_mark_rows(self, tmp_path, capsys, start, stop,
+                                        points, exception):
+        # separations at the ends of the float range fail row by row
+        cfg = write_config(tmp_path, {
+            "medium": {"kind": "free-space"},
+            "sweep": {"variable": "l", "start": start, "stop": stop,
+                      "points": points, "scale": "log"}})
+        assert run(["free-space", "--config", cfg, "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        rows = json.loads(out)["rows"]
+        assert len(rows) == points
+        assert all(r["error"].startswith(f"{exception}: ") for r in rows)
+        assert "Traceback" not in err
+
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path, {
             "sweep": {"variable": "l", "start": 0.1, "stop": 1.0,

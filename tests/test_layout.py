@@ -79,3 +79,14 @@ def test_private_names_are_read_by_the_package(name):
     read = _names_read_by_the_package()
     assert [n for n in _top_level_names(name)
             if n.startswith("_") and n not in read] == []
+
+
+def test_validate_takes_only_the_model_from_greens():
+    # The oracles share the quadrature engine, not the production q-grid:
+    # from greens, validate reads the geometry, the medium and r_s, r_p.
+    tree = ast.parse((PACKAGE / "validate.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "greens"
+                for alias in node.names}
+    assert imported == {"PlanarGeometry", "HalfSpaceMedium", "reflection"}
