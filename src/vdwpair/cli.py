@@ -42,6 +42,7 @@ from .potentials import (
     HALF_SPACE_PAIRS,
     LIMIT_RATIOS,
     THRESHOLD_CASES,
+    _over_power,
     asymptotic_coefficients,
     threshold,
     u0_ee,
@@ -304,16 +305,20 @@ def _free_space_row(task) -> dict:
     try:
         co = asymptotic_coefficients(atom_a, atom_b)
         if atom_b.kind == "magnetic":
-            row["U"] = u0_em(l, atom_a, atom_b, spec=spec)
-            row["U_retarded_asymptote"] = co.c7_em / l**7
-            row["U_nonretarded_asymptote"] = co.c4 / l**4
+            u = u0_em(l, atom_a, atom_b, spec=spec)
+            retarded = _over_power(co.c7_em, 1.0, l, 7)
+            nonretarded = _over_power(co.c4, 1.0, l, 4)
         else:
-            row["U"] = u0_ee(l, atom_a, atom_b, spec=spec)
-            row["U_retarded_asymptote"] = -co.c7_ee / l**7
-            row["U_nonretarded_asymptote"] = -co.c6 / l**6
-        row["force"] = free_space_force(l, atom_a, atom_b, spec=spec)
+            u = u0_ee(l, atom_a, atom_b, spec=spec)
+            retarded = _over_power(-co.c7_ee, 1.0, l, 7)
+            nonretarded = _over_power(-co.c6, 1.0, l, 6)
+        force = free_space_force(l, atom_a, atom_b, spec=spec)
     except Exception as exc:  # noqa: BLE001 - row-level error marker
+        # a failed row fills no value column, as a failed half-space row
         row["error"] = f"{type(exc).__name__}: {exc}"
+    else:
+        row.update(U=u, U_retarded_asymptote=retarded,
+                   U_nonretarded_asymptote=nonretarded, force=force)
     return row
 
 

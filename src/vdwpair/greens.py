@@ -6,7 +6,9 @@ image closed form for a perfect reflector, Sommerfeld-type q-quadrature
 of the ``_LANES`` kernels for a finite medium) and their Bessel factors.
 Each tensor has one function, ``free_space_green`` and
 ``halfspace_scattering``, whose ``wrt`` argument selects the tensor or
-one of the derivatives that the forces need.
+one of the derivatives that the forces need, or a tuple of these: a
+family, computed from one set of distance factors where the tensor is a
+closed form.
 
 Geometry convention: the half-space surface is the z = 0 plane, atoms sit
 in the vacuum region z > 0, both atoms lie in the xz plane.
@@ -156,11 +158,24 @@ class HalfSpaceMedium:
         return permeability_iu(self.mu or VACUUM, u)
 
 
-def free_space_green(x: float, z: float, u,
-                     wrt: str | None = None) -> GreenComponents:
+def _members(wrt, allowed: tuple) -> tuple:
+    """The ``wrt`` of each member that a call asks for: ``wrt`` itself, or
+    each entry of a tuple of them."""
+    members = wrt if isinstance(wrt, tuple) else (wrt,)
+    for w in members:
+        if w not in allowed:
+            raise ValueError(f"wrt must be one of {allowed}, or a tuple of "
+                             "them")
+    return members
+
+
+def free_space_green(x: float, z: float, u, wrt=None):
     """Bulk Green tensor G0 at imaginary frequency iu for the in-plane
     separation (x, 0, z), or its derivative with respect to x (``wrt="X"``)
-    or z (``wrt="Z"``); closed form, vectorized in u.
+    or z (``wrt="Z"``); closed form, vectorized in u.  A tuple ``wrt`` asks
+    for a family of these, returned as a tuple in its order: the distance
+    factors below are formed once for all of them, and each member is, to
+    the bit, the call with its own ``wrt``.
 
     G0_ij = p (a delta_ij - b e_i e_j) with p = e^{-u rho}/(4 pi rho),
     xi = 1/(u rho), a = 1 + xi + xi^2 and b = 1 + 3 xi + 3 xi^2.  With
@@ -171,36 +186,48 @@ def free_space_green(x: float, z: float, u,
     dp/d rho = -p (u + 1/rho), da/d rho = -(xi + 2 xi^2)/rho and
     db/d rho = -(3 xi + 6 xi^2)/rho.
     """
-    if wrt not in (None, "X", "Z"):
-        raise ValueError("wrt must be None, 'X' or 'Z'")
+    members = _members(wrt, (None, "X", "Z"))
     rho = np.sqrt(x * x + z * z)
     if rho == 0.0:
         raise ValueError("free-space Green tensor is singular at zero separation")
-    if not np.all(np.asarray(u) > 0):  # "not > 0" also turns away NaN
+    if not (np.asarray(u) > 0).all():  # "not > 0" also turns away NaN
         raise ValueError("u must be positive")
     ex, ez = x / rho, z / rho
-    xi = 1.0 / (u * rho)
-    a = 1.0 + xi + xi**2
-    b = 1.0 + 3.0 * xi + 3.0 * xi**2
-    p = np.exp(-u * rho) / (FOUR_PI * rho)
-    if wrt is None:
-        gxz = -p * (b * (ex * ez))
-        return GreenComponents(gxx=p * (a - b * (ex * ex)), gyy=p * a,
-                               gxz=gxz, gzx=gxz, gzz=p * (a - b * (ez * ez)))
-    dp = -p * (u + 1.0 / rho)
-    big_a = dp * a - p * (xi + 2.0 * xi**2) / rho
-    big_b = dp * b - p * (3.0 * xi + 6.0 * xi**2) / rho
-    c = p * b / rho
-    # ek = e_k of the direction k; dxk, dzk: the Kronecker deltas delta_xk,
-    # delta_zk.
-    ek, dxk, dzk = (ex, 1.0, 0.0) if wrt == "X" else (ez, 0.0, 1.0)
-    gxz = -ek * big_b * (ex * ez) - c * (dxk * ez + dzk * ex
-                                         - 2.0 * ex * ez * ek)
-    return GreenComponents(
-        gxx=ek * (big_a - big_b * ex * ex) - 2.0 * c * ex * (dxk - ex * ek),
-        gyy=ek * big_a,
-        gxz=gxz, gzx=gxz,
-        gzz=ek * (big_a - big_b * ez * ez) - 2.0 * c * ez * (dzk - ez * ek))
+    u_rho = u * rho
+    xi = 1.0 / u_rho
+    xi2 = xi**2
+    a = 1.0 + xi + xi2
+    b = 1.0 + 3.0 * xi + 3.0 * xi2
+    p = np.exp(-u_rho) / (FOUR_PI * rho)
+    minus_p = -p
+    if any(members):
+        dp = minus_p * (u + 1.0 / rho)
+        big_a = dp * a - p * (xi + 2.0 * xi2) / rho
+        big_b = dp * b - p * (3.0 * xi + 6.0 * xi2) / rho
+        c = p * b / rho
+        # The parts of the xx and zz elements that both directions share.
+        a_xx, a_zz = big_a - big_b * ex * ex, big_a - big_b * ez * ez
+        c2 = 2.0 * c
+        c_x, c_z = c2 * ex, c2 * ez
+
+    def member(wrt):
+        if wrt is None:
+            gxz = minus_p * (b * (ex * ez))
+            return GreenComponents(gxx=p * (a - b * (ex * ex)), gyy=p * a,
+                                   gxz=gxz, gzx=gxz,
+                                   gzz=p * (a - b * (ez * ez)))
+        # ek = e_k of the direction k; dxk, dzk: the Kronecker deltas
+        # delta_xk, delta_zk.
+        ek, dxk, dzk = (ex, 1.0, 0.0) if wrt == "X" else (ez, 0.0, 1.0)
+        gxz = -ek * big_b * (ex * ez) - c * (dxk * ez + dzk * ex
+                                             - 2.0 * ex * ez * ek)
+        return GreenComponents(gxx=ek * a_xx - c_x * (dxk - ex * ek),
+                               gyy=ek * big_a, gxz=gxz, gzx=gxz,
+                               gzz=ek * a_zz - c_z * (dzk - ez * ek))
+
+    if isinstance(wrt, tuple):
+        return tuple([member(w) for w in wrt])
+    return member(wrt)
 
 
 def reflection(q, u, medium: HalfSpaceMedium):
@@ -286,38 +313,49 @@ def q_breakpoints(geom: PlanarGeometry, u):
 def _image(g: GreenComponents, medium: HalfSpaceMedium) -> GreenComponents:
     """-+ g . diag(1, 1, -1): the image signs of a perfect reflector, upper
     sign for the conducting plate."""
-    sign = -medium.reflection_sign
-    return GreenComponents(gxx=sign * g.gxx, gyy=sign * g.gyy,
-                           gxz=-sign * g.gxz, gzx=sign * g.gzx,
-                           gzz=-sign * g.gzz)
+    # Negation is the product with -1 to the bit, and the product with +1
+    # is the element itself.
+    if medium.reflection_sign > 0:
+        return GreenComponents(gxx=-g.gxx, gyy=-g.gyy, gxz=g.gxz,
+                               gzx=-g.gzx, gzz=g.gzz)
+    return GreenComponents(gxx=g.gxx, gyy=g.gyy, gxz=-g.gxz, gzx=g.gzx,
+                           gzz=-g.gzz)
 
 
 def halfspace_scattering(geom: PlanarGeometry, u,
                          medium: HalfSpaceMedium,
-                         spec: QuadSpec | None = None,
-                         wrt: str | None = None) -> GreenComponents:
+                         spec: QuadSpec | None = None, wrt=None):
     """Scattering Green tensor G1 between the two atoms at iu, or its
     derivative with respect to X (``wrt="X"``) or Z+ (``wrt="Z_plus"``).
+    A tuple ``wrt`` asks for a family of these, returned as a tuple in its
+    order, each member to the bit the call with its own ``wrt``.
 
     A perfect reflector takes the exact image closed form
     G1(rA, rB) = -+ G0(rho_image) . diag(1, 1, -1), rho_image = (X, 0, Z+),
     upper sign for the conducting plate: the value of the q-integrals when
     the reflection coefficients are constant.  Its derivatives are the
-    image signs of dG0/dx or dG0/dz at (X, Z+).  A finite medium takes the
-    Sommerfeld q-quadratures of ``_sommerfeld``, in chunks of consecutive
-    u-nodes that share a q-grid; a vacuum has r_s = r_p = 0, so each of
-    its q-integrals is 0 in its first round.  Every medium takes one u,
-    which gives floats, or an array of u, which gives arrays of its shape;
-    an entry that is not positive (NaN included) raises ``ValueError``.
-    The gxz element carries the upper (minus) sign of the xz/zx pair, gzx
-    the lower.  Swapping the atoms transposes the tensor.
+    image signs of dG0/dx or dG0/dz at (X, Z+), and a family is the image
+    of one ``free_space_green`` family.  A finite medium takes the
+    Sommerfeld q-quadratures of ``_sommerfeld``, one run per member, in
+    chunks of consecutive u-nodes that share a q-grid; a vacuum has
+    r_s = r_p = 0, so each of its q-integrals is 0 in its first round.
+    Every medium takes one u, which gives floats, or an array of u, which
+    gives arrays of its shape; an entry that is not positive (NaN
+    included) raises ``ValueError``.  The gxz element carries the upper
+    (minus) sign of the xz/zx pair, gzx the lower.  Swapping the atoms
+    transposes the tensor.
     """
-    if wrt not in (None, "X", "Z_plus"):
-        raise ValueError("wrt must be None, 'X' or 'Z_plus'")
-    if medium.is_perfect:
-        g0_wrt = "Z" if wrt == "Z_plus" else wrt
-        return _image(free_space_green(geom.X, geom.Z_plus, u, g0_wrt), medium)
-    return _sommerfeld(geom, u, medium, spec, wrt)
+    members = _members(wrt, (None, "X", "Z_plus"))
+    if not medium.is_perfect:
+        family = [_sommerfeld(geom, u, medium, spec, w) for w in members]
+        return tuple(family) if isinstance(wrt, tuple) else family[0]
+    # d/dZ+ of the image is the image of dG0/dz at (X, Z+).
+    g0_wrt = ["Z" if w == "Z_plus" else w for w in members]
+    if not isinstance(wrt, tuple):
+        return _image(free_space_green(geom.X, geom.Z_plus, u, g0_wrt[0]),
+                      medium)
+    return tuple([_image(g, medium) for g in free_space_green(
+        geom.X, geom.Z_plus, u, tuple(g0_wrt))])
 
 
 # J2(t) = t^2/8 sum_k c_k t^(2k), c_k = (-1)^k 2/(4^k k! (k+2)!), highest

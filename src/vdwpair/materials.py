@@ -69,7 +69,7 @@ VACUUM = LorentzMedium()
 
 def _check_u(u):
     u = np.asarray(u, dtype=float)
-    if (u < 0).any():
+    if not (u >= 0).all():  # "not >= 0" also turns away NaN
         raise ValueError("imaginary-axis frequency u must be >= 0")
     return u
 

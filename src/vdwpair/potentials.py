@@ -23,6 +23,8 @@ All in reduced units hbar = c = eps0 = mu0 = 1.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,8 @@ __all__ = [
 PI3_32 = 32.0 * np.pi**3
 PI3_64 = 64.0 * np.pi**3
 PI3_16 = 16.0 * np.pi**3
+# The double epsilon and the smallest normal double.
+_EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
 
 # (kind_A, kind_B): (sign, n, m, P), one row per free-space pair: U0 =
 # sign/(32 pi^3 l^n) int_0^inf u^m alpha_A alpha_B 2 e^{-2ul} P(ul) du, with
@@ -136,14 +140,22 @@ def _free_space_integral(rows, pair, l, atom_a, atom_b, spec, integrate):
     a u^-2 tail that the cutoff ends, and s = sqrt(s0/l), the geometric
     mean of the two scales, puts both ends of it on the engine's first
     panels, where s0 alone leaves the cutoff in the last mapped panel at
-    l << 1/s0 and each refinement round bisects that one panel."""
+    l << 1/s0 and each refinement round bisects that one panel.  Below
+    s0 l = the double epsilon, e^{-2ul} P(ul) is P(0) to within that
+    epsilon where the integrand has its weight, so the cutoff no longer
+    matters and every row takes s0: there sqrt(s0/l) would put the
+    resonance below the first panels (the em potential at s0 l = 1e-19
+    came out at 9e-6 of its value, and less below).  The last step,
+    ``_over_power``, keeps an l^n that leaves the float range from
+    deciding the value."""
     if not 0.0 < l < np.inf:  # NaN fails every comparison
         raise ValueError("separation l must be positive and finite")
     kinds = (atom_a.kind, atom_b.kind)
     if kinds not in ([pair] if pair else rows):
         raise ValueError(f"atom kinds (A, B) = {kinds} are not supported")
     sign, n, m, poly = rows[kinds]
-    s = _u_scale(atom_a, atom_b, l) ** (1.0 - m / 4.0) * l ** (-m / 4.0)
+    s0 = _u_scale(atom_a, atom_b, l)
+    s = s0 ** (1.0 - m / 4.0) * l ** (-m / 4.0) if s0 * l >= _EPS else s0
 
     def f(v):
         u = s * v
@@ -154,7 +166,32 @@ def _free_space_integral(rows, pair, l, atom_a, atom_b, spec, integrate):
         w = response_product(atom_a, atom_b, u)
         return (u**m * w if m else w) * (2.0 * np.exp(-2.0 * x) * p)
 
-    return sign * s * integrate(f, spec).value / (PI3_32 * l**n)
+    return _over_power(sign * s * integrate(f, spec).value, PI3_32, l, n)
+
+
+def _over_power(num: float, den: float, l: float, n: int) -> float:
+    """num/(den l^n), the last step of a free-space value at separation
+    l: that expression to the bit where den l^n is a normal float, and
+    elsewhere exponent arithmetic on l = m 2^e, so that an l^n which under-
+    or overflows does not decide the result.  A result below the float
+    range rounds towards 0 (large l); one beyond it raises ``ValueError``
+    naming l (small l)."""
+    try:
+        denom = den * l**n
+    except OverflowError:  # l^n beyond the largest float
+        denom = math.inf
+    if _TINY <= denom < math.inf:
+        value = num / denom
+    else:
+        mantissa, exponent = math.frexp(l)
+        try:
+            value = math.ldexp(num / (den * mantissa**n), -n * exponent)
+        except OverflowError:
+            value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the free-space value at separation l = {l!r} is "
+                         "beyond the float range")
+    return value
 
 
 def u0_ee(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
@@ -195,41 +232,72 @@ def _plate_weight(u, atom_a: ResonanceAtom, atom_b: ResonanceAtom):
 
 
 # The plate parts of a half-space row by name: U1 and U2, and the parts
-# Phi_X, Phi_Z and Phi_Z+ of dU/dX, dU/dZ and dU/dZ+.  Each is the trace of
-# a u-batch's tensors t (``_Batch``) that the batch's weight multiplies,
-# and the two distances of its ``_plate_magnitude``.  U1 + U2 integrates
-# Tr[G0 . G1^T] + Tr[G1 . G1^T]/2, with G1^T = G1(r_B, r_A); G0 depends on
-# (X, Z) and G1 on (X, Z+), which gives the three derivative traces.
+# Phi_X, Phi_Z and Phi_Z+ of dU/dX, dU/dZ and dU/dZ+.  Each is a trace of
+# Green tensors of a u-batch (``_Batch``), the tensors it reads in the order
+# of the trace's arguments, which the batch's weight multiplies, and the two
+# distances of its ``_plate_magnitude``.  A tensor is ("G0" or "G1", the
+# ``wrt`` of ``free_space_green`` or ``halfspace_scattering``).  U1 + U2
+# integrates Tr[G0 . G1^T] + Tr[G1 . G1^T]/2, with G1^T = G1(r_B, r_A); G0
+# depends on (X, Z) and G1 on (X, Z+), which gives the three derivative
+# traces.
+_G0, _G1 = ("G0", None), ("G1", None)
 _PLATE_PARTS = {
-    "U1": (lambda t: t["G0"].inner(t["G1"]), ("l", "l_plus")),
-    "U2": (lambda t: t["G1"].inner(t["G1"]) / 2.0, ("l_plus", "l_plus")),
-    "X": (lambda t: t["dG0/dX"].inner(t["G1"])
-          + (t["G0"].inner(t["dG1/dX"]) + t["dG1/dX"].inner(t["G1"])),
+    "U1": (lambda g0, g1: g0.inner(g1), (_G0, _G1), ("l", "l_plus")),
+    "U2": (lambda g1: g1.inner(g1) / 2.0, (_G1,), ("l_plus", "l_plus")),
+    "X": (lambda g0, g1, g0_x, g1_x: g0_x.inner(g1)
+          + (g0.inner(g1_x) + g1_x.inner(g1)),
+          (_G0, _G1, ("G0", "X"), ("G1", "X")), ("l", "l_plus")),
+    "Z": (lambda g0_z, g1: g0_z.inner(g1), (("G0", "Z"), _G1),
           ("l", "l_plus")),
-    "Z": (lambda t: t["dG0/dZ"].inner(t["G1"]), ("l", "l_plus")),
-    "Z_plus": (lambda t: t["G0"].inner(t["dG1/dZ_plus"])
-               + t["dG1/dZ_plus"].inner(t["G1"]), ("l", "l_plus")),
+    "Z_plus": (lambda g0, g1, g1_zp: g0.inner(g1_zp) + g1_zp.inner(g1),
+               (_G0, _G1, ("G1", "Z_plus")), ("l", "l_plus")),
 }
 
 
 class _Batch(dict):
     """One batch of u-nodes of the plate parts: its ``weight``
-    -u^4 alpha_A alpha_B/pi, and its Green tensors by name, each computed
-    on first use: "G0" and "G1", or "dG0/d" and "dG1/d" followed by the
-    ``wrt`` of ``free_space_green`` or ``halfspace_scattering``."""
+    -u^4 alpha_A alpha_B/pi, and its Green tensors, keyed as in
+    ``_PLATE_PARTS``.  It computes each of ``families`` (``_families``)
+    with one call when it is made, and every other tensor with one call
+    on first use."""
 
-    def __init__(self, geom, us, atom_a, atom_b, medium, spec):
+    def __init__(self, geom, us, atom_a, atom_b, medium, spec, families):
         self.weight = _plate_weight(us, atom_a, atom_b)
         self.args = geom, us, medium, spec
+        for family in families:
+            self.update(zip(family, self._tensor(
+                family[0][0], tuple([wrt for _, wrt in family]))))
 
-    def __missing__(self, name):
+    def _tensor(self, tensor, wrt):
         geom, us, medium, spec = self.args
-        tensor, _, wrt = name.partition("/d")
-        self[name] = value = (
-            free_space_green(geom.X, geom.Z, us, wrt or None)
-            if tensor.endswith("0")
-            else halfspace_scattering(geom, us, medium, spec, wrt or None))
+        if tensor == "G0":
+            return free_space_green(geom.X, geom.Z, us, wrt)
+        return halfspace_scattering(geom, us, medium, spec, wrt)
+
+    def __missing__(self, key):
+        self[key] = value = self._tensor(*key)
         return value
+
+    def trace(self, part):
+        """The trace of the plate part ``part`` on this batch's tensors."""
+        trace, tensors, _ = _PLATE_PARTS[part]
+        return trace(*[self[key] for key in tensors])
+
+
+def _families(names, medium: HalfSpaceMedium) -> list:
+    """The Green tensor families that a batch of the plate parts ``names``
+    computes at once: G0 and the derivatives of it that the parts read,
+    and on a perfect plate G1 and its, wherever that is more than one
+    tensor.  A finite medium's G1 members stay one call each on first
+    use, so that a ladder level which only some parts reach computes no
+    derivative that none of them reads."""
+    reads = {}  # the tensors read, by "G0" or "G1", in the order read
+    for name in names:
+        for key in _PLATE_PARTS[name][1]:
+            reads.setdefault(key[0], {})[key] = None
+    if not medium.is_perfect:
+        reads.pop("G1", None)
+    return [list(family) for family in reads.values() if len(family) > 1]
 
 
 def _plate_parts(names, geom: PlanarGeometry, atom_a: ResonanceAtom,
@@ -251,7 +319,10 @@ def _plate_parts(names, geom: PlanarGeometry, atom_a: ResonanceAtom,
     under the (geometry, atoms, medium, inner spec) that made it: the
     weight and each tensor of a batch are computed once, the tensors at
     the tightened inner tolerance, and a memo shared across calls never
-    hands one geometry another's G1.
+    hands one geometry another's G1.  A batch takes the tensors that the
+    named parts read as families (``_families``): G0 and its derivatives
+    from one set of distance factors, and on a perfect plate G1 and its
+    derivatives from another.
     """
     _check_ee(atom_a, atom_b)
     spec = spec or QuadSpec()
@@ -261,7 +332,7 @@ def _plate_parts(names, geom: PlanarGeometry, atom_a: ResonanceAtom,
     scale = _u_scale(atom_a, atom_b, distances["l"] + geom.Z_plus)
     values = {}
     for name in names:
-        trace, rhos = _PLATE_PARTS[name]
+        rhos = _PLATE_PARTS[name][2]
         size = _plate_magnitude(scale, [distances[r] for r in rhos], atom_a,
                                 atom_b)
 
@@ -270,8 +341,9 @@ def _plate_parts(names, geom: PlanarGeometry, atom_a: ResonanceAtom,
             batch = batches.get(key)
             if batch is None:
                 batch = batches[key] = _Batch(geom, us, atom_a, atom_b,
-                                              medium, inner)
-            return batch.weight * trace(batch) / size
+                                              medium, inner,
+                                              _families(names, medium))
+            return batch.weight * batch.trace(name) / size
 
         if medium.is_perfect:
             values[name] = size * _scaled_integral(integrand, scale, spec,

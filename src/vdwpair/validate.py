@@ -31,7 +31,6 @@ from .potentials import (
     PI3_32,
     PI3_64,
     THRESHOLD_CASES,
-    _PLATE_PARTS,
     _Batch,
     _check_ee,
     asymptotic_coefficients,
@@ -131,8 +130,8 @@ def trace_integrand(part: str, u, geom: PlanarGeometry,
     -(1/pi) u^4 alpha_A alpha_B Tr[G0(r_A,r_B) . G1(r_B,r_A)] for the cross
     term U1, -(1/2pi) u^4 alpha_A alpha_B Tr[G1(r_A,r_B) . G1(r_B,r_A)]
     with G1(r_B,r_A) = G1(r_A,r_B)^T for the scattering part U2."""
-    batch = _Batch(geom, u, atom_a, atom_b, medium, spec)
-    return batch.weight * _PLATE_PARTS[part][0](batch)
+    batch = _Batch(geom, u, atom_a, atom_b, medium, spec, ())
+    return batch.weight * batch.trace(part)
 
 
 # The Bessel moments of the retarded limit: the closed form of each, a

@@ -449,12 +449,12 @@ class TestFreeSpace:
         _, rows = parse_csv(capsys.readouterr().out)
         assert all("ConvergenceError" in r["error"] for r in rows)
 
-    @pytest.mark.parametrize("start, stop, points, exception", [
-        (1e-320, 1e-300, 3, "ZeroDivisionError"),
-        (1e300, 1e300, 1, "OverflowError")])
+    @pytest.mark.parametrize("start, stop, points", [
+        (1e-320, 1e-300, 3), (1e-60, 1e-53, 2)])
     def test_float_range_ends_mark_rows(self, tmp_path, capsys, start, stop,
-                                        points, exception):
-        # separations at the ends of the float range fail row by row
+                                        points):
+        # an ee pair's potential is beyond the float range below l ~ 1e-51:
+        # each row fails with a ValueError that names its l
         cfg = write_config(tmp_path, {
             "medium": {"kind": "free-space"},
             "sweep": {"variable": "l", "start": start, "stop": stop,
@@ -463,8 +463,43 @@ class TestFreeSpace:
         out, err = capsys.readouterr()
         rows = json.loads(out)["rows"]
         assert len(rows) == points
-        assert all(r["error"].startswith(f"{exception}: ") for r in rows)
+        assert all(r["error"].startswith("ValueError: ")
+                   and f"l = {r['l']!r}" in r["error"] for r in rows)
+        assert all(r[c] == "" for r in rows for c in cli.FREE_COLUMNS[1:5])
         assert "Traceback" not in err
+
+    def test_failed_row_fills_no_value_column(self, tmp_path, capsys):
+        # at l = 1e-60 the em potential (~ 1e211) is a float, but its
+        # retarded asymptote c7/l^7 is not: the row fails as a whole
+        cfg = write_config(tmp_path, {
+            "atoms": [{"omega10": 1.0, "alpha0": 1.0, "kind": "electric"},
+                      {"omega10": 1.0, "alpha0": 1.0, "kind": "magnetic"}],
+            "medium": {"kind": "free-space"},
+            "sweep": {"variable": "l", "start": 1e-60, "stop": 1e-60,
+                      "points": 1, "scale": "log"}})
+        assert run(["free-space", "--config", cfg, "--format", "json"]) == 2
+        row, = json.loads(capsys.readouterr().out)["rows"]
+        assert row["error"].startswith("ValueError: ")
+        assert "l = 1e-60" in row["error"]
+        assert [row[c] for c in cli.FREE_COLUMNS[1:5]] == [""] * 4
+
+    @pytest.mark.parametrize("kind, sign", [("electric", -1.0),
+                                            ("magnetic", 1.0)])
+    def test_far_rows_round_to_signed_zero(self, tmp_path, capsys, kind,
+                                           sign):
+        # at l = 1e300 every value is below the float range: each rounds
+        # to a zero of the pair's sign, and the row succeeds
+        cfg = write_config(tmp_path, {
+            "atoms": [{"omega10": 1.0, "alpha0": 1.0, "kind": "electric"},
+                      {"omega10": 1.0, "alpha0": 1.0, "kind": kind}],
+            "medium": {"kind": "free-space"},
+            "sweep": {"variable": "l", "start": 1e300, "stop": 1e300,
+                      "points": 1, "scale": "log"}})
+        assert run(["free-space", "--config", cfg, "--format", "json"]) == 0
+        row, = json.loads(capsys.readouterr().out)["rows"]
+        assert row["error"] == ""
+        for c in cli.FREE_COLUMNS[1:5]:
+            assert row[c] == 0.0 and np.copysign(1.0, row[c]) == sign, c
 
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -85,6 +85,29 @@ def test_tracer_runs_around_a_finite_medium_potential():
             "greens:halfspace_scattering"} <= names
 
 
+def test_tracer_runs_around_a_perfect_plate_force_row():
+    """The benchmark's tracer sees a perfect-plate force row's G1 families
+    through ``halfspace_scattering`` and its u-integrals."""
+    from vdwpair import HalfSpaceMedium, PlanarGeometry, ResonanceAtom, \
+        halfspace_forces
+    from vdwpair.quadrature import QuadSpec
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        halfspace_forces(PlanarGeometry.parallel(3e-3, 0.01),
+                         ResonanceAtom(), ResonanceAtom(),
+                         HalfSpaceMedium.perfect_conductor(),
+                         spec=QuadSpec(rel_tol=1e-8))
+    finally:
+        tracer.uninstall()
+    counts = tracing.quadrature_counts(tracer.spans, "t")
+    assert counts["t.evals.u"] > 0
+    names = [s.name for s in tracer.spans]
+    assert names.count("greens:halfspace_scattering") >= 1
+
+
 def test_benchmark_configs_load(tmp_path):
     """Every config the benchmark runs, the anchors and seeds 1-40 of each
     workload, passes the config schema and its command's atom-pair check:

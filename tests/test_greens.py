@@ -36,6 +36,14 @@ MU_MEDIUM = LorentzMedium(omegaP=3.0, omegaT=1.0, gamma=1e-3)
 COMPONENTS = ("gxx", "gyy", "gxz", "gzx", "gzz")
 
 
+def assert_same_bits(got: GreenComponents, want: GreenComponents):
+    """Every element of ``got`` is ``want``'s, of the same type and bits."""
+    for name in COMPONENTS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b), name
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+
 def sommerfeld_quadrature(geom, u, medium, spec=None):
     """G1 by Sommerfeld q-quadrature for any medium, perfect plates too,
     whose ``halfspace_scattering`` takes the image closed form."""
@@ -170,6 +178,22 @@ class TestFreeSpaceGreen:
                              for n in COMPONENTS])
             scale = np.max(np.abs(step), axis=0)
             assert np.all(np.abs(closed - step) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("x,z", [(0.3, 0.7), (0.0, 0.5), (0.6, 0.0)])
+    @pytest.mark.parametrize("u", [1.3, np.geomspace(1e-2, 30.0, 9)],
+                             ids=["scalar", "array"])
+    def test_family_members_are_single_calls_to_the_bit(self, x, z, u):
+        # one set of distance factors for every member, in the tuple's
+        # order, each member the call with its own wrt to the bit
+        for family in ((None, "X", "Z"), ("Z", None), ("X",), (None,)):
+            got = free_space_green(x, z, u, family)
+            assert isinstance(got, tuple) and len(got) == len(family)
+            for wrt, member in zip(family, got):
+                assert_same_bits(member, free_space_green(x, z, u, wrt))
+
+    def test_family_rejects_an_unknown_member(self):
+        with pytest.raises(ValueError, match="wrt"):
+            free_space_green(0.3, 0.7, 1.0, (None, "Z_plus"))
 
     def test_inner_sums_the_elementwise_product(self):
         # Tr[A . B^T] = sum_ij A_ij B_ij over the full 3x3 tensors; gxz !=
@@ -451,6 +475,29 @@ class TestHalfspaceScattering:
                 halfspace_scattering(geom, 1.0, medium, wrt="Z")
         with pytest.raises(ValueError, match="wrt"):
             free_space_green(geom.X, geom.Z, 1.0, wrt="Z_plus")
+
+    @pytest.mark.parametrize("kind", ["conducting", "permeable"])
+    @pytest.mark.parametrize("u", [0.8, np.geomspace(1e-3, 30.0, 17)],
+                             ids=["scalar", "array"])
+    def test_perfect_image_family_is_single_calls_to_the_bit(self, kind, u):
+        medium = HalfSpaceMedium(perfect=kind)
+        geom = PlanarGeometry(0.1, 0.5, 0.9, 0.8)
+        family = (None, "Z_plus", "X")
+        got = halfspace_scattering(geom, u, medium, wrt=family)
+        assert len(got) == len(family)
+        for wrt, member in zip(family, got):
+            assert_same_bits(member,
+                             halfspace_scattering(geom, u, medium, wrt=wrt))
+
+    def test_finite_medium_family_is_single_calls_to_the_bit(self):
+        # one Sommerfeld run per member, as the single calls make them
+        medium = HalfSpaceMedium.dielectric(EPS_MEDIUM)
+        geom = PlanarGeometry(0.1, 0.5, 0.9, 0.8)
+        spec = QuadSpec(rel_tol=1e-6)
+        got = halfspace_scattering(geom, 1.2, medium, spec, ("X", None))
+        for wrt, member in zip(("X", None), got):
+            assert_same_bits(member,
+                             halfspace_scattering(geom, 1.2, medium, spec, wrt))
 
     @pytest.mark.parametrize("kind", ["conducting", "permeable"])
     def test_perfect_image_vectorized_in_u(self, kind):

@@ -111,3 +111,16 @@ class TestLorentzMedium:
     def test_non_finite_parameters(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             LorentzMedium(**{field: value})
+
+
+@pytest.mark.parametrize("u", [np.nan, np.array([1.0, np.nan])],
+                         ids=["scalar", "array"])
+@pytest.mark.parametrize("response", [
+    lambda u: response_iu(ResonanceAtom(), u),
+    lambda u: permittivity_iu(LorentzMedium(omegaP=3.0), u),
+    lambda u: permeability_iu(LorentzMedium(omegaP=3.0), u)],
+    ids=["response_iu", "permittivity_iu", "permeability_iu"])
+def test_nan_frequency_rejected(response, u):
+    # "not >= 0" turns NaN away, as every other guard of the package does
+    with pytest.raises(ValueError, match="u must be >= 0"):
+        response(u)

@@ -14,6 +14,7 @@ from vdwpair import (
     PotentialBreakdown,
     ResonanceAtom,
     asymptotic_coefficients,
+    free_space_force,
     halfspace_forces,
     nonretarded_closed,
     perfect_retarded_closed,
@@ -71,6 +72,55 @@ class TestFreeSpace:
     def test_separation_must_be_positive_and_finite(self, u0, atom_b, l):
         with pytest.raises(ValueError, match="positive and finite"):
             u0(l, ATOM, atom_b)
+
+    @pytest.mark.parametrize("l", [1e-60, 1e-53, 1e300])
+    @pytest.mark.parametrize("value,atom_b", [
+        (u0_ee, ATOM), (u0_em, MAG_ATOM), (free_space_force, ATOM),
+        (free_space_force, MAG_ATOM)],
+        ids=["u0_ee", "u0_em", "force_ee", "force_em"])
+    def test_float_range_ends_give_a_float_or_name_l(self, value, atom_b,
+                                                      l):
+        # never inf, nor a bare ZeroDivisionError or OverflowError from
+        # an l^n that leaves the float range
+        try:
+            v = value(l, ATOM, atom_b)
+        except ValueError as exc:
+            assert f"l = {l!r}" in str(exc)
+        else:
+            assert math.isfinite(v)
+
+    @pytest.mark.parametrize("value,atom_b,coef,n,l", [
+        (u0_em, MAG_ATOM, "c4", 4, 1e-53),
+        (u0_em, MAG_ATOM, "c4", 4, 1e-77),
+        (free_space_force, MAG_ATOM, "4 c4", 5, 1e-60),
+        (free_space_force, MAG_ATOM, "4 c4", 5, 1e-62),
+        (u0_ee, ATOM, "-c6", 6, 1e-44),
+        (u0_ee, ATOM, "-c6", 6, 2e-52)])
+    def test_short_range_is_the_nonretarded_limit(self, value, atom_b, coef,
+                                                  n, l):
+        # at s0 l far below the double epsilon, U = c/l^n and F = n c/l^(n+1)
+        # to roundoff; 1e-77^4, 1e-62^5 and 2e-52^6 are below the normal
+        # floats, where l^n must not decide the value
+        co = asymptotic_coefficients(ATOM, atom_b)
+        c = {"c4": co.c4, "4 c4": 4.0 * co.c4, "-c6": -co.c6}[coef]
+        expected = float(mpmath.mpf(c) / mpmath.mpf(l) ** n)
+        assert value(l, ATOM, atom_b) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("value,atom_b", [
+        (u0_ee, ATOM), (free_space_force, ATOM)], ids=["u0_ee", "force_ee"])
+    def test_ee_values_beyond_the_float_range_name_l(self, value, atom_b):
+        with pytest.raises(ValueError, match=r"l = 1e-53 is beyond"):
+            value(1e-53, ATOM, atom_b)
+
+    @pytest.mark.parametrize("value,atom_b,sign", [
+        (u0_ee, ATOM, -1.0), (u0_em, MAG_ATOM, 1.0),
+        (free_space_force, ATOM, -1.0), (free_space_force, MAG_ATOM, 1.0)],
+        ids=["u0_ee", "u0_em", "force_ee", "force_em"])
+    def test_far_values_round_to_signed_zero(self, value, atom_b, sign):
+        # at l = 1e300, l^n is beyond the float range and U, F ~ l^-7 or
+        # l^-8 below it
+        v = value(1e300, ATOM, atom_b)
+        assert v == 0.0 and math.copysign(1.0, v) == sign
 
     def test_exact_coefficients(self):
         co = asymptotic_coefficients(ATOM, ATOM)
@@ -685,6 +735,75 @@ class TestU2Integrand:
         med = HalfSpaceMedium.dielectric(EPS_MEDIUM)
         for u in (0.3, 1.0, 3.0):
             assert trace_integrand("U2", u, geom, ATOM, ATOM, med) < 0.0
+
+
+class TestGreenFamilies:
+    """A batch of u-nodes takes G0, and on a perfect plate G1, with the
+    derivatives that its parts read, as one family each."""
+
+    @staticmethod
+    def _factor_sets(monkeypatch):
+        """The ``wrt`` of every ``free_space_green`` call, one set of
+        distance factors each, and the u-batches they were made for."""
+        import vdwpair.greens
+        import vdwpair.potentials
+
+        calls, batches = [], set()
+
+        def spy(x, z, u, wrt=None, g0=vdwpair.greens.free_space_green):
+            calls.append(wrt)
+            batches.add(np.asarray(u).tobytes())
+            return g0(x, z, u, wrt)
+
+        monkeypatch.setattr(vdwpair.greens, "free_space_green", spy)
+        monkeypatch.setattr(vdwpair.potentials, "free_space_green", spy)
+        return calls, batches
+
+    @pytest.mark.parametrize("geom,medium,g0,g1", [
+        (PlanarGeometry.parallel(3e-3, 0.01), CONDUCTING, (None, "X"),
+         (None, "Z", "X")),
+        (PlanarGeometry.vertical(0.01, 3e-3), PERMEABLE, (None, "Z"),
+         (None, "Z"))], ids=["parallel", "vertical"])
+    def test_force_row_forms_two_factor_sets_per_u_batch(
+            self, monkeypatch, geom, medium, g0, g1):
+        # G0's family, then the image of one G0 family at (X, Z+) for G1's;
+        # one call per tensor made 5 (parallel) and 4 (vertical).  Two
+        # identical rows count the same: no state outlives a call.
+        calls, batches = self._factor_sets(monkeypatch)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            batches.clear()
+            halfspace_forces(geom, ATOM, ATOM, medium,
+                             spec=QuadSpec(rel_tol=1e-8))
+            counts.append((len(calls), len(batches)))
+            assert calls == [g0, g1] * len(batches)
+        assert counts[0] == counts[1] and counts[0][1] >= 1
+
+    def test_plain_row_forms_one_factor_set_per_tensor(self, monkeypatch):
+        # u_total reads G0 and G1 alone: one call each, on first use
+        calls, batches = self._factor_sets(monkeypatch)
+        u_total(PlanarGeometry.parallel(3e-3, 0.01), ATOM, ATOM, CONDUCTING)
+        assert [w if isinstance(w, tuple) else (w,) for w in calls] \
+            == [(None,), (None,)] * len(batches)
+
+    def test_finite_medium_members_stay_single_calls(self, monkeypatch):
+        # the G1 members of a finite medium are one Sommerfeld call each,
+        # with a plain wrt, on first use
+        import vdwpair.potentials
+
+        asked = []
+
+        def spy(geom, us, medium, spec=None, wrt=None,
+                scattering=vdwpair.potentials.halfspace_scattering):
+            asked.append(wrt)
+            return scattering(geom, us, medium, spec, wrt)
+
+        monkeypatch.setattr(vdwpair.potentials, "halfspace_scattering", spy)
+        halfspace_forces(PlanarGeometry.parallel(0.03, 0.01), ATOM, ATOM,
+                         HalfSpaceMedium.magnetic(MU_MEDIUM),
+                         spec=QuadSpec(rel_tol=1e-4))
+        assert set(asked) == {None, "X", "Z_plus"}
 
 
 class TestSharedScattering:
