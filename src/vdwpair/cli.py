@@ -10,9 +10,13 @@ validate     run the acceptance validation suite
 
 Configuration is a JSON file merged over ``DEFAULT_CONFIG`` and checked
 against ``_SCHEMA``; command-line flags override file values.  Sweep
-points run in this process by default; with ``workers`` > 1 they are
-dispatched to a process pool.  Rows are emitted in input order either way,
-so the output is deterministic for a fixed config and tolerance.
+points run in blocks of up to ``ROW_BLOCK`` consecutive rows, one library
+call each, in this process by default; with ``workers`` > 1 the blocks,
+at least one per worker, are dispatched to a process pool.  Every row is
+its own call's to the bit, and rows are emitted in input order either
+way, so the output is deterministic for a fixed config and tolerance.
+The first column is the swept variable (l or z), and a row's separation
+is that of its geometry.
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 validation
 failure.
 
@@ -43,6 +47,7 @@ from .potentials import (
     LIMIT_RATIOS,
     THRESHOLD_CASES,
     _over_power,
+    _value,
     asymptotic_coefficients,
     threshold,
     u0_ee,
@@ -298,65 +303,129 @@ def _geometry_at(cfg: dict, value: float) -> PlanarGeometry:
     return PlanarGeometry.vertical(geom["z_a"], value)
 
 
-def _free_space_row(task) -> dict:
-    (_cfg, atom_a, atom_b, _medium, spec), l = task
-    row = dict.fromkeys(FREE_COLUMNS, "")
-    row["l"] = l
+def _columns(cfg: dict, columns: tuple) -> tuple:
+    """The output columns, the first named after the swept variable."""
+    return (cfg["sweep"]["variable"], *columns[1:])
+
+
+def _block_rows(cfg: dict, values, columns: tuple) -> tuple[list, list]:
+    """An empty row per sweep value of a block, labelled with that value,
+    and the (row, geometry) of each row whose geometry exists; a row whose
+    geometry fails holds that error.  A 'general' geometry names its atoms'
+    positions, not a sweep value, so its row is labelled with their
+    separation."""
+    general = cfg["geometry"]["family"] == "general"
+    columns = _columns(cfg, columns)
+    rows, live = [], []
+    for value in values:
+        row = dict.fromkeys(columns, "")
+        row[columns[0]] = value
+        try:
+            geom = _geometry_at(cfg, value)
+        except ValueError as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            if general:
+                row["l"] = geom.l
+            live.append((row, geom))
+        rows.append(row)
+    return rows, live
+
+
+def _mark(rows, exc: Exception) -> None:
+    for row in rows:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+
+
+def _free_space_row(task) -> list[dict]:
+    """The rows of a block of sweep values in free space, in order."""
+    (cfg, atom_a, atom_b, _medium, spec), values = task
+    rows, live = _block_rows(cfg, values, FREE_COLUMNS)
+    ls = tuple(geom.l for _, geom in live)
     try:
         co = asymptotic_coefficients(atom_a, atom_b)
         if atom_b.kind == "magnetic":
-            u = u0_em(l, atom_a, atom_b, spec=spec)
-            retarded = _over_power(co.c7_em, 1.0, l, 7)
-            nonretarded = _over_power(co.c4, 1.0, l, 4)
+            us = u0_em(ls, atom_a, atom_b, spec=spec)
+            asymptotes = (co.c7_em, co.c4, 4)
         else:
-            u = u0_ee(l, atom_a, atom_b, spec=spec)
-            retarded = _over_power(-co.c7_ee, 1.0, l, 7)
-            nonretarded = _over_power(-co.c6, 1.0, l, 6)
-        force = free_space_force(l, atom_a, atom_b, spec=spec)
+            us = u0_ee(ls, atom_a, atom_b, spec=spec)
+            asymptotes = (-co.c7_ee, -co.c6, 6)
+        forces = free_space_force(ls, atom_a, atom_b, spec=spec)
     except Exception as exc:  # noqa: BLE001 - row-level error marker
-        # a failed row fills no value column, as a failed half-space row
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    else:
-        row.update(U=u, U_retarded_asymptote=retarded,
-                   U_nonretarded_asymptote=nonretarded, force=force)
-    return row
+        _mark([row for row, _ in live], exc)
+        return rows
+    c7, c_nonretarded, n = asymptotes
+    for (row, geom), u, force in zip(live, us, forces):
+        try:
+            u = _value(u)
+            retarded = _over_power(c7, 1.0, geom.l, 7)
+            nonretarded = _over_power(c_nonretarded, 1.0, geom.l, n)
+            force = _value(force)
+        except Exception as exc:  # noqa: BLE001 - row-level error marker
+            # a failed row fills no value column, as a failed half-space row
+            _mark([row], exc)
+        else:
+            row.update(U=u, U_retarded_asymptote=retarded,
+                       U_nonretarded_asymptote=nonretarded, force=force)
+    return rows
 
 
-def _half_space_row(task) -> dict:
-    (cfg, atom_a, atom_b, medium, spec), value = task
-    row = dict.fromkeys(HALF_COLUMNS, "")
-    row["l"] = value
+def _half_space_row(task) -> list[dict]:
+    """The rows of a block of sweep values near the half space, in order."""
+    (cfg, atom_a, atom_b, medium, spec), values = task
+    rows, live = _block_rows(cfg, values, HALF_COLUMNS)
+    geoms = tuple(geom for _, geom in live)
     try:
-        geom = _geometry_at(cfg, value)
         if cfg["forces"]:
-            forces = halfspace_forces(geom, atom_a, atom_b, medium, spec=spec)
-            bd = forces.potential
-            row.update(F_on_A_x=forces.f_a[0], F_on_A_z=forces.f_a[1],
-                       F_on_B_x=forces.f_b[0], F_on_B_z=forces.f_b[1])
+            results = halfspace_forces(geoms, atom_a, atom_b, medium,
+                                       spec=spec)
         else:
-            bd = u_total(geom, atom_a, atom_b, medium, spec=spec)
-        row.update(U0=bd.u0, U1=bd.u1, U2=bd.u2, U=bd.total, ratio=bd.ratio)
+            results = u_total(geoms, atom_a, atom_b, medium, spec=spec)
     except Exception as exc:  # noqa: BLE001 - row-level error marker
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+        _mark([row for row, _ in live], exc)
+        return rows
+    for (row, _), result in zip(live, results):
+        try:
+            result = _value(result)
+        except Exception as exc:  # noqa: BLE001 - row-level error marker
+            _mark([row], exc)
+            continue
+        if cfg["forces"]:
+            bd = result.potential
+            row.update(F_on_A_x=result.f_a[0], F_on_A_z=result.f_a[1],
+                       F_on_B_x=result.f_b[0], F_on_B_z=result.f_b[1])
+        else:
+            bd = result
+        row.update(U0=bd.u0, U1=bd.u1, U2=bd.u2, U=bd.total, ratio=bd.ratio)
+    return rows
+
+
+# Rows per library call: a block's first-round tables hold this many rows
+# of every frequency integrand at once.
+ROW_BLOCK = 64
 
 
 def _compute_rows(cfg: dict, worker) -> list[dict]:
-    # A row task: ((cfg, atom A, atom B, medium, QuadSpec), sweep value).
+    # A task: ((cfg, atom A, atom B, medium, QuadSpec), block of sweep
+    # values); ``worker`` returns the block's rows in order.
     scenario = (cfg, *(ResonanceAtom(**a) for a in cfg["atoms"]),
                 _build_medium(cfg["medium"]), QuadSpec(rel_tol=cfg["rel_tol"]))
-    tasks = [(scenario, v) for v in _sweep_values(cfg)]
-    workers = min(cfg["workers"], len(tasks))
+    values = _sweep_values(cfg)
+    workers = min(cfg["workers"], len(values))
     if workers > 1:  # only a pool that may start asks for the cores
         workers = min(workers, os.cpu_count() or 1)
+    # consecutive values, and at least one block per worker
+    size = min(ROW_BLOCK, len(values) // workers)
+    tasks = [(scenario, tuple(values[i:i + size]))
+             for i in range(0, len(values), size)]
     if workers == 1:
-        return [worker(t) for t in tasks]
+        return [row for task in tasks for row in worker(task)]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # Executor.map yields results in submission order, so rows come out
         # in input order regardless of completion order.
-        return list(pool.map(worker, tasks))
+        return [row for block in pool.map(worker, tasks) for row in block]
 
 
 def _fmt(value) -> str:
@@ -410,7 +479,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError("half-space command requires a non-vacuum medium")
         worker, columns = _half_space_row, HALF_COLUMNS
     rows = _compute_rows(cfg, worker)
-    _emit(cfg, args.command, columns, rows)
+    _emit(cfg, args.command, _columns(cfg, columns), rows)
     return 2 if any(r["error"] for r in rows) else 0
 
 

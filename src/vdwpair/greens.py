@@ -175,7 +175,9 @@ def free_space_green(x: float, z: float, u, wrt=None):
     or z (``wrt="Z"``); closed form, vectorized in u.  A tuple ``wrt`` asks
     for a family of these, returned as a tuple in its order: the distance
     factors below are formed once for all of them, and each member is, to
-    the bit, the call with its own ``wrt``.
+    the bit, the call with its own ``wrt``.  x and z may be columns (shape
+    (n, 1)) against a table of u (shape (n, m)): row i is, to the bit, the
+    call at (x_i, z_i) and that row of u alone.
 
     G0_ij = p (a delta_ij - b e_i e_j) with p = e^{-u rho}/(4 pi rho),
     xi = 1/(u rho), a = 1 + xi + xi^2 and b = 1 + 3 xi + 3 xi^2.  With
@@ -188,7 +190,8 @@ def free_space_green(x: float, z: float, u, wrt=None):
     """
     members = _members(wrt, (None, "X", "Z"))
     rho = np.sqrt(x * x + z * z)
-    if rho == 0.0:
+    zero = rho == 0.0
+    if zero.any() if zero.ndim else zero:  # a reduction costs a scalar 1 us
         raise ValueError("free-space Green tensor is singular at zero separation")
     if not (np.asarray(u) > 0).all():  # "not > 0" also turns away NaN
         raise ValueError("u must be positive")
@@ -335,7 +338,9 @@ def halfspace_scattering(geom: PlanarGeometry, u,
     upper sign for the conducting plate: the value of the q-integrals when
     the reflection coefficients are constant.  Its derivatives are the
     image signs of dG0/dx or dG0/dz at (X, Z+), and a family is the image
-    of one ``free_space_green`` family.  A finite medium takes the
+    of one ``free_space_green`` family, and ``geom`` may be any object
+    whose X and Z_plus are columns, as ``free_space_green`` takes them, for
+    a table of u with a row per column entry.  A finite medium takes the
     Sommerfeld q-quadratures of ``_sommerfeld``, one run per member, in
     chunks of consecutive u-nodes that share a q-grid; a vacuum has
     r_s = r_p = 0, so each of its q-integrals is 0 in its first round.

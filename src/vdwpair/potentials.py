@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,8 @@ from .greens import (
     halfspace_scattering,
 )
 from .materials import ResonanceAtom, response_product
-from .quadrature import QuadSpec, integrate_mapped, integrate_semiinf
+from .quadrature import QuadSpec, _mapped_panels, integrate_mapped, \
+    integrate_semiinf
 
 __all__ = [
     "PotentialBreakdown",
@@ -111,7 +113,7 @@ def _u_scale(atom_a: ResonanceAtom, atom_b: ResonanceAtom,
     smallest of the two resonances and 1/length.  The u^4-weighted plate
     integrands keep it for all parts (``_plate_parts``); the
     free-space rows start from it at length = l and adjust it by their own
-    u-power (``_free_space_integral``)."""
+    u-power (``_free_space_block``)."""
     return min(atom_a.omega10, atom_b.omega10, 1.0 / length)
 
 
@@ -127,11 +129,15 @@ def _check_ee(atom_a, atom_b):
         raise ValueError("both atoms must be electric-polarizable")
 
 
-def _free_space_integral(rows, pair, l, atom_a, atom_b, spec, integrate):
-    """The ``rows`` entry at ``pair``, the atoms' kinds (any entry when
-    None), integrated as ``FREE_SPACE_PAIRS`` states by the caller's own
-    ``integrate_semiinf`` at the scale s = s0^(1 - m/4) l^(-m/4), with s0
-    from ``_u_scale`` and m the row's u-power.
+def _free_space_block(integrals, ls, atom_a, atom_b, spec) -> list:
+    """Each of ``integrals``, a (rows, pair, integrate) triple, at each
+    separation of the tuple ``ls``: a list per integral, with a member per
+    separation, its value or the exception its row raised.  ``rows`` is a
+    table such as ``FREE_SPACE_PAIRS``, whose entry at ``pair``, the atoms'
+    kinds (any entry when None), is integrated as it states by the
+    caller's own ``integrate_semiinf`` at the scale
+    s = s0^(1 - m/4) l^(-m/4), with s0 from ``_u_scale`` and m the entry's
+    u-power, which the integrals share.
 
     Above the resonances alpha_A alpha_B falls as u^-4, so the weight
     u^m alpha_A alpha_B falls as u^(m-4) between s0 and the cutoff 1/l
@@ -147,26 +153,134 @@ def _free_space_integral(rows, pair, l, atom_a, atom_b, spec, integrate):
     resonance below the first panels (the em potential at s0 l = 1e-19
     came out at 9e-6 of its value, and less below).  The last step,
     ``_over_power``, keeps an l^n that leaves the float range from
-    deciding the value."""
-    if not 0.0 < l < np.inf:  # NaN fails every comparison
-        raise ValueError("separation l must be positive and finite")
+    deciding the value.
+
+    The separations share the engine's first nodes v, at u = s v, so the
+    first round of every integral and separation is one (separations x
+    nodes) table, whose factors u^m alpha_A alpha_B, ul and 2 e^{-2ul}
+    (``_free_space_factors``) the integrals share; each integral of a
+    separation gets its row of it, and a refinement evaluates that
+    separation alone.  One integral at one separation shares nothing and
+    forms its first round itself.
+    """
     kinds = (atom_a.kind, atom_b.kind)
-    if kinds not in ([pair] if pair else rows):
-        raise ValueError(f"atom kinds (A, B) = {kinds} are not supported")
-    sign, n, m, poly = rows[kinds]
-    s0 = _u_scale(atom_a, atom_b, l)
-    s = s0 ** (1.0 - m / 4.0) * l ** (-m / 4.0) if s0 * l >= _EPS else s0
+    for rows, pair, _ in integrals:
+        if kinds not in ([pair] if pair else rows):
+            raise ValueError(f"atom kinds (A, B) = {kinds} are not supported")
+    m = integrals[0][0][kinds][2]
+    live, scales = [], []
+    for l in ls:
+        if 0.0 < l < np.inf:  # NaN fails every comparison
+            s0 = _u_scale(atom_a, atom_b, l)
+            live.append(l)
+            scales.append(s0 ** (1.0 - m / 4.0) * l ** (-m / 4.0)
+                          if s0 * l >= _EPS else s0)
+    tables = None
+    if len(live) * len(integrals) > 1:  # else no table is shared
+        try:
+            factors = _free_space_factors(_column(scales), _column(live), m,
+                                          atom_a, atom_b, _mapped_panels()[3])
+            tables = [_free_space_integrand(rows[kinds][3], factors)
+                      for rows, _, _ in integrals]
+            del factors  # only the tables outlive the first round
+        except Exception:  # noqa: BLE001 - each row then raises its own
+            pass
+    out = [[] for _ in integrals]
+    row = 0
+    for l in ls:
+        if not 0.0 < l < np.inf:
+            error = ValueError("separation l must be positive and finite")
+            for values in out:
+                values.append(error)
+            continue
+        s = scales[row]
+        for k, (rows, _, integrate) in enumerate(integrals):
+            sign, n, _, poly = rows[kinds]
 
-    def f(v):
-        u = s * v
-        x = u * l
-        p = poly[-1]
-        for c in poly[-2::-1]:  # Horner
-            p = p * x + c
-        w = response_product(atom_a, atom_b, u)
-        return (u**m * w if m else w) * (2.0 * np.exp(-2.0 * x) * p)
+            def f(v):
+                return _free_space_integrand(poly, _free_space_factors(
+                    s, l, m, atom_a, atom_b, v))
 
-    return _over_power(sign * s * integrate(f, spec).value, PI3_32, l, n)
+            first = None if tables is None else _table_row(tables[k], row)
+            try:
+                out[k].append(_over_power(sign * s * integrate(
+                    _first_round(first, f), spec).value, PI3_32, l, n))
+            except Exception as exc:  # noqa: BLE001 - this row's failure
+                out[k].append(exc)
+        row += 1
+    return out
+
+
+def _free_space_factors(s, l, m: int, atom_a: ResonanceAtom,
+                        atom_b: ResonanceAtom, v):
+    """x = ul, the weight u^m alpha_A alpha_B and the decay 2 e^{-2x} at
+    u = s v: at one separation, or at columns s and l of them."""
+    u = s * v
+    x = u * l
+    w = response_product(atom_a, atom_b, u)
+    return x, (u**m * w if m else w), 2.0 * np.exp(-2.0 * x)
+
+
+def _free_space_integrand(poly, factors):
+    """weight 2 e^{-2x} P(x), with P's coefficients ``poly`` lowest order
+    first, from ``_free_space_factors``."""
+    x, weight, decay = factors
+    p = poly[-1]
+    for c in poly[-2::-1]:  # Horner
+        p = p * x + c
+    return weight * (decay * p)
+
+
+def _column(values):
+    """``values`` as a column against a table of nodes, one row per entry;
+    a single value stays itself, against the nodes alone, where numpy's
+    broadcasting would only add cost."""
+    if len(values) == 1:
+        return values[0]
+    return np.array(values, dtype=float)[:, None]
+
+
+def _table_row(table, row: int):
+    """Row ``row`` of a table from ``_column`` operands."""
+    return table[row] if table.ndim == 2 else table
+
+
+def _first_round(first, f):
+    """``f``, except that its first call returns ``first`` (when not None):
+    the row of a block's table at the first nodes, which an integral of
+    ``integrate_semiinf`` without breakpoints asks for first."""
+    if first is None:
+        return f
+    pending = [first]
+    return lambda x: pending.pop() if pending else f(x)
+
+
+def _rows(rows) -> tuple:
+    """The rows of a call: a tuple of them, or one row."""
+    return rows if isinstance(rows, tuple) else (rows,)
+
+
+def _value(member):
+    """A member of a tuple call as the call on its row alone gives it: its
+    value, or its exception raised."""
+    if isinstance(member, Exception):
+        raise member
+    return member
+
+
+def _results(rows, members):
+    """What a call on ``rows`` returns: the tuple of ``members`` in its
+    order for a tuple of rows, else the value of the one row."""
+    if isinstance(rows, tuple):
+        return tuple(members)
+    (member,) = members
+    return _value(member)
+
+
+def _u0_integral(pair) -> tuple:
+    """The (rows, pair, integrate) of a free-space potential in
+    ``_free_space_block``, integrated through this module's binding."""
+    return FREE_SPACE_PAIRS, pair, integrate_semiinf
 
 
 def _over_power(num: float, den: float, l: float, n: int) -> float:
@@ -194,18 +308,24 @@ def _over_power(num: float, den: float, l: float, n: int) -> float:
     return value
 
 
-def u0_ee(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
-          spec: QuadSpec | None = None) -> float:
-    """Free-space potential of two polarizable atoms (always attractive)."""
-    return _free_space_integral(FREE_SPACE_PAIRS, ("electric", "electric"),
-                                l, atom_a, atom_b, spec, integrate_semiinf)
+def u0_ee(l, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
+          spec: QuadSpec | None = None):
+    """Free-space potential of two polarizable atoms (always attractive).
+    A tuple of separations gives a tuple of potentials in its order, each
+    the call at its separation to the bit, or the exception that call
+    raises (``_free_space_block``)."""
+    return _results(l, _free_space_block(
+        [_u0_integral(("electric", "electric"))], _rows(l), atom_a, atom_b,
+        spec)[0])
 
 
-def u0_em(l: float, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
-          spec: QuadSpec | None = None) -> float:
-    """Free-space potential of a polarizable/magnetizable pair (repulsive)."""
-    return _free_space_integral(FREE_SPACE_PAIRS, ("electric", "magnetic"),
-                                l, atom_a, atom_b, spec, integrate_semiinf)
+def u0_em(l, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
+          spec: QuadSpec | None = None):
+    """Free-space potential of a polarizable/magnetizable pair (repulsive),
+    at one separation or a tuple of them, as ``u0_ee``."""
+    return _results(l, _free_space_block(
+        [_u0_integral(("electric", "magnetic"))], _rows(l), atom_a, atom_b,
+        spec)[0])
 
 
 def asymptotic_coefficients(atom_a: ResonanceAtom,
@@ -302,7 +422,8 @@ def _families(names, medium: HalfSpaceMedium) -> list:
 
 def _plate_parts(names, geom: PlanarGeometry, atom_a: ResonanceAtom,
                  atom_b: ResonanceAtom, medium: HalfSpaceMedium,
-                 spec: QuadSpec | None, memo: dict) -> dict:
+                 spec: QuadSpec | None, memo: dict,
+                 first: dict | None = None) -> dict:
     """The plate parts ``names`` of ``_PLATE_PARTS`` by name, each its own
     u-integral of its batches' weight times its trace.
 
@@ -310,9 +431,10 @@ def _plate_parts(names, geom: PlanarGeometry, atom_a: ResonanceAtom,
     so all of them meet the same u-nodes, and is taken in units of its own
     ``_plate_magnitude`` so that abs_tol is relative to an O(1) integrand
     however small the part is.  Perfect reflectors, whose nodes are closed
-    forms, take the panel engine's 32 first panels.  A finite-medium node
-    (one G1, four q-integrals) costs far more than a quadrature round, so
-    their integrals climb the nested ladder of ``integrate_mapped``: 15
+    forms, take the panel engine's 32 first panels; a part in ``first``
+    takes its first round from there (``_plate_block``).  A finite-medium
+    node (one G1, four q-integrals) costs far more than a quadrature round,
+    so their integrals climb the nested ladder of ``integrate_mapped``: 15
     nodes, then 16, 32, ... new ones, until the change between two levels
     meets the tolerance.  Every part hands the integrand the same batch at
     each level, and ``memo`` keeps each ``_Batch`` under its bytes, filed
@@ -328,13 +450,10 @@ def _plate_parts(names, geom: PlanarGeometry, atom_a: ResonanceAtom,
     spec = spec or QuadSpec()
     inner = spec.tightened()
     batches = memo.setdefault((geom, atom_a, atom_b, medium, inner), {})
-    distances = {"l": geom.l, "l_plus": geom.l_plus}
-    scale = _u_scale(atom_a, atom_b, distances["l"] + geom.Z_plus)
+    scale, sizes = _part_sizes(names, geom, atom_a, atom_b)
     values = {}
     for name in names:
-        rhos = _PLATE_PARTS[name][2]
-        size = _plate_magnitude(scale, [distances[r] for r in rhos], atom_a,
-                                atom_b)
+        size = sizes[name]
 
         def integrand(us):
             key = us.tobytes()
@@ -346,13 +465,82 @@ def _plate_parts(names, geom: PlanarGeometry, atom_a: ResonanceAtom,
             return batch.weight * batch.trace(name) / size
 
         if medium.is_perfect:
-            values[name] = size * _scaled_integral(integrand, scale, spec,
-                                                   axis="u")
+            values[name] = size * _scaled_integral(
+                integrand if first is None
+                else _first_round(first[name], integrand), scale, spec,
+                axis="u")
         else:
             res = integrate_mapped(lambda v: integrand(scale * v), spec,
                                    axis="u")
             values[name] = size * scale * res.value
     return values
+
+
+def _part_sizes(names, geom, atom_a: ResonanceAtom,
+                atom_b: ResonanceAtom) -> tuple:
+    """The u-scale of the plate parts at ``geom``, and by name the
+    ``_plate_magnitude`` of each part of ``names``: the units in which it
+    is integrated."""
+    distances = {"l": geom.l, "l_plus": geom.l_plus}
+    scale = _u_scale(atom_a, atom_b, distances["l"] + geom.Z_plus)
+    return scale, {name: _plate_magnitude(
+        scale, [distances[rho] for rho in _PLATE_PARTS[name][2]], atom_a,
+        atom_b) for name in names}
+
+
+# The X, Z and Z+ of a block of rows as columns: a perfect plate's Green
+# tensors take them in place of a geometry, for a table of u with a row
+# per geometry.
+_Columns = namedtuple("_Columns", "X Z Z_plus")
+
+
+def _plate_block(names, geoms, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
+                 medium: HalfSpaceMedium, spec: QuadSpec | None) -> list:
+    """``_plate_parts`` of each geometry of ``geoms`` alone, its parts
+    ``names[i]``: a dict by name, or the exception that its row raised.
+
+    On a perfect plate the rows share the engine's first nodes v, at
+    u = s_i v, so the first round of every part of every row is one
+    (rows x nodes) table: one ``_Batch`` of the whole block, whose weight
+    and Green tensor families take the rows' X, Z and Z+ as columns
+    (``_Columns``).  Each part of a row takes its row of that table as its
+    first round, and a refinement evaluates that row alone.  A single row
+    has no table to share, and finite media share none: their q-grids
+    depend on X.
+    """
+    _check_ee(atom_a, atom_b)
+    spec = spec or QuadSpec()
+    firsts = [None] * len(geoms)
+    if medium.is_perfect and len(geoms) > 1:
+        try:
+            firsts = _plate_table(names, geoms, atom_a, atom_b, medium, spec)
+        except Exception:  # noqa: BLE001 - each row then raises its own
+            pass
+    out = []
+    for row_names, geom, first in zip(names, geoms, firsts):
+        try:
+            out.append(_plate_parts(row_names, geom, atom_a, atom_b, medium,
+                                    spec, {}, first))
+        except Exception as exc:  # noqa: BLE001 - this row's failure
+            out.append(exc)
+    return out
+
+
+def _plate_table(names, geoms, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
+                 medium: HalfSpaceMedium, spec: QuadSpec) -> list:
+    """Per row of ``_plate_block``, the first-round integrand of each of
+    its parts by name, from one batch of the whole block."""
+    union = list(dict.fromkeys(name for row in names for name in row))
+    scales, sizes = zip(*[_part_sizes(union, geom, atom_a, atom_b)
+                          for geom in geoms])
+    columns = _Columns(*[_column([getattr(geom, c) for geom in geoms])
+                         for c in _Columns._fields])
+    batch = _Batch(columns, _column(scales) * _mapped_panels()[3], atom_a,
+                   atom_b, medium, spec.tightened(), _families(union, medium))
+    tables = {name: batch.weight * batch.trace(name)
+              / _column([size[name] for size in sizes]) for name in union}
+    return [{name: _table_row(tables[name], i) for name in row}
+            for i, row in enumerate(names)]
 
 
 def _plate_magnitude(u: float, rhos: tuple, atom_a: ResonanceAtom,
@@ -394,20 +582,43 @@ def u2_halfspace(geom: PlanarGeometry, atom_a: ResonanceAtom,
                         {} if g1_memo is None else g1_memo)["U2"]
 
 
-def u_total(geom: PlanarGeometry, atom_a: ResonanceAtom,
-            atom_b: ResonanceAtom, medium: HalfSpaceMedium,
-            spec: QuadSpec | None = None) -> PotentialBreakdown:
-    """Full potential breakdown U0 + U1 + U2 at the given geometry.
+def u_total(geom, atom_a: ResonanceAtom, atom_b: ResonanceAtom,
+            medium: HalfSpaceMedium, spec: QuadSpec | None = None):
+    """Full potential breakdown U0 + U1 + U2 at the given geometry.  A
+    tuple of geometries gives a tuple of breakdowns in its order, each the
+    call at its geometry to the bit, or the exception that call raises.
 
     U1 and U2 are u-integrals at one scale that share one G1 per batch of
-    u-nodes through a memo of this call; ``halfspace_forces`` returns the
-    same breakdown, to the bit, with the forces of a row.
+    u-nodes through a memo of the row.  The rows take U0's first round
+    from one table (``u0_ee``), and on a perfect plate U1's and U2's from
+    another (``_plate_block``); a finite-medium row is its own
+    ``u1_halfspace`` and ``u2_halfspace``.  ``halfspace_forces`` returns
+    the same breakdown, to the bit, with the forces of a row.
     """
-    u0 = u0_ee(geom.l, atom_a, atom_b, spec=spec)
-    memo = {}
-    u1 = u1_halfspace(geom, atom_a, atom_b, medium, spec=spec, g1_memo=memo)
-    u2 = u2_halfspace(geom, atom_a, atom_b, medium, spec=spec, g1_memo=memo)
-    return PotentialBreakdown.assemble(u0, u1, u2)
+    geoms = _rows(geom)
+    u0s = u0_ee(tuple([g.l for g in geoms]), atom_a, atom_b, spec=spec)
+    if medium.is_perfect:
+        live = [g for g, u0 in zip(geoms, u0s)
+                if not isinstance(u0, Exception)]
+        parts = iter(_plate_block([("U1", "U2")] * len(live), live, atom_a,
+                                  atom_b, medium, spec))
+    members = []
+    for g, u0 in zip(geoms, u0s):
+        try:
+            u0 = _value(u0)
+            if medium.is_perfect:
+                part = _value(next(parts))
+            else:
+                memo = {}
+                part = {"U1": u1_halfspace(g, atom_a, atom_b, medium,
+                                           spec=spec, g1_memo=memo),
+                        "U2": u2_halfspace(g, atom_a, atom_b, medium,
+                                           spec=spec, g1_memo=memo)}
+            members.append(PotentialBreakdown.assemble(u0, part["U1"],
+                                                       part["U2"]))
+        except Exception as exc:  # noqa: BLE001 - this row's failure
+            members.append(exc)
+    return _results(geom, members)
 
 
 def perfect_retarded_closed(geom: PlanarGeometry, atom_a: ResonanceAtom,

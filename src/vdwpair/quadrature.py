@@ -36,8 +36,10 @@ integrand on the scale x ~ 1 meet rel_tol 1e-8 in the first round.
 
 An integral's first panel set (edges, half widths, nodes x, weights
 w = dx/dt, map) depends only on its breakpoint values: it is built once,
-kept as read-only arrays in a cache of the two most recently used sets,
-together with each rule's weights folded with w and the half widths.  Its
+kept as read-only arrays in a cache of the two most recently used sets
+(the 32 mapped panels of the integrals without breakpoints are built once
+and kept apart), together with each rule's weights folded with w and the
+half widths.  Its
 first round is then one dot product of f(x) with the folded Kronrod
 weights for the value and one weighted row sum per panel with the folded
 Kronrod-minus-Gauss weights, |.| summed, for the estimate.  The per-panel
@@ -155,6 +157,20 @@ def _nodes(lo, hi, cut: float, scale: float):
 
 @lru_cache(maxsize=2)
 def _first_panels(breakpoints: bytes):
+    """``_panel_set`` of the ``breakpoints`` (float64 bytes); without any,
+    the one set of ``_mapped_panels``, which a q-grid that evicts it from
+    this cache does not make anyone build again."""
+    return _panel_set(breakpoints) if breakpoints else _mapped_panels()
+
+
+@lru_cache(maxsize=None)
+def _mapped_panels():
+    """The first panels of every integral without breakpoints: x = t/(1-t)
+    on 32 equal panels of t, built once."""
+    return _panel_set(b"")
+
+
+def _panel_set(breakpoints: bytes):
     """Read-only edges lo, hi and ``_nodes`` of the first panels of an
     integral over [0, inf), split at the positive ``breakpoints`` (float64
     bytes, any order; non-positive and NaN entries are ignored), then the

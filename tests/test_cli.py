@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from vdwpair import ResonanceAtom, cli, u0_ee
+from vdwpair import HalfSpaceMedium, PlanarGeometry, ResonanceAtom, cli, \
+    free_space_force, u0_ee, u_total
 from vdwpair.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -742,6 +743,136 @@ class TestHalfSpace:
         assert run(["half-space", "--config", cfg2, "--output",
                     str(out2)]) == 0
         assert json.loads(out2.read_text())["rows"] == payload["rows"]
+
+
+class TestRowsAtTheirGeometry:
+    """Each row is computed at the geometry it names, and its first column
+    is the swept variable."""
+
+    PERFECT = {"kind": "perfect", "perfect": "conducting"}
+
+    def _rows(self, tmp_path, command, cfg):
+        path = write_config(tmp_path, {
+            **cfg, "output": {"path": None, "format": "json"}})
+        out = tmp_path / "out.json"
+        assert run([command, "--config", path, "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        return payload["columns"], payload["rows"]
+
+    def test_half_space_z_sweep_column_is_the_height(self, tmp_path):
+        columns, rows = self._rows(tmp_path, "half-space", {
+            "medium": self.PERFECT,
+            "geometry": {"family": "parallel", "l": 0.5},
+            "sweep": {"variable": "z", "start": 0.1, "stop": 0.2,
+                      "points": 3, "scale": "log"}})
+        assert columns[0] == "z" and "l" not in columns
+        assert [r["z"] for r in rows] == np.geomspace(0.1, 0.2, 3).tolist()
+        atom = ResonanceAtom()
+        for r in rows:
+            bd = u_total(PlanarGeometry.parallel(0.5, r["z"]), atom, atom,
+                         HalfSpaceMedium(perfect="conducting"))
+            assert (r["U0"], r["U"]) == (bd.u0, bd.total)
+
+    def test_general_row_is_labelled_with_its_separation(self, tmp_path):
+        columns, (row,) = self._rows(tmp_path, "half-space", {
+            "medium": self.PERFECT,
+            "geometry": {"family": "general", "x_a": 0.0, "z_a": 1.0,
+                         "x_b": 0.1, "z_b": 1.3},
+            "sweep": {"variable": "l", "start": 0.5, "stop": 0.5,
+                      "points": 1, "scale": "log"}})
+        assert columns[0] == "l"
+        assert row["l"] == PlanarGeometry(0.0, 1.0, 0.1, 1.3).l
+        assert row["l"] == pytest.approx(np.sqrt(0.1), rel=1e-15)
+
+    def test_free_space_z_sweep_takes_the_separation(self, tmp_path):
+        columns, rows = self._rows(tmp_path, "free-space", {
+            "medium": {"kind": "free-space"},
+            "geometry": {"family": "parallel", "l": 0.5},
+            "sweep": {"variable": "z", "start": 0.1, "stop": 0.2,
+                      "points": 2, "scale": "log"}})
+        assert columns[0] == "z"
+        atom = ResonanceAtom()
+        assert [(r["U"], r["force"]) for r in rows] == [
+            (u0_ee(0.5, atom, atom), free_space_force(0.5, atom, atom))] * 2
+
+    def test_free_space_general_geometry_takes_its_separation(self,
+                                                              tmp_path):
+        _, (row,) = self._rows(tmp_path, "free-space", {
+            "medium": {"kind": "free-space"},
+            "geometry": {"family": "general", "x_a": 0.0, "z_a": 1.0,
+                         "x_b": 3.0, "z_b": 1.0},
+            "sweep": {"variable": "l", "start": 0.1, "stop": 0.1,
+                      "points": 1, "scale": "log"}})
+        atom = ResonanceAtom()
+        assert row["l"] == 3.0
+        assert (row["U"], row["force"]) == (u0_ee(3.0, atom, atom),
+                                            free_space_force(3.0, atom, atom))
+
+
+class TestBlocks:
+    """A sweep hands its rows to the library in blocks of at most
+    ``ROW_BLOCK`` consecutive rows, one call each, and at least one block
+    per worker; the rows come out in input order either way."""
+
+    @staticmethod
+    def _blocks(monkeypatch, points, workers):
+        class FakePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            FakePool)
+        cfg = load_config(None, {"sweep.points": points, "workers": workers})
+        sizes = []
+
+        def worker(task):
+            sizes.append(len(task[1]))
+            return list(task[1])
+
+        assert cli._compute_rows(cfg, worker) == cli._sweep_values(cfg)
+        return sizes
+
+    @pytest.mark.parametrize("points", [1, 63, 64, 65, 150, 1000])
+    def test_a_sweep_makes_ceil_n_over_b_blocks(self, monkeypatch, points):
+        sizes = self._blocks(monkeypatch, points, 1)
+        assert len(sizes) == -(-points // cli.ROW_BLOCK)
+        assert max(sizes) <= cli.ROW_BLOCK
+
+    @pytest.mark.parametrize("points,expected", [
+        (2, [1, 1]), (5, [2, 2, 1]), (10, [5, 5]), (130, [64, 64, 2])])
+    def test_each_worker_gets_a_block(self, monkeypatch, points, expected):
+        assert self._blocks(monkeypatch, points, 2) == expected
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("free-space", {"medium": {"kind": "free-space"}}),
+        ("half-space", {"medium": {"kind": "perfect",
+                                   "perfect": "permeable"},
+                        "geometry": {"family": "vertical", "z_a": 0.05}})],
+        ids=["free-space", "perfect-plate"])
+    def test_pool_of_many_blocks_gives_the_in_process_rows(
+            self, tmp_path, command, cfg):
+        path = write_config(tmp_path, {
+            **cfg, "sweep": {"variable": "l", "start": 1e-3, "stop": 10.0,
+                             "points": 130, "scale": "log"}})
+        text = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            assert run([command, "--config", path, "--workers", workers,
+                        "--output", str(out)]) == 0
+            text[workers] = [ln for ln in out.read_text().splitlines()
+                             if not ln.startswith("#")]
+        assert len(text["1"]) == 131
+        assert text["2"] == text["1"]
 
 
 class TestValidateCommand:

@@ -226,14 +226,14 @@ def test_free_space_frequency_counts(monkeypatch, l):
 @pytest.mark.parametrize("kind_b", ["electric", "magnetic"])
 def test_free_space_row_makes_two_frequency_integrals(monkeypatch, kind_b):
     # U and the force; the c6, c4 and c7 asymptotes are closed forms.
-    from vdwpair.cli import _free_space_row
+    from vdwpair.cli import _free_space_row, load_config
 
-    # a row task: ((cfg, atom A, atom B, medium, spec), separation)
-    scenario = ({}, ResonanceAtom(kind="electric"), ResonanceAtom(kind=kind_b),
-                None, QuadSpec(rel_tol=1e-8))
+    # a one-row block task: ((cfg, atom A, atom B, medium, spec), separations)
+    scenario = (load_config(None), ResonanceAtom(kind="electric"),
+                ResonanceAtom(kind=kind_b), None, QuadSpec(rel_tol=1e-8))
     rows = []
     calls = _evaluations_by_call(
-        monkeypatch, lambda: rows.append(_free_space_row((scenario, 0.5))))
+        monkeypatch, lambda: rows.extend(_free_space_row((scenario, (0.5,)))))
     assert rows[0]["error"] == ""
     assert [axis for axis, _ in calls] == ["x", "x"]
     assert _evaluations_by_call(monkeypatch, lambda: asymptotic_coefficients(
