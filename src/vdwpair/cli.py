@@ -10,13 +10,16 @@ validate     run the acceptance validation suite
 
 Configuration is a JSON file merged over ``DEFAULT_CONFIG`` and checked
 against ``_SCHEMA``; command-line flags override file values.  Sweep
-points run in blocks of up to ``ROW_BLOCK`` consecutive rows, one library
-call each, in this process by default; with ``workers`` > 1 the blocks,
-at least one per worker, are dispatched to a process pool.  Every row is
+points of free space and of perfect plates run in blocks of up to
+``ROW_BLOCK`` consecutive rows, one library call each, and finite-medium
+points one row a call.  They run in this process by default; with
+``workers`` > 1 the blocks, at least one per worker, are dispatched to a
+process pool.  Every row is
 its own call's to the bit, and rows are emitted in input order either
 way, so the output is deterministic for a fixed config and tolerance.
 The first column is the swept variable (l or z), and a row's separation
-is that of its geometry.
+is that of its geometry; a free-space l sweep of the parallel or vertical
+family takes the sweep value itself.
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 validation
 failure.
 
@@ -303,17 +306,29 @@ def _geometry_at(cfg: dict, value: float) -> PlanarGeometry:
     return PlanarGeometry.vertical(geom["z_a"], value)
 
 
+def _separation(cfg: dict, value: float) -> float:
+    """A free-space row's separation: the sweep value itself in an l sweep
+    of the parallel or vertical family, where the geometry would only
+    round it (a vertical row's l is (z_a + l) - z_a), else the separation
+    of the geometry that the row names."""
+    if cfg["sweep"]["variable"] == "l" \
+            and cfg["geometry"]["family"] != "general":
+        return value
+    return _geometry_at(cfg, value).l
+
+
 def _columns(cfg: dict, columns: tuple) -> tuple:
     """The output columns, the first named after the swept variable."""
     return (cfg["sweep"]["variable"], *columns[1:])
 
 
-def _block_rows(cfg: dict, values, columns: tuple) -> tuple[list, list]:
+def _block_rows(cfg: dict, values, columns: tuple,
+                at=_geometry_at) -> tuple[list, list]:
     """An empty row per sweep value of a block, labelled with that value,
-    and the (row, geometry) of each row whose geometry exists; a row whose
-    geometry fails holds that error.  A 'general' geometry names its atoms'
-    positions, not a sweep value, so its row is labelled with their
-    separation."""
+    and the (row, where) of each row whose ``at(cfg, value)``, its
+    geometry or separation, exists; a row where that fails holds the
+    error.  A 'general' geometry names its atoms' positions, not a sweep
+    value, so its row is labelled with their separation."""
     general = cfg["geometry"]["family"] == "general"
     columns = _columns(cfg, columns)
     rows, live = [], []
@@ -321,13 +336,13 @@ def _block_rows(cfg: dict, values, columns: tuple) -> tuple[list, list]:
         row = dict.fromkeys(columns, "")
         row[columns[0]] = value
         try:
-            geom = _geometry_at(cfg, value)
+            where = at(cfg, value)
         except ValueError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         else:
             if general:
-                row["l"] = geom.l
-            live.append((row, geom))
+                row["l"] = _separation(cfg, value)
+            live.append((row, where))
         rows.append(row)
     return rows, live
 
@@ -340,8 +355,8 @@ def _mark(rows, exc: Exception) -> None:
 def _free_space_row(task) -> list[dict]:
     """The rows of a block of sweep values in free space, in order."""
     (cfg, atom_a, atom_b, _medium, spec), values = task
-    rows, live = _block_rows(cfg, values, FREE_COLUMNS)
-    ls = tuple(geom.l for _, geom in live)
+    rows, live = _block_rows(cfg, values, FREE_COLUMNS, _separation)
+    ls = tuple(l for _, l in live)
     try:
         co = asymptotic_coefficients(atom_a, atom_b)
         if atom_b.kind == "magnetic":
@@ -355,11 +370,11 @@ def _free_space_row(task) -> list[dict]:
         _mark([row for row, _ in live], exc)
         return rows
     c7, c_nonretarded, n = asymptotes
-    for (row, geom), u, force in zip(live, us, forces):
+    for (row, l), u, force in zip(live, us, forces):
         try:
             u = _value(u)
-            retarded = _over_power(c7, 1.0, geom.l, 7)
-            nonretarded = _over_power(c_nonretarded, 1.0, geom.l, n)
+            retarded = _over_power(c7, 1.0, l, 7)
+            nonretarded = _over_power(c_nonretarded, 1.0, l, n)
             force = _value(force)
         except Exception as exc:  # noqa: BLE001 - row-level error marker
             # a failed row fills no value column, as a failed half-space row
@@ -400,14 +415,15 @@ def _half_space_row(task) -> list[dict]:
     return rows
 
 
-# Rows per library call: a block's first-round tables hold this many rows
-# of every frequency integrand at once.
+# Rows per library call where the rows share first-round tables (free
+# space and perfect plates): a block's tables hold this many rows of every
+# frequency integrand at once.
 ROW_BLOCK = 64
 
 
-def _compute_rows(cfg: dict, worker) -> list[dict]:
-    # A task: ((cfg, atom A, atom B, medium, QuadSpec), block of sweep
-    # values); ``worker`` returns the block's rows in order.
+def _compute_rows(cfg: dict, worker, block: int = ROW_BLOCK) -> list[dict]:
+    # A task: ((cfg, atom A, atom B, medium, QuadSpec), block of at most
+    # ``block`` sweep values); ``worker`` returns the block's rows in order.
     scenario = (cfg, *(ResonanceAtom(**a) for a in cfg["atoms"]),
                 _build_medium(cfg["medium"]), QuadSpec(rel_tol=cfg["rel_tol"]))
     values = _sweep_values(cfg)
@@ -415,7 +431,7 @@ def _compute_rows(cfg: dict, worker) -> list[dict]:
     if workers > 1:  # only a pool that may start asks for the cores
         workers = min(workers, os.cpu_count() or 1)
     # consecutive values, and at least one block per worker
-    size = min(ROW_BLOCK, len(values) // workers)
+    size = min(block, len(values) // workers)
     tasks = [(scenario, tuple(values[i:i + size]))
              for i in range(0, len(values), size)]
     if workers == 1:
@@ -472,13 +488,19 @@ def cmd_sweep(args) -> int:
     """Run the free-space or half-space sweep that ``args.command`` names."""
     cfg = load_config(args.config, _flag_overrides(args))
     _check_atom_pair(cfg, args.command)
+    block = ROW_BLOCK
     if args.command == "free-space":
         worker, columns = _free_space_row, FREE_COLUMNS
     else:
         if cfg["medium"]["kind"] == "free-space":
             raise ConfigError("half-space command requires a non-vacuum medium")
         worker, columns = _half_space_row, HALF_COLUMNS
-    rows = _compute_rows(cfg, worker)
+        if cfg["medium"]["kind"] != "perfect":
+            # finite-medium rows share no table (their q-grids depend on
+            # X) and differ in cost several times along a sweep: a task
+            # per row lets a pool hand each to the first free worker
+            block = 1
+    rows = _compute_rows(cfg, worker, block)
     _emit(cfg, args.command, _columns(cfg, columns), rows)
     return 2 if any(r["error"] for r in rows) else 0
 

@@ -248,11 +248,17 @@ def _table_row(table, row: int):
 def _first_round(first, f):
     """``f``, except that its first call returns ``first`` (when not None):
     the row of a block's table at the first nodes, which an integral of
-    ``integrate_semiinf`` without breakpoints asks for first."""
+    ``integrate_semiinf`` without breakpoints asks for first.  A first call
+    at nodes of another shape is ``f``'s own."""
     if first is None:
         return f
     pending = [first]
-    return lambda x: pending.pop() if pending else f(x)
+
+    def first_then_f(x):
+        row = pending.pop() if pending else None
+        return row if row is not None and row.shape == x.shape else f(x)
+
+    return first_then_f
 
 
 def _rows(rows) -> tuple:

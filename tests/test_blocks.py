@@ -78,6 +78,50 @@ def test_perfect_plate_members_are_single_calls(call, family, height,
     _assert_members_are_single_calls(call, rows, ATOM, ATOM, medium)
 
 
+@pytest.mark.parametrize("call,g0,g1", [
+    (u_total, {"parallel": None, "vertical": None},
+     {"parallel": None, "vertical": None}),
+    (halfspace_forces, {"parallel": (None, "X"), "vertical": (None, "Z")},
+     {"parallel": (None, "Z_plus", "X"), "vertical": (None, "Z_plus")})],
+    ids=["u_total", "forces"])
+@pytest.mark.parametrize("family", ["parallel", "vertical"])
+@pytest.mark.parametrize("medium", PLATES, ids=["conducting", "permeable"])
+def test_perfect_plate_block_builds_one_table(monkeypatch, call, g0, g1,
+                                              family, medium):
+    # the whole block's first round: one G0 and one G1 family over a
+    # (rows x nodes) table of u, and one set of free-space factors; rows
+    # that ran alone would each make their own
+    calls, factor_sets = [], []
+    green = vdwpair.potentials.free_space_green
+    scattering = vdwpair.potentials.halfspace_scattering
+    factors = vdwpair.potentials._free_space_factors
+
+    def green_spy(x, z, u, wrt=None):
+        calls.append(("G0", np.ndim(u), wrt))
+        return green(x, z, u, wrt)
+
+    def scattering_spy(geom, u, medium, spec=None, wrt=None):
+        calls.append(("G1", np.ndim(u), wrt))
+        return scattering(geom, u, medium, spec, wrt)
+
+    def factors_spy(*args):
+        factor_sets.append(np.ndim(args[0]))  # a column of scales: a table
+        return factors(*args)
+
+    monkeypatch.setattr(vdwpair.potentials, "free_space_green", green_spy)
+    monkeypatch.setattr(vdwpair.potentials, "halfspace_scattering",
+                        scattering_spy)
+    monkeypatch.setattr(vdwpair.potentials, "_free_space_factors",
+                        factors_spy)
+    if family == "parallel":
+        rows = [PlanarGeometry.parallel(l, 0.05) for l in SEPARATIONS]
+    else:
+        rows = [PlanarGeometry.vertical(0.05, l) for l in SEPARATIONS]
+    call(tuple(rows), ATOM, ATOM, medium, spec=SPEC)
+    assert calls == [("G0", 2, g0[family]), ("G1", 2, g1[family])]
+    assert factor_sets == [2]
+
+
 @pytest.mark.parametrize("call", [u_total, halfspace_forces],
                          ids=["u_total", "forces"])
 def test_refined_members_are_single_calls(call, monkeypatch):

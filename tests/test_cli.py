@@ -808,6 +808,23 @@ class TestRowsAtTheirGeometry:
         assert (row["U"], row["force"]) == (u0_ee(3.0, atom, atom),
                                             free_space_force(3.0, atom, atom))
 
+    def test_free_space_vertical_l_sweep_takes_the_sweep_value(self,
+                                                               tmp_path):
+        # (z_a + l) - z_a rounds l: at z_a = 1 by 1e-4 of it at l = 1e-12
+        # and by 11 % at l = 1e-15
+        _, rows = self._rows(tmp_path, "free-space", {
+            "medium": {"kind": "free-space"},
+            "geometry": {"family": "vertical", "z_a": 1.0},
+            "sweep": {"variable": "l", "start": 1e-15, "stop": 1e-12,
+                      "points": 4, "scale": "log"}})
+        atom = ResonanceAtom()
+        values = cli._sweep_values({"sweep": {
+            "start": 1e-15, "stop": 1e-12, "points": 4, "scale": "log"}})
+        assert [r["l"] for r in rows] == values
+        assert [(r["U"], r["force"]) for r in rows] == [
+            (u0_ee(l, atom, atom), free_space_force(l, atom, atom))
+            for l in values]
+
 
 class TestBlocks:
     """A sweep hands its rows to the library in blocks of at most
@@ -815,7 +832,8 @@ class TestBlocks:
     per worker; the rows come out in input order either way."""
 
     @staticmethod
-    def _blocks(monkeypatch, points, workers):
+    def _fake_pool(monkeypatch):
+        """A two-core machine whose pool maps in this process."""
         class FakePool:
             def __init__(self, max_workers):
                 pass
@@ -832,6 +850,9 @@ class TestBlocks:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             FakePool)
+
+    def _blocks(self, monkeypatch, points, workers):
+        self._fake_pool(monkeypatch)
         cfg = load_config(None, {"sweep.points": points, "workers": workers})
         sizes = []
 
@@ -852,6 +873,34 @@ class TestBlocks:
         (2, [1, 1]), (5, [2, 2, 1]), (10, [5, 5]), (130, [64, 64, 2])])
     def test_each_worker_gets_a_block(self, monkeypatch, points, expected):
         assert self._blocks(monkeypatch, points, 2) == expected
+
+    @pytest.mark.parametrize("command,medium,sizes", [
+        ("free-space", {"kind": "free-space"}, [5, 5]),
+        ("half-space", {"kind": "perfect", "perfect": "conducting"}, [5, 5]),
+        ("half-space", {"kind": "dielectric", "omegaP": 3.0, "omegaT": 1.0,
+                        "gamma": 0.001}, [1] * 10)],
+        ids=["free-space", "perfect-plate", "finite-medium"])
+    def test_rows_without_a_shared_table_are_a_task_each(
+            self, monkeypatch, tmp_path, command, medium, sizes):
+        # finite-medium rows share no table and differ in cost, so a pool
+        # hands each to the first free worker
+        self._fake_pool(monkeypatch)
+        seen = []
+
+        def worker(task):
+            seen.append(len(task[1]))
+            return [dict.fromkeys(("l", *cli.HALF_COLUMNS,
+                                   *cli.FREE_COLUMNS), "")
+                    for _ in task[1]]
+
+        monkeypatch.setattr(cli, "_free_space_row", worker)
+        monkeypatch.setattr(cli, "_half_space_row", worker)
+        path = write_config(tmp_path, {"medium": medium, "sweep": {
+            "variable": "l", "start": 1e-3, "stop": 1.0, "points": 10,
+            "scale": "log"}})
+        assert run([command, "--config", path, "--workers", "2",
+                    "--output", str(tmp_path / "out.csv")]) == 0
+        assert seen == sizes
 
     @pytest.mark.parametrize("command,cfg", [
         ("free-space", {"medium": {"kind": "free-space"}}),
